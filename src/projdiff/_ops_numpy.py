@@ -1,8 +1,7 @@
-"""Pure-numpy implementations of the hot row operations.
+"""Numpy implementations of the hot row operations.
 
-Same call signatures as the compiled extension so either can serve as the
-active backend.  All inputs are float64 arrays; none are modified in
-place.
+Reached through ``backend.ops``.  All inputs are float64 arrays; none
+are modified in place.
 """
 
 import numpy as np

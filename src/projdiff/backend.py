@@ -1,49 +1,11 @@
-"""Backend selection for the hot row operations.
+"""The module that serves the hot row operations.
 
-The compiled Cython extension is preferred when importable; the numpy
-fallback is always available.  Selection happens at import time and can
-be forced with the PROJDIFF_OPS environment variable ("compiled" or
-"python") or at runtime with use().  Callers access operations through
-the module attribute, e.g. ``backend.ops.row_softmax``, so a runtime
-switch takes effect everywhere.
+Callers reach every operation through the module attribute, e.g.
+``backend.ops.row_softmax``, so that a profiler can swap ``ops`` for a
+timing proxy and see every call.
 """
-
-import os
 
 from . import _ops_numpy
 
-try:
-    from . import _ops_cython
-except ImportError:
-    _ops_cython = None
-
 ops = _ops_numpy
 active_name = "python"
-
-
-def available() -> list[str]:
-    names = ["python"]
-    if _ops_cython is not None:
-        names.append("compiled")
-    return names
-
-
-def use(name: str) -> None:
-    """Select the active backend by name."""
-    global ops, active_name
-    if name == "python":
-        ops = _ops_numpy
-    elif name == "compiled":
-        if _ops_cython is None:
-            raise RuntimeError("compiled backend not built")
-        ops = _ops_cython
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-    active_name = name
-
-
-_requested = os.environ.get("PROJDIFF_OPS")
-if _requested:
-    use(_requested)
-elif _ops_cython is not None:
-    use("compiled")

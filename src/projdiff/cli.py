@@ -162,8 +162,9 @@ def _emitted_infeasible(run: Run, seqs) -> int:
 
 
 def cmd_sample(run: Run) -> int:
+    denoiser = ExactBayesDenoiser(run.corpus)
     try:
-        seqs, traces = sample_constrained(run.corpus, run.cs, run.cfg)
+        seqs, traces = sample_constrained(run.corpus, run.cs, run.cfg, denoiser=denoiser)
     except InfeasibleSampleError as exc:
         print(f"sampling failed: {exc}", file=sys.stderr)
         return 2
@@ -176,6 +177,7 @@ def cmd_sample(run: Run) -> int:
         db=NoveltyDb.from_corpus(run.corpus),
         kappa=run.kappa,
     )
+    summary["denoiser_fallbacks"] = denoiser.fallback_count
     metrics_mod.write_metrics(run.path("metrics.json"), summary)
     bad = _emitted_infeasible(run, seqs)
     if bad:

@@ -417,13 +417,19 @@ class NoveltySaturationError(RuntimeError):
 
 
 class NoveltyDb:
-    """Set of sequences already emitted (or banned)."""
+    """Set of sequences already emitted (or banned).
 
-    def __init__(self, seqs=()):
+    With a mask_id, every sequence that holds it also counts as present,
+    so a novelty pick is never an unfinished decode the sampler would
+    have to reject.  len() counts only the stored sequences.
+    """
+
+    def __init__(self, seqs=(), mask_id: int | None = None):
         self._seen: set[Sequence] = set(seqs)
+        self._mask_id = mask_id
 
     def __contains__(self, seq: Sequence) -> bool:
-        return seq in self._seen
+        return seq in self._seen or (self._mask_id is not None and self._mask_id in seq.ids)
 
     def __len__(self) -> int:
         return len(self._seen)
@@ -433,7 +439,7 @@ class NoveltyDb:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "NoveltyDb":
-        return cls(s for s, _ in corpus.entries)
+        return cls((s for s, _ in corpus.entries), mask_id=corpus.vocab.mask_id)
 
 
 def novelty_project(x_in: SeqDist, db: NoveltyDb, eps: float = ARGMAX_EPS) -> SeqDist:

@@ -93,6 +93,8 @@ class TestSample:
         summary = json.loads((out / "metrics.json").read_text())
         assert summary["violation_rate"] == 0.0
         assert summary["n_samples"] == 4
+        fallbacks = summary["denoiser_fallbacks"]
+        assert isinstance(fallbacks, int) and fallbacks >= 0
 
     def test_deterministic_reruns(self, tmp_path):
         cfg = make_workspace(tmp_path)

@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
 from projdiff.core import SeqDist, Sequence, decode, kl_divergence
+from projdiff.oracle import enumerate_novelty
 from projdiff.projection import (
     AlmConfig,
     NoveltyDb,
@@ -236,6 +237,22 @@ class TestNoveltyDb:
         assert Sequence((0, 1)) in db
         assert Sequence((1, 1)) in db
         assert len(db) == 2
+
+    def test_from_corpus_bans_mask(self, tiny_corpus):
+        db = NoveltyDb.from_corpus(tiny_corpus)
+        assert Sequence((0, 2)) in db
+        assert Sequence((2, 2)) in db
+        assert Sequence((1, 0)) not in db
+        assert len(db) == 2
+
+    def test_novelty_pick_skips_mask(self, tiny_corpus):
+        # MASK is the argmax at both positions; the cheapest decode free
+        # of it and of the corpus is (0, 0).
+        rows = np.array([[0.3, 0.1, 0.6], [0.2, 0.1, 0.7]])
+        db = NoveltyDb.from_corpus(tiny_corpus)
+        assert enumerate_novelty(SeqDist(rows), db)[0] == Sequence((0, 0))
+        assert decode(novelty_project(SeqDist(rows), db)) == Sequence((0, 0))
+        assert len(db) == 3
 
 
 class TestNoveltyProject:

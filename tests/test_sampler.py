@@ -148,6 +148,18 @@ class TestNoveltyMode:
         present = {s for s, _ in toy_corpus.entries}
         assert all(s not in present for s in seqs)
 
+    def test_database_keeps_only_emitted_claims(self):
+        # The c02 shape, run long enough that claiming MASK picks the
+        # sampler then rejects would exhaust its retries.
+        corpus = make_corpus(make_vocab(6), length=6, n_entries=10, seed=23)
+        db = NoveltyDb.from_corpus(corpus)
+        config = SampleConfig(
+            steps=12, length=6, num_samples=2000, rng_seed=0, projection_mode="novelty", trace=False
+        )
+        seqs, _ = sample_constrained(corpus, None, config, novelty_db=db)
+        assert len(set(seqs)) == 2000
+        assert len(db) == 10 + 2000
+
 
 class TestInfeasiblePolicies:
     def impossible(self):
