@@ -156,9 +156,9 @@ def _emitted_infeasible(run: Run, seqs) -> int:
     if mode == "novelty":
         db = NoveltyDb.from_corpus(run.corpus)
         return sum(1 for s in seqs if s in db) + (len(seqs) - len(set(seqs)))
-    if mode == "none" or run.cs is None:
+    if mode == "none":
         return 0
-    return sum(1 for s in seqs if not run.cs.satisfied(s))
+    return metrics_mod.violation_count(seqs, run.cs)
 
 
 def cmd_sample(run: Run) -> int:

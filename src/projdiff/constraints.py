@@ -4,7 +4,9 @@ Every constraint exposes a scalar score g with the convention that the
 constraint holds iff g <= tau, so the violation max(0, g - tau) is zero
 exactly on the feasible set.  Each score comes in two forms:
 
-  hard_score(seq)      evaluated on a decoded id sequence
+  hard_scores(ids)     evaluated on a (K, L) stack of decoded id
+                       sequences, one score per sequence; hard_score(seq)
+                       is the same computation on one sequence
   relaxed_score(dist)  evaluated on (L, N) probability rows, typically
                        the sharpened relaxation of a candidate
 
@@ -30,8 +32,12 @@ class Constraint:
     name: str
     tau: float
 
-    def hard_score(self, seq: Sequence) -> float:
+    def hard_scores(self, ids: np.ndarray) -> np.ndarray:
+        """Scores of the (K, L) integer id rows, shape (K,)."""
         raise NotImplementedError
+
+    def hard_score(self, seq: Sequence) -> float:
+        return float(self.hard_scores(np.asarray([seq.ids]))[0])
 
     def relaxed_score(self, dist) -> float:
         raise NotImplementedError
@@ -68,8 +74,8 @@ class LinearScore(Constraint):
             raise ValueError("weights must be a vector over the vocabulary")
         self._check_tau()
 
-    def hard_score(self, seq: Sequence) -> float:
-        return float(np.mean([self.weights[v] for v in seq]))
+    def hard_scores(self, ids: np.ndarray) -> np.ndarray:
+        return self.weights[ids].mean(axis=1)
 
     def relaxed_score(self, dist) -> float:
         rows = as_rows(dist)
@@ -133,8 +139,8 @@ class TokenCount(Constraint):
             return self.k - count
         return abs(count - self.k)
 
-    def hard_score(self, seq: Sequence) -> float:
-        return self._score(float(sum(1 for v in seq if v == self.token)))
+    def hard_scores(self, ids: np.ndarray) -> np.ndarray:
+        return self._score((ids == self.token).sum(axis=1).astype(np.float64))
 
     def relaxed_score(self, dist) -> float:
         rows = as_rows(dist)
@@ -183,10 +189,10 @@ class Position(Constraint):
             self.name = f"position[{self.position}]={self.token}"
         self._check_tau()
 
-    def hard_score(self, seq: Sequence) -> float:
-        if self.position >= len(seq):
+    def hard_scores(self, ids: np.ndarray) -> np.ndarray:
+        if self.position >= ids.shape[1]:
             raise ValueError(f"{self.name}: sequence too short")
-        return -1.0 if seq[self.position] == self.token else 1.0
+        return np.where(ids[:, self.position] == self.token, -1.0, 1.0)
 
     def _rival(self, row: np.ndarray) -> int:
         masked = row.copy()
@@ -232,8 +238,21 @@ class ConstraintSet:
     def relaxed_violations(self, dist) -> np.ndarray:
         return np.asarray([c.violation(dist) for c in self.constraints])
 
+    def hard_violations_batch(self, ids) -> np.ndarray:
+        """Hard violations of every constraint on a stack of sequences.
+
+        ids is a (K, L) integer array of decoded sequences; the result is
+        the (K, m) array whose entry (k, j) is max(0, g_j(ids[k]) -
+        tau_j) for the j-th of the m constraints.
+        """
+        ids = np.ascontiguousarray(ids)
+        out = np.empty((ids.shape[0], len(self.constraints)))
+        for j, c in enumerate(self.constraints):
+            out[:, j] = c.hard_scores(ids) - c.tau
+        return np.maximum(out, 0.0, out=out)
+
     def hard_violations(self, seq: Sequence) -> np.ndarray:
-        return np.asarray([c.hard_violation(seq) for c in self.constraints])
+        return self.hard_violations_batch(np.asarray([seq.ids]))[0]
 
     def max_hard_violation(self, seq: Sequence) -> float:
         return float(self.hard_violations(seq).max())

@@ -85,14 +85,27 @@ def entropy(seq: Sequence) -> float:
     return -sum((c / total) * math.log(c / total) for c in counts.values())
 
 
+def violation_count(seqs: list[Sequence], cs: ConstraintSet | None) -> int:
+    """Number of sequences violating at least one constraint.
+
+    The sequences of each length are scored in one batch.
+    """
+    if cs is None:
+        return 0
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for s in seqs:
+        by_length.setdefault(len(s), []).append(s.ids)
+    return sum(
+        int((~np.all(cs.hard_violations_batch(group) <= 0.0, axis=1)).sum())
+        for group in by_length.values()
+    )
+
+
 def violation_rate(seqs: list[Sequence], cs: ConstraintSet | None) -> float:
     """Fraction of sequences violating at least one constraint."""
     if not seqs:
         return 0.0
-    if cs is None:
-        return 0.0
-    bad = sum(1 for s in seqs if not cs.satisfied(s))
-    return bad / len(seqs)
+    return violation_count(seqs, cs) / len(seqs)
 
 
 def novelty_count(seqs: list[Sequence], db: NoveltyDb | None) -> int:

@@ -78,10 +78,6 @@ class AlmResult:
     multipliers: tuple[np.ndarray, np.ndarray]
 
 
-def _decoded_violations(rows: np.ndarray, cs: ConstraintSet) -> np.ndarray:
-    return cs.hard_violations(decode(rows))
-
-
 # Logit-coordinate starting point.  A one-hot input has no exact logit
 # preimage, and seeding its zero coordinates at the relaxation floor
 # (1e-12) leaves the constraint gradient too saturated to ever move
@@ -182,7 +178,7 @@ def alm_project(
         lam = np.full(m, config.lambda_init, dtype=np.float64)
         mu = np.full(m, config.mu_init, dtype=np.float64)
 
-    hard = _decoded_violations(x_rows, cs)
+    hard = cs.hard_violations(decode(x_rows))
     if float(hard.max()) <= config.delta:
         return AlmResult(
             projected=x_in,
@@ -198,7 +194,7 @@ def alm_project(
 
     z = np.log(np.maximum(x_rows, Z_INIT_FLOOR))
     y = ops.row_softmax(z)
-    hard = _decoded_violations(y, cs)
+    hard = cs.hard_violations(decode(y))
     best_rows, best_hard = y, hard
     outer = 0
     stalled = 0
@@ -303,19 +299,49 @@ def _row_flip_costs(rows: np.ndarray) -> np.ndarray:
     """Exact KL cost of making each token the argmax of each row.
 
     Entry (i, v) is kl(rows[i], pooled rows[i] with argmax v); zero when
-    v already decodes.
+    v already decodes.  The pooled levels of all targets of a row come
+    from one sort: for target v the competitors are the row's descending
+    order without v, the running sums r_v + r_(1) + ... + r_(k) are
+    accumulated left to right as _force_argmax_row does, and the pool
+    stops at the first k whose next competitor is at or below the level
+    sum / (k + 1).  Each entry is then the sum of the pooled KL terms
+    over the row's support, summed along C-ordered rows of exactly the
+    support columns so that it is bit-equal to the 1-D sum over
+    row[row > 0]: numpy's pairwise summation groups the additions by
+    position, so extra zero columns or a Fortran-ordered array change
+    the last bit.
     """
     seq_len, n = rows.shape
     table = np.zeros((seq_len, n))
+    if n == 1:
+        return table
+    targets = np.arange(n)
+    slots = np.arange(n - 1)
     for i in range(seq_len):
         row = rows[i]
+        order = np.argsort(-row, kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = targets
+        # comp[v, j]: the j-th largest competitor of target v.
+        comp = order[slots + (slots >= rank[:, None])]
+        vals = row[comp]
+        sums = np.cumsum(np.concatenate([row[:, None], vals], axis=1), axis=1)[:, 1:]
+        levels = sums / (slots + 2)
+        stop = np.ones((n, n - 1), dtype=bool)
+        stop[:, :-1] = vals[:, 1:] <= levels[:, :-1]
+        k = np.argmax(stop, axis=1)
+        level = levels[targets, k]
+        out = np.broadcast_to(row, (n, n)).copy()
+        pooled = slots <= k[:, None]
+        out[np.nonzero(pooled)[0], comp[pooled]] = np.repeat(level, k + 1)
+        out[targets, targets] = level
         mask = row > 0
-        amax = int(np.argmax(row))
-        for v in range(n):
-            if v == amax:
-                continue
-            out = _force_argmax_row(row, v, eps=0.0)
-            table[i, v] = float(np.sum(row[mask] * np.log(row[mask] / out[mask])))
+        support = row[mask]
+        # Boolean column indexing returns a Fortran-ordered array; a row
+        # sum over that layout groups the additions differently.
+        pooled_out = np.ascontiguousarray(out[:, mask])
+        table[i] = (support * np.log(support / pooled_out)).sum(axis=1)
+        table[i, order[0]] = 0.0
     return table
 
 
@@ -339,57 +365,61 @@ def _decode_search(
     already-changed position back to base_ids while changing another,
     which lets a misplaced flip migrate to a cheaper row.  The search
     starts from the better of start_ids and base_ids.
+
+    Each sweep scores all of its moves at once: the candidates are
+    stacked into one (K, L) id array, their violations come from one
+    ConstraintSet.hard_violations_batch call and their costs from one
+    gather of the flip-cost table, summed left to right.  Once the
+    current pattern qualifies, only strictly cheaper moves are
+    considered.  The sweep moves to the lexicographic minimum of the
+    remaining (excess, cost, ids) keys if it is below the current key,
+    so the result equals that of scoring the moves one by one.
     """
     table = _row_flip_costs(x_rows)
     seq_len, n = x_rows.shape
     if max_sweeps is None:
         max_sweeps = seq_len + 8
+    positions = np.arange(seq_len)
 
-    def cost(ids: tuple[int, ...]) -> float:
-        return float(sum(table[i, ids[i]] for i in range(seq_len)))
+    def best_of(cands: np.ndarray, prune_at: float | None = None):
+        violations = cs.hard_violations_batch(cands)
+        excess = np.maximum(violations - delta, 0.0).sum(axis=1)
+        cost = np.cumsum(table[positions, cands], axis=1)[:, -1]
+        if prune_at is not None:
+            keep = cost < prune_at
+            cands, excess, cost = cands[keep], excess[keep], cost[keep]
+            if cands.shape[0] == 0:
+                return None
+        k = np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0]
+        return (float(excess[k]), float(cost[k]), tuple(cands[k].tolist()))
 
-    def excess(ids: tuple[int, ...]) -> float:
-        v = cs.hard_violations(Sequence(ids))
-        return float(np.maximum(v - delta, 0.0).sum())
-
-    def key(ids: tuple[int, ...]):
-        return (excess(ids), cost(ids), ids)
-
-    cur = tuple(int(t) for t in start_ids)
-    base = tuple(int(t) for t in base_ids)
-    cur_key = min(key(cur), key(base))
-    cur = cur_key[2]
+    # Every single-position move as a (position, token) pair.
+    move_pos = np.repeat(positions, n)
+    move_tok = np.tile(np.arange(n), seq_len)
+    base = np.asarray(base_ids, dtype=np.int64)
+    cur_key = best_of(np.asarray([start_ids, base_ids], dtype=np.int64))
 
     for _ in range(max_sweeps):
-        best = None
-
-        def consider(ids: tuple[int, ...]) -> None:
-            nonlocal best
-            if cur_key[0] == 0.0 and cost(ids) >= cur_key[1]:
-                return
-            k = key(ids)
-            if k < cur_key and (best is None or k < best):
-                best = k
-
-        for i in range(seq_len):
-            for v in range(n):
-                if v != cur[i]:
-                    consider(cur[:i] + (v,) + cur[i + 1 :])
-        for j in range(seq_len):
-            if cur[j] == base[j]:
-                continue
-            rev = cur[:j] + (base[j],) + cur[j + 1 :]
-            for i in range(seq_len):
-                if i == j:
-                    continue
-                for v in range(n):
-                    if v != rev[i]:
-                        consider(rev[:i] + (v,) + rev[i + 1 :])
-        if best is None:
+        cur = np.asarray(cur_key[2], dtype=np.int64)
+        single = move_tok != cur[move_pos]
+        # Each move once as is (revert -1), then once after each changed
+        # position j is reverted to base, for moves elsewhere than j.
+        reverts = np.concatenate([[-1], np.nonzero(cur != base)[0]])
+        revert = np.repeat(reverts, np.count_nonzero(single))
+        pos = np.tile(move_pos[single], reverts.shape[0])
+        tok = np.tile(move_tok[single], reverts.shape[0])
+        keep = pos != revert
+        revert, pos, tok = revert[keep], pos[keep], tok[keep]
+        cands = np.tile(cur, (pos.shape[0], 1))
+        rows = np.arange(pos.shape[0])
+        paired = revert >= 0
+        cands[rows[paired], revert[paired]] = base[revert[paired]]
+        cands[rows, pos] = tok
+        best = best_of(cands, cur_key[1] if cur_key[0] == 0.0 else None)
+        if best is None or not best < cur_key:
             break
         cur_key = best
-        cur = cur_key[2]
-    return cur, cur_key[0]
+    return cur_key[2], cur_key[0]
 
 
 def position_project(x_in: SeqDist, position: int, token: int, eps: float = ARGMAX_EPS) -> SeqDist:

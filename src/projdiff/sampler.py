@@ -193,13 +193,17 @@ class _Engine:
             return False
         return eligible_index % self.cfg.project_every == 0
 
-    def _decoded_violation(self, id_row: np.ndarray) -> float:
-        seq = Sequence(tuple(int(v) for v in id_row))
+    def _decoded_violations(self, ids: np.ndarray) -> list[float]:
+        """Worst decoded violation of each (L,) id row of ids.
+
+        Constraint violations of all rows come from one batched call; in
+        novelty mode a row scores 1.0 when the database holds it.
+        """
         if self.cfg.projection_mode == "novelty":
-            return 1.0 if seq in self.db else 0.0
+            return [1.0 if Sequence(tuple(int(v) for v in row)) in self.db else 0.0 for row in ids]
         if self.cs is None:
-            return 0.0
-        return float(self.cs.hard_violations(seq).max())
+            return [0.0] * len(ids)
+        return self.cs.hard_violations_batch(ids).max(axis=1).tolist()
 
     def _run_chunk(self, b: int, offset: int, traces: list[TraceRecord]) -> np.ndarray:
         ops = backend.ops
@@ -252,8 +256,7 @@ class _Engine:
                     if self.cfg.trace:
                         traces.append(rec)
             elif self.cfg.trace:
-                for ci in range(b):
-                    v = self._decoded_violation(ids[ci])
+                for ci, v in enumerate(self._decoded_violations(ids)):
                     traces.append(TraceRecord(offset + ci, t, False, v, v, 0.0, 0, 0.0))
         return ids
 
@@ -280,7 +283,7 @@ class _Engine:
         masked = self.kernel.kind == "masked"
 
         start = time.perf_counter()
-        pre_violation = self._decoded_violation(ids[ci])
+        pre_violation = self._decoded_violations(ids[ci : ci + 1])[0]
         attempts = 0
         mask_id = self.kernel.mask_id
         while True:
@@ -323,7 +326,7 @@ class _Engine:
         if cfg.projection_mode == "novelty":
             post_violation = 0.0 if feasible else 1.0
         else:
-            post_violation = self._decoded_violation(ids[ci])
+            post_violation = self._decoded_violations(ids[ci : ci + 1])[0]
         wall = time.perf_counter() - start
         return TraceRecord(sample_index, t, True, pre_violation, post_violation, kl_moved, outer, wall)
 

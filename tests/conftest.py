@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
 from projdiff.core import Corpus, Sequence, Vocabulary
 
 
@@ -35,6 +36,27 @@ def make_corpus(
         w = float(rng.integers(1, 4)) if weights else 1.0
         entries.append((Sequence(ids), w))
     return Corpus(vocab, entries)
+
+
+def make_constraint_set(rng, n, length):
+    """One to three constraints of random families over n tokens and length positions."""
+    out = []
+    for j in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(0, 5))
+        tau = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        if kind == 0:
+            out.append(LinearScore(weights=rng.uniform(0.0, 1.0, size=n), tau=tau, name=f"linear{j}"))
+        elif kind == 1:
+            op = str(rng.choice(["le", "ge", "eq"]))
+            out.append(TokenCount(int(rng.integers(0, n)), op, int(rng.integers(0, length + 1)), tau, f"count{j}"))
+        elif kind == 2:
+            out.append(Forbidden(int(rng.integers(0, n)), tau=tau, name=f"forbidden{j}"))
+        elif kind == 3:
+            out.append(Position(int(rng.integers(0, length)), int(rng.integers(0, n)), tau, f"position{j}"))
+        else:
+            weights = rng.integers(0, 4, size=n) / 4.0  # ties and exact values
+            out.append(LinearScore(weights=weights, tau=tau, name=f"linear{j}"))
+    return ConstraintSet(tuple(out))
 
 
 @pytest.fixture

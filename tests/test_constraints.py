@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projdiff.constraints import (
     ConstraintSet,
@@ -16,7 +18,7 @@ from projdiff.constraints import (
 )
 from projdiff.core import SeqDist, Sequence
 
-from conftest import make_vocab
+from conftest import make_constraint_set, make_vocab
 
 
 def one_hot_rows(seq, n):
@@ -183,6 +185,66 @@ class TestConstraintSet:
         assert cs.max_hard_violation(seq) == 1.0
         assert not cs.satisfied(seq)
         assert cs.satisfied(Sequence((1, 1, 2)))
+
+
+def reference_hard_score(c, seq):
+    """Each family's hard score written out one sequence at a time."""
+    if isinstance(c, LinearScore):
+        return float(np.mean([c.weights[v] for v in seq]))
+    if isinstance(c, TokenCount):
+        return c._score(float(sum(1 for v in seq if v == c.token)))
+    return -1.0 if seq[c.position] == c.token else 1.0
+
+
+class TestHardViolationsBatch:
+    """The batch must equal the one-sequence evaluation bit for bit, at
+    every stack height: numpy reductions along an axis can group their
+    additions by shape and memory order."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 16, 1000]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_stacked_scalar(self, seed, k):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 17))
+        length = int(rng.integers(1, 20))
+        cs = make_constraint_set(rng, n, length)
+        ids = rng.integers(0, n, size=(k, length))
+        batch = cs.hard_violations_batch(ids)
+        assert batch.shape == (k, len(cs))
+        rows = ids[: min(k, 40)]
+        scalar = np.stack([cs.hard_violations(Sequence(tuple(int(v) for v in r))) for r in rows])
+        assert np.array_equal(batch[: rows.shape[0]], scalar)
+        for j, c in enumerate(cs):
+            ref = [max(0.0, reference_hard_score(c, tuple(r)) - c.tau) for r in rows]
+            assert np.array_equal(batch[: rows.shape[0], j], ref)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_memory_order_of_input_does_not_matter(self, seed):
+        rng = np.random.default_rng(seed)
+        n, length = 13, 10
+        cs = make_constraint_set(rng, n, length)
+        ids = rng.integers(0, n, size=(64, length))
+        expected = cs.hard_violations_batch(ids)
+        assert np.array_equal(cs.hard_violations_batch(np.asfortranarray(ids)), expected)
+        assert np.array_equal(cs.hard_violations_batch(ids[::-1])[::-1], expected)
+        assert np.array_equal(cs.hard_violations_batch(ids.tolist()), expected)
+
+    def test_hard_scores_per_family(self):
+        ids = np.array([[0, 1, 2], [1, 1, 1], [2, 0, 0]])
+        lin = LinearScore(weights=np.array([0.0, 0.5, 1.0]), tau=0.4)
+        assert lin.hard_scores(ids).tolist() == [0.5, 0.5, 1.0 / 3.0]
+        assert TokenCount(token=1, op="le", k=1).hard_scores(ids).tolist() == [0.0, 2.0, -1.0]
+        assert TokenCount(token=1, op="ge", k=1).hard_scores(ids).tolist() == [0.0, -2.0, 1.0]
+        assert TokenCount(token=1, op="eq", k=1).hard_scores(ids).tolist() == [0.0, 2.0, 1.0]
+        assert Position(position=0, token=2).hard_scores(ids).tolist() == [1.0, 1.0, -1.0]
+
+    def test_position_past_the_end_raises(self):
+        cs = ConstraintSet((Position(position=3, token=0),))
+        with pytest.raises(ValueError, match="too short"):
+            cs.hard_violations_batch(np.zeros((4, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="too short"):
+            cs.hard_violations(Sequence((0, 0, 0)))
 
 
 class TestParsing:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from projdiff.constraints import ConstraintSet, Forbidden
+from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position
 from projdiff.core import Corpus, Sequence, Vocabulary
 from projdiff.metrics import (
     BigramModel,
@@ -14,6 +14,7 @@ from projdiff.metrics import (
     novelty_count,
     perplexity,
     summarize,
+    violation_count,
     violation_rate,
     write_metrics,
 )
@@ -86,6 +87,19 @@ class TestRates:
         assert violation_rate(seqs, cs) == pytest.approx(0.5)
         assert violation_rate(seqs, None) == 0.0
         assert violation_rate([], cs) == 0.0
+
+    def test_violation_count_matches_per_sequence_check(self):
+        cs = ConstraintSet([LinearScore(weights=np.array([0.0, 0.5, 1.0]), tau=0.5), Position(0, 1)])
+        rng = np.random.default_rng(0)
+        seqs = [Sequence(tuple(int(v) for v in rng.integers(0, 3, size=4))) for _ in range(200)]
+        assert violation_count(seqs, cs) == sum(1 for s in seqs if not cs.satisfied(s))
+        assert violation_count(seqs, None) == 0
+        assert violation_count([], cs) == 0
+
+    def test_violation_count_mixed_lengths(self):
+        cs = ConstraintSet([Forbidden(0)])
+        seqs = [Sequence((1,)), Sequence((0, 1)), Sequence((1, 1, 0)), Sequence((2, 2, 2))]
+        assert violation_count(seqs, cs) == 2
 
     def test_novelty_count_distinct_absent(self):
         db = NoveltyDb([Sequence((0, 0))])

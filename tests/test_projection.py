@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
@@ -15,12 +17,15 @@ from projdiff.projection import (
     AlmConfig,
     NoveltyDb,
     NoveltySaturationError,
+    _decode_search,
+    _force_argmax_row,
+    _row_flip_costs,
     alm_project,
     novelty_project,
     position_project,
 )
 
-from conftest import make_corpus, make_vocab
+from conftest import make_constraint_set, make_corpus, make_vocab
 
 # The SLSQP reference solver clips bound violations internally and says
 # so; that chatter is not a property under test.
@@ -293,3 +298,154 @@ class TestNoveltyProject:
         db = NoveltyDb(Sequence(ids) for ids in itertools.product(range(2), repeat=2))
         with pytest.raises(NoveltySaturationError):
             novelty_project(SeqDist(np.full((2, 2), 0.5)), db)
+
+
+def reference_flip_costs(rows):
+    """Flip-cost table entry by entry: pool each (row, target) pair and
+    take the KL over the row's support."""
+    seq_len, n = rows.shape
+    table = np.zeros((seq_len, n))
+    for i in range(seq_len):
+        row = rows[i]
+        mask = row > 0
+        amax = int(np.argmax(row))
+        for v in range(n):
+            if v == amax:
+                continue
+            out = _force_argmax_row(row, v, eps=0.0)
+            table[i, v] = float(np.sum(row[mask] * np.log(row[mask] / out[mask])))
+    return table
+
+
+def reference_decode_search(x_rows, cs, delta, start_ids, base_ids, max_sweeps=None):
+    """The lattice search scoring one candidate pattern at a time."""
+    table = reference_flip_costs(x_rows)
+    seq_len, n = x_rows.shape
+    if max_sweeps is None:
+        max_sweeps = seq_len + 8
+
+    def cost(ids):
+        return float(sum(table[i, ids[i]] for i in range(seq_len)))
+
+    def excess(ids):
+        v = np.asarray([c.hard_violation(Sequence(ids)) for c in cs])
+        return float(np.maximum(v - delta, 0.0).sum())
+
+    def key(ids):
+        return (excess(ids), cost(ids), ids)
+
+    cur = tuple(int(t) for t in start_ids)
+    base = tuple(int(t) for t in base_ids)
+    cur_key = min(key(cur), key(base))
+    cur = cur_key[2]
+
+    for _ in range(max_sweeps):
+        best = None
+
+        def consider(ids):
+            nonlocal best
+            if cur_key[0] == 0.0 and cost(ids) >= cur_key[1]:
+                return
+            k = key(ids)
+            if k < cur_key and (best is None or k < best):
+                best = k
+
+        for i in range(seq_len):
+            for v in range(n):
+                if v != cur[i]:
+                    consider(cur[:i] + (v,) + cur[i + 1 :])
+        for j in range(seq_len):
+            if cur[j] == base[j]:
+                continue
+            rev = cur[:j] + (base[j],) + cur[j + 1 :]
+            for i in range(seq_len):
+                if i == j:
+                    continue
+                for v in range(n):
+                    if v != rev[i]:
+                        consider(rev[:i] + (v,) + rev[i + 1 :])
+        if best is None:
+            break
+        cur_key = best
+        cur = cur_key[2]
+    return cur, cur_key[0]
+
+
+ROW_KINDS = ("dirichlet", "one_hot", "zeros", "tied", "pooled")
+
+
+def random_rows(rng, kind, seq_len, n):
+    """Probability rows of one kind: soft, one-hot, with exact zeros,
+    with tied maxima, or already pooled by a projection."""
+    if kind == "dirichlet":
+        return rng.dirichlet(np.ones(n), size=seq_len)
+    if kind == "one_hot":
+        return np.eye(n)[rng.integers(0, n, size=seq_len)]
+    if kind == "zeros":
+        rows = rng.dirichlet(np.full(n, 0.5), size=seq_len)
+        rows[rng.random((seq_len, n)) < 0.4] = 0.0
+        rows[np.arange(seq_len), rng.integers(0, n, size=seq_len)] += 0.1
+        return rows / rows.sum(axis=1, keepdims=True)
+    if kind == "tied":
+        rows = rng.integers(0, 3, size=(seq_len, n)).astype(np.float64)
+        rows[:, :2] = 3.0
+        rows = rows[:, rng.permutation(n)]
+        return rows / rows.sum(axis=1, keepdims=True)
+    rows = rng.dirichlet(np.ones(n), size=seq_len)
+    return np.stack([_force_argmax_row(r, int(rng.integers(0, n))) for r in rows])
+
+
+class TestRowFlipCosts:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(ROW_KINDS))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_per_entry_pooling(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        rows = random_rows(rng, kind, int(rng.integers(1, 12)), int(rng.integers(2, 17)))
+        assert np.array_equal(_row_flip_costs(rows), reference_flip_costs(rows))
+
+    def test_one_hot_entries(self):
+        table = _row_flip_costs(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert table[0].tolist() == [0.0, math.log(2.0), math.log(2.0)]
+        assert table[1].tolist() == [math.log(2.0), math.log(2.0), 0.0]
+
+    def test_single_token_vocabulary(self):
+        assert _row_flip_costs(np.ones((3, 1))).tolist() == [[0.0], [0.0], [0.0]]
+
+
+class TestDecodeSearch:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(ROW_KINDS), st.sampled_from([0.0, 0.0, 0.1, 0.5]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_one_at_a_time_search(self, seed, kind, delta):
+        rng = np.random.default_rng(seed)
+        seq_len, n = int(rng.integers(1, 8)), int(rng.integers(2, 8))
+        rows = random_rows(rng, kind, seq_len, n)
+        cs = make_constraint_set(rng, n, seq_len)
+        base = tuple(int(v) for v in np.argmax(rows, axis=1))
+        start = base if rng.random() < 0.25 else tuple(int(v) for v in rng.integers(0, n, size=seq_len))
+        got = _decode_search(rows, cs, delta, start, base)
+        assert got == reference_decode_search(rows, cs, delta, start, base)
+        assert all(type(v) is int for v in got[0])
+        assert type(got[1]) is float
+
+    def test_c01_shape(self):
+        rng = np.random.default_rng(7)
+        weights = rng.uniform(0.0, 1.0, size=13)
+        for tau in (0.25, 0.5, 0.75):
+            cs = ConstraintSet([LinearScore(weights=weights, tau=tau), TokenCount(token=1, op="eq", k=2)])
+            rows = random_rows(rng, "one_hot", 10, 13)
+            base = tuple(int(v) for v in np.argmax(rows, axis=1))
+            start = tuple(int(v) for v in rng.integers(0, 13, size=10))
+            got = _decode_search(rows, cs, 0.0, start, base)
+            assert got == reference_decode_search(rows, cs, 0.0, start, base)
+            assert got[1] == 0.0
+
+    def test_max_sweeps_limits_moves(self):
+        rows = np.full((4, 2), 0.5)
+        rows[:, 0] += 0.1
+        rows[:, 1] -= 0.1
+        cs = ConstraintSet([TokenCount(token=1, op="ge", k=4)])
+        base = (0, 0, 0, 0)
+        one = _decode_search(rows, cs, 0.0, base, base, max_sweeps=1)
+        assert one == reference_decode_search(rows, cs, 0.0, base, base, max_sweeps=1)
+        assert one[0].count(1) == 1
+        assert one[1] == 3.0

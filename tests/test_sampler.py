@@ -1,11 +1,12 @@
 """Reverse-chain sampling engine: determinism, scheduling, policies."""
 
 import collections
+import hashlib
 
 import numpy as np
 import pytest
 
-from projdiff.constraints import ConstraintSet, Forbidden, Position, TokenCount
+from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
 from projdiff.core import Sequence
 from projdiff.projection import AlmConfig, NoveltyDb
 from projdiff.sampler import (
@@ -81,6 +82,19 @@ class TestDeterminism:
         direct, _ = sample_constrained(toy_corpus, None, cfg(projection_mode="none", trace=False))
         helper = sample_unconstrained(toy_corpus, cfg())
         assert direct == helper
+
+    def test_seeded_c01_samples_match_recorded_digest(self):
+        """A fixed seed keeps giving the same samples.  The digest was
+        recorded before the lattice search and the constraint scores were
+        batched; a change to either that alters any pattern choice or
+        tie-break changes it."""
+        vocab = make_vocab(12)
+        corpus = make_corpus(vocab, length=10, n_entries=16, seed=11)
+        weights = np.random.default_rng(0).uniform(0.0, 1.0, size=vocab.size)
+        cs = ConstraintSet([LinearScore(weights=weights, tau=0.25), TokenCount(token=1, op="eq", k=2)])
+        seqs, _ = sample_constrained(corpus, cs, SampleConfig(steps=16, length=10, num_samples=8, rng_seed=0))
+        digest = hashlib.sha256(b"".join(bytes(s.ids) for s in seqs)).hexdigest()
+        assert digest == "6ce9cd0dec4297933c769cfd7e8685685501bf51290a23d5c0607a98ffa0e1ae"
 
 
 class TestTraceShape:
