@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .constraints import ConstraintSet
 from .core import Corpus, SeqDist, Sequence
 from .noise import NoiseKernel
 
@@ -182,3 +183,33 @@ def enumerate_novelty(x_in, db) -> tuple[Sequence, float]:
     if best is None:
         raise ValueError("every sequence is already in the database")
     return best
+
+
+MAX_FLIP_SPACE = 4096
+
+
+def enumerate_fewest_flips(x_in, cs: ConstraintSet, delta: float = 0.0) -> tuple[Sequence, float]:
+    """Cheapest feasible decode of one-hot rows by scanning all N^L patterns.
+
+    On a one-hot row, moving the argmax to any other token pools 1 and 0
+    at 1/2, so every flip costs ln 2 and the minimum-KL feasible pattern
+    is the one with the fewest flips.  A pattern is feasible when every
+    hard violation is <= delta.  Ties resolve to the lexicographically
+    smallest pattern.  Returns the pattern and its cost, flips * ln 2.
+    Raises ValueError on rows that are not one-hot and when no pattern
+    is feasible.
+    """
+    rows = x_in.rows if isinstance(x_in, SeqDist) else np.asarray(x_in)
+    length, n = rows.shape
+    if n**length > MAX_FLIP_SPACE:
+        raise ValueError(f"flip enumeration capped at N^L <= {MAX_FLIP_SPACE}")
+    if not (np.isin(rows, (0.0, 1.0)).all() and (rows.sum(axis=1) == 1.0).all()):
+        raise ValueError("expected one-hot rows")
+    base = rows.argmax(axis=1)
+    patterns = np.asarray(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
+    feasible = (cs.hard_violations_batch(patterns) <= delta).all(axis=1)
+    if not feasible.any():
+        raise ValueError("no pattern satisfies the constraints")
+    flips = np.where(feasible, (patterns != base).sum(axis=1), length + 1)
+    k = int(np.argmin(flips))
+    return Sequence(tuple(int(v) for v in patterns[k])), int(flips[k]) * math.log(2.0)

@@ -2,8 +2,10 @@
 
 Three operators cover the three constraint regimes:
 
-  alm_project       iterative KL projection for general differentiable
-                    constraint surrogates (augmented Lagrangian)
+  alm_project       KL projection for any constraint mix: a lattice
+                    search over argmax patterns on one-hot rows, else
+                    an iterative augmented-Lagrangian solve over the
+                    differentiable constraint surrogates
   position_project  closed-form KL projection for "position p decodes to
                     token v"
   novelty_project   best-first search for the cheapest decode not yet in
@@ -161,7 +163,11 @@ def alm_project(
     """Project rows x_in to a nearby stack whose decode satisfies cs.
 
     An already-feasible input is returned unchanged with zero outer
-    iterations.  When the iteration budget runs out the best iterate
+    iterations.  An input of one-hot rows (the sampler's states) is
+    decided by the lattice search from its own pattern, also with zero
+    outer iterations and the multipliers unchanged; the gradient loop
+    runs only when that search leaves a violation, and on soft rows.
+    When the iteration budget runs out the best iterate
     found (smallest worst-case decoded violation) is returned with
     feasible=False.  The multipliers argument seeds (lam, mu) to
     continue a previous call's dual state.
@@ -178,7 +184,8 @@ def alm_project(
         lam = np.full(m, config.lambda_init, dtype=np.float64)
         mu = np.full(m, config.mu_init, dtype=np.float64)
 
-    hard = cs.hard_violations(decode(x_rows))
+    base = decode(x_rows).ids
+    hard = cs.hard_violations(Sequence(base))
     if float(hard.max()) <= config.delta:
         return AlmResult(
             projected=x_in,
@@ -188,6 +195,14 @@ def alm_project(
             kl_moved=0.0,
             multipliers=(lam, mu),
         )
+
+    if _one_hot_mask(x_rows).all():
+        # On one-hot rows every flip costs ln 2, and the loop only hands
+        # its pattern to the closing search; the search alone decides
+        # whenever it reaches a qualifying pattern from the input's own.
+        ids, residual = _decode_search(x_rows, cs, config.delta, base, base)
+        if residual == 0.0:
+            return _pooled_result(x_rows, cs, ids, True, 0, (lam, mu))
 
     xi = config.relax.noise(x_rows.shape)
     temp = config.relax.temperature
@@ -243,16 +258,10 @@ def alm_project(
     # lands on the cheapest nearby qualifying pattern instead of wherever
     # the penalty dynamics overshot, and can also repair patterns the
     # gated multiplier term cannot reach.
-    ids, residual = _decode_search(
-        x_rows, cs, config.delta, decode(out_rows).ids, decode(x_rows).ids
-    )
+    ids, residual = _decode_search(x_rows, cs, config.delta, decode(out_rows).ids, base)
     loop_excess = float(np.maximum(out_hard - config.delta, 0.0).sum())
     if residual == 0.0 or residual < loop_excess:
-        out_rows = np.stack(
-            [_force_argmax_row(x_rows[i], ids[i]) for i in range(x_rows.shape[0])]
-        )
-        out_hard = cs.hard_violations(Sequence(ids))
-        feasible = residual == 0.0
+        return _pooled_result(x_rows, cs, ids, residual == 0.0, outer, (lam, mu))
     projected = SeqDist.normalized(out_rows)
     return AlmResult(
         projected=projected,
@@ -262,6 +271,25 @@ def alm_project(
         kl_moved=ops.kl_rows(x_rows, projected.rows),
         multipliers=(lam, mu),
     )
+
+
+def _pooled_result(x_rows, cs, ids, feasible, outer, multipliers) -> AlmResult:
+    """AlmResult for the minimum-KL rows of x_rows that decode to ids."""
+    out_rows = np.stack([_force_argmax_row(x_rows[i], ids[i]) for i in range(x_rows.shape[0])])
+    projected = SeqDist.normalized(out_rows)
+    return AlmResult(
+        projected=projected,
+        feasible=feasible,
+        outer_iters=outer,
+        final_violation=cs.hard_violations(Sequence(ids)),
+        kl_moved=backend.ops.kl_rows(x_rows, projected.rows),
+        multipliers=multipliers,
+    )
+
+
+def _one_hot_mask(rows: np.ndarray) -> np.ndarray:
+    """Which rows hold exactly one nonzero entry, equal to 1.0."""
+    return (np.count_nonzero(rows, axis=1) == 1) & (rows.max(axis=1) == 1.0)
 
 
 ARGMAX_EPS = 1e-6
@@ -299,50 +327,64 @@ def _row_flip_costs(rows: np.ndarray) -> np.ndarray:
     """Exact KL cost of making each token the argmax of each row.
 
     Entry (i, v) is kl(rows[i], pooled rows[i] with argmax v); zero when
-    v already decodes.  The pooled levels of all targets of a row come
-    from one sort: for target v the competitors are the row's descending
-    order without v, the running sums r_v + r_(1) + ... + r_(k) are
-    accumulated left to right as _force_argmax_row does, and the pool
-    stops at the first k whose next competitor is at or below the level
-    sum / (k + 1).  Each entry is then the sum of the pooled KL terms
-    over the row's support, summed along C-ordered rows of exactly the
-    support columns so that it is bit-equal to the 1-D sum over
-    row[row > 0]: numpy's pairwise summation groups the additions by
-    position, so extra zero columns or a Fortran-ordered array change
-    the last bit.
+    v already decodes.  A one-hot row pools 1 and 0 at 1/2, so its
+    entries are log(2) off the argmax, bit-equal to the pooled KL
+    1.0 * log(1.0 / 0.5), and are filled in directly; every other row
+    goes through _pooled_flip_costs.
     """
     seq_len, n = rows.shape
     table = np.zeros((seq_len, n))
     if n == 1:
         return table
+    one_hot = _one_hot_mask(rows)
+    table[one_hot] = np.log(2.0)
+    table[one_hot, np.argmax(rows[one_hot], axis=1)] = 0.0
+    for i in np.flatnonzero(~one_hot):
+        table[i] = _pooled_flip_costs(rows[i])
+    return table
+
+
+def _pooled_flip_costs(row: np.ndarray) -> np.ndarray:
+    """Flip costs of one row of n >= 2 entries by pooling every target.
+
+    The pooled levels of all targets come from one sort: for target v
+    the competitors are the row's descending order without v, the
+    running sums r_v + r_(1) + ... + r_(k) are accumulated left to right
+    as _force_argmax_row does, and the pool stops at the first k whose
+    next competitor is at or below the level sum / (k + 1).  Each entry
+    is then the sum of the pooled KL terms over the row's support,
+    summed along C-ordered rows of exactly the support columns so that
+    it is bit-equal to the 1-D sum over row[row > 0]: numpy's pairwise
+    summation groups the additions by position, so extra zero columns
+    or a Fortran-ordered array change the last bit.
+    """
+    n = row.shape[0]
     targets = np.arange(n)
     slots = np.arange(n - 1)
-    for i in range(seq_len):
-        row = rows[i]
-        order = np.argsort(-row, kind="stable")
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = targets
-        # comp[v, j]: the j-th largest competitor of target v.
-        comp = order[slots + (slots >= rank[:, None])]
-        vals = row[comp]
-        sums = np.cumsum(np.concatenate([row[:, None], vals], axis=1), axis=1)[:, 1:]
-        levels = sums / (slots + 2)
-        stop = np.ones((n, n - 1), dtype=bool)
-        stop[:, :-1] = vals[:, 1:] <= levels[:, :-1]
-        k = np.argmax(stop, axis=1)
-        level = levels[targets, k]
-        out = np.broadcast_to(row, (n, n)).copy()
-        pooled = slots <= k[:, None]
-        out[np.nonzero(pooled)[0], comp[pooled]] = np.repeat(level, k + 1)
-        out[targets, targets] = level
-        mask = row > 0
-        support = row[mask]
-        # Boolean column indexing returns a Fortran-ordered array; a row
-        # sum over that layout groups the additions differently.
-        pooled_out = np.ascontiguousarray(out[:, mask])
-        table[i] = (support * np.log(support / pooled_out)).sum(axis=1)
-        table[i, order[0]] = 0.0
-    return table
+    order = np.argsort(-row, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = targets
+    # comp[v, j]: the j-th largest competitor of target v.
+    comp = order[slots + (slots >= rank[:, None])]
+    vals = row[comp]
+    sums = np.cumsum(np.concatenate([row[:, None], vals], axis=1), axis=1)[:, 1:]
+    levels = sums / (slots + 2)
+    stop = np.ones((n, n - 1), dtype=bool)
+    stop[:, :-1] = vals[:, 1:] <= levels[:, :-1]
+    k = np.argmax(stop, axis=1)
+    level = levels[targets, k]
+    out = np.broadcast_to(row, (n, n)).copy()
+    pooled = slots <= k[:, None]
+    out[np.nonzero(pooled)[0], comp[pooled]] = np.repeat(level, k + 1)
+    out[targets, targets] = level
+    mask = row > 0
+    support = row[mask]
+    # Boolean column indexing returns a Fortran-ordered array; a row
+    # sum over that layout groups the additions differently.
+    pooled_out = np.ascontiguousarray(out[:, mask])
+    costs = (support * np.log(support / pooled_out)).sum(axis=1)
+    costs[order[0]] = 0.0
+    return costs
 
 
 def _decode_search(

@@ -253,7 +253,7 @@ class _Engine:
             if do_project:
                 for ci in range(b):
                     rec = self._project_chain(ci, offset + ci, t, ids, rows, mix[ci], settled, prev_rows, warm)
-                    if self.cfg.trace:
+                    if rec is not None:
                         traces.append(rec)
             elif self.cfg.trace:
                 for ci, v in enumerate(self._decoded_violations(ids)):
@@ -275,15 +275,17 @@ class _Engine:
         res = novelty_project(sd, self.db)
         return res.rows, True, 0, ops.kl_rows(sd.rows, res.rows), warm_state
 
-    def _project_chain(self, ci, sample_index, t, ids, rows, chain_mix, settled, prev_rows, warm) -> TraceRecord:
+    def _project_chain(self, ci, sample_index, t, ids, rows, chain_mix, settled, prev_rows, warm) -> TraceRecord | None:
+        """Project chain ci in place; its TraceRecord when tracing, else None."""
         ops = backend.ops
         cfg = self.cfg
         length = self.cfg.length
         n = self.n
         masked = self.kernel.kind == "masked"
 
-        start = time.perf_counter()
-        pre_violation = self._decoded_violations(ids[ci : ci + 1])[0]
+        if cfg.trace:
+            start = time.perf_counter()
+            pre_violation = self._decoded_violations(ids[ci : ci + 1])[0]
         attempts = 0
         mask_id = self.kernel.mask_id
         while True:
@@ -323,6 +325,8 @@ class _Engine:
 
         ids[ci] = new_dec
         rows[ci] = out_rows
+        if not cfg.trace:
+            return None
         if cfg.projection_mode == "novelty":
             post_violation = 0.0 if feasible else 1.0
         else:

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from projdiff.constraints import Forbidden, Position
+from projdiff.constraints import ConstraintSet, Forbidden, Position, TokenCount
 from projdiff.core import SeqDist, Sequence
 from projdiff.noise import NoiseKernel
 from projdiff.oracle import (
+    MAX_FLIP_SPACE,
     MAX_GRID_N,
     MAX_NOVELTY_SPACE,
+    enumerate_fewest_flips,
     enumerate_novelty,
     enumerate_posterior,
     grid_kl_project,
@@ -97,3 +99,34 @@ class TestEnumerateNovelty:
         assert 2**13 > MAX_NOVELTY_SPACE
         with pytest.raises(ValueError):
             enumerate_novelty(SeqDist(rows), NoveltyDb())
+
+
+class TestEnumerateFewestFlips:
+    def test_feasible_input_costs_nothing(self):
+        rows = SeqDist.one_hot(Sequence((0, 1)), 2).rows
+        assert enumerate_fewest_flips(rows, ConstraintSet([Forbidden(2)])) == (Sequence((0, 1)), 0.0)
+
+    def test_fewest_flips_lowest_ids_first(self):
+        # Two of the three 0s must go; every two-flip repair ties, and
+        # (0, 1, 1) is the lexicographically smallest.
+        rows = SeqDist.one_hot(Sequence((0, 0, 0)), 3).rows
+        seq, cost = enumerate_fewest_flips(rows, ConstraintSet([TokenCount(token=0, op="le", k=1)]))
+        assert seq == Sequence((0, 1, 1))
+        assert cost == 2 * math.log(2.0)
+
+    def test_delta_slack(self):
+        rows = SeqDist.one_hot(Sequence((0, 0)), 2).rows
+        cs = ConstraintSet([TokenCount(token=0, op="le", k=1)])
+        assert enumerate_fewest_flips(rows, cs, delta=1.0) == (Sequence((0, 0)), 0.0)
+
+    def test_rejects_soft_rows_and_unsatisfiable_sets(self):
+        with pytest.raises(ValueError):
+            enumerate_fewest_flips(np.array([[0.6, 0.4]]), ConstraintSet([Forbidden(0)]))
+        with pytest.raises(ValueError):
+            enumerate_fewest_flips(np.eye(2), ConstraintSet([TokenCount(token=0, op="ge", k=3)]))
+
+    def test_space_cap(self):
+        rows = np.eye(2)[np.zeros(13, dtype=int)]  # 2^13 > 4096
+        assert 2**13 > MAX_FLIP_SPACE
+        with pytest.raises(ValueError):
+            enumerate_fewest_flips(rows, ConstraintSet([Forbidden(0)]))

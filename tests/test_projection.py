@@ -12,13 +12,14 @@ from scipy.optimize import minimize
 
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
 from projdiff.core import SeqDist, Sequence, decode, kl_divergence
-from projdiff.oracle import enumerate_novelty
+from projdiff.oracle import MAX_FLIP_SPACE, enumerate_fewest_flips, enumerate_novelty
 from projdiff.projection import (
     AlmConfig,
     NoveltyDb,
     NoveltySaturationError,
     _decode_search,
     _force_argmax_row,
+    _pooled_flip_costs,
     _row_flip_costs,
     alm_project,
     novelty_project,
@@ -158,6 +159,33 @@ class TestAlmProject:
         assert res.feasible
         assert decode(res.projected)[0] == 2
 
+    def test_one_hot_input_decided_by_search(self):
+        # The sampler's one-hot states: no outer iteration runs and seeded
+        # multipliers come back as they went in.
+        cs = ConstraintSet([TokenCount(token=0, op="le", k=1)])
+        rows = SeqDist.one_hot(Sequence((0, 0, 0)), 2).rows
+        seed = (np.array([0.5]), np.array([4.0]))
+        res = alm_project(SeqDist(rows), cs, multipliers=seed)
+        assert res.feasible
+        assert res.outer_iters == 0
+        assert decode(res.projected) == Sequence((0, 1, 1))
+        assert np.array_equal(res.multipliers[0], seed[0])
+        assert np.array_equal(res.multipliers[1], seed[1])
+
+    def test_one_hot_falls_back_to_loop_when_search_stops_short(self):
+        # From (1, 1, 1, 0) the search alone stops at (0, 0, 1, 0): three
+        # zeros, but position 3 still wrong, and every single or paired
+        # move from there raises the excess.  The gradient loop and its
+        # closing search reach (0, 0, 0, 1).
+        cs = ConstraintSet([TokenCount(token=0, op="ge", k=3), Position(position=3, token=1)])
+        rows = SeqDist.one_hot(Sequence((1, 1, 1, 0)), 2).rows
+        base = (1, 1, 1, 0)
+        assert _decode_search(rows, cs, 0.0, base, base) == ((0, 0, 1, 0), 1.0)
+        res = alm_project(SeqDist(rows), cs)
+        assert res.feasible
+        assert decode(res.projected) == Sequence((0, 0, 0, 1))
+        assert res.outer_iters > 0
+
     def test_unsatisfiable_reports_infeasible(self):
         cs = ConstraintSet([TokenCount(token=0, op="ge", k=4)])
         rows = np.full((2, 3), 1.0 / 3)
@@ -227,6 +255,36 @@ class TestAlmProject:
         assert res.feasible
         assert cs.satisfied(decode(res.projected))
         assert res.kl_moved <= best + 1e-2
+
+
+class TestOneHotAgainstOracle:
+    """alm_project on one-hot rows against enumeration of every pattern."""
+
+    def test_fewest_flips(self):
+        singles = set()
+        for seed in range(600):
+            rng = np.random.default_rng(seed)
+            length = int(rng.integers(1, 7))
+            n = int(rng.integers(2, min(int(round(MAX_FLIP_SPACE ** (1 / length))), 8) + 1))
+            rows = np.eye(n)[rng.integers(0, n, size=length)]
+            cs = make_constraint_set(rng, n, length)
+            try:
+                _, best = enumerate_fewest_flips(rows, cs)
+            except ValueError:
+                continue  # no pattern satisfies this draw
+            res = alm_project(SeqDist(rows), cs)
+            flips = int(np.count_nonzero(np.asarray(decode(res.projected).ids) != rows.argmax(axis=1)))
+            if len(cs) == 1:
+                singles.add(cs.names[0].rstrip("0"))
+                assert res.feasible, seed
+                assert res.outer_iters == 0, seed
+                # Each flip pools at 1/2 and then tilts by ARGMAX_EPS,
+                # adding about 2e-6 nats to its ln 2.
+                assert res.kl_moved == pytest.approx(best, rel=1e-5), seed
+            if res.feasible:
+                assert cs.satisfied(decode(res.projected)), seed
+                assert flips * math.log(2.0) == best, seed
+        assert singles == {"linear", "count", "forbidden", "position"}
 
 
 class TestNoveltyDb:
@@ -371,16 +429,22 @@ def reference_decode_search(x_rows, cs, delta, start_ids, base_ids, max_sweeps=N
     return cur, cur_key[0]
 
 
-ROW_KINDS = ("dirichlet", "one_hot", "zeros", "tied", "pooled")
+ROW_KINDS = ("dirichlet", "one_hot", "mixed", "zeros", "tied", "pooled")
 
 
 def random_rows(rng, kind, seq_len, n):
-    """Probability rows of one kind: soft, one-hot, with exact zeros,
-    with tied maxima, or already pooled by a projection."""
+    """Probability rows of one kind: soft, one-hot, one-hot and soft
+    interleaved, with exact zeros, with tied maxima, or already pooled
+    by a projection."""
     if kind == "dirichlet":
         return rng.dirichlet(np.ones(n), size=seq_len)
     if kind == "one_hot":
         return np.eye(n)[rng.integers(0, n, size=seq_len)]
+    if kind == "mixed":
+        rows = rng.dirichlet(np.ones(n), size=seq_len)
+        hard = rng.random(seq_len) < 0.5
+        rows[hard] = np.eye(n)[rng.integers(0, n, size=int(hard.sum()))]
+        return rows
     if kind == "zeros":
         rows = rng.dirichlet(np.full(n, 0.5), size=seq_len)
         rows[rng.random((seq_len, n)) < 0.4] = 0.0
@@ -410,6 +474,16 @@ class TestRowFlipCosts:
 
     def test_single_token_vocabulary(self):
         assert _row_flip_costs(np.ones((3, 1))).tolist() == [[0.0], [0.0], [0.0]]
+
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_hot_rows_bit_equal_to_pooling(self, n, order):
+        rng = np.random.default_rng(n)
+        rows = np.asarray(np.eye(n)[rng.integers(0, n, size=9)], order=order)
+        table = _row_flip_costs(rows)
+        assert np.array_equal(table, reference_flip_costs(rows))
+        if n > 1:
+            assert np.array_equal(table, np.stack([_pooled_flip_costs(r) for r in rows]))
 
 
 class TestDecodeSearch:

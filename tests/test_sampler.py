@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ def cfg(**kw):
     base = dict(steps=10, length=5, num_samples=8, rng_seed=3)
     base.update(kw)
     return SampleConfig(**base)
+
+
+def c01_digest(cs):
+    """sha256 of 8 seeded samples on the c01 shape (L=10, 12 tokens +
+    MASK, corpus seed 11), 16 steps, seed 0."""
+    corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+    seqs, _ = sample_constrained(corpus, cs, SampleConfig(steps=16, length=10, num_samples=8, rng_seed=0))
+    return hashlib.sha256(b"".join(bytes(s.ids) for s in seqs)).hexdigest()
 
 
 class TestConfigValidation:
@@ -73,6 +82,16 @@ class TestDeterminism:
         assert a_seqs == b_seqs
         assert [(r.step, r.kl_moved) for r in a_tr] == [(r.step, r.kl_moved) for r in b_tr]
 
+    @pytest.mark.parametrize("kernel", ["masked", "uniform"])
+    @pytest.mark.parametrize("mode", ["alm", "novelty"])
+    def test_tracing_does_not_change_samples(self, toy_corpus, kernel, mode):
+        cs = ConstraintSet([TokenCount(token=0, op="le", k=1), Forbidden(3)]) if mode == "alm" else None
+        c = cfg(kernel=kernel, projection_mode=mode, num_samples=24)
+        traced, records = sample_constrained(toy_corpus, cs, c)
+        untraced, none = sample_constrained(toy_corpus, cs, replace(c, trace=False))
+        assert traced == untraced
+        assert len(records) == 24 * 10 and none == []
+
     def test_seed_changes_output(self, toy_corpus):
         a, _ = sample_constrained(toy_corpus, simple_cs(), cfg(num_samples=16))
         b, _ = sample_constrained(toy_corpus, simple_cs(), cfg(num_samples=16, rng_seed=4))
@@ -88,13 +107,26 @@ class TestDeterminism:
         recorded before the lattice search and the constraint scores were
         batched; a change to either that alters any pattern choice or
         tie-break changes it."""
-        vocab = make_vocab(12)
-        corpus = make_corpus(vocab, length=10, n_entries=16, seed=11)
-        weights = np.random.default_rng(0).uniform(0.0, 1.0, size=vocab.size)
+        weights = np.random.default_rng(0).uniform(0.0, 1.0, size=13)
         cs = ConstraintSet([LinearScore(weights=weights, tau=0.25), TokenCount(token=1, op="eq", k=2)])
-        seqs, _ = sample_constrained(corpus, cs, SampleConfig(steps=16, length=10, num_samples=8, rng_seed=0))
-        digest = hashlib.sha256(b"".join(bytes(s.ids) for s in seqs)).hexdigest()
-        assert digest == "6ce9cd0dec4297933c769cfd7e8685685501bf51290a23d5c0607a98ffa0e1ae"
+        assert c01_digest(cs) == "6ce9cd0dec4297933c769cfd7e8685685501bf51290a23d5c0607a98ffa0e1ae"
+
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            ("linear", "883cddfef609958e22a28447952c6546f5a6811240192bfd4a6435bdcafbb4f8"),
+            ("count", "2ab0373ed811ddc7f6bda17d6538e195dfa837412ca1e79673802b654a615b61"),
+        ],
+    )
+    def test_seeded_single_constraint_samples_match_recorded_digest(self, family, digest):
+        """Single-constraint c01 sets, digests recorded while the ALM loop
+        still ran on every one-hot projection: deciding those projections
+        by the lattice search alone must not change a sample."""
+        if family == "linear":
+            c = LinearScore(weights=np.random.default_rng(0).uniform(0.0, 1.0, size=13), tau=0.5)
+        else:
+            c = TokenCount(token=1, op="eq", k=2)
+        assert c01_digest(ConstraintSet([c])) == digest
 
 
 class TestTraceShape:
