@@ -6,6 +6,10 @@ t-1, and then, on scheduled steps, projects the new state so that its
 decode is feasible.  Chains are advanced in lockstep as a batch; all
 randomness comes from one generator stream so runs are reproducible.
 
+A chain's state is its row of token ids.  On a projected step one
+batched screen passes the chains the operator would leave unchanged; the
+rest are projected from the one-hot rows of their ids, then decoded.
+
 Projection scheduling: a step t is eligible once t <= T - project_start,
 every project_every-th eligible step projects, and the final step t = 1
 always projects so emitted sequences are feasible.  Novelty mode is the
@@ -81,7 +85,8 @@ class TraceRecord:
 
     pre_violation and post_violation are the worst decoded constraint
     violations before and after projection (equal when the step did not
-    project); wall_time is the seconds spent inside the projection call.
+    project); wall_time is the seconds spent inside the projection call,
+    0.0 for a chain the screen passed, since no projector ran.
     """
 
     sample_index: int
@@ -154,7 +159,6 @@ class _Engine:
         self.kernel = NoiseKernel.for_vocab(cfg.kernel, self.vocab)
         self.schedule = Schedule(cfg.schedule, cfg.steps)
         self.rng = np.random.default_rng(cfg.rng_seed)
-        self.keep_rows = cfg.projection_mode != "none"
 
     def run(self) -> tuple[list[Sequence], list[TraceRecord]]:
         seqs: list[Sequence] = []
@@ -164,12 +168,12 @@ class _Engine:
         while remaining > 0:
             b = min(remaining, CHUNK_SIZE)
             ids = self._run_chunk(b, offset, traces)
-            seqs.extend(Sequence(tuple(int(v) for v in row)) for row in ids)
+            seqs.extend(Sequence(tuple(row)) for row in ids.tolist())
             remaining -= b
             offset += b
         return seqs, traces
 
-    def _denoise_batch(self, ids: np.ndarray, rows, a_t: float) -> np.ndarray:
+    def _denoise_batch(self, ids: np.ndarray, a_t: float) -> np.ndarray:
         # The uniform-kernel reverse step is exact when fed leave-one-out
         # posteriors; generic denoisers supply the plain estimate instead.
         if self.kernel.kind == "uniform" and hasattr(self.denoiser, "posterior_loo_batch"):
@@ -178,7 +182,7 @@ class _Engine:
             return self.denoiser.posterior_batch(ids, a_t, self.kernel)
         out = np.empty((ids.shape[0], ids.shape[1], self.n))
         for i in range(ids.shape[0]):
-            state = SeqDist(rows[i]) if rows is not None else SeqDist(backend.ops.one_hot_rows(ids[i], self.n))
+            state = SeqDist(backend.ops.one_hot_rows(ids[i], self.n))
             out[i] = self.denoiser(state, a_t, self.kernel).rows
         return out
 
@@ -200,50 +204,53 @@ class _Engine:
         novelty mode a row scores 1.0 when the database holds it.
         """
         if self.cfg.projection_mode == "novelty":
-            return [1.0 if Sequence(tuple(int(v) for v in row)) in self.db else 0.0 for row in ids]
+            return [1.0 if Sequence(tuple(row)) in self.db else 0.0 for row in ids.tolist()]
         if self.cs is None:
             return [0.0] * len(ids)
         return self.cs.hard_violations_batch(ids).max(axis=1).tolist()
+
+    def _passes(self, ids: np.ndarray, t: int) -> np.ndarray:
+        """Which chains of ids the operator would return unchanged at step t.
+
+        Novelty mode passes none, since each chain must claim its own
+        sequence; at t = 1 the masked kernel passes no chain holding MASK.
+        """
+        mode = self.cfg.projection_mode
+        if mode == "novelty":
+            return np.zeros(ids.shape[0], dtype=bool)
+        if mode == "alm":
+            passed = self.cs.hard_violations_batch(ids).max(axis=1) <= self.cfg.alm.delta
+        else:
+            # A position constraint scores -1 exactly where its token sits.
+            passed = np.all([c.hard_scores(ids) < 0 for c in self.cs], axis=0)
+        if self.kernel.kind == "masked" and t == 1:
+            passed &= ~np.any(ids == self.kernel.mask_id, axis=1)
+        return passed
 
     def _run_chunk(self, b: int, offset: int, traces: list[TraceRecord]) -> np.ndarray:
         ops = backend.ops
         length = self.cfg.length
         n = self.n
         T = self.cfg.steps
-        mask_id = self.kernel.mask_id
         masked = self.kernel.kind == "masked"
 
         ref_rows = np.tile(self.kernel.ref, (b * length, 1))
         u0 = self.rng.random((b, length))
         ids = ops.sample_rows(ref_rows, u0.ravel()).reshape(b, length)
-        rows = ops.one_hot_rows(ids.ravel(), n).reshape(b, length, n) if self.keep_rows else None
         warm = [None] * b
 
         eligible_index = 0
         for t in range(T, 0, -1):
             a_t = self.schedule.alpha(t)
             a_s = self.schedule.alpha(t - 1)
-            marg = self._denoise_batch(ids, rows, a_t)
+            marg = self._denoise_batch(ids, a_t)
             mix = reverse_mixture_rows(
                 self.kernel, marg.reshape(-1, n), a_t, a_s, ids.reshape(-1)
             ).reshape(b, length, n)
             u = self.rng.random((b, length))
             sampled = ops.sample_rows(mix.reshape(-1, n), u.ravel()).reshape(b, length)
-            if masked:
-                settled = ids != mask_id
-                prev_ids = ids
-                prev_rows = rows.copy() if self.keep_rows else None
-                new_ids = np.where(settled, ids, sampled)
-                if self.keep_rows:
-                    rows[~settled] = ops.one_hot_rows(sampled[~settled], n)
-            else:
-                settled = None
-                prev_ids = ids
-                prev_rows = None
-                new_ids = sampled
-                if self.keep_rows:
-                    rows = ops.one_hot_rows(new_ids.ravel(), n).reshape(b, length, n)
-            ids = new_ids
+            settled = ids != self.kernel.mask_id if masked else None
+            ids = np.where(settled, ids, sampled) if masked else sampled
 
             eligible = t <= T - self.cfg.project_start
             do_project = self._projects_at(t, eligible_index if eligible else 0)
@@ -251,10 +258,13 @@ class _Engine:
                 eligible_index += 1
 
             if do_project:
-                for ci in range(b):
-                    rec = self._project_chain(ci, offset + ci, t, ids, rows, mix[ci], settled, prev_rows, warm)
-                    if rec is not None:
-                        traces.append(rec)
+                passed = self._passes(ids, t)
+                worst = self._decoded_violations(ids) if self.cfg.trace and passed.any() else None
+                for ci, skip in enumerate(passed.tolist()):
+                    if not skip:
+                        self._project_chain(ci, offset + ci, t, ids, mix[ci], settled, warm, traces)
+                    elif worst is not None:
+                        traces.append(TraceRecord(offset + ci, t, True, worst[ci], worst[ci], 0.0, 0, 0.0))
             elif self.cfg.trace:
                 for ci, v in enumerate(self._decoded_violations(ids)):
                     traces.append(TraceRecord(offset + ci, t, False, v, v, 0.0, 0, 0.0))
@@ -275,32 +285,24 @@ class _Engine:
         res = novelty_project(sd, self.db)
         return res.rows, True, 0, ops.kl_rows(sd.rows, res.rows), warm_state
 
-    def _project_chain(self, ci, sample_index, t, ids, rows, chain_mix, settled, prev_rows, warm) -> TraceRecord | None:
-        """Project chain ci in place; its TraceRecord when tracing, else None."""
+    def _project_chain(self, ci, sample_index, t, ids, chain_mix, settled, warm, traces) -> None:
+        """Project chain ci's ids in place, appending its TraceRecord when tracing."""
         ops = backend.ops
         cfg = self.cfg
-        length = self.cfg.length
-        n = self.n
         masked = self.kernel.kind == "masked"
 
         if cfg.trace:
             start = time.perf_counter()
             pre_violation = self._decoded_violations(ids[ci : ci + 1])[0]
         attempts = 0
-        mask_id = self.kernel.mask_id
         while True:
-            sd = SeqDist(rows[ci])
+            sd = SeqDist(ops.one_hot_rows(ids[ci], self.n))
             out_rows, feasible, outer, kl_moved, warm_new = self._apply_operator(sd, warm[ci])
-            out_rows = np.array(out_rows, copy=True)
             new_dec = ops.argmax_rows(out_rows)
-            if masked:
-                changed = new_dec != ids[ci]
-                if np.any(changed):
-                    out_rows[changed] = ops.one_hot_rows(new_dec[changed], n)
             ok = feasible
             # An emitted sequence must not contain the mask token; inside
             # the chain a mask decode just re-opens that position.
-            if ok and masked and t == 1 and np.any(new_dec == mask_id):
+            if ok and masked and t == 1 and np.any(new_dec == self.kernel.mask_id):
                 ok = False
             if ok or cfg.infeasible_policy == "continue":
                 warm[ci] = warm_new
@@ -313,26 +315,18 @@ class _Engine:
                     f"chain {sample_index} still infeasible at step {t} after {cfg.max_retries} retries"
                 )
             # Re-draw this chain's transition and try again.
-            u_r = self.rng.random(length)
-            redraw = ops.sample_rows(chain_mix, u_r)
-            if masked:
-                keep = settled[ci]
-                ids[ci] = np.where(keep, ids[ci], redraw)
-                rows[ci] = np.where(keep[:, None], prev_rows[ci], ops.one_hot_rows(redraw, n))
-            else:
-                ids[ci] = redraw
-                rows[ci] = ops.one_hot_rows(redraw, n)
+            redraw = ops.sample_rows(chain_mix, self.rng.random(cfg.length))
+            ids[ci] = np.where(settled[ci], ids[ci], redraw) if masked else redraw
 
         ids[ci] = new_dec
-        rows[ci] = out_rows
         if not cfg.trace:
-            return None
+            return
         if cfg.projection_mode == "novelty":
             post_violation = 0.0 if feasible else 1.0
         else:
             post_violation = self._decoded_violations(ids[ci : ci + 1])[0]
         wall = time.perf_counter() - start
-        return TraceRecord(sample_index, t, True, pre_violation, post_violation, kl_moved, outer, wall)
+        traces.append(TraceRecord(sample_index, t, True, pre_violation, post_violation, kl_moved, outer, wall))
 
 
 def violation_contraction(traces: list[TraceRecord], tol: float = 1e-12) -> float:

@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from projdiff import sampler as sampler_module
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
-from projdiff.core import Sequence
+from projdiff.core import SeqDist, Sequence
+from projdiff.denoiser import ExactBayesDenoiser
 from projdiff.projection import AlmConfig, NoveltyDb
 from projdiff.sampler import (
     InfeasibleSampleError,
@@ -37,6 +39,18 @@ def c01_digest(cs):
     corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
     seqs, _ = sample_constrained(corpus, cs, SampleConfig(steps=16, length=10, num_samples=8, rng_seed=0))
     return hashlib.sha256(b"".join(bytes(s.ids) for s in seqs)).hexdigest()
+
+
+def c01_trace_digest(cs, **kw):
+    """sha256 of the samples and of every TraceRecord field but wall_time
+    (floats by repr) on the c01 shape, 8 chains, 16 steps, seed 0."""
+    corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+    seqs, traces = sample_constrained(corpus, cs, SampleConfig(steps=16, length=10, num_samples=8, rng_seed=0, **kw))
+    h = hashlib.sha256(b"".join(bytes(s.ids) for s in seqs))
+    for r in traces:
+        fields = (r.sample_index, r.step, r.projected, r.pre_violation, r.post_violation, r.kl_moved, r.outer_iters)
+        h.update(repr(fields).encode())
+    return h.hexdigest()
 
 
 class TestConfigValidation:
@@ -82,11 +96,22 @@ class TestDeterminism:
         assert a_seqs == b_seqs
         assert [(r.step, r.kl_moved) for r in a_tr] == [(r.step, r.kl_moved) for r in b_tr]
 
-    @pytest.mark.parametrize("kernel", ["masked", "uniform"])
-    @pytest.mark.parametrize("mode", ["alm", "novelty"])
-    def test_tracing_does_not_change_samples(self, toy_corpus, kernel, mode):
-        cs = ConstraintSet([TokenCount(token=0, op="le", k=1), Forbidden(3)]) if mode == "alm" else None
-        c = cfg(kernel=kernel, projection_mode=mode, num_samples=24)
+    @pytest.mark.parametrize(
+        "mode, kernel, schedule",
+        [
+            pytest.param(mode, kernel, schedule, id=f"{mode}-{kernel}" + ("-every3" if schedule else ""))
+            for schedule in ({}, dict(project_every=3, project_start=2))
+            for mode in ("alm", "positional", "novelty")
+            for kernel in ("masked", "uniform")
+        ],
+    )
+    def test_tracing_does_not_change_samples(self, toy_corpus, mode, kernel, schedule):
+        cs = {
+            "alm": ConstraintSet([TokenCount(token=0, op="le", k=1), Forbidden(3)]),
+            "positional": ConstraintSet([Position(1, 3), Position(3, 0)]),
+            "novelty": None,
+        }[mode]
+        c = cfg(kernel=kernel, projection_mode=mode, num_samples=24, **schedule)
         traced, records = sample_constrained(toy_corpus, cs, c)
         untraced, none = sample_constrained(toy_corpus, cs, replace(c, trace=False))
         assert traced == untraced
@@ -128,6 +153,27 @@ class TestDeterminism:
             c = TokenCount(token=1, op="eq", k=2)
         assert c01_digest(ConstraintSet([c])) == digest
 
+    @pytest.mark.parametrize(
+        "kernel, mode, digest",
+        [
+            ("masked", "alm", "c7e3556fc3f31bfd1927062c5361fd7e1ddce509a003d0a3c11cbff1bfee9714"),
+            ("uniform", "alm", "c16842ac2bfb91b38fad0db94ef9de79e0d406d30b052efd43c9533aefbfc152"),
+            ("masked", "positional", "fd548eaa32948e2b3c5d18fbc6156fc63c004f14807a2535a7a2e88bf29cf81e"),
+        ],
+    )
+    def test_seeded_c01_trace_matches_recorded_digest(self, kernel, mode, digest):
+        """Samples and trace records (violations, KL moved, outer
+        iterations) of projected and unprojected steps, recorded while
+        every projected chain still went through its projector."""
+        if mode == "alm":
+            weights = np.random.default_rng(0).uniform(0.0, 1.0, size=13)
+            cs = ConstraintSet([LinearScore(weights=weights, tau=0.25), TokenCount(token=1, op="eq", k=2)])
+            kw = dict(project_every=3, project_start=2)
+        else:
+            cs = ConstraintSet([Position(0, 2), Position(5, 0)])
+            kw = {}
+        assert c01_trace_digest(cs, kernel=kernel, projection_mode=mode, **kw) == digest
+
 
 class TestTraceShape:
     def test_record_count_is_steps_times_samples(self, toy_corpus):
@@ -162,6 +208,25 @@ class TestConstrainedFeasibility:
         cs = ConstraintSet([Position(0, 2)])
         seqs, _ = sample_constrained(toy_corpus, cs, cfg(num_samples=40))
         mask = toy_corpus.vocab.mask_id
+        assert all(mask not in s.ids for s in seqs)
+
+    @pytest.mark.parametrize("mode", ["alm", "positional"])
+    def test_no_mask_emitted_when_the_last_draw_holds_mask(self, toy_corpus, mode):
+        # A denoiser that keeps mass on MASK lets the t = 1 draw itself
+        # hold MASK, on chains that already satisfy the constraints.
+        mask = toy_corpus.vocab.mask_id
+        exact = ExactBayesDenoiser(toy_corpus)
+
+        def denoiser(state, a_t, kernel):
+            rows = 0.8 * exact(state, a_t, kernel).rows
+            rows[:, mask] += 0.2
+            return SeqDist(rows)
+
+        cs = ConstraintSet([Position(1, 3)])
+        seqs, traces = sample_constrained(
+            toy_corpus, cs, cfg(projection_mode=mode, num_samples=40, max_retries=50), denoiser=denoiser
+        )
+        assert any(r.step == 1 and r.pre_violation == 0.0 and r.wall_time > 0.0 for r in traces)
         assert all(mask not in s.ids for s in seqs)
 
     def test_positional_mode(self, toy_corpus):
@@ -231,6 +296,39 @@ class TestInfeasiblePolicies:
         assert all(not cs.satisfied(s) for s in seqs)
         final = [r for r in traces if r.step == 1]
         assert all(r.post_violation > 0 for r in final)
+
+    @pytest.mark.parametrize("kernel", ["masked", "uniform"])
+    @pytest.mark.parametrize("policy", ["retry", "abort", "continue"])
+    def test_projector_receives_one_hot_rows_of_ids(self, monkeypatch, kernel, policy):
+        # A chain's state is its id row: whatever the previous projection
+        # returned, even an infeasible soft iterate kept under "continue",
+        # the next projection starts from the one-hot rows of its ids.
+        corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+        if policy == "continue":
+            cs = ConstraintSet([TokenCount(token=0, op="ge", k=11)])
+        else:
+            cs = ConstraintSet([TokenCount(token=1, op="le", k=1), Forbidden(3)])
+        n = corpus.vocab.size
+        inputs = []
+
+        def spy(x_in, *args, **kwargs):
+            inputs.append(np.array(x_in.rows))
+            return real(x_in, *args, **kwargs)
+
+        real = sampler_module.alm_project
+        monkeypatch.setattr(sampler_module, "alm_project", spy)
+        config = SampleConfig(
+            steps=16, length=10, kernel=kernel, num_samples=4, rng_seed=0, infeasible_policy=policy, trace=False
+        )
+        sample_constrained(corpus, cs, config)
+        if policy == "continue":
+            assert len(inputs) == 16 * 4  # no chain-step passes the screen
+        else:
+            assert 0 < len(inputs) < 16 * 4  # the screen passes feasible chains
+        for rows in inputs:
+            ids = rows.argmax(axis=1)
+            assert np.all((ids >= 0) & (ids < n))
+            assert np.array_equal(rows, np.eye(n)[ids])
 
 
 class TestDistributionRecovery:
