@@ -102,6 +102,7 @@ class Run:
         if raw.get("constraints"):
             try:
                 self.cs = load_constraint_file(_resolve(base, raw["constraints"]), self.vocab)
+                self.cs.check_fits(self.vocab.size, self.corpus.length)
             except OSError as exc:
                 raise CliError(str(exc)) from None
             except (ValueError, KeyError) as exc:

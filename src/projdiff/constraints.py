@@ -45,8 +45,11 @@ class Constraint:
     def relaxed_grad(self, dist) -> np.ndarray:
         raise NotImplementedError
 
-    def violation(self, dist) -> float:
-        return max(0.0, self.relaxed_score(dist) - self.tau)
+    def check_fits(self, n: int, length: int) -> None:
+        """Raise ValueError unless the constraint applies to length-long
+        sequences over token ids 0..n-1; by default, checks self.token."""
+        if not 0 <= self.token < n:
+            raise ValueError(f"{self.name}: token {self.token} is outside 0..{n - 1}")
 
     def hard_violation(self, seq: Sequence) -> float:
         return max(0.0, self.hard_score(seq) - self.tau)
@@ -73,6 +76,10 @@ class LinearScore(Constraint):
         if self.weights.ndim != 1:
             raise ValueError("weights must be a vector over the vocabulary")
         self._check_tau()
+
+    def check_fits(self, n: int, length: int) -> None:
+        if self.weights.shape != (n,):
+            raise ValueError(f"{self.name}: weights have shape {self.weights.shape}, need ({n},)")
 
     def hard_scores(self, ids: np.ndarray) -> np.ndarray:
         return self.weights[ids].mean(axis=1)
@@ -189,6 +196,11 @@ class Position(Constraint):
             self.name = f"position[{self.position}]={self.token}"
         self._check_tau()
 
+    def check_fits(self, n: int, length: int) -> None:
+        if self.position >= length:
+            raise ValueError(f"{self.name}: position {self.position} is outside 0..{length - 1}")
+        super().check_fits(n, length)
+
     def hard_scores(self, ids: np.ndarray) -> np.ndarray:
         if self.position >= ids.shape[1]:
             raise ValueError(f"{self.name}: sequence too short")
@@ -235,8 +247,11 @@ class ConstraintSet:
     def names(self) -> list[str]:
         return [c.name for c in self.constraints]
 
-    def relaxed_violations(self, dist) -> np.ndarray:
-        return np.asarray([c.violation(dist) for c in self.constraints])
+    def check_fits(self, n: int, length: int) -> None:
+        """Raise ValueError naming the first constraint that does not
+        apply to length-long sequences over token ids 0..n-1."""
+        for c in self.constraints:
+            c.check_fits(n, length)
 
     def hard_violations_batch(self, ids) -> np.ndarray:
         """Hard violations of every constraint on a stack of sequences.

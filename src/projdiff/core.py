@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import backend
+
 ROW_SUM_TOL = 1e-9
 
 
@@ -196,12 +198,7 @@ def kl_divergence(p, q) -> float:
     qr = as_rows(q)
     if pr.shape != qr.shape:
         raise ValueError(f"shape mismatch {pr.shape} vs {qr.shape}")
-    support = pr > 0
-    if np.any(qr[support] == 0):
-        return math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(support, pr * (np.log(np.where(support, pr, 1.0)) - np.log(np.where(qr > 0, qr, 1.0))), 0.0)
-    return float(terms.sum())
+    return backend.ops.kl_rows(pr, qr)
 
 
 @dataclass(frozen=True)

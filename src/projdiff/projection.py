@@ -53,7 +53,6 @@ class AlmConfig:
     alpha_scale: float = 2.0
     delta: float = 0.0
     relax: RelaxConfig = field(default_factory=RelaxConfig)
-    warm_start: bool = False
 
     def __post_init__(self):
         if self.eta <= 0:

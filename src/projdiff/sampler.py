@@ -10,12 +10,12 @@ A chain's state is its row of token ids.  On a projected step one
 batched screen passes the chains the operator would leave unchanged; the
 rest are projected from the one-hot rows of their ids, then decoded.
 
-Projection scheduling: a step t is eligible once t <= T - project_start,
-every project_every-th eligible step projects, and the final step t = 1
-always projects so emitted sequences are feasible.  Novelty mode is the
-exception: it projects only at the final step, because each projection
-permanently claims a sequence in the database and intermediate states
-would exhaust it.
+Projection scheduling: step t projects when t <= T - project_start and
+T - project_start - t is a multiple of project_every, and the final
+step t = 1 always projects so emitted sequences are feasible.  Novelty
+mode is the exception: it projects only at the final step, because each
+projection permanently claims a sequence in the database and
+intermediate states would exhaust it.
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import backend
-from .constraints import ConstraintSet, Position
+from .constraints import ConstraintSet
 from .core import Corpus, Schedule, SeqDist, Sequence
 from .denoiser import ExactBayesDenoiser
 from .noise import NoiseKernel, reverse_mixture_rows
-from .projection import AlmConfig, NoveltyDb, alm_project, novelty_project, position_project
+# position_project is not called here: perfbench/tracer.py patches it on this module.
+from .projection import AlmConfig, NoveltyDb, alm_project, novelty_project, position_project  # noqa: F401
 
 CHUNK_SIZE = 16384
 
-MODES = ("alm", "positional", "novelty", "none")
+MODES = ("alm", "novelty", "none")
 POLICIES = ("continue", "retry", "abort")
 
 
@@ -99,22 +100,15 @@ class TraceRecord:
     wall_time: float
 
 
-def _validate(corpus: Corpus, cs: ConstraintSet | None, cfg: SampleConfig, db: NoveltyDb | None):
+def _validate(corpus: Corpus, cs: ConstraintSet | None, cfg: SampleConfig):
     if cfg.length != corpus.length:
         raise ValueError(f"config length {cfg.length} != corpus length {corpus.length}")
-    if cfg.projection_mode in ("alm", "positional"):
-        if cs is None:
-            raise ValueError(f"projection_mode={cfg.projection_mode!r} requires constraints")
-    if cfg.projection_mode == "positional":
-        positions = []
-        for c in cs:
-            if not isinstance(c, Position):
-                raise ValueError("positional mode accepts only position constraints")
-            positions.append(c.position)
-        if len(set(positions)) != len(positions):
-            raise ValueError("positional mode needs distinct positions")
+    if cfg.projection_mode == "alm" and cs is None:
+        raise ValueError("projection_mode='alm' requires constraints")
     if cfg.projection_mode == "novelty" and cs is not None:
         raise ValueError("novelty mode does not take a constraint set")
+    if cs is not None:
+        cs.check_fits(corpus.vocab.size, corpus.length)
 
 
 def sample_constrained(
@@ -131,7 +125,7 @@ def sample_constrained(
     the caller's database object is updated in place as sequences are
     claimed.
     """
-    _validate(corpus, cs, cfg, novelty_db)
+    _validate(corpus, cs, cfg)
     if denoiser is None:
         denoiser = ExactBayesDenoiser(corpus)
     if cfg.projection_mode == "novelty" and novelty_db is None:
@@ -186,16 +180,13 @@ class _Engine:
             out[i] = self.denoiser(state, a_t, self.kernel).rows
         return out
 
-    def _projects_at(self, t: int, eligible_index: int) -> bool:
+    def _projects_at(self, t: int) -> bool:
         if self.cfg.projection_mode == "none":
             return False
         if self.cfg.projection_mode == "novelty":
             return t == 1
-        if t == 1:
-            return True
-        if t > self.cfg.steps - self.cfg.project_start:
-            return False
-        return eligible_index % self.cfg.project_every == 0
+        last = self.cfg.steps - self.cfg.project_start
+        return t == 1 or (t <= last and (last - t) % self.cfg.project_every == 0)
 
     def _decoded_violations(self, ids: np.ndarray) -> list[float]:
         """Worst decoded violation of each (L,) id row of ids.
@@ -215,14 +206,9 @@ class _Engine:
         Novelty mode passes none, since each chain must claim its own
         sequence; at t = 1 the masked kernel passes no chain holding MASK.
         """
-        mode = self.cfg.projection_mode
-        if mode == "novelty":
+        if self.cfg.projection_mode == "novelty":
             return np.zeros(ids.shape[0], dtype=bool)
-        if mode == "alm":
-            passed = self.cs.hard_violations_batch(ids).max(axis=1) <= self.cfg.alm.delta
-        else:
-            # A position constraint scores -1 exactly where its token sits.
-            passed = np.all([c.hard_scores(ids) < 0 for c in self.cs], axis=0)
+        passed = self.cs.hard_violations_batch(ids).max(axis=1) <= self.cfg.alm.delta
         if self.kernel.kind == "masked" and t == 1:
             passed &= ~np.any(ids == self.kernel.mask_id, axis=1)
         return passed
@@ -237,9 +223,7 @@ class _Engine:
         ref_rows = np.tile(self.kernel.ref, (b * length, 1))
         u0 = self.rng.random((b, length))
         ids = ops.sample_rows(ref_rows, u0.ravel()).reshape(b, length)
-        warm = [None] * b
 
-        eligible_index = 0
         for t in range(T, 0, -1):
             a_t = self.schedule.alpha(t)
             a_s = self.schedule.alpha(t - 1)
@@ -252,17 +236,12 @@ class _Engine:
             settled = ids != self.kernel.mask_id if masked else None
             ids = np.where(settled, ids, sampled) if masked else sampled
 
-            eligible = t <= T - self.cfg.project_start
-            do_project = self._projects_at(t, eligible_index if eligible else 0)
-            if eligible:
-                eligible_index += 1
-
-            if do_project:
+            if self._projects_at(t):
                 passed = self._passes(ids, t)
                 worst = self._decoded_violations(ids) if self.cfg.trace and passed.any() else None
                 for ci, skip in enumerate(passed.tolist()):
                     if not skip:
-                        self._project_chain(ci, offset + ci, t, ids, mix[ci], settled, warm, traces)
+                        self._project_chain(ci, offset + ci, t, ids, mix[ci], settled, traces)
                     elif worst is not None:
                         traces.append(TraceRecord(offset + ci, t, True, worst[ci], worst[ci], 0.0, 0, 0.0))
             elif self.cfg.trace:
@@ -270,22 +249,15 @@ class _Engine:
                     traces.append(TraceRecord(offset + ci, t, False, v, v, 0.0, 0, 0.0))
         return ids
 
-    def _apply_operator(self, sd: SeqDist, warm_state):
-        """Run the configured projection; returns (rows, feasible, outer, kl, warm)."""
-        ops = backend.ops
+    def _apply_operator(self, sd: SeqDist):
+        """Run the configured projection; returns (rows, feasible, outer, kl)."""
         if self.cfg.projection_mode == "alm":
-            mult = warm_state if self.cfg.alm.warm_start else None
-            res = alm_project(sd, self.cs, self.cfg.alm, multipliers=mult)
-            return res.projected.rows, res.feasible, res.outer_iters, res.kl_moved, res.multipliers
-        if self.cfg.projection_mode == "positional":
-            out = sd
-            for c in self.cs:
-                out = position_project(out, c.position, c.token)
-            return out.rows, True, 0, ops.kl_rows(sd.rows, out.rows), warm_state
+            res = alm_project(sd, self.cs, self.cfg.alm)
+            return res.projected.rows, res.feasible, res.outer_iters, res.kl_moved
         res = novelty_project(sd, self.db)
-        return res.rows, True, 0, ops.kl_rows(sd.rows, res.rows), warm_state
+        return res.rows, True, 0, backend.ops.kl_rows(sd.rows, res.rows)
 
-    def _project_chain(self, ci, sample_index, t, ids, chain_mix, settled, warm, traces) -> None:
+    def _project_chain(self, ci, sample_index, t, ids, chain_mix, settled, traces) -> None:
         """Project chain ci's ids in place, appending its TraceRecord when tracing."""
         ops = backend.ops
         cfg = self.cfg
@@ -297,7 +269,7 @@ class _Engine:
         attempts = 0
         while True:
             sd = SeqDist(ops.one_hot_rows(ids[ci], self.n))
-            out_rows, feasible, outer, kl_moved, warm_new = self._apply_operator(sd, warm[ci])
+            out_rows, feasible, outer, kl_moved = self._apply_operator(sd)
             new_dec = ops.argmax_rows(out_rows)
             ok = feasible
             # An emitted sequence must not contain the mask token; inside
@@ -305,7 +277,6 @@ class _Engine:
             if ok and masked and t == 1 and np.any(new_dec == self.kernel.mask_id):
                 ok = False
             if ok or cfg.infeasible_policy == "continue":
-                warm[ci] = warm_new
                 break
             if cfg.infeasible_policy == "abort":
                 raise InfeasibleSampleError(f"chain {sample_index} infeasible at step {t}")

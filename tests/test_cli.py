@@ -246,6 +246,15 @@ class TestUsageAndErrors:
         assert proc.returncode == 1
         assert "missing required key" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["sample", "eval", "oracle-check", "ablate"])
+    def test_constraint_outside_sequence_length(self, tmp_path, command):
+        # The corpus sequences have length 4.
+        cfg = make_workspace(tmp_path, constraints=[{"type": "position", "position": 9, "token": "a"}])
+        proc = run_cli(command, "--config", str(cfg))
+        assert proc.returncode == 1
+        assert "error: bad constraint file: position[9]=0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_sample_setting(self, tmp_path):
         cfg = make_workspace(tmp_path, sample={"steps": 0})
         assert run_cli("sample", "--config", str(cfg)).returncode == 1

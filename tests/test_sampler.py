@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from projdiff import sampler as sampler_module
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
 from projdiff.core import SeqDist, Sequence
 from projdiff.denoiser import ExactBayesDenoiser
-from projdiff.projection import AlmConfig, NoveltyDb
+from projdiff.projection import NoveltyDb
 from projdiff.sampler import (
     InfeasibleSampleError,
     SampleConfig,
@@ -55,8 +56,9 @@ def c01_trace_digest(cs, **kw):
 
 class TestConfigValidation:
     def test_mode_and_policy_checked(self):
-        with pytest.raises(ValueError):
-            cfg(projection_mode="magic")
+        for mode in ("magic", "positional"):
+            with pytest.raises(ValueError):
+                cfg(projection_mode=mode)
         with pytest.raises(ValueError):
             cfg(infeasible_policy="ignore")
 
@@ -78,14 +80,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             sample_constrained(toy_corpus, simple_cs(), cfg(projection_mode="novelty"))
 
-    def test_positional_mode_requires_position_constraints(self, toy_corpus):
-        with pytest.raises(ValueError):
-            sample_constrained(toy_corpus, simple_cs(), cfg(projection_mode="positional"))
-        dup = ConstraintSet(
-            [Position(0, 1, name="p0"), Position(0, 2, name="p0b")]
-        )
-        with pytest.raises(ValueError):
-            sample_constrained(toy_corpus, dup, cfg(projection_mode="positional"))
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            pytest.param(Position(0, 9), id="position-token"),
+            pytest.param(Position(5, 0), id="position-index"),
+            pytest.param(TokenCount(9, "ge", 1), id="count-token"),
+            pytest.param(Forbidden(-1), id="forbidden-negative-token"),
+            pytest.param(LinearScore(weights=np.full(4, 0.5), tau=0.5), id="weights-short"),
+            pytest.param(LinearScore(weights=np.full(6, 0.5), tau=0.5), id="weights-long"),
+        ],
+    )
+    def test_constraint_must_fit_vocab_and_length(self, toy_corpus, constraint):
+        # The toy corpus has 4 tokens plus MASK (N = 5) and length 5.
+        def denoiser(state, a_t, kernel):
+            raise AssertionError("sampling started")
+
+        with pytest.raises(ValueError, match=re.escape(constraint.name)):
+            sample_constrained(toy_corpus, ConstraintSet([constraint]), cfg(), denoiser=denoiser)
 
 
 class TestDeterminism:
@@ -97,20 +109,20 @@ class TestDeterminism:
         assert [(r.step, r.kl_moved) for r in a_tr] == [(r.step, r.kl_moved) for r in b_tr]
 
     @pytest.mark.parametrize(
-        "mode, kernel, schedule",
+        "case, kernel, schedule",
         [
-            pytest.param(mode, kernel, schedule, id=f"{mode}-{kernel}" + ("-every3" if schedule else ""))
+            pytest.param(case, kernel, schedule, id=f"{case}-{kernel}" + ("-every3" if schedule else ""))
             for schedule in ({}, dict(project_every=3, project_start=2))
-            for mode in ("alm", "positional", "novelty")
+            for case in ("alm", "positional", "novelty")
             for kernel in ("masked", "uniform")
         ],
     )
-    def test_tracing_does_not_change_samples(self, toy_corpus, mode, kernel, schedule):
-        cs = {
-            "alm": ConstraintSet([TokenCount(token=0, op="le", k=1), Forbidden(3)]),
-            "positional": ConstraintSet([Position(1, 3), Position(3, 0)]),
-            "novelty": None,
-        }[mode]
+    def test_tracing_does_not_change_samples(self, toy_corpus, case, kernel, schedule):
+        mode, cs = {
+            "alm": ("alm", ConstraintSet([TokenCount(token=0, op="le", k=1), Forbidden(3)])),
+            "positional": ("alm", ConstraintSet([Position(1, 3), Position(3, 0)])),
+            "novelty": ("novelty", None),
+        }[case]
         c = cfg(kernel=kernel, projection_mode=mode, num_samples=24, **schedule)
         traced, records = sample_constrained(toy_corpus, cs, c)
         untraced, none = sample_constrained(toy_corpus, cs, replace(c, trace=False))
@@ -154,25 +166,27 @@ class TestDeterminism:
         assert c01_digest(ConstraintSet([c])) == digest
 
     @pytest.mark.parametrize(
-        "kernel, mode, digest",
+        "kernel, family, digest",
         [
             ("masked", "alm", "c7e3556fc3f31bfd1927062c5361fd7e1ddce509a003d0a3c11cbff1bfee9714"),
             ("uniform", "alm", "c16842ac2bfb91b38fad0db94ef9de79e0d406d30b052efd43c9533aefbfc152"),
             ("masked", "positional", "fd548eaa32948e2b3c5d18fbc6156fc63c004f14807a2535a7a2e88bf29cf81e"),
         ],
     )
-    def test_seeded_c01_trace_matches_recorded_digest(self, kernel, mode, digest):
+    def test_seeded_c01_trace_matches_recorded_digest(self, kernel, family, digest):
         """Samples and trace records (violations, KL moved, outer
         iterations) of projected and unprojected steps, recorded while
-        every projected chain still went through its projector."""
-        if mode == "alm":
+        every projected chain still went through its projector.  The
+        "positional" case projects its Position-only set in alm mode,
+        which gives the digest that set's own positional mode recorded."""
+        if family == "alm":
             weights = np.random.default_rng(0).uniform(0.0, 1.0, size=13)
             cs = ConstraintSet([LinearScore(weights=weights, tau=0.25), TokenCount(token=1, op="eq", k=2)])
             kw = dict(project_every=3, project_start=2)
         else:
             cs = ConstraintSet([Position(0, 2), Position(5, 0)])
             kw = {}
-        assert c01_trace_digest(cs, kernel=kernel, projection_mode=mode, **kw) == digest
+        assert c01_trace_digest(cs, kernel=kernel, **kw) == digest
 
 
 class TestTraceShape:
@@ -210,7 +224,7 @@ class TestConstrainedFeasibility:
         mask = toy_corpus.vocab.mask_id
         assert all(mask not in s.ids for s in seqs)
 
-    @pytest.mark.parametrize("mode", ["alm", "positional"])
+    @pytest.mark.parametrize("mode", ["alm"])
     def test_no_mask_emitted_when_the_last_draw_holds_mask(self, toy_corpus, mode):
         # A denoiser that keeps mass on MASK lets the t = 1 draw itself
         # hold MASK, on chains that already satisfy the constraints.
@@ -231,15 +245,8 @@ class TestConstrainedFeasibility:
 
     def test_positional_mode(self, toy_corpus):
         cs = ConstraintSet([Position(1, 3), Position(3, 0)])
-        seqs, _ = sample_constrained(
-            toy_corpus, cs, cfg(projection_mode="positional", num_samples=25)
-        )
+        seqs, _ = sample_constrained(toy_corpus, cs, cfg(num_samples=25))
         assert all(s[1] == 3 and s[3] == 0 for s in seqs)
-
-    def test_warm_start_smoke(self, toy_corpus):
-        alm = AlmConfig(warm_start=True)
-        seqs, _ = sample_constrained(toy_corpus, simple_cs(), cfg(alm=alm, num_samples=20))
-        assert all(simple_cs().satisfied(s) for s in seqs)
 
 
 class TestNoveltyMode:
@@ -280,6 +287,9 @@ class TestInfeasiblePolicies:
     def test_retry_exhausts_and_raises(self, toy_corpus):
         with pytest.raises(InfeasibleSampleError, match="retries"):
             sample_constrained(toy_corpus, self.impossible(), cfg(max_retries=2, num_samples=1))
+        same_position = ConstraintSet([Position(0, 1, name="p0"), Position(0, 2, name="p0b")])
+        with pytest.raises(InfeasibleSampleError, match="retries"):
+            sample_constrained(toy_corpus, same_position, cfg(max_retries=2, num_samples=1))
 
     def test_abort_raises_immediately(self, toy_corpus):
         with pytest.raises(InfeasibleSampleError):
