@@ -56,9 +56,8 @@ def c01_trace_digest(cs, **kw):
 
 class TestConfigValidation:
     def test_mode_and_policy_checked(self):
-        for mode in ("magic", "positional"):
-            with pytest.raises(ValueError):
-                cfg(projection_mode=mode)
+        with pytest.raises(ValueError):
+            cfg(projection_mode="magic")
         with pytest.raises(ValueError):
             cfg(infeasible_policy="ignore")
 
@@ -79,6 +78,16 @@ class TestConfigValidation:
     def test_novelty_mode_rejects_constraints(self, toy_corpus):
         with pytest.raises(ValueError):
             sample_constrained(toy_corpus, simple_cs(), cfg(projection_mode="novelty"))
+
+    def test_positional_mode_requires_position_constraints(self, toy_corpus):
+        # Position sets project in alm mode: "positional" is not a mode,
+        # and two Positions on one position cannot be met, so the chain
+        # exhausts its retries instead of failing validation.
+        with pytest.raises(ValueError):
+            cfg(projection_mode="positional")
+        dup = ConstraintSet([Position(0, 1, name="p0"), Position(0, 2, name="p0b")])
+        with pytest.raises(InfeasibleSampleError, match="retries"):
+            sample_constrained(toy_corpus, dup, cfg(max_retries=2, num_samples=1))
 
     @pytest.mark.parametrize(
         "constraint",
@@ -287,9 +296,6 @@ class TestInfeasiblePolicies:
     def test_retry_exhausts_and_raises(self, toy_corpus):
         with pytest.raises(InfeasibleSampleError, match="retries"):
             sample_constrained(toy_corpus, self.impossible(), cfg(max_retries=2, num_samples=1))
-        same_position = ConstraintSet([Position(0, 1, name="p0"), Position(0, 2, name="p0b")])
-        with pytest.raises(InfeasibleSampleError, match="retries"):
-            sample_constrained(toy_corpus, same_position, cfg(max_retries=2, num_samples=1))
 
     def test_abort_raises_immediately(self, toy_corpus):
         with pytest.raises(InfeasibleSampleError):
