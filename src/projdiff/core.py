@@ -101,7 +101,7 @@ class Sequence:
     def __post_init__(self):
         if len(self.ids) == 0:
             raise ValueError("empty sequence")
-        if any(i < 0 for i in self.ids):
+        if min(self.ids) < 0:
             raise ValueError("negative token id")
 
     def __len__(self) -> int:

@@ -40,13 +40,14 @@ def _posterior_weights(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray, a_t
     prior = corpus.weights()  # (M,)
     if ids.shape[1] != entries.shape[1]:
         raise ValueError("observed length differs from corpus length")
-    eq = ids[:, None, :] == entries[None, :, :]  # (B, M, L)
-    if kernel.kind == "masked":
-        masked = ids == kernel.mask_id  # (B, L)
-        compat = np.all(eq | masked[:, None, :], axis=2)
-        return prior * compat
     n = kernel.vocab_size
-    matches = eq.sum(axis=2)  # (B, M)
+    # Token indicators of the observations times the entries' one-hots
+    # count each entry's matching positions; small integers, so exact.
+    observed = (ids[:, :, None] == np.arange(n)).reshape(len(ids), -1).astype(float)
+    matches = observed @ _entry_onehots(corpus, n).reshape(len(entries), -1).T  # (B, M)
+    if kernel.kind == "masked":
+        # No entry holds MASK, so a compatible entry matches every unmasked position.
+        return prior * (matches == (ids != kernel.mask_id).sum(axis=1, keepdims=True))
     if a_t >= 1.0:
         return prior * (matches == entries.shape[1])
     ratio = 1.0 + a_t * n / (1.0 - a_t)
@@ -90,12 +91,77 @@ def _entry_onehots(corpus: Corpus, n: int) -> np.ndarray:
     return out
 
 
+_CODE_LIMIT = 2**63
+
+# Smaller batches are computed as they are.  On the c01 shape (16 chains,
+# L=10) about one state in eight repeats, and finding the repeats took
+# longer inside a sampling run (about 24 us per call) than the rows they
+# spared.
+_DEDUPE_MIN_ROWS = 64
+
+
+def _distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(states, inverse) for the rows of a (B, L) integer batch.
+
+    states are the distinct rows in lexicographic order, as
+    np.unique(ids, axis=0) gives them, and states[inverse] equals ids;
+    (ids, None) when no row repeats or B < _DEDUPE_MIN_ROWS.  Rows fold
+    into one int64 code, column by column in base radix; when the next
+    column would overflow int64, the partial codes are replaced by their
+    ranks first, so the fold stays exact for any length.
+    """
+    b, length = ids.shape
+    if b < _DEDUPE_MIN_ROWS or length == 0:
+        return ids, None
+    lo = int(ids.min())
+    radix = int(ids.max()) - lo + 1
+    if radix * b >= _CODE_LIMIT:  # too wide to fold even after ranking
+        states, inverse = np.unique(ids, axis=0, return_inverse=True)
+        return (ids, None) if len(states) == b else (states, inverse.reshape(-1))
+    digits = np.subtract(ids, lo, dtype=np.int64) if lo else ids
+    code, bound, j = None, 1, 0  # every code lies in [0, bound)
+    while j < length:
+        if bound * radix >= _CODE_LIMIT:
+            seen = np.unique(code)
+            code, bound = np.searchsorted(seen, code), len(seen)
+        k = length - j
+        while bound * radix**k >= _CODE_LIMIT:
+            k -= 1
+        part = digits[:, j : j + k] @ radix ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        code = part if code is None else code * radix**k + part
+        bound *= radix**k
+        j += k
+    if bound <= 4 * b:  # a rank table over the code range costs about a sort
+        present = np.zeros(bound, dtype=bool)
+        present[code] = True
+        rank = np.cumsum(present) - 1
+        count = int(rank[-1]) + 1
+        inverse = rank[code]
+    else:
+        ordered = np.sort(code)
+        new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        count = np.count_nonzero(new)
+        inverse = np.searchsorted(ordered[new], code) if count < b else None
+    if count == b:
+        return ids, None
+    first = np.empty(count, dtype=np.intp)
+    first[inverse] = np.arange(b)
+    return ids[first], inverse
+
+
 class ExactBayesDenoiser:
     """Callable denoiser (xt, a_t, kernel) -> SeqDist backed by exact_posterior.
 
     When evidence is incompatible with every corpus entry the denoiser
     falls back to the prior per-position marginals instead of raising;
     fallback_count records how often that happened.
+
+    The batch methods compute each distinct state of a batch of at least
+    _DEDUPE_MIN_ROWS rows once and gather the result back to every chain
+    holding it.  A row's marginals are a function of its state alone (the
+    entry sum is an einsum, whose order does not depend on the batch, where
+    a BLAS product's can), so every chain gets the row it would get on its
+    own, and fallback_count counts every chain, repeats included.
     """
 
     def __init__(self, corpus: Corpus):
@@ -118,23 +184,19 @@ class ExactBayesDenoiser:
 
     def posterior_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel) -> np.ndarray:
         """(B, L, N) posterior marginals for a (B, L) batch of decoded states."""
-        weights = _posterior_weights(self.corpus, kernel, ids, a_t)
+        states, inverse = _distinct_rows(ids)
+        weights = _posterior_weights(self.corpus, kernel, states, a_t)
         totals = weights.sum(axis=1, keepdims=True)
-        empty = totals[:, 0] <= 0.0
-        if np.any(empty):
-            self.fallback_count += int(empty.sum())
-            weights = weights.copy()
-            totals = totals.copy()
-            weights[empty] = 0.0
+        empty = totals[:, 0] <= 0.0  # every weight of such a row is 0
+        fallback = np.any(empty)
+        if fallback:
+            self.fallback_count += int(np.count_nonzero(empty if inverse is None else empty.take(inverse)))
             totals[empty] = 1.0
         post = weights / totals
-        onehots = _entry_onehots(self.corpus, kernel.vocab_size)
-        m = onehots.shape[0]
-        rows = post @ onehots.reshape(m, -1)
-        rows = rows.reshape(ids.shape[0], ids.shape[1], kernel.vocab_size)
-        if np.any(empty):
+        rows = np.einsum("um,mln->uln", post, _entry_onehots(self.corpus, kernel.vocab_size))
+        if fallback:
             rows[empty] = self._prior()
-        return rows
+        return rows if inverse is None else rows.take(inverse, axis=0)
 
     def posterior_loo_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel) -> np.ndarray:
         """(B, L, N) leave-one-out posterior marginals.
@@ -152,12 +214,14 @@ class ExactBayesDenoiser:
             return self.posterior_batch(ids, a_t, kernel)
         if a_t >= 1.0:
             raise ValueError("leave-one-out posterior undefined at a_t = 1")
+        states, inverse = _distinct_rows(ids)
         entries = self.corpus.sequences()
-        weights = _posterior_weights(self.corpus, kernel, ids, a_t)  # (B, M)
-        eq = ids[:, None, :] == entries[None, :, :]  # (B, M, L)
+        weights = _posterior_weights(self.corpus, kernel, states, a_t)  # (U, M)
+        eq = states[:, None, :] == entries[None, :, :]  # (U, M, L)
         n = kernel.vocab_size
         ratio = 1.0 + a_t * n / (1.0 - a_t)
-        loo = weights[:, :, None] / np.where(eq, ratio, 1.0)  # (B, M, L)
+        loo = weights[:, :, None] / np.where(eq, ratio, 1.0)  # (U, M, L)
         onehots = _entry_onehots(self.corpus, n)
-        rows = np.einsum("bml,mln->bln", loo, onehots)
-        return rows / rows.sum(axis=2, keepdims=True)
+        rows = np.einsum("uml,mln->uln", loo, onehots)
+        rows = rows / rows.sum(axis=2, keepdims=True)
+        return rows if inverse is None else rows.take(inverse, axis=0)

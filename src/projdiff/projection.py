@@ -497,10 +497,10 @@ class NoveltyDb:
 
     def __init__(self, seqs=(), mask_id: int | None = None):
         self._seen: set[Sequence] = set(seqs)
-        self._mask_id = mask_id
+        self.mask_id = mask_id
 
     def __contains__(self, seq: Sequence) -> bool:
-        return seq in self._seen or (self._mask_id is not None and self._mask_id in seq.ids)
+        return seq in self._seen or (self.mask_id is not None and self.mask_id in seq.ids)
 
     def __len__(self) -> int:
         return len(self._seen)
@@ -526,7 +526,9 @@ def novelty_project(x_in: SeqDist, db: NoveltyDb, eps: float = ARGMAX_EPS) -> Se
     """
     rows = x_in.rows
     length, n = rows.shape
-    gaps = rows.max(axis=1, keepdims=True) - rows  # flip cost per position/token
+    gaps = (rows.max(axis=1, keepdims=True) - rows).tolist()  # flip cost per position/token
+    # Every completion of a prefix holding a banned MASK is in db already.
+    tokens = [v for v in range(n) if v != db.mask_id]
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
     selected: Sequence | None = None
     while heap:
@@ -537,9 +539,9 @@ def novelty_project(x_in: SeqDist, db: NoveltyDb, eps: float = ARGMAX_EPS) -> Se
                 selected = seq
                 break
             continue
-        i = len(prefix)
-        for v in range(n):
-            heapq.heappush(heap, (cost + gaps[i, v], prefix + (v,)))
+        row = gaps[len(prefix)]
+        for v in tokens:
+            heapq.heappush(heap, (cost + row[v], prefix + (v,)))
     if selected is None:
         raise NoveltySaturationError("database already contains every sequence")
     db.add(selected)

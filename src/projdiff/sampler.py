@@ -250,12 +250,17 @@ class _Engine:
         return ids
 
     def _apply_operator(self, sd: SeqDist):
-        """Run the configured projection; returns (rows, feasible, outer, kl)."""
+        """Run the configured projection; returns (rows, feasible, outer, kl).
+
+        kl is only read by trace records, so novelty mode skips it (0.0)
+        when tracing is off.
+        """
         if self.cfg.projection_mode == "alm":
             res = alm_project(sd, self.cs, self.cfg.alm)
             return res.projected.rows, res.feasible, res.outer_iters, res.kl_moved
         res = novelty_project(sd, self.db)
-        return res.rows, True, 0, backend.ops.kl_rows(sd.rows, res.rows)
+        kl = backend.ops.kl_rows(sd.rows, res.rows) if self.cfg.trace else 0.0
+        return res.rows, True, 0, kl
 
     def _project_chain(self, ci, sample_index, t, ids, chain_mix, settled, traces) -> None:
         """Project chain ci's ids in place, appending its TraceRecord when tracing."""

@@ -1,11 +1,14 @@
 """Exact corpus-posterior denoising against hand calculations and the
 brute-force enumeration oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from projdiff import denoiser as denoiser_module
 from projdiff.core import SeqDist, Sequence, decode
-from projdiff.denoiser import ExactBayesDenoiser, IncompatibleEvidenceError, exact_posterior
+from projdiff.denoiser import ExactBayesDenoiser, IncompatibleEvidenceError, _distinct_rows, exact_posterior
 from projdiff.noise import NoiseKernel
 from projdiff.oracle import enumerate_posterior
 
@@ -136,3 +139,99 @@ class TestExactBayesDenoiser:
         assert np.array_equal(
             den.posterior_loo_batch(ids, 0.3, kernel), den.posterior_batch(ids, 0.3, kernel)
         )
+
+
+class TestDistinctStates:
+    """The batch methods compute each distinct state once; repeats must
+    not show in the rows or in fallback_count."""
+
+    @staticmethod
+    def repeated_batch(corpus, kernel, rng, distinct=12, size=96):
+        """size rows drawn with repeats from `distinct` states; under the
+        masked kernel a third of the states match no corpus entry."""
+        entries = corpus.sequences()
+        n_data = corpus.vocab.size - (kernel.kind == "masked")
+        x0 = entries[rng.integers(0, len(entries), distinct)]
+        if kernel.kind == "masked":
+            states = np.where(rng.random(x0.shape) < 0.5, x0, kernel.mask_id)
+            states[::3] = rng.integers(0, n_data, (len(states[::3]), corpus.length))
+        else:
+            states = np.where(rng.random(x0.shape) < 0.5, x0, rng.integers(0, n_data, x0.shape))
+        return states[rng.integers(0, distinct, size)]
+
+    @pytest.mark.parametrize("kind", ["masked", "uniform"])
+    @pytest.mark.parametrize("shape", [(4, 5, 7), (12, 10, 16)], ids=["toy", "c01"])
+    def test_batch_rows_equal_row_by_row(self, kind, shape):
+        n_data, length, n_entries = shape
+        vocab = make_vocab(n_data, with_mask=(kind == "masked"))
+        corpus = make_corpus(vocab, length=length, n_entries=n_entries, seed=11)
+        kernel = NoiseKernel.for_vocab(kind, vocab)
+        ids = self.repeated_batch(corpus, kernel, np.random.default_rng(3))
+        assert len(np.unique(ids, axis=0)) < len(ids)
+        den = ExactBayesDenoiser(corpus)
+        for method in (den.posterior_batch, den.posterior_loo_batch):
+            batch = method(ids, 0.4, kernel)
+            assert batch.shape == (len(ids), length, vocab.size)
+            for b in range(len(ids)):
+                assert np.array_equal(batch[b], method(ids[b : b + 1], 0.4, kernel)[0])
+        assert (den.fallback_count > 0) == (kind == "masked")
+
+    @pytest.mark.parametrize("kind", ["masked", "uniform"])
+    def test_each_distinct_state_computed_once(self, monkeypatch, kind):
+        vocab = make_vocab(4, with_mask=(kind == "masked"))
+        corpus = make_corpus(vocab, length=5, n_entries=7, seed=11)
+        kernel = NoiseKernel.for_vocab(kind, vocab)
+        ids = self.repeated_batch(corpus, kernel, np.random.default_rng(4))
+        sizes = []
+
+        def spy(corpus, kernel, states, a_t):
+            sizes.append(len(states))
+            return real(corpus, kernel, states, a_t)
+
+        real = denoiser_module._posterior_weights
+        monkeypatch.setattr(denoiser_module, "_posterior_weights", spy)
+        den = ExactBayesDenoiser(corpus)
+        den.posterior_batch(ids, 0.4, kernel)
+        den.posterior_loo_batch(ids, 0.4, kernel)
+        assert sizes == [len(np.unique(ids, axis=0))] * 2
+
+    def test_repeated_incompatible_rows_each_fall_back(self, tiny_corpus):
+        kernel = NoiseKernel.masked(tiny_corpus.vocab)
+        den = ExactBayesDenoiser(tiny_corpus)
+        # (b, a) matches no entry; it fills three rows in five, (a, MASK)
+        # the other two, over a batch large enough to be deduplicated.
+        ids = np.tile([[1, 0], [0, 2], [1, 0], [1, 0], [0, 2]], (13, 1))
+        rows = den.posterior_batch(ids, 0.5, kernel)
+        assert den.fallback_count == 39
+        assert np.array_equal(rows[ids[:, 0] == 1], np.stack([den._prior()] * 39))
+        den.posterior_loo_batch(ids, 0.5, kernel)
+        assert den.fallback_count == 78
+
+    @pytest.mark.parametrize(
+        "low, high, length, extra",
+        [
+            (0, 4, 3, []),
+            (0, 13, 20, []),
+            (-3, 4, 6, []),
+            (2**63 - 2**59, 2**63 - 2**59 + 2**20, 3, [[2**63 - 2**59] * 3, [2**63 - 2**59 + 2**20 - 1] * 3]),
+            (0, 3, 3, [[1, 0, 1], [0, 2, 0], [2**32, 0, 0]]),
+        ],
+        ids=["n4-L3", "n13-L20", "negative", "offset", "wide-radix"],
+    )
+    def test_fold_agrees_with_unique(self, low, high, length, extra):
+        # 4**3 codes fit a rank table; 13**20 > 2**63, so the fold must
+        # rank partial codes.  Folding the "offset" ids without shifting
+        # them to 0 wraps codes past the sign bit.  With radix 2**32 + 1
+        # a plain int64 fold gives (1, 0, 1) and (0, 2, 0) one code.
+        rng = np.random.default_rng(length)
+        pool = np.concatenate([rng.integers(low, high, (9, length)), np.array(extra, dtype=np.int64).reshape(-1, length)])
+        ids = pool[rng.integers(0, len(pool), 100)]
+        states, inverse = _distinct_rows(ids)
+        expect, expect_inverse = np.unique(ids, axis=0, return_inverse=True)
+        assert np.array_equal(states, expect)
+        assert np.array_equal(inverse, expect_inverse.reshape(-1))
+
+    def test_no_repeats_returns_the_batch(self):
+        ids = np.array(list(itertools.product(range(4), repeat=3)))
+        states, inverse = _distinct_rows(ids)
+        assert states is ids and inverse is None

@@ -352,6 +352,28 @@ class TestNoveltyProject:
         with pytest.raises(NoveltySaturationError):
             novelty_project(SeqDist(np.full((3, 2), 0.5)), db)
 
+    @pytest.mark.parametrize("length, n", [(2, 3), (3, 4), (4, 3)])
+    def test_mask_banned_picks_match_enumeration(self, length, n):
+        # MASK (the last token) is often the argmax and the database bans
+        # it: every pick matches the enumeration oracle, call after call
+        # as claims accumulate, until no MASK-free sequence is left.
+        rng = np.random.default_rng(length * 10 + n)
+        mask = n - 1
+        db = NoveltyDb([Sequence(tuple(int(v) for v in rng.integers(0, mask, length))) for _ in range(2)], mask_id=mask)
+        free = mask**length - len(db)
+        for _ in range(free):
+            rows = rng.dirichlet(np.ones(n), size=length)
+            rows[:, mask] += rng.random(length) < 0.7
+            rows /= rows.sum(axis=1, keepdims=True)
+            expect, _ = enumerate_novelty(rows, db)
+            assert decode(novelty_project(SeqDist(rows), db)) == expect
+        assert len(db) == mask**length
+        rows = np.full((length, n), 1.0 / n)
+        with pytest.raises(ValueError):
+            enumerate_novelty(rows, db)
+        with pytest.raises(NoveltySaturationError):
+            novelty_project(SeqDist(rows), db)
+
     def test_saturation_raises(self):
         db = NoveltyDb(Sequence(ids) for ids in itertools.product(range(2), repeat=2))
         with pytest.raises(NoveltySaturationError):

@@ -197,6 +197,39 @@ class TestDeterminism:
             kw = {}
         assert c01_trace_digest(cs, kernel=kernel, **kw) == digest
 
+    @pytest.mark.parametrize(
+        "kernel, fallbacks, digest",
+        [
+            ("masked", 401, "bcd6eb2e932a6d2279c023d279981a8e0843f6b753cfb681f0b84e96bcd6d002"),
+            ("uniform", 0, "8831a337e4cc40a34be90ec27e3269d95b8630661384f9e9edc14d3fb1940e58"),
+        ],
+    )
+    def test_seeded_unconstrained_samples_match_recorded_digest(self, kernel, fallbacks, digest):
+        """The c04 shapes of the unconstrained benchmark (L=3, 6 entries),
+        32 steps, 2000 samples, seed 0, recorded while the exact denoiser
+        still computed every chain's posterior on its own.  The fallback
+        count covers every chain-step, repeated states included."""
+        if kernel == "masked":
+            corpus = make_corpus(make_vocab(3), length=3, n_entries=6, seed=5)
+        else:
+            corpus = make_corpus(make_vocab(4, with_mask=False), length=3, n_entries=6, seed=7)
+        den = ExactBayesDenoiser(corpus)
+        config = SampleConfig(steps=32, length=3, kernel=kernel, num_samples=2000, rng_seed=0)
+        seqs = sample_unconstrained(corpus, config, denoiser=den)
+        assert hashlib.sha256(b"".join(bytes(s.ids) for s in seqs)).hexdigest() == digest
+        assert den.fallback_count == fallbacks
+
+    def test_seeded_novelty_samples_match_recorded_digest(self):
+        """Novelty mode on the c02 shape (6 tokens + MASK, L=6, 10
+        entries), 12 steps, 500 samples, seed 0, recorded while the
+        novelty search still expanded MASK children and the exact
+        denoiser computed every chain on its own."""
+        corpus = make_corpus(make_vocab(6), length=6, n_entries=10, seed=23)
+        config = SampleConfig(steps=12, length=6, num_samples=500, rng_seed=0, projection_mode="novelty", trace=False)
+        seqs, _ = sample_constrained(corpus, None, config)
+        digest = hashlib.sha256(b"".join(bytes(s.ids) for s in seqs)).hexdigest()
+        assert digest == "77a71564214151349c48d7a00df040ebc11aade1182b0c16be3dda03af3abc7a"
+
 
 class TestTraceShape:
     def test_record_count_is_steps_times_samples(self, toy_corpus):
@@ -269,6 +302,15 @@ class TestNoveltyMode:
         assert all(s not in snapshot for s in seqs)
         # The shared database accumulated every claim.
         assert all(s in db for s in seqs)
+
+    def test_trace_records_kl_moved(self, toy_corpus):
+        # Chains whose draw the database already holds are redirected, and
+        # the t = 1 record carries the KL the redirection moved.
+        _, traces = sample_constrained(toy_corpus, None, cfg(projection_mode="novelty", num_samples=30))
+        final = [r for r in traces if r.step == 1]
+        assert len(final) == 30
+        assert any(r.kl_moved > 0.0 for r in final)
+        assert all(r.kl_moved >= 0.0 for r in final)
 
     def test_db_defaults_to_corpus(self, toy_corpus):
         seqs, _ = sample_constrained(toy_corpus, None, cfg(projection_mode="novelty", num_samples=10))
