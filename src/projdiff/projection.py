@@ -386,6 +386,25 @@ def _pooled_flip_costs(row: np.ndarray) -> np.ndarray:
     return costs
 
 
+def _first_min(cands: np.ndarray, cost: np.ndarray, excess: np.ndarray) -> int:
+    """Index of the first row of cands at the least (excess, cost, ids) key.
+
+    The same row as np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0],
+    found without sorting: keep the rows at the least excess, then those
+    at the least cost, then take the least id row among them compared as
+    Python lists (lexicographic and exact); min keeps the first of equal
+    rows, so a full tie keeps the lowest index, as the stable sort does.
+    """
+    rows = np.flatnonzero(excess == excess.min())
+    if rows.shape[0] > 1:
+        tied = cost[rows]
+        rows = rows[tied == tied.min()]
+        if rows.shape[0] > 1:
+            ids = cands[rows].tolist()
+            return int(rows[min(range(len(ids)), key=ids.__getitem__)])
+    return int(rows[0])
+
+
 def _decode_search(
     x_rows: np.ndarray,
     cs: ConstraintSet,
@@ -414,7 +433,10 @@ def _decode_search(
     current pattern qualifies, only strictly cheaper moves are
     considered.  The sweep moves to the lexicographic minimum of the
     remaining (excess, cost, ids) keys if it is below the current key,
-    so the result equals that of scoring the moves one by one.
+    so the result equals that of scoring the moves one by one.  That
+    minimum is found in stages rather than by sorting (_first_min): the
+    moves at the least excess, of those the ones at the least cost, then
+    the least ids among those, and the first move on a full tie.
     """
     table = _row_flip_costs(x_rows)
     seq_len, n = x_rows.shape
@@ -431,7 +453,7 @@ def _decode_search(
             cands, excess, cost = cands[keep], excess[keep], cost[keep]
             if cands.shape[0] == 0:
                 return None
-        k = np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0]
+        k = _first_min(cands, cost, excess)
         return (float(excess[k]), float(cost[k]), tuple(cands[k].tolist()))
 
     # Every single-position move as a (position, token) pair.

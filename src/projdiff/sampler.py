@@ -8,7 +8,9 @@ randomness comes from one generator stream so runs are reproducible.
 
 A chain's state is its row of token ids.  On a projected step one
 batched screen passes the chains the operator would leave unchanged; the
-rest are projected from the one-hot rows of their ids, then decoded.
+rest are projected from the one-hot rows of their ids, then decoded.  In
+alm mode each distinct state is projected once per step and chains
+sharing it reuse the result (a per-step memo keyed by the id row).
 
 Projection scheduling: step t projects when t <= T - project_start and
 T - project_start - t is a multiple of project_every, and the final
@@ -87,7 +89,9 @@ class TraceRecord:
     pre_violation and post_violation are the worst decoded constraint
     violations before and after projection (equal when the step did not
     project); wall_time is the seconds spent inside the projection call,
-    0.0 for a chain the screen passed, since no projector ran.
+    0.0 for a chain the screen passed, since no projector ran.  For a
+    chain whose state an earlier chain of the same step projected in alm
+    mode, wall_time covers the memo lookup, not a projector call.
     """
 
     sample_index: int
@@ -153,6 +157,8 @@ class _Engine:
         self.kernel = NoiseKernel.for_vocab(cfg.kernel, self.vocab)
         self.schedule = Schedule(cfg.schedule, cfg.steps)
         self.rng = np.random.default_rng(cfg.rng_seed)
+        # alm results of this projected step, keyed by the state's id bytes.
+        self.memo: dict[bytes, tuple] = {}
 
     def run(self) -> tuple[list[Sequence], list[TraceRecord]]:
         seqs: list[Sequence] = []
@@ -237,6 +243,7 @@ class _Engine:
             ids = np.where(settled, ids, sampled) if masked else sampled
 
             if self._projects_at(t):
+                self.memo = {}
                 passed = self._passes(ids, t)
                 worst = self._decoded_violations(ids) if self.cfg.trace and passed.any() else None
                 for ci, skip in enumerate(passed.tolist()):
@@ -249,18 +256,28 @@ class _Engine:
                     traces.append(TraceRecord(offset + ci, t, False, v, v, 0.0, 0, 0.0))
         return ids
 
-    def _apply_operator(self, sd: SeqDist):
-        """Run the configured projection; returns (rows, feasible, outer, kl).
+    def _apply_operator(self, state: np.ndarray):
+        """Project one (L,) id row; returns (decode, feasible, outer, kl).
 
-        kl is only read by trace records, so novelty mode skips it (0.0)
-        when tracing is off.
+        In alm mode the result is a function of the state alone, so the
+        first result for each state is kept in self.memo and later chains
+        of the same step holding that state reuse it.  Novelty mode calls
+        its projector every time, since each call claims a sequence, and
+        computes kl, which only trace records read, only when tracing.
         """
+        ops = backend.ops
         if self.cfg.projection_mode == "alm":
-            res = alm_project(sd, self.cs, self.cfg.alm)
-            return res.projected.rows, res.feasible, res.outer_iters, res.kl_moved
+            key = state.tobytes()
+            hit = self.memo.get(key)
+            if hit is None:
+                res = alm_project(SeqDist(ops.one_hot_rows(state, self.n)), self.cs, self.cfg.alm)
+                hit = (ops.argmax_rows(res.projected.rows), res.feasible, res.outer_iters, res.kl_moved)
+                self.memo[key] = hit
+            return hit
+        sd = SeqDist(ops.one_hot_rows(state, self.n))
         res = novelty_project(sd, self.db)
-        kl = backend.ops.kl_rows(sd.rows, res.rows) if self.cfg.trace else 0.0
-        return res.rows, True, 0, kl
+        kl = ops.kl_rows(sd.rows, res.rows) if self.cfg.trace else 0.0
+        return ops.argmax_rows(res.rows), True, 0, kl
 
     def _project_chain(self, ci, sample_index, t, ids, chain_mix, settled, traces) -> None:
         """Project chain ci's ids in place, appending its TraceRecord when tracing."""
@@ -273,9 +290,7 @@ class _Engine:
             pre_violation = self._decoded_violations(ids[ci : ci + 1])[0]
         attempts = 0
         while True:
-            sd = SeqDist(ops.one_hot_rows(ids[ci], self.n))
-            out_rows, feasible, outer, kl_moved = self._apply_operator(sd)
-            new_dec = ops.argmax_rows(out_rows)
+            new_dec, feasible, outer, kl_moved = self._apply_operator(ids[ci])
             ok = feasible
             # An emitted sequence must not contain the mask token; inside
             # the chain a mask decode just re-opens that position.

@@ -18,6 +18,7 @@ from projdiff.projection import (
     NoveltyDb,
     NoveltySaturationError,
     _decode_search,
+    _first_min,
     _force_argmax_row,
     _pooled_flip_costs,
     _row_flip_costs,
@@ -545,3 +546,44 @@ class TestDecodeSearch:
         assert one == reference_decode_search(rows, cs, 0.0, base, base, max_sweeps=1)
         assert one[0].count(1) == 1
         assert one[1] == 3.0
+
+
+def planted_stack(rng):
+    """A (K, L) candidate stack with excess and cost, ties planted in each key."""
+    k, seq_len, n = int(rng.integers(1, 40)), int(rng.integers(1, 8)), int(rng.integers(1, 5))
+    cands = rng.integers(0, n, size=(k, seq_len))
+    shared = rng.random(k) < 0.5
+    cut = int(rng.integers(0, seq_len + 1))
+    cands[shared, :cut] = cands[int(rng.integers(0, k)), :cut]  # shared id prefixes
+    copies = rng.integers(0, k, size=k // 3)
+    cands[rng.integers(0, k, size=copies.shape[0])] = cands[copies]  # fully duplicated rows
+    excess = rng.choice(np.array([0.0, -0.0, 0.5, 1.0]), size=k)
+    cost = rng.choice(np.array([0.0, math.log(2), 2 * math.log(2), rng.uniform(0.0, 3.0)]), size=k)
+    return cands, cost, excess
+
+
+class TestFirstMin:
+    """The sweep's move selection against the lexsort it replaced."""
+
+    def test_matches_lexsort(self):
+        rng = np.random.default_rng(0)
+        signed_zero_ties = full_ties = prefix_ties = 0
+        for _ in range(3000):
+            cands, cost, excess = planted_stack(rng)
+            want = np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0]
+            assert _first_min(cands, cost, excess) == want
+            at_min = excess == excess[want]
+            signed_zero_ties += int(excess[want] == 0.0 and len(set(np.signbit(excess[at_min]).tolist())) == 2)
+            tied = cands[at_min & (cost == cost[want])]
+            same = np.all(tied == cands[want], axis=1)
+            full_ties += int(same.sum() > 1)
+            # A rival equal to the winner in its first column, decided later.
+            prefix_ties += int(np.any(~same & (tied[:, 0] == cands[want, 0])))
+        # Every planted kind of tie was met many times.
+        assert min(signed_zero_ties, full_ties, prefix_ties) > 100
+
+    def test_signed_zero_excess_ties(self):
+        cands = np.array([[2, 0], [1, 0], [1, 0]])
+        cost = np.array([0.5, 0.5, 0.5])
+        assert _first_min(cands, cost, np.array([-0.0, 0.0, -0.0])) == 1
+        assert _first_min(cands, cost, np.array([0.0, -0.0, 0.0])) == 1

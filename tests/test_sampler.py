@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from projdiff import backend
 from projdiff import sampler as sampler_module
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
 from projdiff.core import SeqDist, Sequence
@@ -44,14 +45,41 @@ def c01_digest(cs):
 
 def c01_trace_digest(cs, **kw):
     """sha256 of the samples and of every TraceRecord field but wall_time
-    (floats by repr) on the c01 shape, 8 chains, 16 steps, seed 0."""
+    (floats by repr) on the c01 shape, 8 chains, 16 steps, seed 0 unless
+    kw sets rng_seed."""
     corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
-    seqs, traces = sample_constrained(corpus, cs, SampleConfig(steps=16, length=10, num_samples=8, rng_seed=0, **kw))
+    config = SampleConfig(**{**dict(steps=16, length=10, num_samples=8, rng_seed=0), **kw})
+    seqs, traces = sample_constrained(corpus, cs, config)
     h = hashlib.sha256(b"".join(bytes(s.ids) for s in seqs))
     for r in traces:
         fields = (r.sample_index, r.step, r.projected, r.pre_violation, r.post_violation, r.kl_moved, r.outer_iters)
         h.update(repr(fields).encode())
     return h.hexdigest()
+
+
+def spy_failing_states(monkeypatch):
+    """Record the id rows that fail the screen at each projected step.
+
+    Returns (failing, current): failing maps each projected step t to the
+    bytes of its failing chains' id rows, in chain order, and current[0]
+    is the step being projected.
+    """
+    failing, current = {}, [None]
+    real = sampler_module._Engine._passes
+
+    def passes(self, ids, t):
+        passed = real(self, ids, t)
+        failing[t] = [row.tobytes() for row in ids[~passed]]
+        current[0] = t
+        return passed
+
+    monkeypatch.setattr(sampler_module._Engine, "_passes", passes)
+    return failing, current
+
+
+def state_bytes(x_in):
+    """The id row bytes of a one-hot projector input."""
+    return x_in.rows.argmax(axis=1).astype(np.int64).tobytes()
 
 
 class TestConfigValidation:
@@ -196,6 +224,36 @@ class TestDeterminism:
             cs = ConstraintSet([Position(0, 2), Position(5, 0)])
             kw = {}
         assert c01_trace_digest(cs, kernel=kernel, **kw) == digest
+
+    def test_seeded_c01_trace_with_retries_matches_recorded_digest(self, monkeypatch):
+        """Samples and trace records of a uniform-kernel c01 run whose
+        chains redraw after infeasible projections and share states within
+        a step, an infeasible state among them.  Recorded while every
+        failing chain still went through its projector: reusing a step's
+        result for a repeated state, and redrawing in chain order, must
+        leave the rng stream as it was."""
+        cs = ConstraintSet([Position(6, 7, tau=0.5), TokenCount(token=9, op="ge", k=3), Position(1, 6)])
+        failing, current = spy_failing_states(monkeypatch)
+        infeasible, redraws = set(), [0]
+        real_project, real_sample_rows = sampler_module.alm_project, backend.ops.sample_rows
+
+        def project(x_in, *args, **kwargs):
+            res = real_project(x_in, *args, **kwargs)
+            if not res.feasible:
+                infeasible.add((current[0], state_bytes(x_in)))
+            return res
+
+        def sample_rows(rows, u):
+            if rows.shape[0] == 10:  # one chain's rows; batch draws hold 8 * 10
+                redraws[0] += 1
+            return real_sample_rows(rows, u)
+
+        monkeypatch.setattr(sampler_module, "alm_project", project)
+        monkeypatch.setattr(backend.ops, "sample_rows", sample_rows)
+        digest = c01_trace_digest(cs, kernel="uniform", rng_seed=22)
+        assert redraws[0] > 0
+        assert any(failing[t].count(row) > 1 for t, row in infeasible)
+        assert digest == "a75fb256bd42d608ed3463afa50c4d1a193e51e15cd4a7af62e94849e53018e8"
 
     @pytest.mark.parametrize(
         "kernel, fallbacks, digest",
@@ -368,6 +426,7 @@ class TestInfeasiblePolicies:
             cs = ConstraintSet([TokenCount(token=1, op="le", k=1), Forbidden(3)])
         n = corpus.vocab.size
         inputs = []
+        failing, _ = spy_failing_states(monkeypatch)
 
         def spy(x_in, *args, **kwargs):
             inputs.append(np.array(x_in.rows))
@@ -380,13 +439,58 @@ class TestInfeasiblePolicies:
         )
         sample_constrained(corpus, cs, config)
         if policy == "continue":
-            assert len(inputs) == 16 * 4  # no chain-step passes the screen
+            # No chain-step passes the screen and none redraws, so each
+            # distinct (step, id row) pair is projected once.
+            assert sum(len(rows) for rows in failing.values()) == 16 * 4
+            assert len(inputs) == sum(len(set(rows)) for rows in failing.values())
         else:
             assert 0 < len(inputs) < 16 * 4  # the screen passes feasible chains
         for rows in inputs:
             ids = rows.argmax(axis=1)
             assert np.all((ids >= 0) & (ids < n))
             assert np.array_equal(rows, np.eye(n)[ids])
+
+
+class TestProjectionMemo:
+    @pytest.mark.parametrize("kernel", ["masked", "uniform"])
+    def test_each_distinct_failing_state_projected_once(self, monkeypatch, kernel):
+        # On the c01 shape many chains share a state, most of all at t = T
+        # under the masked kernel; alm_project is a function of its input,
+        # so each step projects each of its distinct failing states once.
+        corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+        cs = ConstraintSet([LinearScore(weights=np.random.default_rng(0).uniform(0.0, 1.0, size=13), tau=0.25)])
+        failing, current = spy_failing_states(monkeypatch)
+        projected = []
+        real = sampler_module.alm_project
+
+        def spy(x_in, *args, **kwargs):
+            projected.append((current[0], state_bytes(x_in)))
+            return real(x_in, *args, **kwargs)
+
+        monkeypatch.setattr(sampler_module, "alm_project", spy)
+        config = SampleConfig(steps=16, length=10, kernel=kernel, num_samples=16, rng_seed=0, trace=False)
+        sample_constrained(corpus, cs, config)
+        assert sum(len(rows) - len(set(rows)) for rows in failing.values()) > 0
+        assert sorted(projected) == sorted({(t, row) for t, rows in failing.items() for row in rows})
+
+    def test_novelty_projects_every_failing_chain(self, monkeypatch):
+        # Each novelty_project call claims a sequence, so chains holding
+        # the same state still get one call each.
+        corpus = make_corpus(make_vocab(6), length=6, n_entries=10, seed=23)
+        failing, _ = spy_failing_states(monkeypatch)
+        projected = []
+        real = sampler_module.novelty_project
+
+        def spy(x_in, *args, **kwargs):
+            projected.append(state_bytes(x_in))
+            return real(x_in, *args, **kwargs)
+
+        monkeypatch.setattr(sampler_module, "novelty_project", spy)
+        config = SampleConfig(steps=12, length=6, num_samples=64, rng_seed=0, projection_mode="novelty", trace=False)
+        sample_constrained(corpus, None, config)
+        assert list(failing) == [1]
+        assert len(set(failing[1])) < len(failing[1]) == 64
+        assert projected == failing[1]
 
 
 class TestDistributionRecovery:
