@@ -29,7 +29,7 @@ from .core import (
 )
 from .denoiser import ExactBayesDenoiser, IncompatibleEvidenceError, exact_posterior
 from .metrics import BigramModel, entropy, novelty_count, perplexity, summarize, violation_rate, write_metrics
-from .noise import NoiseKernel, forward_marginal, forward_sample, reverse_step
+from .noise import NoiseKernel, forward_marginal, forward_sample
 from .projection import (
     AlmConfig,
     AlmResult,
@@ -93,7 +93,6 @@ __all__ = [
     "perplexity",
     "position_project",
     "read_sequences",
-    "reverse_step",
     "sample_constrained",
     "sample_unconstrained",
     "summarize",

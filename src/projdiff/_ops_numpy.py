@@ -59,14 +59,19 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> float:
     return float(terms.sum())
 
 
-def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Draw one index per row by inverting the CDF at uniform u.
+def sample_rows(probs: np.ndarray, u: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+    """Draw one index per uniform by inverting a row's CDF at it.
 
-    probs is (R, N) with rows summing to one; u is (R,) in [0, 1).
+    probs is (R, N) with rows summing to one; u is (K,) in [0, 1).  Draw
+    i inverts u[i] against row index[i], or against row i when index is
+    None (then K = R).  Each row's cumulative sum is taken once, however
+    many draws share it.
     """
-    cdf = np.cumsum(probs, axis=1)
-    idx = (cdf < u[:, None]).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1).astype(np.int64)
+    cdf = np.cumsum(probs, axis=1).T  # (N, R), so that the count sums over axis 0
+    if index is not None:
+        cdf = cdf.take(index, axis=1)
+    idx = (cdf < u).sum(axis=0, dtype=np.int64)
+    return np.minimum(idx, probs.shape[1] - 1)
 
 
 def one_hot_rows(ids: np.ndarray, n: int) -> np.ndarray:

@@ -123,6 +123,36 @@ class Sequence:
     def from_tokens(cls, tokens, vocab: Vocabulary) -> "Sequence":
         return cls(tuple(vocab.id_of(t) for t in tokens))
 
+    @classmethod
+    def from_id_array(cls, ids: np.ndarray) -> list["Sequence"]:
+        """One Sequence per row of a (K, L) integer array.
+
+        The array is checked once as a whole, with the same errors as the
+        constructor, so no object runs a check of its own.  Equal rows
+        share one object, which a Sequence's immutability allows: sampled
+        rows repeat heavily, and each object spared is an allocation the
+        garbage collector would otherwise trace.
+        """
+        ids = np.asarray(ids)
+        if ids.ndim != 2:
+            raise ValueError(f"expected a 2-d id array, got shape {ids.shape}")
+        if ids.shape[0] == 0:
+            return []
+        if ids.shape[1] == 0:
+            raise ValueError("empty sequence")
+        if ids.min() < 0:
+            raise ValueError("negative token id")
+        new = object.__new__
+        made: dict[tuple, Sequence] = {}
+        out = []
+        for row in map(tuple, ids.tolist()):
+            seq = made.get(row)
+            if seq is None:
+                seq = made[row] = new(cls)
+                seq.__dict__["ids"] = row
+            out.append(seq)
+        return out
+
 
 class SeqDist:
     """L rows of categorical distributions over N tokens.

@@ -149,6 +149,13 @@ def _distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return ids[first], inverse
 
 
+def _gathered(states: np.ndarray, rows: np.ndarray, inverse: np.ndarray | None, gather: bool):
+    """A batch method's return: rows per chain, or (states, rows, inverse)."""
+    if not gather:
+        return states, rows, np.arange(len(states)) if inverse is None else inverse
+    return rows if inverse is None else rows.take(inverse, axis=0)
+
+
 class ExactBayesDenoiser:
     """Callable denoiser (xt, a_t, kernel) -> SeqDist backed by exact_posterior.
 
@@ -158,10 +165,14 @@ class ExactBayesDenoiser:
 
     The batch methods compute each distinct state of a batch of at least
     _DEDUPE_MIN_ROWS rows once and gather the result back to every chain
-    holding it.  A row's marginals are a function of its state alone (the
-    entry sum is an einsum, whose order does not depend on the batch, where
-    a BLAS product's can), so every chain gets the row it would get on its
-    own, and fallback_count counts every chain, repeats included.
+    holding it, or, with gather=False, return (states, rows, inverse): the
+    (U, L) distinct states, their (U, L, N) marginals and the (B,) index
+    with states[inverse] equal to the batch.  Below that size, or when no
+    state repeats, states is the batch itself and inverse the identity.  A
+    row's marginals are a function of its state alone (the entry sum is an
+    einsum, whose order does not depend on the batch, where a BLAS
+    product's can), so every chain gets the row it would get on its own,
+    and fallback_count counts every chain, repeats included.
     """
 
     def __init__(self, corpus: Corpus):
@@ -182,7 +193,7 @@ class ExactBayesDenoiser:
             self.fallback_count += 1
             return SeqDist(self._prior())
 
-    def posterior_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel) -> np.ndarray:
+    def posterior_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel, *, gather: bool = True):
         """(B, L, N) posterior marginals for a (B, L) batch of decoded states."""
         states, inverse = _distinct_rows(ids)
         weights = _posterior_weights(self.corpus, kernel, states, a_t)
@@ -196,9 +207,9 @@ class ExactBayesDenoiser:
         rows = np.einsum("um,mln->uln", post, _entry_onehots(self.corpus, kernel.vocab_size))
         if fallback:
             rows[empty] = self._prior()
-        return rows if inverse is None else rows.take(inverse, axis=0)
+        return _gathered(states, rows, inverse, gather)
 
-    def posterior_loo_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel) -> np.ndarray:
+    def posterior_loo_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel, *, gather: bool = True):
         """(B, L, N) leave-one-out posterior marginals.
 
         Entry (b, i) is the posterior marginal of position i with the
@@ -211,7 +222,7 @@ class ExactBayesDenoiser:
         full posteriors coincide and the full one is returned.
         """
         if kernel.kind == "masked":
-            return self.posterior_batch(ids, a_t, kernel)
+            return self.posterior_batch(ids, a_t, kernel, gather=gather)
         if a_t >= 1.0:
             raise ValueError("leave-one-out posterior undefined at a_t = 1")
         states, inverse = _distinct_rows(ids)
@@ -224,4 +235,4 @@ class ExactBayesDenoiser:
         onehots = _entry_onehots(self.corpus, n)
         rows = np.einsum("uml,mln->uln", loo, onehots)
         rows = rows / rows.sum(axis=2, keepdims=True)
-        return rows if inverse is None else rows.take(inverse, axis=0)
+        return _gathered(states, rows, inverse, gather)

@@ -23,6 +23,9 @@ of the step transition likelihood with the denoised estimate,
 For exactness x0_hat should exclude the current position's own evidence
 (see the denoiser's leave-one-out form); feeding the full posterior
 counts the current token twice, which is a mild extra sharpening.
+
+reverse_mixture_rows gives the rows of this transition; the sampler
+builds them once per distinct chain state and draws from them.
 """
 
 from __future__ import annotations
@@ -92,24 +95,29 @@ def _check_level(a: float) -> float:
     return a
 
 
+def _forward_rows(kernel: NoiseKernel, x0: Sequence, a_t: float) -> np.ndarray:
+    """(L, N) rows a_t * onehot(x0) + (1 - a_t) * nu."""
+    a_t = _check_level(a_t)
+    ids = x0.as_array()
+    n = kernel.vocab_size
+    if ids.max() >= n:
+        raise ValueError(f"token id {ids.max()} out of range")
+    rows = np.empty((len(ids), n))
+    rows[:] = (1.0 - a_t) * kernel.ref
+    rows[np.arange(len(ids)), ids] += a_t
+    return rows
+
+
 def forward_marginal(kernel: NoiseKernel, x0: Sequence, a_t: float) -> SeqDist:
     """Marginal of the corrupted sequence at signal level a_t."""
-    a_t = _check_level(a_t)
-    n = kernel.vocab_size
-    rows = np.tile((1.0 - a_t) * kernel.ref, (len(x0), 1))
-    for i, v in enumerate(x0):
-        if v >= n:
-            raise ValueError(f"token id {v} out of range")
-        rows[i, v] += a_t
-    return SeqDist(rows)
+    return SeqDist(_forward_rows(kernel, x0, a_t))
 
 
 def forward_sample(kernel: NoiseKernel, x0: Sequence, a_t: float, rng: np.random.Generator) -> Sequence:
-    """Draw a corrupted sequence from the forward marginal."""
-    marg = forward_marginal(kernel, x0, a_t)
-    u = rng.random(len(x0))
-    ids = backend.ops.sample_rows(marg.rows, u)
-    return Sequence(tuple(int(i) for i in ids))
+    """Draw a corrupted sequence from the forward marginal; consumes exactly L uniforms."""
+    rows = _forward_rows(kernel, x0, a_t)
+    u = rng.random(len(rows))
+    return Sequence(tuple(backend.ops.sample_rows(rows, u).tolist()))
 
 
 def reverse_mixture_rows(
@@ -140,33 +148,3 @@ def reverse_mixture_rows(
     lik[np.arange(denoised_rows.shape[0]), current_ids] += r
     mix = lik * (a_s * denoised_rows + (1.0 - a_s) / n)
     return mix / mix.sum(axis=1, keepdims=True)
-
-
-def reverse_step(
-    kernel: NoiseKernel,
-    xt: SeqDist,
-    denoised: SeqDist,
-    a_t: float,
-    a_s: float,
-    rng: np.random.Generator,
-) -> SeqDist:
-    """One ancestral step of the reverse chain, from level a_t to a_s.
-
-    Consumes exactly L uniforms from rng regardless of how many positions
-    actually resample, so interleaved callers stay reproducible.
-    """
-    a_t = _check_level(a_t)
-    a_s = _check_level(a_s)
-    if xt.rows.shape != denoised.rows.shape:
-        raise ValueError("shape mismatch between state and denoised estimate")
-    if xt.vocab_size != kernel.vocab_size:
-        raise ValueError("vocabulary size mismatch with kernel")
-    current = backend.ops.argmax_rows(xt.rows)
-    mixture = reverse_mixture_rows(kernel, denoised.rows, a_t, a_s, current)
-    u = rng.random(xt.length)
-    sampled = backend.ops.sample_rows(mixture, u)
-    out = backend.ops.one_hot_rows(sampled, kernel.vocab_size)
-    if kernel.kind == "masked":
-        settled = current != kernel.mask_id
-        out[settled] = xt.rows[settled]
-    return SeqDist(out)

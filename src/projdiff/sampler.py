@@ -6,6 +6,15 @@ t-1, and then, on scheduled steps, projects the new state so that its
 decode is feasible.  Chains are advanced in lockstep as a batch; all
 randomness comes from one generator stream so runs are reproducible.
 
+The reverse step works per distinct state: many chains share a state, and
+a chain's denoised rows and reverse mixture depend on its state alone.
+The denoiser's rows and the mixture are built once for each distinct
+state, and each chain inverts its own uniforms against its state's CDF
+rows, only at the positions that can change (MASK positions under the
+masked kernel, every position under the uniform kernel).  Every step
+draws one uniform per chain and position however many are used, so the
+stream does not depend on which chains share a state.
+
 A chain's state is its row of token ids.  On a projected step one
 batched screen passes the chains the operator would leave unchanged; the
 rest are projected from the one-hot rows of their ids, then decoded.  In
@@ -168,23 +177,29 @@ class _Engine:
         while remaining > 0:
             b = min(remaining, CHUNK_SIZE)
             ids = self._run_chunk(b, offset, traces)
-            seqs.extend(Sequence(tuple(row)) for row in ids.tolist())
+            seqs.extend(Sequence.from_id_array(ids))
             remaining -= b
             offset += b
         return seqs, traces
 
-    def _denoise_batch(self, ids: np.ndarray, a_t: float) -> np.ndarray:
-        # The uniform-kernel reverse step is exact when fed leave-one-out
-        # posteriors; generic denoisers supply the plain estimate instead.
-        if self.kernel.kind == "uniform" and hasattr(self.denoiser, "posterior_loo_batch"):
-            return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel)
+    def _denoise_states(self, ids: np.ndarray, a_t: float):
+        """(states, rows, inverse) for a (B, L) batch: the (U, L) distinct
+        states, their (U, L, N) denoised rows, and the (B,) index with
+        states[inverse] equal to ids.
+
+        The uniform-kernel reverse step is exact when fed leave-one-out
+        posteriors; generic denoisers supply the plain estimate instead, one
+        chain at a time, with U = B and the identity index.
+        """
         if isinstance(self.denoiser, ExactBayesDenoiser):
-            return self.denoiser.posterior_batch(ids, a_t, self.kernel)
+            if self.kernel.kind == "uniform":
+                return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel, gather=False)
+            return self.denoiser.posterior_batch(ids, a_t, self.kernel, gather=False)
         out = np.empty((ids.shape[0], ids.shape[1], self.n))
         for i in range(ids.shape[0]):
             state = SeqDist(backend.ops.one_hot_rows(ids[i], self.n))
             out[i] = self.denoiser(state, a_t, self.kernel).rows
-        return out
+        return ids, out, np.arange(ids.shape[0])
 
     def _projects_at(self, t: int) -> bool:
         if self.cfg.projection_mode == "none":
@@ -220,27 +235,18 @@ class _Engine:
         return passed
 
     def _run_chunk(self, b: int, offset: int, traces: list[TraceRecord]) -> np.ndarray:
-        ops = backend.ops
         length = self.cfg.length
-        n = self.n
         T = self.cfg.steps
-        masked = self.kernel.kind == "masked"
 
-        ref_rows = np.tile(self.kernel.ref, (b * length, 1))
+        # Every position starts as one draw from the reference row.
         u0 = self.rng.random((b, length))
-        ids = ops.sample_rows(ref_rows, u0.ravel()).reshape(b, length)
+        ids = backend.ops.sample_rows(self.kernel.ref[None], u0.ravel(), np.zeros(b * length, np.intp))
+        ids = ids.reshape(b, length)
 
         for t in range(T, 0, -1):
-            a_t = self.schedule.alpha(t)
-            a_s = self.schedule.alpha(t - 1)
-            marg = self._denoise_batch(ids, a_t)
-            mix = reverse_mixture_rows(
-                self.kernel, marg.reshape(-1, n), a_t, a_s, ids.reshape(-1)
-            ).reshape(b, length, n)
-            u = self.rng.random((b, length))
-            sampled = ops.sample_rows(mix.reshape(-1, n), u.ravel()).reshape(b, length)
-            settled = ids != self.kernel.mask_id if masked else None
-            ids = np.where(settled, ids, sampled) if masked else sampled
+            step = self._reverse_mixture(ids, t)
+            _, mix, inverse = step
+            ids = self._draw(ids, mix, inverse, self.rng.random((b, length)))
 
             if self._projects_at(t):
                 self.memo = {}
@@ -248,13 +254,57 @@ class _Engine:
                 worst = self._decoded_violations(ids) if self.cfg.trace and passed.any() else None
                 for ci, skip in enumerate(passed.tolist()):
                     if not skip:
-                        self._project_chain(ci, offset + ci, t, ids, mix[ci], settled, traces)
+                        self._project_chain(ci, offset + ci, t, ids, step, traces)
                     elif worst is not None:
                         traces.append(TraceRecord(offset + ci, t, True, worst[ci], worst[ci], 0.0, 0, 0.0))
             elif self.cfg.trace:
                 for ci, v in enumerate(self._decoded_violations(ids)):
                     traces.append(TraceRecord(offset + ci, t, False, v, v, 0.0, 0, 0.0))
         return ids
+
+    def _reverse_mixture(self, ids: np.ndarray, t: int):
+        """(states, mix, inverse) of the step from level t to t - 1.
+
+        states and inverse are as _denoise_states gives them; mix holds the
+        (U * L, N) reverse mixture rows of the distinct states, row
+        k * L + j for position j of state k.
+        """
+        a_t = self.schedule.alpha(t)
+        a_s = self.schedule.alpha(t - 1)
+        states, denoised, inverse = self._denoise_states(ids, a_t)
+        mix = reverse_mixture_rows(self.kernel, denoised.reshape(-1, self.n), a_t, a_s, states.reshape(-1))
+        return states, mix, inverse
+
+    def _draw(self, prev: np.ndarray, mix: np.ndarray, inverse: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next ids of the (k, L) chains prev, one uniform of u per position.
+
+        Position j of chain i inverts u[i, j] against mixture row
+        inverse[i] * L + j.  Only positions that can change are drawn: the
+        MASK positions under the masked kernel, where a settled position
+        keeps its token, and every position under the uniform kernel.
+        """
+        length = prev.shape[1]
+        if self.kernel.kind == "uniform":
+            rows = (inverse[:, None] * length + np.arange(length)).ravel()
+            return backend.ops.sample_rows(mix, u.ravel(), rows).reshape(prev.shape)
+        flat = prev.ravel()
+        pos = np.flatnonzero(flat == self.kernel.mask_id)
+        rows = inverse.take(pos // length) * length + pos % length
+        out = flat.copy()
+        out[pos] = backend.ops.sample_rows(mix, u.ravel().take(pos), rows)
+        return out.reshape(prev.shape)
+
+    def _redraw(self, ci: int, step) -> np.ndarray:
+        """Chain ci's transition drawn again from its state's mixture rows.
+
+        step is the (states, mix, inverse) of this step's draw; the (L, N)
+        rows of the chain's state go to the draw on their own.
+        """
+        states, mix, inverse = step
+        length = self.cfg.length
+        k = inverse[ci] * length
+        u = self.rng.random((1, length))
+        return self._draw(states[inverse[ci]][None], mix[k : k + length], np.zeros(1, np.intp), u)[0]
 
     def _apply_operator(self, state: np.ndarray):
         """Project one (L,) id row; returns (decode, feasible, outer, kl).
@@ -279,9 +329,12 @@ class _Engine:
         kl = ops.kl_rows(sd.rows, res.rows) if self.cfg.trace else 0.0
         return ops.argmax_rows(res.rows), True, 0, kl
 
-    def _project_chain(self, ci, sample_index, t, ids, chain_mix, settled, traces) -> None:
-        """Project chain ci's ids in place, appending its TraceRecord when tracing."""
-        ops = backend.ops
+    def _project_chain(self, ci, sample_index, t, ids, step, traces) -> None:
+        """Project chain ci's ids in place, appending its TraceRecord when tracing.
+
+        step is the (states, mix, inverse) of this step's draw, which a
+        retry draws from again.
+        """
         cfg = self.cfg
         masked = self.kernel.kind == "masked"
 
@@ -306,8 +359,7 @@ class _Engine:
                     f"chain {sample_index} still infeasible at step {t} after {cfg.max_retries} retries"
                 )
             # Re-draw this chain's transition and try again.
-            redraw = ops.sample_rows(chain_mix, self.rng.random(cfg.length))
-            ids[ci] = np.where(settled[ci], ids[ci], redraw) if masked else redraw
+            ids[ci] = self._redraw(ci, step)
 
         ids[ci] = new_dec
         if not cfg.trace:

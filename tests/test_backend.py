@@ -36,3 +36,22 @@ def test_sample_rows_edge_uniforms(u_val, expected):
     got = backend.ops.sample_rows(probs, np.array([u_val, u_val]))
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 13])
+def test_sample_rows_index_equals_the_gathered_rows(n):
+    # Draw i against row index[i] must equal the draw against a stacked
+    # copy of that row, and the count over its full CDF row written out,
+    # including uniforms that fall on a CDF step.
+    rng = np.random.default_rng(n)
+    probs = rng.dirichlet(np.ones(n), size=7)
+    probs[0] = np.eye(n)[n - 1]
+    index = rng.integers(0, 7, 500)
+    u = rng.random(500)
+    u[:20] = np.cumsum(probs[index[:20]], axis=1)[:, 0]
+    u[20] = 0.0
+    got = backend.ops.sample_rows(probs, u, index)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, backend.ops.sample_rows(probs[index], u))
+    assert np.array_equal(got, np.minimum((np.cumsum(probs[index], axis=1) < u[:, None]).sum(axis=1), n - 1))
+    assert np.array_equal(backend.ops.sample_rows(probs, u[:7]), backend.ops.sample_rows(probs, u[:7], np.arange(7)))

@@ -76,6 +76,25 @@ class TestSequence:
         v = Vocabulary(("a", "b"))
         assert Sequence.from_tokens(["b", "a"], v) == Sequence((1, 0))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.intp])
+    def test_from_id_array_matches_constructor(self, dtype):
+        ids = np.random.default_rng(0).integers(0, 7, size=(50, 4)).astype(dtype)
+        ids[1] = ids[0]
+        got = Sequence.from_id_array(ids)
+        want = [Sequence(tuple(int(v) for v in row)) for row in ids]
+        assert got == want
+        assert [hash(s) for s in got] == [hash(s) for s in want]
+        assert all(type(v) is int for s in got for v in s.ids)
+        assert len(set(got)) == len(set(want)) and got[0] is got[1]
+        with pytest.raises(AttributeError):
+            got[0].ids = (0,)
+
+    def test_from_id_array_checks_the_array(self):
+        assert Sequence.from_id_array(np.zeros((0, 3), dtype=np.int64)) == []
+        for bad in (np.zeros((2, 0), dtype=np.int64), np.array([[0, 1], [2, -1]]), np.zeros(3, dtype=np.int64)):
+            with pytest.raises(ValueError):
+                Sequence.from_id_array(bad)
+
 
 class TestSeqDist:
     def test_valid_rows(self):

@@ -177,6 +177,24 @@ class TestDistinctStates:
         assert (den.fallback_count > 0) == (kind == "masked")
 
     @pytest.mark.parametrize("kind", ["masked", "uniform"])
+    @pytest.mark.parametrize("size", [40, 96])
+    def test_ungathered_rows_gather_to_the_batch(self, kind, size):
+        # 40 rows are below the deduplication size: the batch itself and
+        # the identity index come back.
+        vocab = make_vocab(4, with_mask=(kind == "masked"))
+        corpus = make_corpus(vocab, length=5, n_entries=7, seed=11)
+        kernel = NoiseKernel.for_vocab(kind, vocab)
+        ids = self.repeated_batch(corpus, kernel, np.random.default_rng(5), size=size)
+        for method in ("posterior_batch", "posterior_loo_batch"):
+            gathered, flat = ExactBayesDenoiser(corpus), ExactBayesDenoiser(corpus)
+            rows = getattr(gathered, method)(ids, 0.4, kernel)
+            states, state_rows, inverse = getattr(flat, method)(ids, 0.4, kernel, gather=False)
+            assert np.array_equal(states[inverse], ids)
+            assert len(states) == (size if size < 64 else len(np.unique(ids, axis=0)))
+            assert np.array_equal(state_rows[inverse], rows)
+            assert flat.fallback_count == gathered.fallback_count
+
+    @pytest.mark.parametrize("kind", ["masked", "uniform"])
     def test_each_distinct_state_computed_once(self, monkeypatch, kind):
         vocab = make_vocab(4, with_mask=(kind == "masked"))
         corpus = make_corpus(vocab, length=5, n_entries=7, seed=11)

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from projdiff import backend
 from projdiff.core import SeqDist, Sequence, Vocabulary
+from projdiff.denoiser import ExactBayesDenoiser
 from projdiff.noise import (
     NoiseKernel,
     forward_marginal,
     forward_sample,
     reverse_mixture_rows,
-    reverse_step,
 )
+from projdiff.sampler import SampleConfig, _Engine, sample_unconstrained
 
-from conftest import make_vocab
+from conftest import make_corpus, make_vocab
 
 
 @pytest.fixture
@@ -103,6 +105,35 @@ class TestForwardSample:
         b = forward_sample(masked_kernel, x0, 0.5, np.random.default_rng(9))
         assert a == b
 
+    @pytest.mark.parametrize("kind", ["masked", "uniform"])
+    def test_draws_match_the_seqdist_path(self, kind):
+        # The path forward_sample took before it built its rows as one
+        # array: a tiled reference row, a per-position loop, a SeqDist.
+        def reference_rows(kernel, x0, a_t):
+            rows = np.tile((1.0 - a_t) * kernel.ref, (len(x0), 1))
+            for i, v in enumerate(x0):
+                rows[i, v] += a_t
+            return SeqDist(rows).rows
+
+        def reference(kernel, x0, a_t, rng):
+            u = rng.random(len(x0))
+            ids = backend.ops.sample_rows(reference_rows(kernel, x0, a_t), u)
+            return Sequence(tuple(int(i) for i in ids))
+
+        kernel = NoiseKernel.for_vocab(kind, make_vocab(5))
+        seeds = np.random.default_rng(3)
+        new, old = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(500):
+            x0 = Sequence(tuple(int(v) for v in seeds.integers(0, 5, size=int(seeds.integers(1, 9)))))
+            a_t = float(seeds.choice([0.0, 1.0, seeds.random()]))
+            assert np.array_equal(forward_marginal(kernel, x0, a_t).rows, reference_rows(kernel, x0, a_t))
+            assert forward_sample(kernel, x0, a_t, new) == reference(kernel, x0, a_t, old)
+        assert new.random() == old.random()
+
+    def test_token_range_checked(self, uniform_kernel):
+        with pytest.raises(ValueError):
+            forward_sample(uniform_kernel, Sequence((1, 9)), 0.5, np.random.default_rng(0))
+
 
 class TestReverseMixture:
     def test_masked_mixture_formula(self, masked_kernel):
@@ -136,23 +167,42 @@ class TestReverseMixture:
 
 
 class TestReverseStep:
-    def test_masked_settled_positions_pass_through(self, masked_kernel):
-        xt = SeqDist(np.array([[1.0, 0, 0, 0], [0, 0, 0, 1.0]]))
-        denoised = SeqDist(np.full((2, 4), 0.25))
-        out = reverse_step(masked_kernel, xt, denoised, 0.3, 0.7, np.random.default_rng(0))
-        assert np.array_equal(out.rows[0], xt.rows[0])
-        assert out.rows[1].max() == 1.0
+    """The sampler's draw from the reverse mixture rows."""
 
-    def test_consumes_fixed_randomness(self, masked_kernel):
-        # Two states differing in how many positions resample must leave
-        # the generator in the same position afterward.
-        denoised = SeqDist(np.full((2, 4), 0.25))
-        for rows in ([[1.0, 0, 0, 0], [0, 1.0, 0, 0]], [[0, 0, 0, 1.0], [0, 0, 0, 1.0]]):
-            rng = np.random.default_rng(123)
-            reverse_step(masked_kernel, SeqDist(np.array(rows, dtype=float)), denoised, 0.3, 0.7, rng)
-            assert rng.random() == np.random.default_rng(123).random(3)[-1]
+    def test_masked_settled_positions_pass_through(self):
+        corpus = make_corpus(make_vocab(3), length=4, n_entries=6, seed=2)
+        mask = corpus.vocab.mask_id
 
-    def test_shape_mismatch_rejected(self, masked_kernel):
-        xt = SeqDist(np.full((2, 4), 0.25))
-        with pytest.raises(ValueError):
-            reverse_step(masked_kernel, xt, SeqDist(np.full((3, 4), 0.25)), 0.3, 0.7, np.random.default_rng(0))
+        class Recording(ExactBayesDenoiser):
+            def posterior_batch(self, ids, a_t, kernel, **kwargs):
+                seen.append(ids.copy())
+                return super().posterior_batch(ids, a_t, kernel, **kwargs)
+
+        # 10 chains are denoised as they are, 100 once per distinct state.
+        for num_samples in (10, 100):
+            seen = []
+            config = SampleConfig(steps=8, length=4, num_samples=num_samples, rng_seed=0)
+            seqs = sample_unconstrained(corpus, config, denoiser=Recording(corpus))
+            states = seen + [np.array([s.ids for s in seqs])]
+            assert len(states) == 9
+            for before, after in zip(states, states[1:]):
+                settled = before != mask
+                assert np.array_equal(after[settled], before[settled])
+            assert any(np.any((a == mask) & (b != mask)) for a, b in zip(states, states[1:]))
+            assert not np.any(states[-1] == mask)
+
+    def test_consumes_fixed_randomness(self):
+        # Runs differing in how many positions each step draws must leave
+        # the generator in the same position afterward: one uniform per
+        # chain and position for the start and for each step.
+        b, length, steps, seed = 100, 3, 6, 123
+        expect = np.random.default_rng(seed).random((steps + 1) * b * length + 1)[-1]
+        for kind, schedule in (("masked", "linear"), ("masked", "loglinear"), ("uniform", "linear")):
+            corpus = make_corpus(make_vocab(3, with_mask=kind == "masked"), length=length, n_entries=5, seed=4)
+            config = SampleConfig(
+                steps=steps, length=length, kernel=kind, schedule=schedule, num_samples=b,
+                rng_seed=seed, projection_mode="none", trace=False,
+            )
+            engine = _Engine(corpus, None, config, ExactBayesDenoiser(corpus), None)
+            engine.run()
+            assert engine.rng.random() == expect

@@ -13,6 +13,7 @@ from projdiff import sampler as sampler_module
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
 from projdiff.core import SeqDist, Sequence
 from projdiff.denoiser import ExactBayesDenoiser
+from projdiff.noise import reverse_mixture_rows
 from projdiff.projection import NoveltyDb
 from projdiff.sampler import (
     InfeasibleSampleError,
@@ -243,10 +244,10 @@ class TestDeterminism:
                 infeasible.add((current[0], state_bytes(x_in)))
             return res
 
-        def sample_rows(rows, u):
+        def sample_rows(rows, u, index=None):
             if rows.shape[0] == 10:  # one chain's rows; batch draws hold 8 * 10
                 redraws[0] += 1
-            return real_sample_rows(rows, u)
+            return real_sample_rows(rows, u, index)
 
         monkeypatch.setattr(sampler_module, "alm_project", project)
         monkeypatch.setattr(backend.ops, "sample_rows", sample_rows)
@@ -491,6 +492,63 @@ class TestProjectionMemo:
         assert list(failing) == [1]
         assert len(set(failing[1])) < len(failing[1]) == 64
         assert projected == failing[1]
+
+
+def full_row_draw(rows, u):
+    """The CDF inversion of every row of rows at u, written out."""
+    return np.minimum((np.cumsum(rows, axis=1) < u[:, None]).sum(axis=1), rows.shape[1] - 1)
+
+
+class TestPerStateDraw:
+    """The reverse step built once per distinct state, against the path
+    it replaced: the denoiser's rows gathered to every chain, then
+    reverse_mixture_rows and the draw on each chain's own rows, with
+    settled positions put back under the masked kernel."""
+
+    @pytest.mark.parametrize("kernel", ["masked", "uniform"])
+    @pytest.mark.parametrize("b", [20, 300], ids=["no-dedup", "dedup"])
+    @pytest.mark.parametrize("denoiser", ["exact", "generic"])
+    def test_bit_identical_to_full_rows(self, kernel, b, denoiser):
+        vocab = make_vocab(3, with_mask=(kernel == "masked"))
+        corpus = make_corpus(vocab, length=3, n_entries=6, seed=5)
+        n, length, mask = vocab.size, 3, vocab.mask_id
+        exact = ExactBayesDenoiser(corpus)
+        den = ExactBayesDenoiser(corpus) if denoiser == "exact" else (lambda x, a, k: exact(x, a, k))
+        config = SampleConfig(steps=6, length=length, kernel=kernel, num_samples=b, rng_seed=9, projection_mode="none")
+        engine = sampler_module._Engine(corpus, None, config, den, None)
+        twin = np.random.default_rng(9)
+        rng = np.random.default_rng(2)
+        ids = rng.integers(0, n, (8, length))[rng.integers(0, 8, b)]  # MASK included
+        for t in (6, 3, 1):
+            a_t, a_s = engine.schedule.alpha(t), engine.schedule.alpha(t - 1)
+            if denoiser == "generic":
+                marg = np.stack([exact(SeqDist(np.eye(n)[row]), a_t, engine.kernel).rows for row in ids])
+            elif kernel == "uniform":
+                marg = exact.posterior_loo_batch(ids, a_t, engine.kernel)
+            else:
+                marg = exact.posterior_batch(ids, a_t, engine.kernel)
+            step = engine._reverse_mixture(ids, t)
+            states, mix, inverse = step
+            assert len(states) == (b if b < 64 or denoiser == "generic" else len(np.unique(ids, axis=0)))
+            got = engine._draw(ids, mix, inverse, engine.rng.random((b, length)))
+
+            u = twin.random((b, length))
+            want = np.empty_like(ids)
+            chain_rows = []
+            for i in range(b):
+                rows = reverse_mixture_rows(engine.kernel, marg[i], a_t, a_s, ids[i])
+                assert np.array_equal(mix.reshape(len(states), length, n)[inverse[i]], rows)
+                drawn = full_row_draw(rows, u[i])
+                want[i] = np.where(ids[i] != mask, ids[i], drawn) if kernel == "masked" else drawn
+                chain_rows.append(rows)
+            assert np.array_equal(got, want)
+
+            for ci in (0, b // 2, b - 1):  # a retry redraws from its state's rows
+                drawn = full_row_draw(chain_rows[ci], twin.random(length))
+                expect = np.where(ids[ci] != mask, ids[ci], drawn) if kernel == "masked" else drawn
+                assert np.array_equal(engine._redraw(ci, step), expect)
+            ids = got
+        assert engine.rng.random() == twin.random()
 
 
 class TestDistributionRecovery:

@@ -8,7 +8,11 @@ import importlib.util
 import os
 import sys
 
+import pytest
+
 import projdiff
+
+from conftest import make_corpus, make_vocab
 
 TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
 
@@ -28,3 +32,20 @@ def test_tracer_finds_every_patch_point():
         assert tracer.absent == []
         assert projdiff.sampler.position_project is not original
     assert projdiff.sampler.position_project is original
+
+
+@pytest.mark.parametrize("kernel", ["masked", "uniform"])
+def test_traced_reverse_step_reaches_every_layer(kernel):
+    # The per-state reverse step must still pass through the wrapped
+    # denoiser, mixture and row-op entry points, with the whole batch
+    # handed to the denoiser, so the benchmark's layer split sees it.
+    vocab = make_vocab(3, with_mask=(kernel == "masked"))
+    corpus = make_corpus(vocab, length=3, n_entries=6, seed=5)
+    chains, steps = 100, 4
+    config = projdiff.SampleConfig(steps=steps, length=3, kernel=kernel, num_samples=chains, rng_seed=0)
+    tracer = load_tracer().Tracer(projdiff)
+    with tracer:
+        projdiff.sample_unconstrained(corpus, config)
+    for layer in ("denoiser", "noise", "rowops"):
+        assert tracer.layers[layer].calls > 0, layer
+    assert tracer.counters["states"] == chains * steps
