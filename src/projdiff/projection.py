@@ -13,6 +13,12 @@ Three operators cover the three constraint regimes:
 
 All three take a stack of probability rows x and return a nearby stack y
 whose decoded sequence is feasible, keeping KL(x || y) small.
+
+  project_ids       the decode alm_project's lattice search picks for
+                    each of a (K, L) stack of one-hot states, given and
+                    returned as token ids, in one batched search
+                    (_decode_search) with no rows built; pooled_rows
+                    turns a picked decode back into the minimum-KL rows
 """
 
 from __future__ import annotations
@@ -76,7 +82,6 @@ class AlmResult:
     outer_iters: int
     final_violation: np.ndarray
     kl_moved: float
-    multipliers: tuple[np.ndarray, np.ndarray]
 
 
 # Logit-coordinate starting point.  A one-hot input has no exact logit
@@ -153,55 +158,35 @@ def alm_gradient(
     return dz, bool(np.any(active))
 
 
-def alm_project(
-    x_in: SeqDist,
-    cs: ConstraintSet,
-    config: AlmConfig = AlmConfig(),
-    multipliers: tuple[np.ndarray, np.ndarray] | None = None,
-) -> AlmResult:
+def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig()) -> AlmResult:
     """Project rows x_in to a nearby stack whose decode satisfies cs.
 
     An already-feasible input is returned unchanged with zero outer
     iterations.  An input of one-hot rows (the sampler's states) is
-    decided by the lattice search from its own pattern, also with zero
-    outer iterations and the multipliers unchanged; the gradient loop
-    runs only when that search leaves a violation, and on soft rows.
-    When the iteration budget runs out the best iterate
-    found (smallest worst-case decoded violation) is returned with
-    feasible=False.  The multipliers argument seeds (lam, mu) to
-    continue a previous call's dual state.
+    decided by project_ids from its own pattern, also with zero outer
+    iterations; the gradient loop runs only when that search leaves a
+    violation, and on soft rows.  When the iteration budget runs out
+    the best iterate found (smallest worst-case decoded violation) is
+    returned with feasible=False.
     """
     ops = backend.ops
     x_rows = x_in.rows
     m = len(cs)
-    if multipliers is not None:
-        lam = np.array(multipliers[0], dtype=np.float64, copy=True)
-        mu = np.array(multipliers[1], dtype=np.float64, copy=True)
-        if lam.shape != (m,) or mu.shape != (m,):
-            raise ValueError("multiplier shapes do not match the constraint set")
-    else:
-        lam = np.full(m, config.lambda_init, dtype=np.float64)
-        mu = np.full(m, config.mu_init, dtype=np.float64)
+    lam = np.full(m, config.lambda_init, dtype=np.float64)
+    mu = np.full(m, config.mu_init, dtype=np.float64)
 
     base = decode(x_rows).ids
     hard = cs.hard_violations(Sequence(base))
     if float(hard.max()) <= config.delta:
-        return AlmResult(
-            projected=x_in,
-            feasible=True,
-            outer_iters=0,
-            final_violation=hard,
-            kl_moved=0.0,
-            multipliers=(lam, mu),
-        )
+        return AlmResult(projected=x_in, feasible=True, outer_iters=0, final_violation=hard, kl_moved=0.0)
 
     if _one_hot_mask(x_rows).all():
-        # On one-hot rows every flip costs ln 2, and the loop only hands
-        # its pattern to the closing search; the search alone decides
-        # whenever it reaches a qualifying pattern from the input's own.
-        ids, residual = _decode_search(x_rows, cs, config.delta, base, base)
-        if residual == 0.0:
-            return _pooled_result(x_rows, cs, ids, True, 0, (lam, mu))
+        # On one-hot rows the loop only hands its pattern to the closing
+        # search; the search alone decides whenever it reaches a
+        # qualifying pattern from the input's own.
+        ids, feasible = project_ids(np.asarray([base]), x_rows.shape[1], cs, config)
+        if feasible[0]:
+            return _pooled_result(x_rows, cs, tuple(ids[0].tolist()), True, 0)
 
     xi = config.relax.noise(x_rows.shape)
     temp = config.relax.temperature
@@ -257,10 +242,13 @@ def alm_project(
     # lands on the cheapest nearby qualifying pattern instead of wherever
     # the penalty dynamics overshot, and can also repair patterns the
     # gated multiplier term cannot reach.
-    ids, residual = _decode_search(x_rows, cs, config.delta, decode(out_rows).ids, base)
+    found, residual = _decode_search(
+        _row_flip_costs(x_rows)[None], cs, config.delta, np.asarray([decode(out_rows).ids]), np.asarray([base])
+    )
+    ids, residual = tuple(found[0].tolist()), float(residual[0])
     loop_excess = float(np.maximum(out_hard - config.delta, 0.0).sum())
     if residual == 0.0 or residual < loop_excess:
-        return _pooled_result(x_rows, cs, ids, residual == 0.0, outer, (lam, mu))
+        return _pooled_result(x_rows, cs, ids, residual == 0.0, outer)
     projected = SeqDist.normalized(out_rows)
     return AlmResult(
         projected=projected,
@@ -268,21 +256,45 @@ def alm_project(
         outer_iters=outer,
         final_violation=out_hard,
         kl_moved=ops.kl_rows(x_rows, projected.rows),
-        multipliers=(lam, mu),
     )
 
 
-def _pooled_result(x_rows, cs, ids, feasible, outer, multipliers) -> AlmResult:
+def project_ids(
+    states: np.ndarray, n: int, cs: ConstraintSet, config: AlmConfig = AlmConfig()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode targets of a (K, L) stack of one-hot states, by their ids.
+
+    Row k holds the ids of a state whose rows are one-hot over n tokens.
+    Returns the (K, L) int64 ids that alm_project's lattice search picks
+    for each state and the (K,) mask of the states it made feasible
+    (zero violation beyond config.delta); a feasible state keeps its own
+    ids.  No probability rows are built: on one-hot rows every flip
+    costs ln 2, so a pattern's summed cost is a strictly increasing
+    function of its Hamming distance to the state, equal distances give
+    equal cost bits, and the search ranks patterns by that distance.
+    All K states go through one batched search.  A state left infeasible
+    needs alm_project's gradient loop, which this function does not run.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    flips = (np.arange(n) != states[:, :, None]).astype(np.int8)
+    ids, residual = _decode_search(flips, cs, config.delta, states, states)
+    return ids, residual == 0.0
+
+
+def pooled_rows(x_rows: np.ndarray, ids) -> SeqDist:
+    """The minimum-KL rows of x_rows that decode to ids, row by row."""
+    return SeqDist.normalized(np.stack([_force_argmax_row(x_rows[i], ids[i]) for i in range(x_rows.shape[0])]))
+
+
+def _pooled_result(x_rows, cs, ids, feasible, outer) -> AlmResult:
     """AlmResult for the minimum-KL rows of x_rows that decode to ids."""
-    out_rows = np.stack([_force_argmax_row(x_rows[i], ids[i]) for i in range(x_rows.shape[0])])
-    projected = SeqDist.normalized(out_rows)
+    projected = pooled_rows(x_rows, ids)
     return AlmResult(
         projected=projected,
         feasible=feasible,
         outer_iters=outer,
         final_violation=cs.hard_violations(Sequence(ids)),
         kl_moved=backend.ops.kl_rows(x_rows, projected.rows),
-        multipliers=multipliers,
     )
 
 
@@ -386,103 +398,185 @@ def _pooled_flip_costs(row: np.ndarray) -> np.ndarray:
     return costs
 
 
-def _first_min(cands: np.ndarray, cost: np.ndarray, excess: np.ndarray) -> int:
-    """Index of the first row of cands at the least (excess, cost, ids) key.
+def _segment_starts(labels: np.ndarray) -> np.ndarray:
+    """Whether each row opens a run of equal labels."""
+    return np.concatenate(([True], labels[1:] != labels[:-1]))
 
-    The same row as np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0],
-    found without sorting: keep the rows at the least excess, then those
-    at the least cost, then take the least id row among them compared as
-    Python lists (lexicographic and exact); min keeps the first of equal
-    rows, so a full tie keeps the lowest index, as the stable sort does.
+
+def _first_min(cands: np.ndarray, cost: np.ndarray, excess: np.ndarray, segment: np.ndarray) -> np.ndarray:
+    """Per segment, the first row of cands at the least (excess, cost, ids) key.
+
+    segment labels each row with its segment, nondecreasing down the
+    rows; the result holds one row index per segment, in order.  Each is
+    the row np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0]
+    picks on its segment alone.  Segmented minima mark the rows at their
+    segment's least excess, then of those the ones at the least cost;
+    only when a segment keeps more than one row are the rows left
+    sorted: by segment, then ids, stably, so a full tie keeps the
+    segment's lowest index, as the sort of the whole segment does.
     """
-    rows = np.flatnonzero(excess == excess.min())
-    if rows.shape[0] > 1:
-        tied = cost[rows]
-        rows = rows[tied == tied.min()]
-        if rows.shape[0] > 1:
-            ids = cands[rows].tolist()
-            return int(rows[min(range(len(ids)), key=ids.__getitem__)])
-    return int(rows[0])
+    opens = _segment_starts(segment)
+    starts = np.flatnonzero(opens)
+    run = np.cumsum(opens) - 1  # each row's segment, counted from 0
+    best = excess == np.minimum.reduceat(excess, starts)[run]
+    cost = np.where(best, cost, np.inf)
+    best &= cost == np.minimum.reduceat(cost, starts)[run]
+    rows = np.flatnonzero(best)
+    if rows.shape[0] > starts.shape[0]:  # a segment still holds ties
+        rows = rows[np.lexsort(tuple(cands[rows, ::-1].T) + (segment[rows],))]
+        rows = rows[_segment_starts(segment[rows])]
+    return rows
+
+
+# Candidate rows scored per hard_violations_batch call: caps the
+# search's temporaries however many states a batch holds.
+SEARCH_CHUNK_ROWS = 1024
 
 
 def _decode_search(
-    x_rows: np.ndarray,
+    tables: np.ndarray,
     cs: ConstraintSet,
     delta: float,
-    start_ids: tuple[int, ...],
-    base_ids: tuple[int, ...],
+    starts: np.ndarray,
+    bases: np.ndarray,
     max_sweeps: int | None = None,
-) -> tuple[tuple[int, ...], float]:
-    """Steepest descent over argmax patterns near start_ids.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steepest descent over argmax patterns near each of K start patterns.
+
+    tables[k, i, v] is state k's cost of decoding position i to token v
+    (a flip-cost table, or, on one-hot rows, whether v differs from the
+    state's own token); starts and bases are (K, L) id arrays.  Returns
+    the (K, L) int64 patterns reached and the (K,) total violation
+    beyond delta left at each.
 
     Patterns are ordered by (total hard violation beyond delta, summed
-    per-row pooling cost from x_rows, the ids themselves): descent first
-    repairs violations one flip per sweep, then minimizes cost among
-    qualifying patterns; the ids component keeps ties deterministic.
-    Violations are totalled rather than maxed so that multi-constraint
-    repairs always have a downhill flip available.
-    Moves are single-position changes plus pairs that revert one
-    already-changed position back to base_ids while changing another,
-    which lets a misplaced flip migrate to a cheaper row.  The search
-    starts from the better of start_ids and base_ids.
+    per-row cost, the ids themselves): descent first repairs violations
+    one flip per sweep, then minimizes cost among qualifying patterns;
+    the ids component keeps ties deterministic.  Violations are totalled
+    rather than maxed so that multi-constraint repairs always have a
+    downhill flip available.  Moves are single-position changes plus
+    pairs that revert one already-changed position back to the base
+    while changing another, which lets a misplaced flip migrate to a
+    cheaper row.  Each state starts from the better of its start and
+    base patterns.
 
-    Each sweep scores all of its moves at once: the candidates are
-    stacked into one (K, L) id array, their violations come from one
-    ConstraintSet.hard_violations_batch call and their costs from one
-    gather of the flip-cost table, summed left to right.  Once the
-    current pattern qualifies, only strictly cheaper moves are
-    considered.  The sweep moves to the lexicographic minimum of the
-    remaining (excess, cost, ids) keys if it is below the current key,
-    so the result equals that of scoring the moves one by one.  That
-    minimum is found in stages rather than by sorting (_first_min): the
-    moves at the least excess, of those the ones at the least cost, then
-    the least ids among those, and the first move on a full tie.
+    Each sweep builds the moves of every state still moving at once, in
+    groups: a state's single moves, then one group per changed position
+    reverted.  They are scored in chunks of whole groups, at most
+    SEARCH_CHUNK_ROWS rows unless one group alone is wider, violations by
+    one ConstraintSet.hard_violations_batch call per chunk.
+    Float costs are gathered from the tables and summed left to right;
+    integer costs sum exactly in any order, so a move's cost is its
+    pattern's plus the entries it changes.  Once a state's pattern
+    qualifies, only strictly cheaper moves count.  _first_min picks the
+    least (excess, cost, ids) key of each state in a chunk, then of each
+    state's chunk winners; a state moves there if that is below its
+    current key and otherwise stops, so each result equals that of
+    scoring its moves one by one.
     """
-    table = _row_flip_costs(x_rows)
-    seq_len, n = x_rows.shape
+    k_states, seq_len, n = tables.shape
     if max_sweeps is None:
         max_sweeps = seq_len + 8
+    flat = tables.reshape(k_states * seq_len, n)
+    entries = flat.ravel()
     positions = np.arange(seq_len)
+    starts = np.asarray(starts, dtype=np.int64)
+    bases = np.asarray(bases, dtype=np.int64)
+    exact = not np.issubdtype(tables.dtype, np.floating)
 
-    def best_of(cands: np.ndarray, prune_at: float | None = None):
-        violations = cs.hard_violations_batch(cands)
-        excess = np.maximum(violations - delta, 0.0).sum(axis=1)
-        cost = np.cumsum(table[positions, cands], axis=1)[:, -1]
-        if prune_at is not None:
-            keep = cost < prune_at
-            cands, excess, cost = cands[keep], excess[keep], cost[keep]
-            if cands.shape[0] == 0:
-                return None
-        k = _first_min(cands, cost, excess)
-        return (float(excess[k]), float(cost[k]), tuple(cands[k].tolist()))
+    def excess_of(cands):
+        return np.maximum(cs.hard_violations_batch(cands) - delta, 0.0).sum(axis=1)
 
-    # Every single-position move as a (position, token) pair.
-    move_pos = np.repeat(positions, n)
-    move_tok = np.tile(np.arange(n), seq_len)
-    base = np.asarray(base_ids, dtype=np.int64)
-    cur_key = best_of(np.asarray([start_ids, base_ids], dtype=np.int64))
+    def cost_of(cands, owner):
+        return np.cumsum(flat[(owner * seq_len)[:, None] + positions, cands], axis=1)[:, -1]
+
+    # Each state starts from the lesser key of its start and its base.
+    everyone = np.arange(k_states)
+    cur, cur_excess, cur_cost = starts.copy(), excess_of(starts), cost_of(starts, everyone)
+    base_key = (excess_of(bases), cost_of(bases, everyone), bases)
+    take = _key_less(base_key, (cur_excess, cur_cost, cur))
+    cur[take], cur_excess[take], cur_cost[take] = bases[take], base_key[0][take], base_key[1][take]
+    if n == 1:  # no other token to move to
+        return cur, cur_excess
+
+    # The moves of a chunk of groups: in each group, position i to each
+    # token but its current one, as slot o of n - 1, the token
+    # o + (o >= current token).
+    width = seq_len * (n - 1)
+    per_chunk = max(1, SEARCH_CHUNK_ROWS // width)
+    slot_group = np.repeat(np.arange(per_chunk), width)
+    slot_pos = np.tile(np.repeat(positions, n - 1), per_chunk)
+    slot_off = np.tile(np.arange(n - 1), seq_len * per_chunk)
+    live = everyone
+
+    def moves(gs, gr):
+        """(candidate rows, their states, their costs) of the groups of
+        states gs with reverted positions gr (-1 for none)."""
+        # Each group's pattern before its move, and that pattern's cost.
+        start_ids, start_cost = cur[gs], cur_cost[gs]
+        paired = np.flatnonzero(gr >= 0)
+        back = gs[paired], gr[paired]
+        start_ids[paired, back[1]] = bases[back]
+        if exact:
+            start_cost[paired] += tables[back + (bases[back],)]
+            start_cost[paired] -= tables[back + (cur[back],)]
+        slots = gs.shape[0] * width
+        # A move at the reverted position is a single move: leave it out.
+        keep = slot_pos[:slots] != gr.take(slot_group[:slots])
+        label, pos, tok = slot_group[:slots][keep], slot_pos[:slots][keep], slot_off[:slots][keep]
+        # Flat indices: entry (k, i) of a (K, L) array is k * L + i.
+        cands = start_ids.take(label, axis=0)
+        held = start_ids.take(label * seq_len + pos)
+        tok += tok >= held
+        cands.put(np.arange(0, cands.size, seq_len) + pos, tok)
+        owner = gs.take(label)
+        if not exact:
+            return cands, owner, cost_of(cands, owner)
+        at = (owner * seq_len + pos) * n
+        cost = start_cost.take(label) + entries.take(at + tok)
+        cost -= entries.take(at + held)
+        return cands, owner, cost
 
     for _ in range(max_sweeps):
-        cur = np.asarray(cur_key[2], dtype=np.int64)
-        single = move_tok != cur[move_pos]
-        # Each move once as is (revert -1), then once after each changed
-        # position j is reverted to base, for moves elsewhere than j.
-        reverts = np.concatenate([[-1], np.nonzero(cur != base)[0]])
-        revert = np.repeat(reverts, np.count_nonzero(single))
-        pos = np.tile(move_pos[single], reverts.shape[0])
-        tok = np.tile(move_tok[single], reverts.shape[0])
-        keep = pos != revert
-        revert, pos, tok = revert[keep], pos[keep], tok[keep]
-        cands = np.tile(cur, (pos.shape[0], 1))
-        rows = np.arange(pos.shape[0])
-        paired = revert >= 0
-        cands[rows[paired], revert[paired]] = base[revert[paired]]
-        cands[rows, pos] = tok
-        best = best_of(cands, cur_key[1] if cur_key[0] == 0.0 else None)
-        if best is None or not best < cur_key:
+        if live.shape[0] == 0:
             break
-        cur_key = best
-    return cur_key[2], cur_key[0]
+        # Groups: each live state's single moves (revert -1), then one
+        # group per position it has changed, reverted to base.
+        opts = np.ones((live.shape[0], seq_len + 1), dtype=bool)
+        opts[:, 1:] = cur[live] != bases[live]
+        group_state, group_revert = np.nonzero(opts)
+        group_state = live[group_state]
+        group_revert -= 1
+        # A qualifying state only takes strictly cheaper moves.
+        limit = np.where(cur_excess == 0.0, cur_cost, np.inf)
+        won = []
+        for g in range(0, group_state.shape[0], per_chunk):
+            cands, owner, cost = moves(group_state[g : g + per_chunk], group_revert[g : g + per_chunk])
+            if cands.shape[0] == 0:  # at L = 1 a reverted group holds no moves
+                continue
+            excess = excess_of(cands)
+            excess[cost >= limit.take(owner)] = np.inf
+            pick = _first_min(cands, cost, excess, owner)
+            won.append((cands[pick], cost[pick], excess[pick], owner[pick]))
+        cands, cost, excess, owner = (np.concatenate(parts) for parts in zip(*won))
+        if len(won) > 1:  # a state whose groups straddle chunks won in each
+            pick = _first_min(cands, cost, excess, owner)
+            cands, cost, excess = cands[pick], cost[pick], excess[pick]
+        better = _key_less((excess, cost, cands), (cur_excess[live], cur_cost[live], cur[live]))
+        live = live[better]
+        cur[live], cur_cost[live], cur_excess[live] = cands[better], cost[better], excess[better]
+    return cur, cur_excess
+
+
+def _key_less(a, b) -> np.ndarray:
+    """Which rows of key a = (excess, cost, ids) lie below those of b,
+    comparing excess, then cost, then the id rows lexicographically."""
+    (a_excess, a_cost, a_ids), (b_excess, b_cost, b_ids) = a, b
+    differ = a_ids != b_ids
+    rows, first = np.arange(a_ids.shape[0]), np.argmax(differ, axis=1)
+    ids_less = differ[rows, first] & (a_ids[rows, first] < b_ids[rows, first])
+    cheaper = (a_cost < b_cost) | ((a_cost == b_cost) & ids_less)
+    return (a_excess < b_excess) | ((a_excess == b_excess) & cheaper)
 
 
 def position_project(x_in: SeqDist, position: int, token: int, eps: float = ARGMAX_EPS) -> SeqDist:

@@ -16,10 +16,16 @@ draws one uniform per chain and position however many are used, so the
 stream does not depend on which chains share a state.
 
 A chain's state is its row of token ids.  On a projected step one
-batched screen passes the chains the operator would leave unchanged; the
-rest are projected from the one-hot rows of their ids, then decoded.  In
-alm mode each distinct state is projected once per step and chains
-sharing it reuse the result (a per-step memo keyed by the id row).
+batched screen passes the chains the operator would leave unchanged.  In
+alm mode the distinct states among the rest then go through one batched
+call of projection.project_ids, which works on the ids alone; a state it
+leaves infeasible goes on to alm_project's gradient loop from its
+one-hot rows.  The results fill a per-step memo keyed by the id row.
+Chains are then handled in chain order: each takes its state's result,
+and a chain whose result is infeasible, or holds MASK at t = 1, redraws
+at its own turn and has its new state projected on its own, so the rng
+stream does not depend on the batching.  Novelty mode projects each
+failing chain in chain order, from the one-hot rows of its ids.
 
 Projection scheduling: step t projects when t <= T - project_start and
 T - project_start - t is a multiple of project_every, and the final
@@ -42,7 +48,15 @@ from .core import Corpus, Schedule, SeqDist, Sequence
 from .denoiser import ExactBayesDenoiser
 from .noise import NoiseKernel, reverse_mixture_rows
 # position_project is not called here: perfbench/tracer.py patches it on this module.
-from .projection import AlmConfig, NoveltyDb, alm_project, novelty_project, position_project  # noqa: F401
+from .projection import (  # noqa: F401
+    AlmConfig,
+    NoveltyDb,
+    alm_project,
+    novelty_project,
+    pooled_rows,
+    position_project,
+    project_ids,
+)
 
 CHUNK_SIZE = 16384
 
@@ -98,9 +112,10 @@ class TraceRecord:
     pre_violation and post_violation are the worst decoded constraint
     violations before and after projection (equal when the step did not
     project); wall_time is the seconds spent inside the projection call,
-    0.0 for a chain the screen passed, since no projector ran.  For a
-    chain whose state an earlier chain of the same step projected in alm
-    mode, wall_time covers the memo lookup, not a projector call.
+    0.0 for a chain the screen passed, since no projector ran.  In alm
+    mode, for a chain whose state the step's batched projection (or an
+    earlier chain's retry) already projected, wall_time covers the memo
+    lookup, not a projector call.
     """
 
     sample_index: int
@@ -249,8 +264,10 @@ class _Engine:
             ids = self._draw(ids, mix, inverse, self.rng.random((b, length)))
 
             if self._projects_at(t):
-                self.memo = {}
                 passed = self._passes(ids, t)
+                self.memo = {}
+                if self.cfg.projection_mode == "alm":
+                    self._project_states(ids[~passed])
                 worst = self._decoded_violations(ids) if self.cfg.trace and passed.any() else None
                 for ci, skip in enumerate(passed.tolist()):
                     if not skip:
@@ -306,24 +323,49 @@ class _Engine:
         u = self.rng.random((1, length))
         return self._draw(states[inverse[ci]][None], mix[k : k + length], np.zeros(1, np.intp), u)[0]
 
+    def _project_states(self, failing: np.ndarray) -> None:
+        """Project the distinct id rows of failing into self.memo (alm mode).
+
+        One project_ids call decides every distinct state; each state it
+        leaves infeasible goes through alm_project from its one-hot rows.
+        A memo entry is (decode, feasible, outer, kl); kl, which only
+        trace records read, is computed only when tracing, from the same
+        pooled rows alm_project's result would hold.
+        """
+        distinct: dict[bytes, np.ndarray] = {}
+        for row in failing:
+            distinct.setdefault(row.tobytes(), row)
+        if not distinct:
+            return
+        ops = backend.ops
+        new_ids, feasible = project_ids(np.stack(list(distinct.values())), self.n, self.cs, self.cfg.alm)
+        for (key, state), new, ok in zip(distinct.items(), new_ids, feasible.tolist()):
+            if ok:
+                kl = 0.0
+                if self.cfg.trace:
+                    x_rows = ops.one_hot_rows(state, self.n)
+                    kl = ops.kl_rows(x_rows, pooled_rows(x_rows, new.tolist()).rows)
+                self.memo[key] = (new, True, 0, kl)
+            else:
+                res = alm_project(SeqDist(ops.one_hot_rows(state, self.n)), self.cs, self.cfg.alm)
+                self.memo[key] = (ops.argmax_rows(res.projected.rows), res.feasible, res.outer_iters, res.kl_moved)
+
     def _apply_operator(self, state: np.ndarray):
         """Project one (L,) id row; returns (decode, feasible, outer, kl).
 
-        In alm mode the result is a function of the state alone, so the
-        first result for each state is kept in self.memo and later chains
-        of the same step holding that state reuse it.  Novelty mode calls
-        its projector every time, since each call claims a sequence, and
-        computes kl, which only trace records read, only when tracing.
+        In alm mode the result is a function of the state alone: a state
+        the step's batch did not hold (a retry's redraw) is projected on
+        its own into self.memo, and every chain reads its result there.
+        Novelty mode calls its projector every time, since each call
+        claims a sequence, and computes kl, which only trace records
+        read, only when tracing.
         """
         ops = backend.ops
         if self.cfg.projection_mode == "alm":
             key = state.tobytes()
-            hit = self.memo.get(key)
-            if hit is None:
-                res = alm_project(SeqDist(ops.one_hot_rows(state, self.n)), self.cs, self.cfg.alm)
-                hit = (ops.argmax_rows(res.projected.rows), res.feasible, res.outer_iters, res.kl_moved)
-                self.memo[key] = hit
-            return hit
+            if key not in self.memo:
+                self._project_states(state[None])
+            return self.memo[key]
         sd = SeqDist(ops.one_hot_rows(state, self.n))
         res = novelty_project(sd, self.db)
         kl = ops.kl_rows(sd.rows, res.rows) if self.cfg.trace else 0.0

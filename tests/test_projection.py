@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from projdiff import projection
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
 from projdiff.core import SeqDist, Sequence, decode, kl_divergence
 from projdiff.oracle import MAX_FLIP_SPACE, enumerate_fewest_flips, enumerate_novelty
@@ -25,6 +26,7 @@ from projdiff.projection import (
     alm_project,
     novelty_project,
     position_project,
+    project_ids,
 )
 
 from conftest import make_constraint_set, make_corpus, make_vocab
@@ -161,17 +163,13 @@ class TestAlmProject:
         assert decode(res.projected)[0] == 2
 
     def test_one_hot_input_decided_by_search(self):
-        # The sampler's one-hot states: no outer iteration runs and seeded
-        # multipliers come back as they went in.
+        # The sampler's one-hot states: no outer iteration runs.
         cs = ConstraintSet([TokenCount(token=0, op="le", k=1)])
         rows = SeqDist.one_hot(Sequence((0, 0, 0)), 2).rows
-        seed = (np.array([0.5]), np.array([4.0]))
-        res = alm_project(SeqDist(rows), cs, multipliers=seed)
+        res = alm_project(SeqDist(rows), cs)
         assert res.feasible
         assert res.outer_iters == 0
         assert decode(res.projected) == Sequence((0, 1, 1))
-        assert np.array_equal(res.multipliers[0], seed[0])
-        assert np.array_equal(res.multipliers[1], seed[1])
 
     def test_one_hot_falls_back_to_loop_when_search_stops_short(self):
         # From (1, 1, 1, 0) the search alone stops at (0, 0, 1, 0): three
@@ -181,7 +179,7 @@ class TestAlmProject:
         cs = ConstraintSet([TokenCount(token=0, op="ge", k=3), Position(position=3, token=1)])
         rows = SeqDist.one_hot(Sequence((1, 1, 1, 0)), 2).rows
         base = (1, 1, 1, 0)
-        assert _decode_search(rows, cs, 0.0, base, base) == ((0, 0, 1, 0), 1.0)
+        assert search_one(rows, cs, 0.0, base, base) == ((0, 0, 1, 0), 1.0)
         res = alm_project(SeqDist(rows), cs)
         assert res.feasible
         assert decode(res.projected) == Sequence((0, 0, 0, 1))
@@ -207,20 +205,6 @@ class TestAlmProject:
         cs = ConstraintSet([Forbidden(int(decode(SeqDist(rows))[0]))])
         res = alm_project(SeqDist(rows), cs)
         assert res.kl_moved == pytest.approx(kl_divergence(rows, res.projected.rows), abs=1e-12)
-
-    def test_multiplier_seed_shapes_checked(self):
-        cs = ConstraintSet([Forbidden(0)])
-        rows = np.array([[0.6, 0.4]])
-        bad = (np.zeros(2), np.ones(2))
-        with pytest.raises(ValueError):
-            alm_project(SeqDist(rows), cs, multipliers=bad)
-
-    def test_returned_multipliers_usable_as_seed(self):
-        cs = ConstraintSet([TokenCount(token=0, op="le", k=0)])
-        rows = np.array([[0.9, 0.1]])
-        first = alm_project(SeqDist(rows), cs)
-        again = alm_project(SeqDist(rows), cs, multipliers=first.multipliers)
-        assert again.feasible
 
     @pytest.mark.parametrize("seed", range(25))
     def test_near_optimal_on_random_instances(self, seed):
@@ -398,8 +382,11 @@ def reference_flip_costs(rows):
     return table
 
 
-def reference_decode_search(x_rows, cs, delta, start_ids, base_ids, max_sweeps=None):
-    """The lattice search scoring one candidate pattern at a time."""
+def reference_decode_search(x_rows, cs, delta, start_ids, base_ids, max_sweeps=None, moves=None):
+    """The lattice search scoring one candidate pattern at a time.
+
+    When moves is a list, the number of moves the search took is
+    appended to it."""
     table = reference_flip_costs(x_rows)
     seq_len, n = x_rows.shape
     if max_sweeps is None:
@@ -419,6 +406,7 @@ def reference_decode_search(x_rows, cs, delta, start_ids, base_ids, max_sweeps=N
     base = tuple(int(t) for t in base_ids)
     cur_key = min(key(cur), key(base))
     cur = cur_key[2]
+    taken = 0
 
     for _ in range(max_sweeps):
         best = None
@@ -449,7 +437,20 @@ def reference_decode_search(x_rows, cs, delta, start_ids, base_ids, max_sweeps=N
             break
         cur_key = best
         cur = cur_key[2]
+        taken += 1
+    if moves is not None:
+        moves.append(taken)
     return cur, cur_key[0]
+
+
+def search_one(rows, cs, delta, start, base, max_sweeps=None):
+    """_decode_search on one state with its flip-cost table, as (ids, residual)."""
+    ids, residual = _decode_search(
+        _row_flip_costs(rows)[None], cs, delta, np.asarray([start]), np.asarray([base]), max_sweeps
+    )
+    assert ids.shape == (1, rows.shape[0]) and ids.dtype == np.int64
+    assert residual.shape == (1,) and residual.dtype == np.float64
+    return tuple(ids[0].tolist()), float(residual[0])
 
 
 ROW_KINDS = ("dirichlet", "one_hot", "mixed", "zeros", "tied", "pooled")
@@ -519,10 +520,7 @@ class TestDecodeSearch:
         cs = make_constraint_set(rng, n, seq_len)
         base = tuple(int(v) for v in np.argmax(rows, axis=1))
         start = base if rng.random() < 0.25 else tuple(int(v) for v in rng.integers(0, n, size=seq_len))
-        got = _decode_search(rows, cs, delta, start, base)
-        assert got == reference_decode_search(rows, cs, delta, start, base)
-        assert all(type(v) is int for v in got[0])
-        assert type(got[1]) is float
+        assert search_one(rows, cs, delta, start, base) == reference_decode_search(rows, cs, delta, start, base)
 
     def test_c01_shape(self):
         rng = np.random.default_rng(7)
@@ -532,7 +530,7 @@ class TestDecodeSearch:
             rows = random_rows(rng, "one_hot", 10, 13)
             base = tuple(int(v) for v in np.argmax(rows, axis=1))
             start = tuple(int(v) for v in rng.integers(0, 13, size=10))
-            got = _decode_search(rows, cs, 0.0, start, base)
+            got = search_one(rows, cs, 0.0, start, base)
             assert got == reference_decode_search(rows, cs, 0.0, start, base)
             assert got[1] == 0.0
 
@@ -542,10 +540,95 @@ class TestDecodeSearch:
         rows[:, 1] -= 0.1
         cs = ConstraintSet([TokenCount(token=1, op="ge", k=4)])
         base = (0, 0, 0, 0)
-        one = _decode_search(rows, cs, 0.0, base, base, max_sweeps=1)
+        one = search_one(rows, cs, 0.0, base, base, max_sweeps=1)
         assert one == reference_decode_search(rows, cs, 0.0, base, base, max_sweeps=1)
         assert one[0].count(1) == 1
         assert one[1] == 3.0
+
+
+def random_stack(rng):
+    """K in 1..16 states of one (L, N) shape for one search: each state's
+    rows of a random kind (one-hot or soft), its start and base ids, and
+    a set of one to three constraints shared by all."""
+    k, seq_len, n = int(rng.integers(1, 17)), int(rng.integers(1, 7)), int(rng.integers(2, 7))
+    rows = [random_rows(rng, str(rng.choice(ROW_KINDS)), seq_len, n) for _ in range(k)]
+    bases = np.stack([np.argmax(r, axis=1) for r in rows])
+    starts = bases.copy()
+    moved = rng.random(k) < 0.6
+    starts[moved] = rng.integers(0, n, size=(int(moved.sum()), seq_len))
+    return rows, make_constraint_set(rng, n, seq_len), starts, bases
+
+
+class TestBatchedDecodeSearch:
+    """The search of K states at once against the one-at-a-time reference,
+    run state by state."""
+
+    @pytest.mark.parametrize("chunk_rows", [None, 40])
+    @pytest.mark.parametrize("max_sweeps", [None, 1, 3])
+    def test_matches_reference_state_by_state(self, monkeypatch, max_sweeps, chunk_rows):
+        if chunk_rows is not None:  # a state's move groups then straddle chunks
+            monkeypatch.setattr(projection, "SEARCH_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(30 + (max_sweeps or 0))
+        stopped_apart = 0
+        for _ in range(12):
+            rows, cs, starts, bases = random_stack(rng)
+            delta = float(rng.choice([0.0, 0.0, 0.1, 0.5]))
+            tables = np.stack([_row_flip_costs(r) for r in rows])
+            ids, residual = _decode_search(tables, cs, delta, starts, bases, max_sweeps)
+            moves = []
+            for k, r in enumerate(rows):
+                want = reference_decode_search(r, cs, delta, starts[k], bases[k], max_sweeps, moves)
+                assert (tuple(ids[k].tolist()), float(residual[k])) == want, k
+            stopped_apart += len(set(moves)) > 1
+        assert stopped_apart >= 3  # states of one stack stopped in different sweeps
+
+    @pytest.mark.parametrize("chunk_rows", [None, 40])
+    def test_integer_costs_match_one_hot_flip_costs(self, monkeypatch, chunk_rows):
+        # Integer tables, such as the 0/1 ones project_ids builds, take the
+        # exact integer path; from starts away from the base, most moves
+        # pair a flip with a revert.
+        if chunk_rows is not None:
+            monkeypatch.setattr(projection, "SEARCH_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            k, seq_len, n = int(rng.integers(1, 17)), int(rng.integers(1, 9)), int(rng.integers(2, 9))
+            bases = rng.integers(0, n, size=(k, seq_len))
+            starts = np.where(rng.random((k, seq_len)) < 0.5, rng.integers(0, n, size=(k, seq_len)), bases)
+            cs = make_constraint_set(rng, n, seq_len)
+            delta = float(rng.choice([0.0, 0.5]))
+            flips = (np.arange(n) != bases[:, :, None]).astype(np.int8)
+            tables = np.stack([_row_flip_costs(np.eye(n)[b]) for b in bases])
+            got = _decode_search(flips, cs, delta, starts, bases)
+            want = _decode_search(tables, cs, delta, starts, bases)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            # Any small integer costs, the base tokens' too, sum exactly as floats.
+            costs = rng.integers(0, 4, size=(k, seq_len, n)).astype(np.int8)
+            got = _decode_search(costs, cs, delta, starts, bases)
+            want = _decode_search(costs.astype(np.float64), cs, delta, starts, bases)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_project_ids_ranks_one_hot_patterns_by_distance(self, delta):
+        # On one-hot rows every flip costs ln 2, so ranking patterns by
+        # their Hamming distance to the state picks what the flip-cost
+        # tables pick.
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            k, seq_len, n = int(rng.integers(1, 17)), int(rng.integers(1, 9)), int(rng.integers(2, 9))
+            states = rng.integers(0, n, size=(k, seq_len))
+            cs = make_constraint_set(rng, n, seq_len)
+            ids, feasible = project_ids(states, n, cs, AlmConfig(delta=delta))
+            tables = np.stack([_row_flip_costs(np.eye(n)[s]) for s in states])
+            want, residual = _decode_search(tables, cs, delta, states, states)
+            assert np.array_equal(ids, want)
+            assert np.array_equal(feasible, residual == 0.0)
+            for s, got, ok in zip(states, ids, feasible):
+                if ok:
+                    assert cs.satisfied(Sequence(tuple(got.tolist())), slack=delta)
+                else:
+                    # alm_project goes on to its gradient loop.
+                    res = alm_project(SeqDist(np.eye(n)[s]), cs, AlmConfig(delta=delta, max_outer_iter=5))
+                    assert res.outer_iters > 0
 
 
 def planted_stack(rng):
@@ -562,6 +645,11 @@ def planted_stack(rng):
     return cands, cost, excess
 
 
+def lexsort_first(cands, cost, excess):
+    """The first row of the stable sort by (excess, cost, ids)."""
+    return int(np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0])
+
+
 class TestFirstMin:
     """The sweep's move selection against the lexsort it replaced."""
 
@@ -570,8 +658,8 @@ class TestFirstMin:
         signed_zero_ties = full_ties = prefix_ties = 0
         for _ in range(3000):
             cands, cost, excess = planted_stack(rng)
-            want = np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0]
-            assert _first_min(cands, cost, excess) == want
+            want = lexsort_first(cands, cost, excess)
+            assert _first_min(cands, cost, excess, np.zeros(cands.shape[0], dtype=np.intp)).tolist() == [want]
             at_min = excess == excess[want]
             signed_zero_ties += int(excess[want] == 0.0 and len(set(np.signbit(excess[at_min]).tolist())) == 2)
             tied = cands[at_min & (cost == cost[want])]
@@ -582,8 +670,37 @@ class TestFirstMin:
         # Every planted kind of tie was met many times.
         assert min(signed_zero_ties, full_ties, prefix_ties) > 100
 
+    def test_segments_match_lexsort_per_segment(self):
+        # One planted stack cut into segments, so that every kind of tie
+        # also runs across segments: each segment's pick is the sort's on
+        # that segment alone.
+        rng = np.random.default_rng(1)
+        cross_ties = full_ties = 0
+        for _ in range(2000):
+            cands, cost, excess = planted_stack(rng)
+            k = cands.shape[0]
+            cuts = np.sort(rng.choice(np.arange(1, k), size=min(k - 1, int(rng.integers(0, 6))), replace=False))
+            bounds = np.concatenate([[0], cuts, [k]])
+            segment = np.repeat(np.arange(bounds.shape[0] - 1), np.diff(bounds)) * 3  # labels need not be 0..S-1
+            want = [lo + lexsort_first(cands[lo:hi], cost[lo:hi], excess[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            assert _first_min(cands, cost, excess, segment).tolist() == want
+            keys = [(float(excess[w]), float(cost[w]), tuple(cands[w].tolist())) for w in want]
+            cross_ties += int(len(set(keys)) < len(keys))
+            for w in want:
+                seg = segment == segment[w]
+                same = seg & (excess == excess[w]) & (cost == cost[w]) & np.all(cands == cands[w], axis=1)
+                full_ties += int(same.sum() > 1)
+        assert min(cross_ties, full_ties) > 100
+
     def test_signed_zero_excess_ties(self):
         cands = np.array([[2, 0], [1, 0], [1, 0]])
         cost = np.array([0.5, 0.5, 0.5])
-        assert _first_min(cands, cost, np.array([-0.0, 0.0, -0.0])) == 1
-        assert _first_min(cands, cost, np.array([0.0, -0.0, 0.0])) == 1
+        one = np.zeros(3, dtype=np.intp)
+        assert _first_min(cands, cost, np.array([-0.0, 0.0, -0.0]), one).tolist() == [1]
+        assert _first_min(cands, cost, np.array([0.0, -0.0, 0.0]), one).tolist() == [1]
+
+    def test_full_tie_keeps_each_segments_lowest_index(self):
+        cands = np.array([[2, 0], [1, 0], [1, 0], [1, 0], [0, 5], [0, 5]])
+        cost = np.full(6, 0.5)
+        excess = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0])
+        assert _first_min(cands, cost, excess, np.array([0, 0, 0, 1, 1, 1])).tolist() == [1, 4]

@@ -426,29 +426,39 @@ class TestInfeasiblePolicies:
         else:
             cs = ConstraintSet([TokenCount(token=1, op="le", k=1), Forbidden(3)])
         n = corpus.vocab.size
-        inputs = []
+        inputs, fallbacks = [], []
         failing, _ = spy_failing_states(monkeypatch)
 
-        def spy(x_in, *args, **kwargs):
-            inputs.append(np.array(x_in.rows))
-            return real(x_in, *args, **kwargs)
+        def spy_ids(states, *args, **kwargs):
+            inputs.extend(np.array(states))
+            return real_ids(states, *args, **kwargs)
 
-        real = sampler_module.alm_project
-        monkeypatch.setattr(sampler_module, "alm_project", spy)
+        def spy_alm(x_in, *args, **kwargs):
+            fallbacks.append(np.array(x_in.rows))
+            return real_alm(x_in, *args, **kwargs)
+
+        real_ids, real_alm = sampler_module.project_ids, sampler_module.alm_project
+        monkeypatch.setattr(sampler_module, "project_ids", spy_ids)
+        monkeypatch.setattr(sampler_module, "alm_project", spy_alm)
         config = SampleConfig(
             steps=16, length=10, kernel=kernel, num_samples=4, rng_seed=0, infeasible_policy=policy, trace=False
         )
         sample_constrained(corpus, cs, config)
         if policy == "continue":
             # No chain-step passes the screen and none redraws, so each
-            # distinct (step, id row) pair is projected once.
+            # distinct (step, id row) pair is projected once, and, being
+            # infeasible, goes on to the gradient loop.
             assert sum(len(rows) for rows in failing.values()) == 16 * 4
-            assert len(inputs) == sum(len(set(rows)) for rows in failing.values())
+            assert len(inputs) == len(fallbacks) == sum(len(set(rows)) for rows in failing.values())
         else:
             assert 0 < len(inputs) < 16 * 4  # the screen passes feasible chains
-        for rows in inputs:
-            ids = rows.argmax(axis=1)
+        for ids in inputs:
+            assert ids.dtype == np.int64 and ids.shape == (10,)
             assert np.all((ids >= 0) & (ids < n))
+        states = {ids.tobytes() for ids in inputs}
+        for rows in fallbacks:
+            ids = rows.argmax(axis=1)
+            assert ids.tobytes() in states
             assert np.array_equal(rows, np.eye(n)[ids])
 
 
@@ -456,23 +466,78 @@ class TestProjectionMemo:
     @pytest.mark.parametrize("kernel", ["masked", "uniform"])
     def test_each_distinct_failing_state_projected_once(self, monkeypatch, kernel):
         # On the c01 shape many chains share a state, most of all at t = T
-        # under the masked kernel; alm_project is a function of its input,
-        # so each step projects each of its distinct failing states once.
+        # under the masked kernel; a projection is a function of its
+        # state, so each step makes one project_ids call holding each of
+        # its distinct failing states once.
         corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
         cs = ConstraintSet([LinearScore(weights=np.random.default_rng(0).uniform(0.0, 1.0, size=13), tau=0.25)])
         failing, current = spy_failing_states(monkeypatch)
-        projected = []
-        real = sampler_module.alm_project
+        projected, calls = [], collections.Counter()
+        real = sampler_module.project_ids
 
-        def spy(x_in, *args, **kwargs):
-            projected.append((current[0], state_bytes(x_in)))
-            return real(x_in, *args, **kwargs)
+        def spy(states, *args, **kwargs):
+            calls[current[0]] += 1
+            projected.extend((current[0], row.tobytes()) for row in states)
+            return real(states, *args, **kwargs)
 
-        monkeypatch.setattr(sampler_module, "alm_project", spy)
+        monkeypatch.setattr(sampler_module, "project_ids", spy)
         config = SampleConfig(steps=16, length=10, kernel=kernel, num_samples=16, rng_seed=0, trace=False)
         sample_constrained(corpus, cs, config)
         assert sum(len(rows) - len(set(rows)) for rows in failing.values()) > 0
         assert sorted(projected) == sorted({(t, row) for t, rows in failing.items() for row in rows})
+        assert set(calls.values()) == {1}
+
+    def test_batched_projection_then_chain_order_retries(self, monkeypatch):
+        # The uniform-kernel c01 run with retries: each projected step
+        # makes one call for its distinct failing states, in order of
+        # first appearance, and a chain that redraws has its new state
+        # projected on its own, right after the redraw, unless the step
+        # has projected that state already.  The samples and records stay
+        # those of the recorded digest.
+        cs = ConstraintSet([Position(6, 7, tau=0.5), TokenCount(token=9, op="ge", k=3), Position(1, 6)])
+        events = []
+        real_passes, real_redraw = sampler_module._Engine._passes, sampler_module._Engine._redraw
+        real_ids = sampler_module.project_ids
+
+        def passes(self, ids, t):
+            passed = real_passes(self, ids, t)
+            events.append(("screen", [row.tobytes() for row in ids[~passed]]))
+            return passed
+
+        def redraw(self, ci, step):
+            new = real_redraw(self, ci, step)
+            events.append(("redraw", new.tobytes()))
+            return new
+
+        def project(states, *args, **kwargs):
+            events.append(("project", [row.tobytes() for row in states]))
+            return real_ids(states, *args, **kwargs)
+
+        monkeypatch.setattr(sampler_module._Engine, "_passes", passes)
+        monkeypatch.setattr(sampler_module._Engine, "_redraw", redraw)
+        monkeypatch.setattr(sampler_module, "project_ids", project)
+        digest = c01_trace_digest(cs, kernel="uniform", rng_seed=22)
+        assert digest == "a75fb256bd42d608ed3463afa50c4d1a193e51e15cd4a7af62e94849e53018e8"
+
+        expected, seen, redraws, reused = [], set(), 0, 0
+        for kind, rows in events:
+            if kind == "screen":
+                seen = set(rows)
+                if rows:
+                    expected.append(("project", list(dict.fromkeys(rows))))
+            elif kind == "redraw":
+                redraws += 1
+                reused += rows in seen
+                if rows not in seen:
+                    seen.add(rows)
+                    expected.append(("project", [rows]))
+        assert [e for e in events if e[0] == "project"] == expected
+        # Each projection comes right after the screen or redraw it serves.
+        for i, event in enumerate(events):
+            if event[0] == "project":
+                assert events[i - 1][0] in ("screen", "redraw")
+        assert redraws > 0 and reused > 0
+        assert any(len(rows) > 1 for kind, rows in expected)
 
     def test_novelty_projects_every_failing_chain(self, monkeypatch):
         # Each novelty_project call claims a sequence, so chains holding
