@@ -39,7 +39,7 @@ from .projection import (
     novelty_project,
     position_project,
 )
-from .relax import RelaxConfig, gumbel_softmax, gumbel_softmax_jacobian
+from .relax import RelaxConfig, gumbel_softmax
 from .sampler import (
     InfeasibleSampleError,
     SampleConfig,
@@ -83,7 +83,6 @@ __all__ = [
     "forward_marginal",
     "forward_sample",
     "gumbel_softmax",
-    "gumbel_softmax_jacobian",
     "kl_divergence",
     "load_constraint_file",
     "novelty_count",

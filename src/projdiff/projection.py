@@ -8,8 +8,10 @@ Three operators cover the three constraint regimes:
                     differentiable constraint surrogates
   position_project  closed-form KL projection for "position p decodes to
                     token v"
-  novelty_project   best-first search for the cheapest decode not yet in
-                    a database, then closed-form row edits to force it
+  novelty_project   the cheapest decode not yet in a database, found in
+                    whole-sequence cost order by a search that is resumed
+                    for each distinct input, then closed-form row edits
+                    to force it
 
 All three take a stack of probability rows x and return a nearby stack y
 whose decoded sequence is feasible, keeping KL(x || y) small.
@@ -611,11 +613,19 @@ class NoveltyDb:
     With a mask_id, every sequence that holds it also counts as present,
     so a novelty pick is never an unfinished decode the sampler would
     have to reject.  len() counts only the stored sequences.
+
+    The database also holds novelty_project's search cursors, one per
+    distinct input, keyed by (shape, bytes) of its rows.  A cursor has
+    passed only sequences the database holds, and add is the database's
+    only change, so the database only grows and a cursor stays valid:
+    its next pick is still the cheapest absent decode.  Clearing cursors
+    discards work, never correctness.
     """
 
     def __init__(self, seqs=(), mask_id: int | None = None):
         self._seen: set[Sequence] = set(seqs)
         self.mask_id = mask_id
+        self.cursors: dict[tuple, _NoveltyCursor] = {}
 
     def __contains__(self, seq: Sequence) -> bool:
         return seq in self._seen or (self.mask_id is not None and self.mask_id in seq.ids)
@@ -631,39 +641,120 @@ class NoveltyDb:
         return cls((s for s, _ in corpus.entries), mask_id=corpus.vocab.mask_id)
 
 
+class _NoveltyCursor:
+    """One input's decodes in (cost, lex) order, resumable across calls.
+
+    Lawler's k-best partition (Management Science 18(7), 1972).  Each
+    position's tokens are ranked by (gap, id); the root decode takes
+    every position's first-ranked token.  A heap item
+    (cost, bound, seq, j, r) stands for seq and its subtree: seq[:j] is
+    fixed, position j holds its rank-r token or a later one, and every
+    later position is free.  Expanding it pushes, for each i >= j, seq
+    with position i moved to its next-ranked token (and every later
+    position at its first-ranked token, as seq already holds them),
+    with fixed prefix length i.  A child differs from its parent at one
+    position, by a token of larger (gap, id), so its cost, summed left
+    to right like oracle.enumerate_novelty's, is no smaller.
+
+    On an exact gap tie the child is also lexicographically larger, so
+    heap order is (cost, lex) order.  Rounding can still tie two sums
+    whose gaps differ by a few ulps, and then a descendant may be
+    lexicographically smaller at equal cost.  So a subtree whose free
+    positions hold such a near tie carries bound, a lower bound on its
+    descendants (its decode with zeros from the first near-tied
+    position on), and its decode is re-pushed as an expanded item
+    (j = -1) once its children are in the heap; elsewhere bound is seq
+    itself and the decode is final when popped.
+    """
+
+    __slots__ = ("orders", "tied_from", "heap")
+
+    def __init__(self, gaps: np.ndarray, mask_id: int | None):
+        length = gaps.shape[0]
+        ranked = np.argsort(gaps, axis=1, kind="stable").tolist()
+        # Every completion of a decode holding a banned MASK is in db already.
+        self.orders = tuple(tuple(v for v in row if v != mask_id) for row in ranked)
+        # A left-to-right sum of L nonnegative terms is off by at most
+        # about (L - 1) * 2^-53 times the exact sum (Higham, Accuracy and
+        # Stability of Numerical Algorithms, section 4.2), so two sums
+        # that differ in one term by more than tol, which covers that
+        # error on both with room to spare, round to different floats.
+        ascending = np.sort(gaps, axis=1)
+        tol = 8.0 * length * 2.0**-53 * float(ascending[:, -1].sum())
+        steps = ascending[:, 1:] - ascending[:, :-1]
+        near = ((steps > 0.0) & (steps <= tol)).any(axis=1).tolist()
+        tied_from = [length] * (length + 1)
+        for i in range(length - 1, -1, -1):
+            tied_from[i] = i if near[i] else tied_from[i + 1]
+        self.tied_from = tuple(tied_from)
+        self.heap: list[tuple] = []
+        if all(self.orders):
+            root = tuple(order[0] for order in self.orders)
+            cost = 0.0
+            for row, v in zip(gaps.tolist(), root):
+                cost += row[v]
+            self.heap.append((cost, self._bound(root, 0), root, 0, 0))
+
+    def _bound(self, seq: tuple, i: int) -> tuple:
+        k = self.tied_from[i]
+        return seq if k == len(seq) else seq[:k] + (0,) * (len(seq) - k)
+
+    def next_absent(self, gaps: list, db: NoveltyDb) -> Sequence:
+        """Pop decodes until one is absent from db; raises
+        NoveltySaturationError once the heap is empty."""
+        heap, orders = self.heap, self.orders
+        length = len(orders)
+        while heap:
+            cost, bound, seq, j, r = heapq.heappop(heap)
+            if j >= 0:
+                prefix = 0.0
+                for i in range(j):
+                    prefix += gaps[i][seq[i]]
+                for i in range(j, length):
+                    k = r + 1 if i == j else 1
+                    if k < len(orders[i]):
+                        v = orders[i][k]
+                        child = seq[:i] + (v,) + seq[i + 1 :]
+                        child_cost = prefix + gaps[i][v]
+                        for p in range(i + 1, length):
+                            child_cost += gaps[p][seq[p]]
+                        heapq.heappush(heap, (child_cost, self._bound(child, i), child, i, k))
+                    prefix += gaps[i][seq[i]]
+                if bound is not seq:
+                    heapq.heappush(heap, (cost, seq, seq, -1, 0))
+                    continue
+            candidate = Sequence(seq)
+            if candidate not in db:
+                return candidate
+        raise NoveltySaturationError("database already contains every sequence")
+
+
 def novelty_project(x_in: SeqDist, db: NoveltyDb, eps: float = ARGMAX_EPS) -> SeqDist:
     """Force the decode to the cheapest sequence absent from db.
 
     Candidate cost is the argmax probability given up position by
-    position, sum_i (max_v x[i, v] - x[i, sigma_i]); a best-first search
-    over prefixes finds the minimum, breaking ties toward the
-    lexicographically smallest sequence.  The selected sequence is added
-    to db, and rows that already decode to it pass through unchanged.
+    position, sum_i (max_v x[i, v] - x[i, sigma_i]), summed left to
+    right; the minimum is found in whole-sequence cost order, breaking
+    ties toward the lexicographically smallest sequence.  The search is
+    resumed per distinct input: db keeps a cursor for these rows (see
+    NoveltyDb), so a later call with equal rows goes on from where this
+    one stopped.  The selected sequence is added to db, and rows that
+    already decode to it pass through unchanged.
 
     Raises NoveltySaturationError when db covers all N^L sequences.
     """
     rows = x_in.rows
-    length, n = rows.shape
-    gaps = (rows.max(axis=1, keepdims=True) - rows).tolist()  # flip cost per position/token
-    # Every completion of a prefix holding a banned MASK is in db already.
-    tokens = [v for v in range(n) if v != db.mask_id]
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
-    selected: Sequence | None = None
-    while heap:
-        cost, prefix = heapq.heappop(heap)
-        if len(prefix) == length:
-            seq = Sequence(prefix)
-            if seq not in db:
-                selected = seq
-                break
-            continue
-        row = gaps[len(prefix)]
-        for v in tokens:
-            heapq.heappush(heap, (cost + row[v], prefix + (v,)))
-    if selected is None:
-        raise NoveltySaturationError("database already contains every sequence")
+    gaps = rows.max(axis=1, keepdims=True) - rows  # flip cost per position/token
+    key = (rows.shape, rows.tobytes())
+    cursor = db.cursors.get(key)
+    if cursor is None:
+        cursor = db.cursors[key] = _NoveltyCursor(gaps, db.mask_id)
+    selected = cursor.next_absent(gaps.tolist(), db)
     db.add(selected)
+    changed = [i for i, (a, v) in enumerate(zip(rows.argmax(axis=1).tolist(), selected)) if a != v]
+    if not changed:
+        return x_in
     out = rows.copy()
-    for i, v in enumerate(selected):
-        out[i] = _force_argmax_row(out[i], v, eps)
+    for i in changed:
+        out[i] = _force_argmax_row(rows[i], selected[i], eps)
     return SeqDist(out)

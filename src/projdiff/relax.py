@@ -9,7 +9,8 @@ rows toward their argmax while keeping the map differentiable, which
 lets constraint scores defined on decoded sequences receive gradients.
 At temperature 1 with no noise the map is the identity on zero-free rows.
 
-The Jacobian has the closed form
+Gradients flow back through backend.ops.relax_vjp, which applies the
+closed-form Jacobian
 
     d phi_j / d d_v = phi_j (1[j = v] - phi_v) / (temperature * d_v)
 
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from ._ops_numpy import PROB_FLOOR
 from .core import SeqDist, as_rows
 
 
@@ -57,14 +57,3 @@ def gumbel_softmax(dist, config: RelaxConfig = RelaxConfig()) -> SeqDist:
     rows = as_rows(dist)
     phi = backend.ops.relax_forward(rows, config.noise(rows.shape), config.temperature)
     return SeqDist(phi)
-
-
-def gumbel_softmax_jacobian(dist, config: RelaxConfig = RelaxConfig()) -> np.ndarray:
-    """(L, N, N) array J with J[i, j, v] = d phi[i, j] / d d[i, v]."""
-    rows = as_rows(dist)
-    phi = backend.ops.relax_forward(rows, config.noise(rows.shape), config.temperature)
-    floored = np.maximum(rows, PROB_FLOOR)
-    eye = np.eye(rows.shape[1])
-    # J[i, j, v] = phi[i, j] * (delta_jv - phi[i, v]) / (T * d[i, v])
-    jac = phi[:, :, None] * (eye[None, :, :] - phi[:, None, :])
-    return jac / (config.temperature * floored[:, None, :])

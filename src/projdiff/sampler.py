@@ -25,7 +25,10 @@ Chains are then handled in chain order: each takes its state's result,
 and a chain whose result is infeasible, or holds MASK at t = 1, redraws
 at its own turn and has its new state projected on its own, so the rng
 stream does not depend on the batching.  Novelty mode projects each
-failing chain in chain order, from the one-hot rows of its ids.
+failing chain in chain order, from the one-hot rows of its ids; chains
+that share a state resume one search in the database, and the sampler
+drops the database's search cursors when its novelty step ends, so they
+hold at most one step's distinct states.
 
 Projection scheduling: step t projects when t <= T - project_start and
 T - project_start - t is a multiple of project_every, and the final
@@ -274,6 +277,8 @@ class _Engine:
                         self._project_chain(ci, offset + ci, t, ids, step, traces)
                     elif worst is not None:
                         traces.append(TraceRecord(offset + ci, t, True, worst[ci], worst[ci], 0.0, 0, 0.0))
+                if self.cfg.projection_mode == "novelty":
+                    self.db.cursors.clear()
             elif self.cfg.trace:
                 for ci, v in enumerate(self._decoded_violations(ids)):
                     traces.append(TraceRecord(offset + ci, t, False, v, v, 0.0, 0, 0.0))

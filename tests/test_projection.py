@@ -365,6 +365,97 @@ class TestNoveltyProject:
             novelty_project(SeqDist(np.full((2, 2), 0.5)), db)
 
 
+
+def claim_until_saturated(rows, db, before_call=lambda db: None):
+    """Claim picks for rows until db saturates, checking each against the
+    scan; before_call(db) runs ahead of every call and may add to db.
+    Returns the number of picks."""
+    picks = 0
+    while True:
+        before_call(db)
+        try:
+            expect, _ = enumerate_novelty(rows, db)
+        except ValueError:
+            break
+        out = novelty_project(SeqDist(rows), db)
+        assert decode(out) == expect
+        # Only positions whose argmax moves are forced; the rest pass through.
+        forced = np.stack([_force_argmax_row(rows[i], v) for i, v in enumerate(expect)])
+        assert np.array_equal(out.rows, forced)
+        picks += 1
+    for _ in range(2):
+        with pytest.raises(NoveltySaturationError):
+            novelty_project(SeqDist(rows), db)
+    return picks
+
+
+def near_tie_rows(rng, length, n):
+    """Rows whose entries tie exactly or differ by a few ulps, so that sums
+    of their gaps tie after rounding although the gaps differ."""
+    rows = rng.choice([1.0, 2.0, 3.0], size=(length, n))
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows + rng.integers(-2, 3, size=rows.shape) * np.spacing(rows)
+
+
+class TestNoveltyResume:
+    """novelty_project resumes one search per distinct input; every pick
+    must still be the scan's, call after call on one database."""
+
+    @staticmethod
+    def case_rows(case, rng, length, n):
+        if case == "dirichlet":
+            return rng.dirichlet(np.ones(n), size=length)
+        if case == "tied":
+            rows = rng.integers(1, 3, size=(length, n)).astype(float)
+            return rows / rows.sum(axis=1, keepdims=True)
+        if case == "mask_argmax":
+            rows = rng.dirichlet(np.ones(n), size=length)
+            rows[:, n - 1] += 1.0
+            return rows / rows.sum(axis=1, keepdims=True)
+        return np.eye(n)[rng.integers(0, n, size=length)]  # one-hot, as the sampler passes
+
+    @pytest.mark.parametrize("case", ["dirichlet", "tied", "mask_argmax", "one_hot"])
+    @pytest.mark.parametrize("mask", [False, True])
+    def test_repeated_rows_match_scan_until_saturated(self, case, mask):
+        length, n = 3, 4
+        rng = np.random.default_rng(len(case) * 2 + mask)
+        rows = self.case_rows(case, rng, length, n)
+        mask_id = n - 1 if mask else None
+        db = NoveltyDb([Sequence((0, 1, 2)), Sequence((2, 2, 0))], mask_id=mask_id)
+        free = (n - 1 if mask else n) ** length - 2
+        assert claim_until_saturated(rows, db) == free
+        assert len(db.cursors) == 1
+
+    def test_database_growing_between_calls(self):
+        # Sequences added behind the cursor's back, among them the very
+        # pick it would make next, are skipped.
+        length, n = 3, 3
+        rng = np.random.default_rng(7)
+        rows = rng.dirichlet(np.ones(n), size=length)
+        db = NoveltyDb()
+        calls = iter(range(10**6))
+
+        def before_call(db):
+            k = next(calls)
+            if k % 3 == 0:
+                db.add(Sequence(tuple(int(v) for v in rng.integers(0, n, size=length))))
+            elif k % 3 == 1 and len(db) < n**length:
+                db.add(enumerate_novelty(rows, db)[0])
+
+        assert 0 < claim_until_saturated(rows, db, before_call) < n**length
+        assert len(db) == n**length
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_near_tied_gaps_keep_lexicographic_order(self, seed):
+        # Gap sums that round to equal floats must still resolve to the
+        # lexicographically smallest sequence, as the scan does, even when
+        # the smaller sequence takes a token with a slightly larger gap.
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            db = NoveltyDb()
+            assert claim_until_saturated(near_tie_rows(rng, 3, 3), db) == 27
+
+
 def reference_flip_costs(rows):
     """Flip-cost table entry by entry: pool each (row, target) pair and
     take the KL over the row's support."""

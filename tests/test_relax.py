@@ -1,13 +1,10 @@
-"""Differentiable argmax relaxation: forward map and Jacobian."""
+"""Differentiable argmax relaxation: the forward map."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from projdiff import backend
 from projdiff.core import SeqDist, decode
-from projdiff.relax import RelaxConfig, gumbel_softmax, gumbel_softmax_jacobian
+from projdiff.relax import RelaxConfig, gumbel_softmax
 
 
 def random_rows(seed, length=3, n=4, floor=1e-3):
@@ -66,23 +63,3 @@ def test_zero_coordinates_survive_via_floor():
     assert np.all(np.isfinite(out.rows))
     assert out.rows[0, 0] > 0.999
 
-
-@given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 1.0, 2.0]))
-@settings(max_examples=40, deadline=None)
-def test_jacobian_matches_finite_differences(seed, temperature):
-    rows = random_rows(seed, floor=5e-3)
-    cfg = RelaxConfig(temperature=temperature)
-    jac = gumbel_softmax_jacobian(SeqDist(rows), cfg)
-    h = 1e-7
-    for i in range(rows.shape[0]):
-        for v in range(rows.shape[1]):
-            up = rows.copy()
-            dn = rows.copy()
-            up[i, v] += h
-            dn[i, v] -= h
-            # Probe the raw map off the simplex; the relaxation itself
-            # only needs positive coordinates.
-            phi_up = backend.ops.relax_forward(up, None, temperature)
-            phi_dn = backend.ops.relax_forward(dn, None, temperature)
-            fd = (phi_up[i] - phi_dn[i]) / (2 * h)
-            assert np.allclose(jac[i, :, v], fd, rtol=2e-4, atol=1e-6)

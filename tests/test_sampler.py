@@ -11,9 +11,10 @@ import pytest
 from projdiff import backend
 from projdiff import sampler as sampler_module
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
-from projdiff.core import SeqDist, Sequence
+from projdiff.core import SeqDist, Sequence, decode
 from projdiff.denoiser import ExactBayesDenoiser
 from projdiff.noise import reverse_mixture_rows
+from projdiff.oracle import enumerate_novelty
 from projdiff.projection import NoveltyDb
 from projdiff.sampler import (
     InfeasibleSampleError,
@@ -361,6 +362,35 @@ class TestNoveltyMode:
         assert all(s not in snapshot for s in seqs)
         # The shared database accumulated every claim.
         assert all(s in db for s in seqs)
+
+    def test_search_cursors_dropped_after_run(self, toy_corpus):
+        db = NoveltyDb.from_corpus(toy_corpus)
+        sample_constrained(toy_corpus, None, cfg(projection_mode="novelty", num_samples=30), novelty_db=db)
+        assert db.cursors == {}
+
+    def test_reused_database_picks_match_scan(self, toy_corpus, monkeypatch):
+        # A second run on the first run's database starts fresh cursors on
+        # a database that has grown; every pick of both runs is the scan's.
+        real = sampler_module.novelty_project
+        checked = []
+
+        def checked_project(dist, db, **kwargs):
+            expected, _cost = enumerate_novelty(dist, db)
+            out = real(dist, db, **kwargs)
+            checked.append((decode(out), expected))
+            return out
+
+        monkeypatch.setattr(sampler_module, "novelty_project", checked_project)
+        db = NoveltyDb.from_corpus(toy_corpus)
+        emitted = []
+        for seed in (3, 4):
+            config = cfg(projection_mode="novelty", num_samples=60, rng_seed=seed, trace=False)
+            seqs, _ = sample_constrained(toy_corpus, None, config, novelty_db=db)
+            emitted.extend(seqs)
+            assert db.cursors == {}
+        assert len(checked) == 120
+        assert all(got == expected for got, expected in checked)
+        assert len(set(emitted)) == 120
 
     def test_trace_records_kl_moved(self, toy_corpus):
         # Chains whose draw the database already holds are redirected, and
