@@ -12,6 +12,7 @@ from .constraints import (
     Forbidden,
     LinearScore,
     Position,
+    PositionTerms,
     TokenCount,
     load_constraint_file,
     parse_constraint_spec,
@@ -67,6 +68,7 @@ __all__ = [
     "NoveltyDb",
     "NoveltySaturationError",
     "Position",
+    "PositionTerms",
     "RelaxConfig",
     "SampleConfig",
     "Schedule",

@@ -13,6 +13,12 @@ exactly on the feasible set.  Each score comes in two forms:
 relaxed_grad returns the (L, N) gradient of the relaxed score so that an
 optimizer can move probability rows; at one-hot rows the two scores
 coincide for all families here.
+
+position_terms(length, n) optionally writes the hard score as a sum of
+per-position table entries passed through a map phi (PositionTerms);
+the lattice search bounds its moves' scores from these tables and
+scores exactly only the moves that can win.  A constraint without
+them (the base class returns None) is scored exactly on every move.
 """
 
 from __future__ import annotations
@@ -26,8 +32,40 @@ import numpy as np
 from .core import Sequence, Vocabulary, as_rows
 
 
+@dataclass(frozen=True)
+class PositionTerms:
+    """A hard score as a per-position table and an affine map phi.
+
+    In exact arithmetic hard_score(ids) = phi(sum_i table[i, ids[i]]) on
+    every length-long id sequence, where table is (L, N) and phi(S) =
+    scale * S + offset, or its absolute value when absolute is set.
+    hard_scores may evaluate this in floating point in any order: sum the
+    L terms by any tree, then apply phi with at most three roundings.
+    An integer table with integer scale and offset declares the scores
+    exact.
+    """
+
+    table: np.ndarray
+    scale: float
+    offset: float
+    absolute: bool = False
+
+    @property
+    def exact(self) -> bool:
+        """Whether the table is integer and so are scale and offset."""
+        integer = np.issubdtype(np.asarray(self.table).dtype, np.integer)
+        return integer and float(self.scale).is_integer() and float(self.offset).is_integer()
+
+
 class Constraint:
-    """Interface; see module docstring for the score convention."""
+    """Interface; see module docstring for the score convention.
+
+    A subclass must define hard_scores (and, for projection on soft
+    rows, relaxed_score and relaxed_grad).  It may define position_terms
+    when its hard score has that form; the lattice search then bounds
+    its moves by the table and scores fewer of them exactly, with the
+    same result.
+    """
 
     name: str
     tau: float
@@ -38,6 +76,12 @@ class Constraint:
 
     def hard_score(self, seq: Sequence) -> float:
         return float(self.hard_scores(np.asarray([seq.ids]))[0])
+
+    def position_terms(self, length: int, n: int) -> PositionTerms | None:
+        """The hard score's per-position form on length-long sequences
+        over n tokens, or None when it has none (every move of the
+        search is then scored exactly)."""
+        return None
 
     def relaxed_score(self, dist) -> float:
         raise NotImplementedError
@@ -83,6 +127,9 @@ class LinearScore(Constraint):
 
     def hard_scores(self, ids: np.ndarray) -> np.ndarray:
         return self.weights[ids].mean(axis=1)
+
+    def position_terms(self, length: int, n: int) -> PositionTerms:
+        return PositionTerms(np.broadcast_to(self.weights, (length, n)), 1.0 / length, 0.0)
 
     def relaxed_score(self, dist) -> float:
         rows = as_rows(dist)
@@ -149,6 +196,13 @@ class TokenCount(Constraint):
     def hard_scores(self, ids: np.ndarray) -> np.ndarray:
         return self._score((ids == self.token).sum(axis=1).astype(np.float64))
 
+    def position_terms(self, length: int, n: int) -> PositionTerms:
+        table = np.zeros((length, n), dtype=np.int64)
+        table[:, self.token] = 1
+        if self.op == "ge":
+            return PositionTerms(table, -1, self.k)
+        return PositionTerms(table, 1, -self.k, absolute=self.op == "eq")
+
     def relaxed_score(self, dist) -> float:
         rows = as_rows(dist)
         return self._score(float(rows[:, self.token].sum()))
@@ -205,6 +259,13 @@ class Position(Constraint):
         if self.position >= ids.shape[1]:
             raise ValueError(f"{self.name}: sequence too short")
         return np.where(ids[:, self.position] == self.token, -1.0, 1.0)
+
+    def position_terms(self, length: int, n: int) -> PositionTerms:
+        if self.position >= length:
+            raise ValueError(f"{self.name}: sequence too short")
+        table = np.zeros((length, n), dtype=np.int64)
+        table[self.position, self.token] = 1
+        return PositionTerms(table, -2, 1)
 
     def _rival(self, row: np.ndarray) -> int:
         masked = row.copy()

@@ -157,9 +157,9 @@ class Sequence:
 class SeqDist:
     """L rows of categorical distributions over N tokens.
 
-    Rows live on the probability simplex: nonnegative, each summing to one
-    within 1e-9.  The backing array is read only; operations return new
-    instances.
+    Rows live on the probability simplex: nonnegative (not NaN), each
+    summing to one within 1e-9.  The backing array is read only;
+    operations return new instances.
     """
 
     __slots__ = ("rows",)
@@ -170,12 +170,13 @@ class SeqDist:
             raise ValueError(f"expected 2-d rows, got shape {arr.shape}")
         if arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValueError("empty distribution")
-        if np.any(arr < 0):
-            raise ValueError("negative probability")
-        sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            worst = float(np.max(np.abs(sums - 1.0)))
-            raise ValueError(f"row sums deviate from 1 by {worst:.3e}")
+        # Both checks are negated so that NaN, which fails every
+        # comparison, fails them.
+        if not np.all(arr >= 0):
+            raise ValueError("negative or NaN probability")
+        deviation = np.abs(arr.sum(axis=1) - 1.0)
+        if not np.all(deviation <= ROW_SUM_TOL):
+            raise ValueError(f"row sums deviate from 1 by {float(deviation.max()):.3e}")
         arr.setflags(write=False)
         self.rows = arr
 
@@ -198,8 +199,8 @@ class SeqDist:
         """Build from nonnegative rows, renormalizing each to sum one."""
         arr = np.asarray(rows, dtype=np.float64)
         sums = arr.sum(axis=1, keepdims=True)
-        if np.any(sums <= 0):
-            raise ValueError("cannot normalize a zero row")
+        if not np.all((sums > 0) & (sums < np.inf)):
+            raise ValueError("cannot normalize a zero, infinite or NaN row")
         return cls(arr / sums)
 
     @classmethod

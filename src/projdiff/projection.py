@@ -21,6 +21,12 @@ whose decoded sequence is feasible, keeping KL(x || y) small.
                     returned as token ids, in one batched search
                     (_decode_search) with no rows built; pooled_rows
                     turns a picked decode back into the minimum-KL rows
+
+Each sweep of the lattice search bounds every move's constraint scores
+and cost on grids built from per-position tables
+(Constraint.position_terms), with a tolerance that covers float
+rounding, and scores exactly only the moves those bounds leave able to
+win, so its result is that of scoring every move.
 """
 
 from __future__ import annotations
@@ -430,9 +436,78 @@ def _first_min(cands: np.ndarray, cost: np.ndarray, excess: np.ndarray, segment:
     return rows
 
 
-# Candidate rows scored per hard_violations_batch call: caps the
-# search's temporaries however many states a batch holds.
+# Grid cells per chunk of move groups: SEARCH_CHUNK_ROWS * L, the ids
+# of that many candidate rows, unless one group alone is wider.  Caps
+# the search's temporaries however many states a batch holds.
 SEARCH_CHUNK_ROWS = 1024
+
+# The search's tolerance is 8 (L + 4) u A, u being the unit roundoff of
+# float64 (see _decode_search).
+_TOL_ULPS = 8.0 * 2.0**-53
+
+
+class _TermStack:
+    """Every constraint's PositionTerms, stacked along a last axis of m.
+
+    tables is (L, N, m) float64, each constraint's table times its
+    scale, and zero for a constraint without terms (free); offset and
+    taus are (m,) arrays, and so are tol, absolute and free unless no
+    constraint needs them (None).
+    """
+
+    def __init__(self, cs: ConstraintSet, seq_len: int, n: int):
+        terms = [c.position_terms(seq_len, n) for c in cs]
+        zero = np.zeros((seq_len, n))
+        scaled = [zero if t is None else t.scale * np.asarray(t.table, dtype=np.float64) for t in terms]
+        self.tables = np.stack(scaled, axis=-1)
+        self.offset = np.asarray([0.0 if t is None else t.offset for t in terms], dtype=np.float64)
+        self.taus = np.asarray([c.tau for c in cs], dtype=np.float64)
+        tol = [0.0 if t is None or t.exact else _tolerance(h, t.offset) for t, h in zip(terms, scaled)]
+        absolute = [t is not None and t.absolute for t in terms]
+        free = [t is None for t in terms]
+        self.absolute = np.asarray(absolute) if any(absolute) else None
+        self.free = np.asarray(free) if any(free) else None
+        self.tol = np.asarray(tol) if any(tol) or self.free is not None else None
+
+    def excess_bounds(self, score: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds of the total excess at scores (..., m)
+        within tolerance of the exact ones, overwriting score; one array
+        twice when every score is exact."""
+        if self.tol is None:
+            if self.absolute is not None:
+                np.abs(score, out=score, where=self.absolute)
+            excess = self._total(score, delta)
+            return excess, excess
+        lo = score - self.tol
+        hi = score
+        hi += self.tol
+        if self.absolute is not None:  # |x| over x in [lo, hi]
+            lo, hi = (
+                np.where(self.absolute, np.maximum(np.maximum(lo, -hi), 0.0), lo),
+                np.where(self.absolute, np.maximum(-lo, hi), hi),
+            )
+        if self.free is not None:  # no terms: the score is unbounded
+            lo[..., self.free] = -np.inf
+            hi[..., self.free] = np.inf
+        return self._total(lo, delta), self._total(hi, delta)
+
+    def _total(self, score, delta):
+        # The operations of hard_violations_batch, then _total_excess, in
+        # place: each is monotone in the score.
+        score -= self.taus
+        return _total_excess(np.maximum(score, 0.0, out=score), delta)
+
+
+def _tolerance(scaled: np.ndarray, offset: float) -> float:
+    """8 (L + 4) u A for a scaled (L, N) table; see _decode_search."""
+    return _TOL_ULPS * (scaled.shape[0] + 4) * (np.abs(scaled).max(axis=1).sum() + abs(offset))
+
+
+def _total_excess(violations: np.ndarray, delta: float) -> np.ndarray:
+    """Violation beyond delta summed over the last axis of m
+    constraints, computed in place."""
+    violations -= delta
+    return np.maximum(violations, 0.0, out=violations).sum(axis=-1)
 
 
 def _decode_search(
@@ -460,36 +535,78 @@ def _decode_search(
     pairs that revert one already-changed position back to the base
     while changing another, which lets a misplaced flip migrate to a
     cheaper row.  Each state starts from the better of its start and
-    base patterns.
+    base patterns (scored once when starts is bases).  A qualifying
+    state only takes strictly cheaper moves.  Each state moves to the
+    least key among its moves if that is below its current key, and
+    otherwise stops, so each result equals that of scoring its moves
+    one by one.
 
-    Each sweep builds the moves of every state still moving at once, in
+    Each sweep takes the moves of every state still moving at once, in
     groups: a state's single moves, then one group per changed position
-    reverted.  They are scored in chunks of whole groups, at most
-    SEARCH_CHUNK_ROWS rows unless one group alone is wider, violations by
-    one ConstraintSet.hard_violations_batch call per chunk.
-    Float costs are gathered from the tables and summed left to right;
-    integer costs sum exactly in any order, so a move's cost is its
-    pattern's plus the entries it changes.  Once a state's pattern
-    qualifies, only strictly cheaper moves count.  _first_min picks the
-    least (excess, cost, ids) key of each state in a chunk, then of each
-    state's chunk winners; a state moves there if that is below its
-    current key and otherwise stops, so each result equals that of
-    scoring its moves one by one.
+    reverted.  A chunk of whole groups, at most SEARCH_CHUNK_ROWS * L
+    grid cells, is first bounded on (G, L, N) grids whose cell (g, i, v)
+    is group g's pattern with position i at token v (a cell at the token
+    held or at the reverted position is the current pattern or one of
+    its single moves, so it changes no state's least key):
+
+      - each constraint's score, phi of its PositionTerms table sum (the
+        group's L entries, plus the moved position's new entry less its
+        held one), all constraints at once on a stacked (L, N, m) table;
+      - each move's cost, updated the same way from the group's L
+        entries of the cost table; exact on integer tables.
+
+    A score or cost from float entries carries a tolerance tol =
+    8 (L + 4) u A, where u = 2^-53 and A = |scale| sum_i max_v
+    |table[i, v]| + |offset| (a cost table has scale 1, offset 0).  A
+    float sum of k terms, by any tree, is within (k - 1) u / (1 - (k -
+    1) u) times the terms' total magnitude of the exact sum (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 4.2).  The
+    exact value, hard_scores (L terms summed by any tree, then phi) or
+    cost_of (L costs left to right), is thus within about (L + 2) u A of
+    phi at the exact sum.  The grid value adds L + 3 terms, each table
+    entry rounded once when scaled: the group's L entries, the offset,
+    and the moved position's new entry and held one, whose magnitudes
+    total at most 3 A; it is within about (3L + 9) u A.  The two together
+    stay below tol with room for rounding score +- tol.  Integer tables
+    with integer scale and offset give exact scores (no tolerance).
+    Score bounds then go through the very operations of
+    hard_violations_batch and of the excess total, all monotone, so they
+    bound each move's exact excess; a constraint without PositionTerms
+    has scores in (-inf, inf) and bounds no move.
+
+    A move is pruned when it cannot be its state's least key below the
+    current key:
+
+      1. its lowest possible excess is above the least of its state's
+         current excess and the highest possible excesses of its state's
+         moves in the chunk; or
+      2. some of its state's moves in the chunk surely reach zero
+         excess, and its lowest possible cost is above the least highest
+         possible cost among those; or
+      3. its state qualifies, and its lowest possible cost is not below
+         the current cost.
+
+    Comparisons with a NaN bound fail, and such a move stays.  Only the
+    survivors get id rows, exact excess from one
+    ConstraintSet.hard_violations_batch call per chunk and exact cost
+    (the integer update, or cost_of on float tables).  _first_min then
+    picks the least (excess, cost, ids) key of each state in a chunk,
+    then of each state's chunk winners, and _key_less compares it with
+    the state's current key; a state left with no survivor stops.
     """
     k_states, seq_len, n = tables.shape
     if max_sweeps is None:
         max_sweeps = seq_len + 8
     flat = tables.reshape(k_states * seq_len, n)
-    entries = flat.ravel()
     positions = np.arange(seq_len)
+    same = starts is bases
     starts = np.asarray(starts, dtype=np.int64)
-    bases = np.asarray(bases, dtype=np.int64)
-    # Integer tables skip the gather and cumsum per candidate; on a 2-core
-    # VM, perfbench's linear workload samples about 28% faster with it.
+    bases = starts if same else np.asarray(bases, dtype=np.int64)
+    # Integer tables give exact costs by update, with no cost_of.
     exact = not np.issubdtype(tables.dtype, np.floating)
 
     def excess_of(cands):
-        return np.maximum(cs.hard_violations_batch(cands) - delta, 0.0).sum(axis=1)
+        return _total_excess(cs.hard_violations_batch(cands), delta)
 
     def cost_of(cands, owner):
         return np.cumsum(flat[(owner * seq_len)[:, None] + positions, cands], axis=1)[:, -1]
@@ -497,49 +614,78 @@ def _decode_search(
     # Each state starts from the lesser key of its start and its base.
     everyone = np.arange(k_states)
     cur, cur_excess, cur_cost = starts.copy(), excess_of(starts), cost_of(starts, everyone)
-    base_key = (excess_of(bases), cost_of(bases, everyone), bases)
-    take = _key_less(base_key, (cur_excess, cur_cost, cur))
-    cur[take], cur_excess[take], cur_cost[take] = bases[take], base_key[0][take], base_key[1][take]
+    if not same:
+        base_key = (excess_of(bases), cost_of(bases, everyone), bases)
+        take = _key_less(base_key, (cur_excess, cur_cost, cur))
+        cur[take], cur_excess[take], cur_cost[take] = bases[take], base_key[0][take], base_key[1][take]
     if n == 1:  # no other token to move to
         return cur, cur_excess
 
-    # The moves of a chunk of groups: in each group, position i to each
-    # token but its current one, as slot o of n - 1, the token
-    # o + (o >= current token).
-    width = seq_len * (n - 1)
-    per_chunk = max(1, SEARCH_CHUNK_ROWS // width)
-    slot_group = np.repeat(np.arange(per_chunk), width)
-    slot_pos = np.tile(np.repeat(positions, n - 1), per_chunk)
-    slot_off = np.tile(np.arange(n - 1), seq_len * per_chunk)
+    terms = _TermStack(cs, seq_len, n)
+    # Flat indices: entry (i, v) of an (L, N) table is i * N + v, and
+    # entry (k, i, v) of the (K, L, N) tables is k * L * N + i * N + v.
+    h = terms.tables.reshape(seq_len * n, -1)
+    entries = tables.ravel()
+    cost_tol = None if exact else _TOL_ULPS * (seq_len + 4) * np.abs(tables).max(axis=2).sum(axis=1)
+    cells = seq_len * n
+    per_chunk = max(1, SEARCH_CHUNK_ROWS * seq_len // cells)
+    at_position = positions * n
     live = everyone
 
-    def moves(gs, gr):
-        """(candidate rows, their states, their costs) of the groups of
-        states gs with reverted positions gr (-1 for none)."""
-        # Each group's pattern before its move, and that pattern's cost.
-        start_ids, start_cost = cur[gs], cur_cost[gs]
+    def survivors(gs, gr, cost_cap):
+        """(candidate rows, their states, their exact costs) of the moves
+        of groups gs (states) with reverted positions gr (-1 for none)
+        that survive the bounds; cost_cap[k] is the highest cost state
+        k can take, by the strictly-cheaper rule."""
+        # Each group's pattern before its move, its scaled table sums and
+        # its cost.
+        start_ids = cur[gs]
         paired = np.flatnonzero(gr >= 0)
-        back = gs[paired], gr[paired]
-        start_ids[paired, back[1]] = bases[back]
-        if exact:
-            start_cost[paired] += tables[back + (bases[back],)]
-            start_cost[paired] -= tables[back + (cur[back],)]
-        slots = gs.shape[0] * width
-        # A move at the reverted position is a single move: leave it out.
-        keep = slot_pos[:slots] != gr.take(slot_group[:slots])
-        label, pos, tok = slot_group[:slots][keep], slot_pos[:slots][keep], slot_off[:slots][keep]
-        # Flat indices: entry (k, i) of a (K, L) array is k * L + i.
-        cands = start_ids.take(label, axis=0)
-        held = start_ids.take(label * seq_len + pos)
-        tok += tok >= held
-        cands.put(np.arange(0, cands.size, seq_len) + pos, tok)
-        owner = gs.take(label)
+        start_ids[paired, gr[paired]] = bases[gs[paired], gr[paired]]
+        held = start_ids + at_position
+        held_terms = h[held]
+        held_cost = entries.take((gs * cells)[:, None] + held)
+        # Grid cell (g, i, v): group g's pattern with position i at token
+        # v.  A cell at the token held, or at the reverted position, is
+        # the current pattern or one of its single moves: it can neither
+        # go below the current key nor hide a lesser move, so it stays.
+        score = terms.tables - held_terms[:, :, None]
+        score += (held_terms.sum(axis=1) + terms.offset)[:, None, None]
+        exc_lo, exc_hi = terms.excess_bounds(score, delta)
+        cost_lo = cost_hi = tables[gs] + held_cost.sum(axis=1)[:, None, None]
+        cost_hi -= held_cost[:, :, None]
         if not exact:
-            return cands, owner, cost_of(cands, owner)
-        at = (owner * seq_len + pos) * n
-        cost = start_cost.take(label) + entries.take(at + tok)
-        cost -= entries.take(at + held)
-        return cands, owner, cost
+            tol = cost_tol[gs][:, None, None]
+            cost_lo = cost_hi - tol
+            cost_hi += tol
+        # Per group, then per state: the least highest possible excess,
+        # and the least highest possible cost of a move surely at zero
+        # excess, capped by the strictly-cheaper rule.
+        least_excess = exc_hi.reshape(gs.shape[0], cells).min(axis=1)
+        least_cost = cost_cap[gs]
+        if not least_excess.all():
+            zero = (exc_hi == 0.0).reshape(gs.shape[0], cells)
+            zero_cost = np.minimum.reduce(
+                cost_hi.reshape(gs.shape[0], cells), axis=1, dtype=np.float64, initial=np.inf, where=zero
+            )
+            least_cost = np.minimum(zero_cost, least_cost)
+        opens = _segment_starts(gs)
+        if not opens.all():
+            first, run = np.flatnonzero(opens), np.cumsum(opens) - 1
+            least_excess = np.minimum.reduceat(least_excess, first)[run]
+            least_cost = np.minimum.reduceat(least_cost, first)[run]
+        least_excess = np.minimum(least_excess, cur_excess[gs])
+        # Comparisons that NaN bounds fail keep their moves.
+        prune = exc_lo > least_excess[:, None, None]
+        prune |= cost_lo > least_cost[:, None, None]
+        cell = np.flatnonzero(np.logical_not(prune, out=prune))
+        group, pos, tok = np.unravel_index(cell, exc_lo.shape)
+        cands = start_ids[group]
+        cands[np.arange(cell.shape[0]), pos] = tok
+        owner = gs[group]
+        if exact:
+            return cands, owner, cost_hi.ravel()[cell]
+        return cands, owner, cost_of(cands, owner)
 
     for _ in range(max_sweeps):
         if live.shape[0] == 0:
@@ -552,22 +698,27 @@ def _decode_search(
         group_state = live[group_state]
         group_revert -= 1
         # A qualifying state only takes strictly cheaper moves.
-        limit = np.where(cur_excess == 0.0, cur_cost, np.inf)
+        qualifies = cur_excess == 0.0
+        limit = np.where(qualifies, cur_cost, np.inf)
+        cost_cap = np.where(qualifies, np.nextafter(cur_cost, -np.inf), np.inf)
         won = []
         for g in range(0, group_state.shape[0], per_chunk):
-            cands, owner, cost = moves(group_state[g : g + per_chunk], group_revert[g : g + per_chunk])
-            if cands.shape[0] == 0:  # at L = 1 a reverted group holds no moves
+            chunk = slice(g, g + per_chunk)
+            cands, owner, cost = survivors(group_state[chunk], group_revert[chunk], cost_cap)
+            if cands.shape[0] == 0:
                 continue
             excess = excess_of(cands)
             excess[cost >= limit.take(owner)] = np.inf
             pick = _first_min(cands, cost, excess, owner)
             won.append((cands[pick], cost[pick], excess[pick], owner[pick]))
-        cands, cost, excess, owner = (np.concatenate(parts) for parts in zip(*won))
+        if not won:
+            break
+        cands, cost, excess, owner = won[0] if len(won) == 1 else (np.concatenate(parts) for parts in zip(*won))
         if len(won) > 1:  # a state whose groups straddle chunks won in each
             pick = _first_min(cands, cost, excess, owner)
-            cands, cost, excess = cands[pick], cost[pick], excess[pick]
-        better = _key_less((excess, cost, cands), (cur_excess[live], cur_cost[live], cur[live]))
-        live = live[better]
+            cands, cost, excess, owner = cands[pick], cost[pick], excess[pick], owner[pick]
+        better = _key_less((excess, cost, cands), (cur_excess[owner], cur_cost[owner], cur[owner]))
+        live = owner[better]
         cur[live], cur_cost[live], cur_excess[live] = cands[better], cost[better], excess[better]
     return cur, cur_excess
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projdiff.constraints import (
+    Constraint,
     ConstraintSet,
     Forbidden,
     LinearScore,
@@ -17,6 +18,7 @@ from projdiff.constraints import (
     parse_constraint_spec,
 )
 from projdiff.core import SeqDist, Sequence
+from projdiff.projection import _tolerance
 
 from conftest import make_constraint_set, make_vocab
 
@@ -245,6 +247,67 @@ class TestHardViolationsBatch:
             cs.hard_violations_batch(np.zeros((4, 3), dtype=np.int64))
         with pytest.raises(ValueError, match="too short"):
             cs.hard_violations(Sequence((0, 0, 0)))
+
+
+def phi_of_table_sum(terms, ids):
+    """A constraint's PositionTerms evaluated on (K, L) ids: phi of the
+    summed table entries, left to right."""
+    sums = terms.table[np.arange(ids.shape[1]), ids].sum(axis=1)
+    score = terms.scale * sums + terms.offset
+    return np.abs(score) if terms.absolute else score
+
+
+class TestPositionTerms:
+    """Each family's per-position table and phi against its hard scores."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_count_and_position_terms_are_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        n, length = int(rng.integers(1, 14)), int(rng.integers(1, 12))
+        ids = rng.integers(0, n, size=(int(rng.integers(1, 50)), length))
+        token = int(rng.integers(0, n))
+        k = int(rng.integers(0, length + 2))
+        family = [TokenCount(token, op, k) for op in ("le", "ge", "eq")]
+        family += [Forbidden(token), Position(int(rng.integers(0, length)), token)]
+        for c in family:
+            terms = c.position_terms(length, n)
+            assert terms.table.shape == (length, n)
+            assert np.issubdtype(terms.table.dtype, np.integer) and terms.exact
+            assert np.array_equal(phi_of_table_sum(terms, ids), c.hard_scores(ids)), c.name
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_linear_terms_within_the_search_tolerance(self, seed):
+        rng = np.random.default_rng(seed)
+        n, length = int(rng.integers(1, 14)), int(rng.integers(1, 30))
+        base = rng.choice(np.array([0.1, 0.2, 0.3, 0.7, 1e-3, 123.456]), size=n)
+        weights = np.nextafter(base, np.where(rng.random(n) < 0.5, np.inf, -np.inf))
+        if rng.random() < 0.3:
+            weights = -weights
+        c = LinearScore(weights=weights, tau=0.5)
+        terms = c.position_terms(length, n)
+        assert terms.table.shape == (length, n) and terms.scale == 1.0 / length and terms.offset == 0.0
+        assert not terms.exact
+        ids = rng.integers(0, n, size=(200, length))
+        got, want = phi_of_table_sum(terms, ids), c.hard_scores(ids)
+        tol = _tolerance(terms.scale * terms.table, terms.offset)
+        assert np.all(np.abs(got - want) <= tol)
+        # The tolerance is a few thousand ulps, not a loose fraction.
+        assert tol <= 1e-12 * max(1.0, float(np.abs(weights).max()))
+
+    def test_base_class_has_no_terms(self):
+        class Anything(Constraint):
+            name, tau = "anything", 0.0
+
+            def hard_scores(self, ids):
+                return np.zeros(ids.shape[0])
+
+        assert Anything().position_terms(3, 4) is None
+
+    def test_position_past_the_end_raises(self):
+        with pytest.raises(ValueError, match="too short"):
+            Position(position=3, token=0).position_terms(3, 2)
 
 
 class TestParsing:

@@ -115,6 +115,34 @@ class TestSeqDist:
         d = SeqDist.normalized(np.array([[2.0, 2.0], [3.0, 1.0]]))
         assert np.allclose(d.rows, [[0.5, 0.5], [0.75, 0.25]])
 
+    def test_nan_rejected(self):
+        # NaN fails every comparison, so a check written as "any entry
+        # below zero" would let it through, and decode would read it as
+        # token 0.
+        for rows in ([[np.nan, 1.0], [0.5, 0.5]], [[np.nan, np.nan]], [[0.5, 0.5], [1.0, np.nan]]):
+            with pytest.raises(ValueError, match="NaN"):
+                SeqDist(np.array(rows))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SeqDist(np.array([[bad, 0.0], [0.5, 0.5]]))
+        with pytest.raises(ValueError):
+            SeqDist(np.array([[bad, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_normalized_rejects_non_finite_rows(self, bad):
+        with pytest.raises(ValueError, match="cannot normalize"):
+            SeqDist.normalized(np.array([[bad, 1.0], [3.0, 1.0]]))
+
+    def test_normalized_rejects_zero_row(self):
+        with pytest.raises(ValueError, match="cannot normalize"):
+            SeqDist.normalized(np.array([[0.0, 0.0], [3.0, 1.0]]))
+
+    def test_normalized_passes_negative_entries_to_the_check(self):
+        with pytest.raises(ValueError, match="negative"):
+            SeqDist.normalized(np.array([[2.0, -1.0]]))
+
     def test_one_hot(self):
         d = SeqDist.one_hot(Sequence((1, 0)), 3)
         assert np.array_equal(d.rows, [[0, 1, 0], [1, 0, 0]])

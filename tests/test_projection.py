@@ -1,17 +1,18 @@
 """KL projection operators: closed-form row pooling, the augmented-
 Lagrangian solver, and novelty redirection."""
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from projdiff import projection
-from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
+from projdiff.constraints import Constraint, ConstraintSet, Forbidden, LinearScore, Position, TokenCount
 from projdiff.core import SeqDist, Sequence, decode, kl_divergence
 from projdiff.oracle import MAX_FLIP_SPACE, enumerate_fewest_flips, enumerate_novelty
 from projdiff.projection import (
@@ -722,6 +723,118 @@ class TestBatchedDecodeSearch:
                     assert res.outer_iters > 0
 
 
+def near_tie_weights(rng, n):
+    """Weights over n tokens from 0.1, 0.2 and 0.3, each moved a few ulps:
+    their float sums depend on the order of the additions."""
+    weights = rng.choice(np.array([0.1, 0.2, 0.3]), size=n)
+    for _ in range(int(rng.integers(0, 4))):
+        weights = np.nextafter(weights, np.where(rng.random(n) < 0.5, np.inf, -np.inf))
+    return weights
+
+
+def near_tie_set(rng, n, seq_len):
+    """One or two LinearScores of near-tied weights, each tau a pattern's
+    own score or a few ulps from it, plus at times a count constraint."""
+    out = []
+    for j in range(int(rng.integers(1, 3))):
+        c = LinearScore(weights=near_tie_weights(rng, n), tau=0.0, name=f"linear{j}")
+        tau = float(c.hard_scores(rng.integers(0, n, size=(1, seq_len)))[0])
+        for _ in range(int(rng.integers(0, 3))):
+            tau = float(np.nextafter(tau, rng.choice([np.inf, -np.inf])))
+        c.tau = max(tau, 0.0)
+        out.append(c)
+    if rng.random() < 0.3:
+        out.append(TokenCount(int(rng.integers(0, n)), "le", int(rng.integers(0, seq_len + 1)), name="count"))
+    return ConstraintSet(tuple(out))
+
+
+class DistinctTokens(Constraint):
+    """A user constraint with hard scores only: at least k distinct
+    tokens, g = k - (number of distinct tokens)."""
+
+    def __init__(self, k, tau=0.0, name="distinct"):
+        self.k, self.tau, self.name = k, tau, name
+
+    def hard_scores(self, ids):
+        ordered = np.sort(ids, axis=1)
+        return self.k - (1.0 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1))
+
+
+class TestPrunedSweeps:
+    """Pruned sweeps against the one-at-a-time reference where pruning
+    could go wrong: float sums that tie or split by an ulp, and a
+    constraint whose moves cannot be bounded."""
+
+    @pytest.mark.parametrize("chunk_rows", [None, 40])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_near_tied_linear_weights_match_reference(self, monkeypatch, chunk_rows, seed):
+        if chunk_rows is not None:
+            monkeypatch.setattr(projection, "SEARCH_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(seed)
+        k, seq_len, n = int(rng.integers(1, 9)), int(rng.integers(1, 8)), int(rng.integers(2, 7))
+        cs = near_tie_set(rng, n, seq_len)
+        delta = float(rng.choice([0.0, 0.0, 1e-17, 0.05]))
+        rows = [random_rows(rng, str(rng.choice(["one_hot", "dirichlet", "tied"])), seq_len, n) for _ in range(k)]
+        bases = np.stack([np.argmax(r, axis=1) for r in rows])
+        starts = np.where(rng.random((k, seq_len)) < 0.5, rng.integers(0, n, size=(k, seq_len)), bases)
+        ids, residual = _decode_search(np.stack([_row_flip_costs(r) for r in rows]), cs, delta, starts, bases)
+        for j, r in enumerate(rows):
+            want = reference_decode_search(r, cs, delta, starts[j], bases[j])
+            assert (tuple(ids[j].tolist()), float(residual[j])) == want, j
+        # The integer path from the states themselves, as project_ids runs it.
+        got, feasible = project_ids(bases, n, cs, AlmConfig(delta=delta))
+        tables = np.stack([_row_flip_costs(np.eye(n)[b]) for b in bases])
+        want, want_residual = _decode_search(tables, cs, delta, bases, bases)
+        assert np.array_equal(got, want) and np.array_equal(feasible, want_residual == 0.0)
+        for j, b in enumerate(bases):
+            ref = reference_decode_search(np.eye(n)[b], cs, delta, b, b)
+            assert tuple(want[j].tolist()) == ref[0]
+
+    @pytest.mark.parametrize("chunk_rows", [None, 40])
+    def test_constraint_without_terms_matches_reference(self, monkeypatch, chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(projection, "SEARCH_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            k, seq_len, n = int(rng.integers(1, 9)), int(rng.integers(1, 7)), int(rng.integers(2, 7))
+            extra = list(make_constraint_set(rng, n, seq_len)) if rng.random() < 0.5 else []
+            distinct = DistinctTokens(int(rng.integers(1, min(n, seq_len) + 1)))
+            assert distinct.position_terms(seq_len, n) is None
+            cs = ConstraintSet(tuple([distinct] + extra))
+            delta = float(rng.choice([0.0, 0.5]))
+            rows = [random_rows(rng, str(rng.choice(ROW_KINDS)), seq_len, n) for _ in range(k)]
+            bases = np.stack([np.argmax(r, axis=1) for r in rows])
+            starts = np.where(rng.random((k, seq_len)) < 0.5, rng.integers(0, n, size=(k, seq_len)), bases)
+            ids, residual = _decode_search(np.stack([_row_flip_costs(r) for r in rows]), cs, delta, starts, bases)
+            for j, r in enumerate(rows):
+                want = reference_decode_search(r, cs, delta, starts[j], bases[j])
+                assert (tuple(ids[j].tolist()), float(residual[j])) == want, j
+            got, _ = project_ids(bases, n, cs, AlmConfig(delta=delta))
+            for j, b in enumerate(bases):
+                assert tuple(got[j].tolist()) == reference_decode_search(np.eye(n)[b], cs, delta, b, b)[0]
+
+    def test_start_scored_once_when_it_is_the_base(self, monkeypatch):
+        # project_ids passes its states as both starts and bases.
+        rng = np.random.default_rng(3)
+        states = rng.integers(0, 13, size=(5, 10))
+        cs = ConstraintSet((LinearScore(weights=rng.uniform(0.0, 1.0, 13), tau=0.3),))
+        flips = (np.arange(13) != states[:, :, None]).astype(np.int8)
+        calls = []
+        real = ConstraintSet.hard_violations_batch
+
+        def spy(self, ids):
+            calls.append(len(ids))
+            return real(self, ids)
+
+        monkeypatch.setattr(ConstraintSet, "hard_violations_batch", spy)
+        once = _decode_search(flips, cs, 0.0, states, states)
+        scored_once = len(calls)
+        twice = _decode_search(flips, cs, 0.0, states, states.copy())
+        assert len(calls) - scored_once == scored_once + 1
+        assert calls[scored_once : scored_once + 2] == [5, 5]
+        assert all(np.array_equal(a, b) for a, b in zip(once, twice))
+
 def planted_stack(rng):
     """A (K, L) candidate stack with excess and cost, ties planted in each key."""
     k, seq_len, n = int(rng.integers(1, 40)), int(rng.integers(1, 8)), int(rng.integers(1, 5))
@@ -795,3 +908,50 @@ class TestFirstMin:
         cost = np.full(6, 0.5)
         excess = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0])
         assert _first_min(cands, cost, excess, np.array([0, 0, 0, 1, 1, 1])).tolist() == [1, 4]
+
+
+def c01_start_states(count=2000, seed=2026):
+    """Seeded c01-shaped states (L=10, 12 tokens + MASK as id 12), mostly
+    MASK as at t = T: each state masks each position with its own
+    probability in [0.6, 1)."""
+    rng = np.random.default_rng(seed)
+    p_mask = rng.uniform(0.6, 1.0, size=(count, 1))
+    return np.where(rng.random((count, 10)) < p_mask, 12, rng.integers(0, 12, size=(count, 10)))
+
+
+C01_WEIGHTS = np.random.default_rng(0).uniform(0.0, 1.0, size=13)  # perfbench's linear weights
+
+PROJECT_IDS_SETS = {
+    "linear0.25": [LinearScore(weights=C01_WEIGHTS, tau=0.25)],
+    "linear0.5": [LinearScore(weights=C01_WEIGHTS, tau=0.5)],
+    "linear0.75": [LinearScore(weights=C01_WEIGHTS, tau=0.75)],
+    "count_le": [TokenCount(token=0, op="le", k=2)],
+    "count_eq": [TokenCount(token=1, op="eq", k=2)],
+    "position": [Position(0, 2), Position(5, 0)],
+    "forbidden": [Forbidden(3)],
+}
+
+
+class TestProjectIdsDigest:
+    """project_ids on 2,000 seeded c01-shaped states per constraint set of
+    the linear and token workloads, recorded before the sweep pruned its
+    moves: pins the search's tie-breaking beyond the sampler digests."""
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("linear0.25", "9b88abe7801a7858dc09ec1e23b8559196e18414dc5e4777c246586ebe7a1333"),
+            ("linear0.5", "d5a529602f126807985f25a05f631f893971ed1a02f7b23df98d89620f655c07"),
+            ("linear0.75", "5b76de79f42c0629f174f00e753c6b0517c7b16aecd81c7fb394da375c8c95c8"),
+            ("count_le", "f52f7c8121c9dfd769ede95bade7b95b5fe387e93b2ba34b3ebe7cfd150d04c8"),
+            ("count_eq", "3dcb16aa52b78fc6b4a78f02ff689396029fbb8d6c0fcc989d26a47c87f5d229"),
+            ("position", "27a8218fb61997bc8ff837dbb0de6a635181fd9c3a92d664a49651e336fcb82e"),
+            ("forbidden", "e57c6a74aaf8bb0717209f994ea50c1cbbb519302769a0cba3c45e98d15de5b5"),
+        ],
+    )
+    def test_seeded_start_states_match_recorded_digest(self, name, digest):
+        states = c01_start_states()
+        ids, feasible = project_ids(states, 13, ConstraintSet(tuple(PROJECT_IDS_SETS[name])))
+        assert feasible.all()
+        got = hashlib.sha256(ids.astype(np.uint8).tobytes() + feasible.tobytes()).hexdigest()
+        assert got == digest
