@@ -10,7 +10,8 @@ Four subcommands share one JSON config file:
   eval          recompute metrics.json for an existing samples file
 
 Exit codes: 0 success, 1 usage/parse/I-O error, 2 feasibility failure.
-Paths inside the config resolve relative to the config file's directory;
+Paths inside the config resolve relative to the config file's directory,
+except eval.samples, which resolves relative to the output directory;
 --seed overrides the sampling seed and --out the output directory.
 """
 
@@ -43,7 +44,7 @@ from .oracle import enumerate_novelty, enumerate_posterior, grid_kl_project
 from .projection import (
     AlmConfig,
     NoveltyDb,
-    _force_argmax_row,
+    _row_flip_costs,
     alm_project,
     novelty_project,
     position_project,
@@ -260,19 +261,14 @@ def _random_constraint(rng, n: int):
     return TokenCount(token=tok, op=kind, k=k)
 
 
-def _pooling_cost(row: np.ndarray, v: int) -> float:
-    out = _force_argmax_row(row, v, eps=0.0)
-    mask = row > 0
-    return float(np.sum(row[mask] * np.log(row[mask] / out[mask])))
-
-
 def _alm_oracle_optimum(rows: np.ndarray, cs: ConstraintSet) -> float | None:
     seq_len, n = rows.shape
+    table = _row_flip_costs(rows).tolist()
     best = None
     for ids in itertools.product(range(n), repeat=seq_len):
         if cs.max_hard_violation(Sequence(ids)) > 0:
             continue
-        cost = sum(_pooling_cost(rows[i], ids[i]) for i in range(seq_len))
+        cost = sum(table[i][v] for i, v in enumerate(ids))
         if best is None or cost < best:
             best = cost
     return best
@@ -352,23 +348,35 @@ ABLATE_SAMPLE_PARAMS = ("project_every", "project_start")
 
 def cmd_ablate(run: Run) -> int:
     grid_raw = run.raw.get("ablate", {})
+    if not isinstance(grid_raw, dict):
+        raise CliError("ablate grid must be a JSON object")
     names = [k for k in grid_raw if k in ABLATE_ALM_PARAMS + ABLATE_SAMPLE_PARAMS]
     unknown = [k for k in grid_raw if k not in names]
     if unknown:
         raise CliError(f"unknown ablate parameter(s): {', '.join(sorted(unknown))}")
+    bad = [k for k in names if not isinstance(grid_raw[k], list)]
+    if bad:
+        raise CliError(f"ablate parameter(s) {', '.join(bad)} must be lists of values")
     if not names or any(not grid_raw[k] for k in names):
         raise CliError("ablate grid is empty")
-    values = [grid_raw[k] for k in names]
-    rows = []
-    for combo in itertools.product(*values):
+    # Every cell is checked before any is sampled, so a bad value late in
+    # the grid fails the run before it spends time or writes a file.
+    cells = []
+    for combo in itertools.product(*(grid_raw[k] for k in names)):
         params = dict(zip(names, combo))
-        alm = replace(run.cfg.alm, **{k: v for k, v in params.items() if k in ABLATE_ALM_PARAMS})
-        cfg = replace(
-            run.cfg,
-            alm=alm,
-            trace=False,
-            **{k: v for k, v in params.items() if k in ABLATE_SAMPLE_PARAMS},
-        )
+        try:
+            alm = replace(run.cfg.alm, **{k: v for k, v in params.items() if k in ABLATE_ALM_PARAMS})
+            cfg = replace(
+                run.cfg,
+                alm=alm,
+                trace=False,
+                **{k: v for k, v in params.items() if k in ABLATE_SAMPLE_PARAMS},
+            )
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"bad ablation cell {params}: {exc}") from None
+        cells.append((params, cfg))
+    rows = []
+    for params, cfg in cells:
         start = time.perf_counter()
         try:
             seqs, _ = sample_constrained(run.corpus, run.cs, cfg)

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
-from ._ops_numpy import PROB_FLOOR
 from .constraints import ConstraintSet
 from .core import Corpus, SeqDist, Sequence, decode
 from .relax import RelaxConfig
@@ -345,65 +344,20 @@ def _force_argmax_row(row: np.ndarray, token: int, eps: float = ARGMAX_EPS) -> n
 def _row_flip_costs(rows: np.ndarray) -> np.ndarray:
     """Exact KL cost of making each token the argmax of each row.
 
-    Entry (i, v) is kl(rows[i], pooled rows[i] with argmax v); zero when
-    v already decodes.  A one-hot row pools 1 and 0 at 1/2, so its
-    entries are log(2) off the argmax, bit-equal to the pooled KL
-    1.0 * log(1.0 / 0.5), and are filled in directly; every other row
-    goes through _pooled_flip_costs.
+    Entry (i, v) is the KL over row i's support from rows[i] to
+    _force_argmax_row(rows[i], v, eps=0.0); zero when v already
+    decodes, as that row comes back unchanged.
     """
     seq_len, n = rows.shape
-    table = np.zeros((seq_len, n))
-    if n == 1:
-        return table
-    one_hot = _one_hot_mask(rows)
-    table[one_hot] = np.log(2.0)
-    table[one_hot, np.argmax(rows[one_hot], axis=1)] = 0.0
-    for i in np.flatnonzero(~one_hot):
-        table[i] = _pooled_flip_costs(rows[i])
+    table = np.empty((seq_len, n))
+    for i in range(seq_len):
+        row = rows[i]
+        mask = row > 0
+        support = row[mask]
+        for v in range(n):
+            pooled = _force_argmax_row(row, v, eps=0.0)
+            table[i, v] = np.sum(support * np.log(support / pooled[mask]))
     return table
-
-
-def _pooled_flip_costs(row: np.ndarray) -> np.ndarray:
-    """Flip costs of one row of n >= 2 entries by pooling every target.
-
-    The pooled levels of all targets come from one sort: for target v
-    the competitors are the row's descending order without v, the
-    running sums r_v + r_(1) + ... + r_(k) are accumulated left to right
-    as _force_argmax_row does, and the pool stops at the first k whose
-    next competitor is at or below the level sum / (k + 1).  Each entry
-    is then the sum of the pooled KL terms over the row's support,
-    summed along C-ordered rows of exactly the support columns so that
-    it is bit-equal to the 1-D sum over row[row > 0]: numpy's pairwise
-    summation groups the additions by position, so extra zero columns
-    or a Fortran-ordered array change the last bit.
-    """
-    n = row.shape[0]
-    targets = np.arange(n)
-    slots = np.arange(n - 1)
-    order = np.argsort(-row, kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = targets
-    # comp[v, j]: the j-th largest competitor of target v.
-    comp = order[slots + (slots >= rank[:, None])]
-    vals = row[comp]
-    sums = np.cumsum(np.concatenate([row[:, None], vals], axis=1), axis=1)[:, 1:]
-    levels = sums / (slots + 2)
-    stop = np.ones((n, n - 1), dtype=bool)
-    stop[:, :-1] = vals[:, 1:] <= levels[:, :-1]
-    k = np.argmax(stop, axis=1)
-    level = levels[targets, k]
-    out = np.broadcast_to(row, (n, n)).copy()
-    pooled = slots <= k[:, None]
-    out[np.nonzero(pooled)[0], comp[pooled]] = np.repeat(level, k + 1)
-    out[targets, targets] = level
-    mask = row > 0
-    support = row[mask]
-    # Boolean column indexing returns a Fortran-ordered array; a row
-    # sum over that layout groups the additions differently.
-    pooled_out = np.ascontiguousarray(out[:, mask])
-    costs = (support * np.log(support / pooled_out)).sum(axis=1)
-    costs[order[0]] = 0.0
-    return costs
 
 
 def _segment_starts(labels: np.ndarray) -> np.ndarray:

@@ -211,6 +211,24 @@ class TestAblate:
         assert proc.returncode == 1
         assert "empty" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            (["eta"], "JSON object"),
+            ({"eta": 0.2}, "eta"),
+            ({"eta": [0.2, 0]}, "'eta': 0"),
+            ({"project_every": [1, "x"]}, "'project_every': 'x'"),
+        ],
+    )
+    def test_malformed_grid_fails_before_sampling(self, tmp_path, grid, named):
+        cfg = make_workspace(tmp_path, extra={"ablate": grid})
+        proc = run_cli("ablate", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out" / "ablation.csv").exists()
+
 
 class TestUsageAndErrors:
     def test_help_exits_0(self):
