@@ -208,7 +208,7 @@ def cmd_eval(run: Run) -> int:
         kappa=run.kappa,
     )
     metrics_mod.write_metrics(run.path("metrics.json"), summary)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(metrics_mod.metrics_json(summary))
     return 0
 
 

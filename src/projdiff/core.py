@@ -9,6 +9,7 @@ the N tokens.  All numeric state is float64.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,17 @@ import numpy as np
 from . import backend
 
 ROW_SUM_TOL = 1e-9
+
+
+def check_counts(obj, **minimums) -> None:
+    """Raise ValueError unless each named field of obj is an integer (a
+    bool is not) no smaller than its minimum."""
+    for name, low in minimums.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}")
 
 
 def as_rows(dist) -> np.ndarray:

@@ -135,7 +135,13 @@ def summarize(
     }
 
 
+def metrics_json(metrics: dict) -> str:
+    """Strict JSON text of a metrics dictionary: a statistic that is not a
+    finite number, such as the mean of no samples, is written as null."""
+    strict = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in metrics.items()}
+    return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_metrics(path, metrics: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(metrics_json(metrics) + "\n")

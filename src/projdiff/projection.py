@@ -38,7 +38,7 @@ import numpy as np
 
 from . import backend
 from .constraints import ConstraintSet
-from .core import Corpus, SeqDist, Sequence, decode
+from .core import Corpus, SeqDist, Sequence, check_counts, decode
 from .relax import RelaxConfig
 
 
@@ -70,8 +70,7 @@ class AlmConfig:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.max_inner_iter < 1 or self.max_outer_iter < 1:
-            raise ValueError("iteration limits must be >= 1")
+        check_counts(self, max_inner_iter=1, max_outer_iter=1)
         if self.mu_init <= 0 or self.mu_init > self.mu_max:
             raise ValueError("need 0 < mu_init <= mu_max")
         if self.alpha_scale <= 1:

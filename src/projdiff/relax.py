@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .core import SeqDist, as_rows
+from .core import SeqDist, as_rows, check_counts
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class RelaxConfig:
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        check_counts(self, rng_seed=0)
 
     def noise(self, shape: tuple[int, int]) -> np.ndarray | None:
         if not self.stochastic:

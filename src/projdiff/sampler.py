@@ -20,7 +20,7 @@ batched screen passes the chains the operator would leave unchanged.  In
 alm mode the distinct states among the rest then go through one batched
 call of projection.project_ids, which works on the ids alone; a state it
 leaves infeasible goes on to alm_project's gradient loop from its
-one-hot rows.  The results fill a per-step memo keyed by the id row.
+one-hot rows.  The results fill the step's memo, keyed by the id row.
 Chains are then handled in chain order: each takes its state's result,
 and a chain whose result is infeasible, or holds MASK at t = 1, redraws
 at its own turn and has its new state projected on its own, so the rng
@@ -29,6 +29,13 @@ failing chain in chain order, from the one-hot rows of its ids; chains
 that share a state resume one search in the database, and the sampler
 drops the database's search cursors when its novelty step ends, so they
 hold at most one step's distinct states.
+
+When tracing, each step appends one TraceRecord per chain, in chain
+order.  The step scores the violations once, as arrays: one batched call
+before projection, and in alm mode one after it for the chains the
+screen failed; every other chain keeps its pre value.  The per-chain
+code only looks results up, claims novel sequences and redraws.  An
+untraced run builds none of these arrays.
 
 Projection scheduling: step t projects when t <= T - project_start and
 T - project_start - t is a multiple of project_every, and the final
@@ -47,7 +54,7 @@ import numpy as np
 
 from . import backend
 from .constraints import ConstraintSet
-from .core import Corpus, Schedule, SeqDist, Sequence
+from .core import Corpus, Schedule, SeqDist, Sequence, check_counts
 from .denoiser import ExactBayesDenoiser
 from .noise import NoiseKernel, reverse_mixture_rows
 # position_project is not called here: perfbench/tracer.py patches it on this module.
@@ -90,22 +97,17 @@ class SampleConfig:
     trace: bool = True
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
-        if self.num_samples < 0:
-            raise ValueError("num_samples must be >= 0")
+        check_counts(
+            self, steps=1, length=1, num_samples=0, rng_seed=0, project_every=1, project_start=0, max_retries=1
+        )
         if self.projection_mode not in MODES:
             raise ValueError(f"projection_mode must be one of {MODES}")
         if self.infeasible_policy not in POLICIES:
             raise ValueError(f"infeasible_policy must be one of {POLICIES}")
-        if not 1 <= self.project_every <= self.steps:
+        if self.project_every > self.steps:
             raise ValueError("need 1 <= project_every <= steps")
-        if not 0 <= self.project_start < self.steps:
+        if self.project_start >= self.steps:
             raise ValueError("need 0 <= project_start < steps")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
 
 
 @dataclass
@@ -114,11 +116,13 @@ class TraceRecord:
 
     pre_violation and post_violation are the worst decoded constraint
     violations before and after projection (equal when the step did not
-    project); wall_time is the seconds spent inside the projection call,
-    0.0 for a chain the screen passed, since no projector ran.  In alm
-    mode, for a chain whose state the step's batched projection (or an
-    earlier chain's retry) already projected, wall_time covers the memo
-    lookup, not a projector call.
+    project the chain).  In novelty mode they are database membership:
+    pre is read at the chain's turn, after the claims of earlier chains,
+    and post is 0.0 for a projected chain.  wall_time is the seconds spent
+    projecting the chain, retries included, and 0.0 for a chain the step
+    did not project.  In alm mode a chain whose state the step's batched
+    projection (or an earlier chain's retry) already projected spends it
+    on a memo lookup, not a projector call.
     """
 
     sample_index: int
@@ -184,8 +188,6 @@ class _Engine:
         self.kernel = NoiseKernel.for_vocab(cfg.kernel, self.vocab)
         self.schedule = Schedule(cfg.schedule, cfg.steps)
         self.rng = np.random.default_rng(cfg.rng_seed)
-        # alm results of this projected step, keyed by the state's id bytes.
-        self.memo: dict[bytes, tuple] = {}
 
     def run(self) -> tuple[list[Sequence], list[TraceRecord]]:
         seqs: list[Sequence] = []
@@ -227,17 +229,17 @@ class _Engine:
         last = self.cfg.steps - self.cfg.project_start
         return t == 1 or (t <= last and (last - t) % self.cfg.project_every == 0)
 
-    def _decoded_violations(self, ids: np.ndarray) -> list[float]:
-        """Worst decoded violation of each (L,) id row of ids.
+    def _violations(self, ids: np.ndarray) -> np.ndarray:
+        """(B,) worst decoded violation of each (L,) id row of ids.
 
         Constraint violations of all rows come from one batched call; in
         novelty mode a row scores 1.0 when the database holds it.
         """
         if self.cfg.projection_mode == "novelty":
-            return [1.0 if Sequence(tuple(row)) in self.db else 0.0 for row in ids.tolist()]
+            return np.array([Sequence(tuple(row)) in self.db for row in ids.tolist()], dtype=float)
         if self.cs is None:
-            return [0.0] * len(ids)
-        return self.cs.hard_violations_batch(ids).max(axis=1).tolist()
+            return np.zeros(len(ids))
+        return self.cs.hard_violations_batch(ids).max(axis=1)
 
     def _passes(self, ids: np.ndarray, t: int) -> np.ndarray:
         """Which chains of ids the operator would return unchanged at step t.
@@ -247,41 +249,55 @@ class _Engine:
         """
         if self.cfg.projection_mode == "novelty":
             return np.zeros(ids.shape[0], dtype=bool)
-        passed = self.cs.hard_violations_batch(ids).max(axis=1) <= self.cfg.alm.delta
+        passed = self._violations(ids) <= self.cfg.alm.delta
         if self.kernel.kind == "masked" and t == 1:
             passed &= ~np.any(ids == self.kernel.mask_id, axis=1)
         return passed
 
     def _run_chunk(self, b: int, offset: int, traces: list[TraceRecord]) -> np.ndarray:
-        length = self.cfg.length
-        T = self.cfg.steps
+        """Run b chains from t = T down to 1; returns their (b, L) ids."""
+        cfg = self.cfg
+        length = cfg.length
+        novelty = cfg.projection_mode == "novelty"
 
         # Every position starts as one draw from the reference row.
         u0 = self.rng.random((b, length))
         ids = backend.ops.sample_rows(self.kernel.ref[None], u0.ravel(), np.zeros(b * length, np.intp))
         ids = ids.reshape(b, length)
 
-        for t in range(T, 0, -1):
+        for t in range(cfg.steps, 0, -1):
             step = self._reverse_mixture(ids, t)
             _, mix, inverse = step
             ids = self._draw(ids, mix, inverse, self.rng.random((b, length)))
 
-            if self._projects_at(t):
-                passed = self._passes(ids, t)
-                self.memo = {}
-                if self.cfg.projection_mode == "alm":
-                    self._project_states(ids[~passed])
-                worst = self._decoded_violations(ids) if self.cfg.trace and passed.any() else None
-                for ci, skip in enumerate(passed.tolist()):
-                    if not skip:
-                        self._project_chain(ci, offset + ci, t, ids, step, traces)
-                    elif worst is not None:
-                        traces.append(TraceRecord(offset + ci, t, True, worst[ci], worst[ci], 0.0, 0, 0.0))
-                if self.cfg.projection_mode == "novelty":
+            projected = self._projects_at(t)
+            if cfg.trace:
+                # Novelty reads each chain's membership at its own turn,
+                # after the claims of the chains before it.
+                pre = np.zeros(b) if projected and novelty else self._violations(ids)
+                kl, outer, wall = [0.0] * b, [0] * b, [0.0] * b
+            if projected:
+                failed = ~self._passes(ids, t)
+                memo: dict[bytes, tuple] = {}  # this step's alm results, keyed by the state's id bytes
+                if not novelty:
+                    self._project_states(ids[failed], memo)
+                for ci, fails in enumerate(failed.tolist()):
+                    if fails and not cfg.trace:
+                        self._project_chain(ci, offset + ci, t, ids, step, memo)
+                    elif fails:
+                        start = time.perf_counter()
+                        if novelty:
+                            pre[ci] = self._violations(ids[ci : ci + 1])[0]
+                        kl[ci], outer[ci] = self._project_chain(ci, offset + ci, t, ids, step, memo)
+                        wall[ci] = time.perf_counter() - start
+                if novelty:
                     self.db.cursors.clear()
-            elif self.cfg.trace:
-                for ci, v in enumerate(self._decoded_violations(ids)):
-                    traces.append(TraceRecord(offset + ci, t, False, v, v, 0.0, 0, 0.0))
+            if cfg.trace:
+                post = pre.copy()
+                if projected and failed.any():
+                    post[failed] = 0.0 if novelty else self._violations(ids[failed])
+                columns = zip(pre.tolist(), post.tolist(), kl, outer, wall)
+                traces.extend(TraceRecord(offset + ci, t, projected, *rec) for ci, rec in enumerate(columns))
         return ids
 
     def _reverse_mixture(self, ids: np.ndarray, t: int):
@@ -328,8 +344,8 @@ class _Engine:
         u = self.rng.random((1, length))
         return self._draw(states[inverse[ci]][None], mix[k : k + length], np.zeros(1, np.intp), u)[0]
 
-    def _project_states(self, failing: np.ndarray) -> None:
-        """Project the distinct id rows of failing into self.memo (alm mode).
+    def _project_states(self, failing: np.ndarray, memo: dict) -> None:
+        """Project the distinct id rows of failing into memo (alm mode).
 
         One project_ids call decides every distinct state; each state it
         leaves infeasible goes through alm_project from its one-hot rows.
@@ -350,51 +366,39 @@ class _Engine:
                 if self.cfg.trace:
                     x_rows = ops.one_hot_rows(state, self.n)
                     kl = ops.kl_rows(x_rows, pooled_rows(x_rows, new.tolist()).rows)
-                self.memo[key] = (new, True, 0, kl)
+                memo[key] = (new, True, 0, kl)
             else:
                 res = alm_project(SeqDist(ops.one_hot_rows(state, self.n)), self.cs, self.cfg.alm)
-                self.memo[key] = (ops.argmax_rows(res.projected.rows), res.feasible, res.outer_iters, res.kl_moved)
+                memo[key] = (ops.argmax_rows(res.projected.rows), res.feasible, res.outer_iters, res.kl_moved)
 
-    def _apply_operator(self, state: np.ndarray):
-        """Project one (L,) id row; returns (decode, feasible, outer, kl).
+    def _project_chain(self, ci, sample_index, t, ids, step, memo) -> tuple[float, int]:
+        """Project chain ci's ids in place; returns its (kl_moved, outer_iters).
 
-        In alm mode the result is a function of the state alone: a state
-        the step's batch did not hold (a retry's redraw) is projected on
-        its own into self.memo, and every chain reads its result there.
-        Novelty mode calls its projector every time, since each call
-        claims a sequence, and computes kl, which only trace records
-        read, only when tracing.
-        """
-        ops = backend.ops
-        if self.cfg.projection_mode == "alm":
-            key = state.tobytes()
-            if key not in self.memo:
-                self._project_states(state[None])
-            return self.memo[key]
-        sd = SeqDist(ops.one_hot_rows(state, self.n))
-        res = novelty_project(sd, self.db)
-        kl = ops.kl_rows(sd.rows, res.rows) if self.cfg.trace else 0.0
-        return ops.argmax_rows(res.rows), True, 0, kl
-
-    def _project_chain(self, ci, sample_index, t, ids, step, traces) -> None:
-        """Project chain ci's ids in place, appending its TraceRecord when tracing.
-
+        In alm mode the result is a function of the state alone and is
+        read from memo; a state the step's batch did not hold (a retry's
+        redraw) is projected on its own into memo first.  Novelty mode
+        calls its projector every time, since each call claims a sequence,
+        and computes kl, which only trace records read, only when tracing.
         step is the (states, mix, inverse) of this step's draw, which a
         retry draws from again.
         """
         cfg = self.cfg
-        masked = self.kernel.kind == "masked"
-
-        if cfg.trace:
-            start = time.perf_counter()
-            pre_violation = self._decoded_violations(ids[ci : ci + 1])[0]
+        ops = backend.ops
         attempts = 0
         while True:
-            new_dec, feasible, outer, kl_moved = self._apply_operator(ids[ci])
-            ok = feasible
+            if cfg.projection_mode == "alm":
+                key = ids[ci].tobytes()
+                if key not in memo:
+                    self._project_states(ids[ci][None], memo)
+                new_dec, ok, outer, kl_moved = memo[key]
+            else:
+                sd = SeqDist(ops.one_hot_rows(ids[ci], self.n))
+                res = novelty_project(sd, self.db)
+                new_dec, ok, outer = ops.argmax_rows(res.rows), True, 0
+                kl_moved = ops.kl_rows(sd.rows, res.rows) if cfg.trace else 0.0
             # An emitted sequence must not contain the mask token; inside
             # the chain a mask decode just re-opens that position.
-            if ok and masked and t == 1 and np.any(new_dec == self.kernel.mask_id):
+            if ok and self.kernel.kind == "masked" and t == 1 and np.any(new_dec == self.kernel.mask_id):
                 ok = False
             if ok or cfg.infeasible_policy == "continue":
                 break
@@ -407,16 +411,8 @@ class _Engine:
                 )
             # Re-draw this chain's transition and try again.
             ids[ci] = self._redraw(ci, step)
-
         ids[ci] = new_dec
-        if not cfg.trace:
-            return
-        if cfg.projection_mode == "novelty":
-            post_violation = 0.0 if feasible else 1.0
-        else:
-            post_violation = self._decoded_violations(ids[ci : ci + 1])[0]
-        wall = time.perf_counter() - start
-        traces.append(TraceRecord(sample_index, t, True, pre_violation, post_violation, kl_moved, outer, wall))
+        return kl_moved, outer
 
 
 def violation_contraction(traces: list[TraceRecord], tol: float = 1e-12) -> float:

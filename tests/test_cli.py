@@ -152,6 +152,28 @@ class TestEval:
         assert printed == on_disk
         assert printed["violation_rate"] == 0.0
 
+    def test_undefined_statistics_are_null(self, tmp_path):
+        # With no samples the perplexity and entropy means are undefined;
+        # metrics.json and eval's output stay strict JSON.
+        def strict(text):
+            def reject(name):
+                raise ValueError(f"non-standard JSON constant {name}")
+
+            return json.loads(text, parse_constant=reject)
+
+        cfg = make_workspace(tmp_path, sample={"num_samples": 0})
+        proc = run_cli("sample", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        sampled = strict((tmp_path / "out" / "metrics.json").read_text())
+        proc = run_cli("eval", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        printed = strict(proc.stdout)
+        assert printed == strict((tmp_path / "out" / "metrics.json").read_text())
+        for summary in (sampled, printed):
+            for key in ("mean_perplexity", "median_perplexity", "mean_entropy"):
+                assert summary[key] is None
+            assert summary["n_samples"] == 0
+
     def test_explicit_samples_path(self, tmp_path):
         cfg = make_workspace(tmp_path, extra={"eval": {"samples": "alt.txt"}})
         (tmp_path / "out").mkdir()
@@ -218,6 +240,7 @@ class TestAblate:
             ({"eta": 0.2}, "eta"),
             ({"eta": [0.2, 0]}, "'eta': 0"),
             ({"project_every": [1, "x"]}, "'project_every': 'x'"),
+            ({"max_inner_iter": [1.5]}, "'max_inner_iter': 1.5"),
         ],
     )
     def test_malformed_grid_fails_before_sampling(self, tmp_path, grid, named):
@@ -276,6 +299,23 @@ class TestUsageAndErrors:
     def test_bad_sample_setting(self, tmp_path):
         cfg = make_workspace(tmp_path, sample={"steps": 0})
         assert run_cli("sample", "--config", str(cfg)).returncode == 1
+
+    @pytest.mark.parametrize(
+        "sample, args",
+        [
+            ({"steps": 16.5}, ()),
+            ({"num_samples": 2.5}, ()),
+            ({"rng_seed": 1.5}, ()),
+            ({"max_retries": True}, ()),
+            ({}, ("--seed", "-1")),
+        ],
+    )
+    def test_non_integer_or_negative_count_is_an_error_line(self, tmp_path, sample, args):
+        cfg = make_workspace(tmp_path, sample=sample)
+        proc = run_cli("sample", "--config", str(cfg), *args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: bad sample/alm settings")
+        assert "Traceback" not in proc.stderr
 
     def test_config_relative_paths(self, tmp_path):
         cfg = make_workspace(tmp_path)

@@ -132,3 +132,10 @@ class TestSummarize:
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"a": 2.5, "b": 1}
+
+    def test_write_metrics_writes_null_for_non_finite_values(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        write_metrics(path, {"nan": float("nan"), "inf": float("inf"), "x": 1.5, "n": 0})
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        assert json.loads(text) == {"nan": None, "inf": None, "x": 1.5, "n": 0}

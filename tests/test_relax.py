@@ -57,6 +57,13 @@ def test_temperature_must_be_positive():
         RelaxConfig(temperature=0.0)
 
 
+
+@pytest.mark.parametrize("seed", [1.5, True, -3])
+def test_noise_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="rng_seed"):
+        RelaxConfig(stochastic=True, rng_seed=seed)
+
+
 def test_zero_coordinates_survive_via_floor():
     rows = np.array([[1.0, 0.0, 0.0]])
     out = gumbel_softmax(SeqDist(rows), RelaxConfig(temperature=0.5))

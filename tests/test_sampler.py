@@ -15,7 +15,7 @@ from projdiff.core import SeqDist, Sequence, decode
 from projdiff.denoiser import ExactBayesDenoiser
 from projdiff.noise import reverse_mixture_rows
 from projdiff.oracle import enumerate_novelty
-from projdiff.projection import NoveltyDb
+from projdiff.projection import AlmConfig, NoveltyDb
 from projdiff.sampler import (
     InfeasibleSampleError,
     SampleConfig,
@@ -96,6 +96,26 @@ class TestConfigValidation:
             cfg(project_every=11)
         with pytest.raises(ValueError):
             cfg(project_start=10)
+
+    @pytest.mark.parametrize(
+        "field", ["steps", "length", "num_samples", "rng_seed", "project_every", "project_start", "max_retries"]
+    )
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            cfg(**{field: value})
+
+    def test_negative_seed_rejected_and_numpy_integers_accepted(self):
+        with pytest.raises(ValueError, match="rng_seed"):
+            cfg(rng_seed=-1)
+        c = cfg(steps=np.int64(10), num_samples=np.int32(0), rng_seed=np.uint8(3))
+        assert c.steps == 10
+
+    @pytest.mark.parametrize("field", ["max_inner_iter", "max_outer_iter"])
+    @pytest.mark.parametrize("value", [1.5, True, 0])
+    def test_alm_iteration_limits_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AlmConfig(**{field: value})
 
     def test_length_must_match_corpus(self, toy_corpus):
         with pytest.raises(ValueError):
@@ -310,6 +330,56 @@ class TestTraceShape:
     def test_num_samples_zero(self, toy_corpus):
         seqs, traces = sample_constrained(toy_corpus, simple_cs(), cfg(num_samples=0))
         assert seqs == [] and traces == []
+
+    @pytest.mark.parametrize("chains", [16, 64])
+    def test_tracing_adds_at_most_two_violation_calls_per_step(self, monkeypatch, chains):
+        # The trace scores each step's chains with one batched call before
+        # projection and one after it, however many chains run and fail.
+        corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+        cs = ConstraintSet([TokenCount(1, "eq", 2)])
+        calls = [0]
+        real = ConstraintSet.hard_violations_batch
+
+        def spy(self, ids):
+            calls[0] += 1
+            return real(self, ids)
+
+        monkeypatch.setattr(ConstraintSet, "hard_violations_batch", spy)
+        counts, outputs = [], []
+        for trace in (False, True):
+            calls[0] = 0
+            config = SampleConfig(steps=16, length=10, num_samples=chains, rng_seed=0, trace=trace)
+            seqs, _ = sample_constrained(corpus, cs, config)
+            counts.append(calls[0])
+            outputs.append(seqs)
+        assert outputs[0] == outputs[1]
+        assert counts[1] - counts[0] <= 2 * 16
+
+    def test_novelty_pre_violation_is_membership_at_each_chains_turn(self, monkeypatch):
+        # At t = 1 each chain reads the database after the claims of the
+        # chains before it, so a draw an earlier chain claimed reads 1.0.
+        corpus = make_corpus(make_vocab(6), length=6, n_entries=10, seed=23)
+        claims = []
+        real = sampler_module.novelty_project
+
+        def spy(x_in, db):
+            out = real(x_in, db)
+            claims.append((state_bytes(x_in), out.rows.argmax(axis=1).astype(np.int64).tobytes()))
+            return out
+
+        monkeypatch.setattr(sampler_module, "novelty_project", spy)
+        config = SampleConfig(steps=12, length=6, num_samples=64, rng_seed=0, projection_mode="novelty")
+        _, traces = sample_constrained(corpus, None, config)
+        final = [r for r in traces if r.step == 1]
+        assert len(claims) == len(final) == 64
+        held = {np.asarray(s.ids, dtype=np.int64).tobytes() for s, _ in corpus.entries}
+        expected = []
+        for state, claimed in claims:
+            expected.append(1.0 if state in held else 0.0)
+            held.add(claimed)
+        assert [r.pre_violation for r in final] == expected
+        assert {r.pre_violation for r in final} == {0.0, 1.0}
+        assert all(r.post_violation == 0.0 for r in final)
 
 
 class TestConstrainedFeasibility:
