@@ -153,14 +153,18 @@ def _write_trace(path: str, records) -> None:
 
 
 def _emitted_infeasible(run: Run, seqs) -> int:
-    """Count emitted sequences that miss the run's feasibility target."""
+    """Count emitted sequences that miss the run's feasibility target.
+
+    A constrained sample misses it the way the sampler judges a chain:
+    some violation exceeds alm.delta.
+    """
     mode = run.cfg.projection_mode
     if mode == "novelty":
         db = NoveltyDb.from_corpus(run.corpus)
         return sum(1 for s in seqs if s in db) + (len(seqs) - len(set(seqs)))
     if mode == "none":
         return 0
-    return metrics_mod.violation_count(seqs, run.cs)
+    return metrics_mod.violation_count(seqs, run.cs, run.cfg.alm.delta)
 
 
 def cmd_sample(run: Run) -> int:

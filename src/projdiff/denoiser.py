@@ -34,8 +34,10 @@ def _posterior_weights(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray, a_t
     """Unnormalized posterior entry weights for a (B, L) batch of observations.
 
     Returns (B, M); a zero row means the observation is incompatible with
-    every entry.
+    every entry.  Every posterior path range-checks a_t here.
     """
+    if not 0.0 <= a_t <= 1.0:
+        raise ValueError(f"signal level {a_t} outside [0, 1]")
     entries = corpus.sequences()  # (M, L)
     prior = corpus.weights()  # (M,)
     if ids.shape[1] != entries.shape[1]:
@@ -54,23 +56,33 @@ def _posterior_weights(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray, a_t
     return prior * np.power(ratio, matches)
 
 
+def _marginals(corpus: Corpus, kernel: NoiseKernel, states: np.ndarray, a_t: float):
+    """(rows, empty) for a (U, L) batch of states: their (U, L, N)
+    posterior marginals, and the (U,) mask of the states no corpus entry
+    is compatible with, whose rows are zero.
+
+    The entry sum is an einsum, whose order does not depend on the batch,
+    where a BLAS product's can, so a state's row is the same in any batch.
+    """
+    weights = _posterior_weights(corpus, kernel, states, a_t)
+    totals = weights.sum(axis=1, keepdims=True)
+    empty = totals[:, 0] <= 0.0  # every weight of such a row is 0
+    totals[empty] = 1.0
+    rows = np.einsum("um,mln->uln", weights / totals, _entry_onehots(corpus, kernel.vocab_size))
+    return rows, empty
+
+
 def exact_posterior(corpus: Corpus, kernel: NoiseKernel, xt_decoded: Sequence, a_t: float) -> SeqDist:
-    """Per-position marginals of the exact corpus posterior.
+    """Per-position marginals of the exact corpus posterior, computed as
+    a one-row batch of the sampler's path.
 
     Raises IncompatibleEvidenceError when no entry has positive
     likelihood (only possible under the masked kernel).
     """
-    if not 0.0 <= a_t <= 1.0:
-        raise ValueError(f"signal level {a_t} outside [0, 1]")
-    ids = xt_decoded.as_array()[None, :]
-    weights = _posterior_weights(corpus, kernel, ids, a_t)[0]
-    total = weights.sum()
-    if total <= 0.0:
+    rows, empty = _marginals(corpus, kernel, xt_decoded.as_array()[None, :], a_t)
+    if empty[0]:
         raise IncompatibleEvidenceError(f"no corpus entry compatible with {xt_decoded.ids}")
-    post = weights / total
-    onehots = _entry_onehots(corpus, kernel.vocab_size)
-    rows = np.tensordot(post, onehots, axes=1)
-    return SeqDist.normalized(rows)
+    return SeqDist(rows[0])
 
 
 def _entry_onehots(corpus: Corpus, n: int) -> np.ndarray:
@@ -149,30 +161,25 @@ def _distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return ids[first], inverse
 
 
-def _gathered(states: np.ndarray, rows: np.ndarray, inverse: np.ndarray | None, gather: bool):
-    """A batch method's return: rows per chain, or (states, rows, inverse)."""
-    if not gather:
-        return states, rows, np.arange(len(states)) if inverse is None else inverse
-    return rows if inverse is None else rows.take(inverse, axis=0)
-
-
 class ExactBayesDenoiser:
-    """Callable denoiser (xt, a_t, kernel) -> SeqDist backed by exact_posterior.
+    """Callable denoiser (xt, a_t, kernel) -> SeqDist over the exact corpus
+    posterior.
 
     When evidence is incompatible with every corpus entry the denoiser
     falls back to the prior per-position marginals instead of raising;
-    fallback_count records how often that happened.
+    fallback_count records how often that happened.  A call is a one-row
+    posterior_batch.
 
-    The batch methods compute each distinct state of a batch of at least
-    _DEDUPE_MIN_ROWS rows once and gather the result back to every chain
-    holding it, or, with gather=False, return (states, rows, inverse): the
-    (U, L) distinct states, their (U, L, N) marginals and the (B,) index
-    with states[inverse] equal to the batch.  Below that size, or when no
-    state repeats, states is the batch itself and inverse the identity.  A
-    row's marginals are a function of its state alone (the entry sum is an
-    einsum, whose order does not depend on the batch, where a BLAS
-    product's can), so every chain gets the row it would get on its own,
-    and fallback_count counts every chain, repeats included.
+    The batch methods return (states, rows, inverse): the (U, L) distinct
+    states of a (B, L) batch, their (U, L, N) marginals, and the (B,)
+    index with states[inverse] equal to the batch, so rows[inverse] holds
+    each chain's rows.  A batch of at least _DEDUPE_MIN_ROWS rows computes
+    each distinct state once; below that size, or when no state repeats,
+    states is the batch itself and inverse the identity.  A row's
+    marginals are a function of its state alone, so every chain gets the
+    row it would get on its own, and fallback_count counts every chain,
+    repeats included.  Every method raises ValueError for a signal level
+    outside [0, 1].
     """
 
     def __init__(self, corpus: Corpus):
@@ -187,33 +194,24 @@ class ExactBayesDenoiser:
         return self._prior_rows
 
     def __call__(self, xt: SeqDist, a_t: float, kernel: NoiseKernel) -> SeqDist:
-        try:
-            return exact_posterior(self.corpus, kernel, decode(xt), a_t)
-        except IncompatibleEvidenceError:
-            self.fallback_count += 1
-            return SeqDist(self._prior())
+        _, rows, _ = self.posterior_batch(decode(xt).as_array()[None, :], a_t, kernel)
+        return SeqDist(rows[0])
 
-    def posterior_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel, *, gather: bool = True):
-        """(B, L, N) posterior marginals for a (B, L) batch of decoded states."""
+    def posterior_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel):
+        """(states, rows, inverse) of the posterior marginals of a (B, L)
+        batch of decoded states; an incompatible state gets the prior's."""
         states, inverse = _distinct_rows(ids)
-        weights = _posterior_weights(self.corpus, kernel, states, a_t)
-        totals = weights.sum(axis=1, keepdims=True)
-        empty = totals[:, 0] <= 0.0  # every weight of such a row is 0
-        fallback = np.any(empty)
-        if fallback:
+        rows, empty = _marginals(self.corpus, kernel, states, a_t)
+        if np.any(empty):
             self.fallback_count += int(np.count_nonzero(empty if inverse is None else empty.take(inverse)))
-            totals[empty] = 1.0
-        post = weights / totals
-        rows = np.einsum("um,mln->uln", post, _entry_onehots(self.corpus, kernel.vocab_size))
-        if fallback:
             rows[empty] = self._prior()
-        return _gathered(states, rows, inverse, gather)
+        return states, rows, np.arange(len(states)) if inverse is None else inverse
 
-    def posterior_loo_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel, *, gather: bool = True):
-        """(B, L, N) leave-one-out posterior marginals.
+    def posterior_loo_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel):
+        """(states, rows, inverse) of the leave-one-out posterior marginals.
 
-        Entry (b, i) is the posterior marginal of position i with the
-        likelihood factor of position i's own observation divided out.
+        Entry (u, i) of rows is the posterior marginal of position i with
+        the likelihood factor of position i's own observation divided out.
         The reverse transition needs this form: multiplying it by the
         single-position transition likelihood reproduces the exact
         conditional, whereas the full posterior would double count the
@@ -222,7 +220,7 @@ class ExactBayesDenoiser:
         full posteriors coincide and the full one is returned.
         """
         if kernel.kind == "masked":
-            return self.posterior_batch(ids, a_t, kernel, gather=gather)
+            return self.posterior_batch(ids, a_t, kernel)
         if a_t >= 1.0:
             raise ValueError("leave-one-out posterior undefined at a_t = 1")
         states, inverse = _distinct_rows(ids)
@@ -235,4 +233,4 @@ class ExactBayesDenoiser:
         onehots = _entry_onehots(self.corpus, n)
         rows = np.einsum("uml,mln->uln", loo, onehots)
         rows = rows / rows.sum(axis=2, keepdims=True)
-        return _gathered(states, rows, inverse, gather)
+        return states, rows, np.arange(len(states)) if inverse is None else inverse

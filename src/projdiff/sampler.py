@@ -213,8 +213,8 @@ class _Engine:
         """
         if isinstance(self.denoiser, ExactBayesDenoiser):
             if self.kernel.kind == "uniform":
-                return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel, gather=False)
-            return self.denoiser.posterior_batch(ids, a_t, self.kernel, gather=False)
+                return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel)
+            return self.denoiser.posterior_batch(ids, a_t, self.kernel)
         out = np.empty((ids.shape[0], ids.shape[1], self.n))
         for i in range(ids.shape[0]):
             state = SeqDist(backend.ops.one_hot_rows(ids[i], self.n))

@@ -139,6 +139,18 @@ class TestSample:
         assert "infeasible" in proc.stderr
         assert len((tmp_path / "out" / "samples.txt").read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_exit_code_allows_the_sampler_slack(self, tmp_path, delta):
+        # The sampler passes a chain whose violations are all at most
+        # alm.delta, and the exit code judges emitted samples the same
+        # way; violation_rate stays the share violating by any amount.
+        alm = {"max_outer_iter": 12, "delta": delta, "relax": {"temperature": 0.5}}
+        cfg = make_workspace(tmp_path, extra={"alm": alm})
+        proc = run_cli("sample", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        rate = json.loads((tmp_path / "out" / "metrics.json").read_text())["violation_rate"]
+        assert (rate > 0.0) == (delta > 0.0)
+
 
 class TestEval:
     def test_recomputes_metrics(self, tmp_path):

@@ -110,7 +110,8 @@ class TestExactBayesDenoiser:
         den = ExactBayesDenoiser(toy_corpus)
         states = [Sequence((0, 4, 4, 2, 4)), Sequence((4, 4, 4, 4, 4))]
         ids = np.stack([s.as_array() for s in states])
-        batch = den.posterior_batch(ids, 0.4, kernel)
+        _, rows, inverse = den.posterior_batch(ids, 0.4, kernel)
+        batch = rows[inverse]
         for b, state in enumerate(states):
             single = den(SeqDist.one_hot(state, toy_corpus.vocab.size), 0.4, kernel)
             assert np.allclose(batch[b], single.rows, atol=1e-14)
@@ -120,7 +121,8 @@ class TestExactBayesDenoiser:
         den = ExactBayesDenoiser(tiny_corpus)
         a_t = 0.5
         ids = np.array([[0, 1]])
-        loo = den.posterior_loo_batch(ids, a_t, kernel)
+        _, rows, inverse = den.posterior_loo_batch(ids, a_t, kernel)
+        loo = rows[inverse]
         # Independent check: posterior over entries recomputed with the
         # likelihood factor of one position removed.
         ratio = 1.0 + a_t * 3 / (1.0 - a_t)
@@ -136,9 +138,94 @@ class TestExactBayesDenoiser:
         kernel = NoiseKernel.masked(tiny_corpus.vocab)
         den = ExactBayesDenoiser(tiny_corpus)
         ids = np.array([[2, 1], [0, 2]])
-        assert np.array_equal(
-            den.posterior_loo_batch(ids, 0.3, kernel), den.posterior_batch(ids, 0.3, kernel)
-        )
+        for loo, full in zip(den.posterior_loo_batch(ids, 0.3, kernel), den.posterior_batch(ids, 0.3, kernel)):
+            assert np.array_equal(loo, full)
+
+
+def noisy_state(rng, corpus, kernel):
+    """An entry with about half its positions masked (masked kernel) or
+    redrawn (uniform kernel), as the c03 criterion builds its cases."""
+    entries = corpus.sequences()
+    x0 = entries[rng.integers(0, len(entries))]
+    hit = rng.random(corpus.length) < 0.5
+    if kernel.kind == "masked":
+        return np.where(hit, kernel.mask_id, x0)
+    return np.where(hit, rng.integers(0, kernel.vocab_size, corpus.length), x0)
+
+
+def random_case(rng, with_mask):
+    """A random corpus over N in 2-6 data tokens and length L in 2-5."""
+    n_data, length = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+    vocab = make_vocab(n_data, with_mask=with_mask)
+    n_entries = int(rng.integers(2, min(8, n_data**length) + 1))
+    return make_corpus(vocab, length, n_entries, seed=int(rng.integers(1 << 30)))
+
+
+def loo_by_enumeration(corpus, state, a_t, n):
+    """Leave-one-out marginals under the uniform kernel, written out: for
+    each position i, Bayes over the entries with every position's
+    likelihood factor but i's own."""
+    length = len(state)
+    out = np.zeros((length, n))
+    for i in range(length):
+        weights = []
+        for seq, prior in corpus.entries:
+            lik = 1.0
+            for j in range(length):
+                if j != i:
+                    lik *= a_t * (state[j] == seq.ids[j]) + (1.0 - a_t) / n
+            weights.append(prior * lik)
+        total = sum(weights)
+        for (seq, _), w in zip(corpus.entries, weights):
+            out[i, seq.ids[i]] += w / total
+    return out
+
+
+class TestOnePosteriorPath:
+    """exact_posterior, the denoiser's call and both batch methods share
+    one computation and one range check."""
+
+    @pytest.mark.parametrize("kind", ["masked", "uniform"])
+    def test_exact_posterior_equals_batch_rows(self, kind):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            corpus = random_case(rng, with_mask=(kind == "masked"))
+            kernel = NoiseKernel.for_vocab(kind, corpus.vocab)
+            a_t = float(rng.uniform(0.05, 0.95))
+            pool = np.stack([noisy_state(rng, corpus, kernel) for _ in range(6)])
+            ids = pool[rng.integers(0, len(pool), 80)]  # deduplicated
+            _, rows, inverse = ExactBayesDenoiser(corpus).posterior_batch(ids, a_t, kernel)
+            for k in range(len(pool)):
+                single = exact_posterior(corpus, kernel, Sequence(tuple(int(v) for v in ids[k])), a_t)
+                assert np.array_equal(single.rows, rows[inverse[k]])
+
+    def test_loo_batch_matches_enumeration(self):
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for _ in range(200):
+            corpus = random_case(rng, with_mask=False)
+            kernel = NoiseKernel.uniform(corpus.vocab.size)
+            a_t = float(rng.uniform(0.05, 0.95))
+            state = noisy_state(rng, corpus, kernel)
+            _, rows, inverse = ExactBayesDenoiser(corpus).posterior_loo_batch(state[None, :], a_t, kernel)
+            slow = loo_by_enumeration(corpus, state, a_t, kernel.vocab_size)
+            worst = max(worst, float(np.abs(rows[inverse[0]] - slow).max()))
+        assert worst <= 1e-12  # 3.3e-16 measured
+
+    @pytest.mark.parametrize("kind", ["masked", "uniform"])
+    @pytest.mark.parametrize("a_t", [-0.1, 1.5])
+    @pytest.mark.parametrize("caller", ["exact_posterior", "__call__", "posterior_batch", "posterior_loo_batch"])
+    def test_signal_level_outside_unit_interval_raises(self, tiny_corpus, kind, a_t, caller):
+        kernel = NoiseKernel.for_vocab(kind, tiny_corpus.vocab)
+        den = ExactBayesDenoiser(tiny_corpus)
+        state = Sequence((0, 1))  # compatible with entry "ab"
+        with pytest.raises(ValueError):
+            if caller == "exact_posterior":
+                exact_posterior(tiny_corpus, kernel, state, a_t)
+            elif caller == "__call__":
+                den(SeqDist.one_hot(state, 3), a_t, kernel)
+            else:
+                getattr(den, caller)(state.as_array()[None, :], a_t, kernel)
 
 
 class TestDistinctStates:
@@ -170,10 +257,11 @@ class TestDistinctStates:
         assert len(np.unique(ids, axis=0)) < len(ids)
         den = ExactBayesDenoiser(corpus)
         for method in (den.posterior_batch, den.posterior_loo_batch):
-            batch = method(ids, 0.4, kernel)
+            _, rows, inverse = method(ids, 0.4, kernel)
+            batch = rows[inverse]
             assert batch.shape == (len(ids), length, vocab.size)
             for b in range(len(ids)):
-                assert np.array_equal(batch[b], method(ids[b : b + 1], 0.4, kernel)[0])
+                assert np.array_equal(batch[b], method(ids[b : b + 1], 0.4, kernel)[1][0])
         assert (den.fallback_count > 0) == (kind == "masked")
 
     @pytest.mark.parametrize("kind", ["masked", "uniform"])
@@ -186,13 +274,13 @@ class TestDistinctStates:
         kernel = NoiseKernel.for_vocab(kind, vocab)
         ids = self.repeated_batch(corpus, kernel, np.random.default_rng(5), size=size)
         for method in ("posterior_batch", "posterior_loo_batch"):
-            gathered, flat = ExactBayesDenoiser(corpus), ExactBayesDenoiser(corpus)
-            rows = getattr(gathered, method)(ids, 0.4, kernel)
-            states, state_rows, inverse = getattr(flat, method)(ids, 0.4, kernel, gather=False)
+            batched, single = ExactBayesDenoiser(corpus), ExactBayesDenoiser(corpus)
+            states, state_rows, inverse = getattr(batched, method)(ids, 0.4, kernel)
             assert np.array_equal(states[inverse], ids)
             assert len(states) == (size if size < 64 else len(np.unique(ids, axis=0)))
+            rows = np.concatenate([getattr(single, method)(ids[b : b + 1], 0.4, kernel)[1] for b in range(size)])
             assert np.array_equal(state_rows[inverse], rows)
-            assert flat.fallback_count == gathered.fallback_count
+            assert batched.fallback_count == single.fallback_count
 
     @pytest.mark.parametrize("kind", ["masked", "uniform"])
     def test_each_distinct_state_computed_once(self, monkeypatch, kind):
@@ -219,7 +307,8 @@ class TestDistinctStates:
         # (b, a) matches no entry; it fills three rows in five, (a, MASK)
         # the other two, over a batch large enough to be deduplicated.
         ids = np.tile([[1, 0], [0, 2], [1, 0], [1, 0], [0, 2]], (13, 1))
-        rows = den.posterior_batch(ids, 0.5, kernel)
+        _, rows, inverse = den.posterior_batch(ids, 0.5, kernel)
+        rows = rows[inverse]
         assert den.fallback_count == 39
         assert np.array_equal(rows[ids[:, 0] == 1], np.stack([den._prior()] * 39))
         den.posterior_loo_batch(ids, 0.5, kernel)

@@ -688,10 +688,10 @@ class TestPerStateDraw:
             a_t, a_s = engine.schedule.alpha(t), engine.schedule.alpha(t - 1)
             if denoiser == "generic":
                 marg = np.stack([exact(SeqDist(np.eye(n)[row]), a_t, engine.kernel).rows for row in ids])
-            elif kernel == "uniform":
-                marg = exact.posterior_loo_batch(ids, a_t, engine.kernel)
             else:
-                marg = exact.posterior_batch(ids, a_t, engine.kernel)
+                batch = exact.posterior_loo_batch if kernel == "uniform" else exact.posterior_batch
+                _, state_marg, index = batch(ids, a_t, engine.kernel)
+                marg = state_marg[index]
             step = engine._reverse_mixture(ids, t)
             states, mix, inverse = step
             assert len(states) == (b if b < 64 or denoiser == "generic" else len(np.unique(ids, axis=0)))
