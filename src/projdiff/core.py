@@ -184,10 +184,10 @@ class SeqDist:
             raise ValueError("empty distribution")
         # Both checks are negated so that NaN, which fails every
         # comparison, fails them.
-        if not np.all(arr >= 0):
+        if not arr.min() >= 0:
             raise ValueError("negative or NaN probability")
         deviation = np.abs(arr.sum(axis=1) - 1.0)
-        if not np.all(deviation <= ROW_SUM_TOL):
+        if not deviation.max() <= ROW_SUM_TOL:
             raise ValueError(f"row sums deviate from 1 by {float(deviation.max()):.3e}")
         arr.setflags(write=False)
         self.rows = arr

@@ -31,6 +31,7 @@ builds them once per distinct chain state and draws from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class NoiseKernel:
     def vocab_size(self) -> int:
         return self.ref.shape[0]
 
-    @property
+    @cached_property
     def mask_id(self) -> int | None:
         if self.kind != "masked":
             return None

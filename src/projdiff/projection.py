@@ -320,17 +320,18 @@ def _force_argmax_row(row: np.ndarray, token: int, eps: float = ARGMAX_EPS) -> n
     other coordinates are untouched.  A small eps then moves the target
     strictly above the pool so that decoding is unambiguous.
     """
-    if int(np.argmax(row)) == token:
+    vals = row.tolist()
+    if vals.index(max(vals)) == token:
         return row
-    order = np.argsort(-row, kind="stable")
-    order = order[order != token]
-    acc = float(row[token])
+    # A stable descending order: equal masses keep ascending ids.
+    order = [u for u in sorted(range(len(vals)), key=vals.__getitem__, reverse=True) if u != token]
+    acc = vals[token]
     k = 0
-    while k < order.shape[0]:
-        level = (acc + float(row[order[k]])) / (k + 2)
-        acc += float(row[order[k]])
+    while k < len(order):
+        level = (acc + vals[order[k]]) / (k + 2)
+        acc += vals[order[k]]
         k += 1
-        if k == order.shape[0] or float(row[order[k]]) <= level:
+        if k == len(order) or vals[order[k]] <= level:
             break
     level = acc / (k + 1)
     eps = min(eps, level / 2)
@@ -748,6 +749,10 @@ class NoveltyDb:
 class _NoveltyCursor:
     """One input's decodes in (cost, lex) order, resumable across calls.
 
+    Built from the input's rows, it keeps what every call on them reads:
+    gaps, the flip cost max_v x[i, v] - x[i, u] of each position and
+    token as nested lists, and decode, the rows' argmax ids.
+
     Lawler's k-best partition (Management Science 18(7), 1972).  Each
     position's tokens are ranked by (gap, id); the root decode takes
     every position's first-ranked token.  A heap item
@@ -771,10 +776,13 @@ class _NoveltyCursor:
     itself and the decode is final when popped.
     """
 
-    __slots__ = ("orders", "tied_from", "heap")
+    __slots__ = ("gaps", "decode", "orders", "tied_from", "heap")
 
-    def __init__(self, gaps: np.ndarray, mask_id: int | None):
+    def __init__(self, rows: np.ndarray, mask_id: int | None):
+        gaps = rows.max(axis=1, keepdims=True) - rows  # flip cost per position/token
         length = gaps.shape[0]
+        self.gaps = gaps.tolist()
+        self.decode = rows.argmax(axis=1).tolist()
         ranked = np.argsort(gaps, axis=1, kind="stable").tolist()
         # Every completion of a decode holding a banned MASK is in db already.
         self.orders = tuple(tuple(v for v in row if v != mask_id) for row in ranked)
@@ -795,7 +803,7 @@ class _NoveltyCursor:
         if all(self.orders):
             root = tuple(order[0] for order in self.orders)
             cost = 0.0
-            for row, v in zip(gaps.tolist(), root):
+            for row, v in zip(self.gaps, root):
                 cost += row[v]
             self.heap.append((cost, self._bound(root, 0), root, 0, 0))
 
@@ -803,10 +811,10 @@ class _NoveltyCursor:
         k = self.tied_from[i]
         return seq if k == len(seq) else seq[:k] + (0,) * (len(seq) - k)
 
-    def next_absent(self, gaps: list, db: NoveltyDb) -> Sequence:
+    def next_absent(self, db: NoveltyDb) -> Sequence:
         """Pop decodes until one is absent from db; raises
         NoveltySaturationError once the heap is empty."""
-        heap, orders = self.heap, self.orders
+        heap, orders, gaps = self.heap, self.orders, self.gaps
         length = len(orders)
         while heap:
             cost, bound, seq, j, r = heapq.heappop(heap)
@@ -841,21 +849,22 @@ def novelty_project(x_in: SeqDist, db: NoveltyDb, eps: float = ARGMAX_EPS) -> Se
     right; the minimum is found in whole-sequence cost order, breaking
     ties toward the lexicographically smallest sequence.  The search is
     resumed per distinct input: db keeps a cursor for these rows (see
-    NoveltyDb), so a later call with equal rows goes on from where this
-    one stopped.  The selected sequence is added to db, and rows that
-    already decode to it pass through unchanged.
+    NoveltyDb), built on the first call with them, so a later call with
+    equal rows goes on from where this one stopped and reuses the
+    cursor's gaps and decode.  The selected sequence is added to db;
+    rows that already decode to it pass through unchanged, and otherwise
+    only the positions whose decode moves are forced.
 
     Raises NoveltySaturationError when db covers all N^L sequences.
     """
     rows = x_in.rows
-    gaps = rows.max(axis=1, keepdims=True) - rows  # flip cost per position/token
     key = (rows.shape, rows.tobytes())
     cursor = db.cursors.get(key)
     if cursor is None:
-        cursor = db.cursors[key] = _NoveltyCursor(gaps, db.mask_id)
-    selected = cursor.next_absent(gaps.tolist(), db)
+        cursor = db.cursors[key] = _NoveltyCursor(rows, db.mask_id)
+    selected = cursor.next_absent(db)
     db.add(selected)
-    changed = [i for i, (a, v) in enumerate(zip(rows.argmax(axis=1).tolist(), selected)) if a != v]
+    changed = [i for i, (a, v) in enumerate(zip(cursor.decode, selected)) if a != v]
     if not changed:
         return x_in
     out = rows.copy()

@@ -25,10 +25,12 @@ Chains are then handled in chain order: each takes its state's result,
 and a chain whose result is infeasible, or holds MASK at t = 1, redraws
 at its own turn and has its new state projected on its own, so the rng
 stream does not depend on the batching.  Novelty mode projects each
-failing chain in chain order, from the one-hot rows of its ids; chains
-that share a state resume one search in the database, and the sampler
-drops the database's search cursors when its novelty step ends, so they
-hold at most one step's distinct states.
+failing chain in chain order, from the one-hot rows of its ids.  The
+step builds each distinct state's rows once, in its memo, so chains
+that share a state hand the projector one SeqDist and resume one
+search in the database; the sampler drops the database's search
+cursors when its novelty step ends, so they hold at most one step's
+distinct states.
 
 When tracing, each step appends one TraceRecord per chain, in chain
 order.  The step scores the violations once, as arrays: one batched call
@@ -278,7 +280,9 @@ class _Engine:
                 kl, outer, wall = [0.0] * b, [0] * b, [0.0] * b
             if projected:
                 failed = ~self._passes(ids, t)
-                memo: dict[bytes, tuple] = {}  # this step's alm results, keyed by the state's id bytes
+                # This step's per-state work, keyed by the state's id bytes:
+                # alm results, or the one-hot rows novelty_project takes.
+                memo: dict[bytes, tuple | SeqDist] = {}
                 if not novelty:
                     self._project_states(ids[failed], memo)
                 for ci, fails in enumerate(failed.tolist()):
@@ -378,7 +382,8 @@ class _Engine:
         read from memo; a state the step's batch did not hold (a retry's
         redraw) is projected on its own into memo first.  Novelty mode
         calls its projector every time, since each call claims a sequence,
-        and computes kl, which only trace records read, only when tracing.
+        on the state's one-hot rows, which memo holds once built; it
+        computes kl, which only trace records read, only when tracing.
         step is the (states, mix, inverse) of this step's draw, which a
         retry draws from again.
         """
@@ -386,13 +391,15 @@ class _Engine:
         ops = backend.ops
         attempts = 0
         while True:
+            key = ids[ci].tobytes()
             if cfg.projection_mode == "alm":
-                key = ids[ci].tobytes()
                 if key not in memo:
                     self._project_states(ids[ci][None], memo)
                 new_dec, ok, outer, kl_moved = memo[key]
             else:
-                sd = SeqDist(ops.one_hot_rows(ids[ci], self.n))
+                sd = memo.get(key)
+                if sd is None:
+                    sd = memo[key] = SeqDist(ops.one_hot_rows(ids[ci], self.n))
                 res = novelty_project(sd, self.db)
                 new_dec, ok, outer = ops.argmax_rows(res.rows), True, 0
                 kl_moved = ops.kl_rows(sd.rows, res.rows) if cfg.trace else 0.0

@@ -1,6 +1,7 @@
 """Vocabulary, sequences, distributions, schedules, corpus I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projdiff.core import (
+    ROW_SUM_TOL,
     Corpus,
     Schedule,
     SeqDist,
@@ -129,6 +131,35 @@ class TestSeqDist:
             SeqDist(np.array([[bad, 0.0], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             SeqDist(np.array([[bad, 1.0]]))
+
+    def test_nan_in_last_entry_rejected(self):
+        rows = np.full((3, 4), 0.25)
+        rows[-1, -1] = np.nan
+        with pytest.raises(ValueError, match=r"^negative or NaN probability$"):
+            SeqDist(rows)
+
+    def test_infinite_entries_rejected_with_their_messages(self):
+        with pytest.raises(ValueError, match=r"^negative or NaN probability$"):
+            SeqDist(np.array([[0.5, 0.5], [-np.inf, 1.0]]))
+        with pytest.raises(ValueError, match=r"^row sums deviate from 1 by inf$"):
+            SeqDist(np.array([[0.5, 0.5], [0.0, np.inf]]))
+
+    def test_row_sum_just_over_tolerance_rejected(self):
+        # The first float whose distance from 1 exceeds the tolerance
+        # fails; the float before it passes.
+        x = 1.0 + ROW_SUM_TOL
+        while abs(x - 1.0) <= ROW_SUM_TOL:
+            x = np.nextafter(x, 2.0)
+        SeqDist(np.array([[0.5, 0.5], [np.nextafter(x, 0.0), 0.0]]))
+        message = f"row sums deviate from 1 by {abs(x - 1.0):.3e}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            SeqDist(np.array([[0.5, 0.5], [x, 0.0]]))
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            SeqDist(np.array([[0.5, 0.5], [0.0, 2.0 - x]]))
+
+    def test_negative_zero_accepted(self):
+        d = SeqDist(np.array([[-0.0, 1.0], [0.5, 0.5]]))
+        assert d.rows[0, 0] == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_normalized_rejects_non_finite_rows(self, bad):

@@ -28,6 +28,30 @@ def uniform_kernel():
 
 
 class TestKernelConstruction:
+    def test_cached_mask_id_keeps_equality_hash_and_repr(self):
+        kernels = (NoiseKernel.masked(make_vocab(3)), NoiseKernel.uniform(4))
+
+        def observed(kernel):
+            # A kernel's equality and hash come from its fields; ref is an
+            # array, so equality with a separate kernel of the same kind
+            # cannot be decided and hashing fails.
+            try:
+                twin = kernel == NoiseKernel(kernel.kind, kernel.ref)
+            except ValueError as exc:
+                twin = type(exc)
+            try:
+                hashed = hash(kernel)
+            except TypeError as exc:
+                hashed = type(exc)
+            other = kernels[1] if kernel is kernels[0] else kernels[0]
+            return repr(kernel), kernel == kernel, kernel == other, twin, hashed
+
+        before = [observed(k) for k in kernels]
+        assert [k.mask_id for k in kernels] == [3, None]
+        assert type(kernels[0].mask_id) is int
+        assert [observed(k) for k in kernels] == before
+        assert before[0][0] == "NoiseKernel(kind='masked')"
+
     def test_masked_reference_is_point_mass(self, masked_kernel):
         assert masked_kernel.mask_id == 3
         assert masked_kernel.ref[3] == 1.0

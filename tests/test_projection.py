@@ -456,6 +456,83 @@ class TestNoveltyResume:
             assert claim_until_saturated(near_tie_rows(rng, 3, 3), db) == 27
 
 
+def reference_force_argmax_row(row, token, eps=projection.ARGMAX_EPS):
+    """_force_argmax_row written with numpy sorts and masks."""
+    if int(np.argmax(row)) == token:
+        return row
+    order = np.argsort(-row, kind="stable")
+    order = order[order != token]
+    acc = float(row[token])
+    k = 0
+    while k < order.shape[0]:
+        level = (acc + float(row[order[k]])) / (k + 2)
+        acc += float(row[order[k]])
+        k += 1
+        if k == order.shape[0] or float(row[order[k]]) <= level:
+            break
+    level = acc / (k + 1)
+    eps = min(eps, level / 2)
+    out = row.copy()
+    out[order[:k]] = level - eps
+    out[token] = level + k * eps
+    return out
+
+
+def pooling_rows(rng, count):
+    """count seeded rows of 1-13 tokens: Dirichlet, one-hot, tied maxima,
+    rows with zeros, and rows moved a few ulps off exact ties."""
+    rows = []
+    for i in range(count):
+        n = int(rng.integers(1, 14))
+        kind = i % 5
+        if kind == 0:
+            row = rng.dirichlet(np.full(n, rng.uniform(0.1, 2.0)))
+        elif kind == 1:
+            row = np.eye(n)[rng.integers(0, n)]
+        elif kind == 2:
+            row = rng.integers(1, 4, size=n).astype(float)
+            row[rng.integers(0, n, size=2)] = 4.0
+            row /= row.sum()
+        elif kind == 3:
+            row = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5)
+            row[rng.integers(0, n)] += 0.5
+            row /= row.sum()
+        else:
+            row = rng.choice([1.0, 2.0, 3.0], size=n)
+            row /= row.sum()
+            row = row + rng.integers(-2, 3, size=n) * np.spacing(row)
+        rows.append(row)
+    return rows
+
+
+class TestForceArgmaxRow:
+    def test_bit_equal_to_numpy_reference(self):
+        rng = np.random.default_rng(41)
+        rows = pooling_rows(rng, 20000)
+        kept = 0
+        for row in rows:
+            token = int(rng.integers(0, row.shape[0]))
+            for eps in (0.0, projection.ARGMAX_EPS):
+                got = _force_argmax_row(row, token, eps)
+                want = reference_force_argmax_row(row, token, eps)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (row, token, eps)
+                assert (got is row) == (want is row)
+                kept += got is row
+        assert 0 < kept < 2 * len(rows)
+
+    def test_row_that_already_decodes_is_returned_as_is(self):
+        rng = np.random.default_rng(43)
+        for row in pooling_rows(rng, 500):
+            token = int(np.argmax(row))
+            assert _force_argmax_row(row, token) is row
+            assert _force_argmax_row(row, token, eps=0.0) is row
+        # Ties decode to the lowest id, so the later tied token is forced.
+        row = np.array([0.4, 0.4, 0.2])
+        assert _force_argmax_row(row, 0) is row
+        assert _force_argmax_row(row, 1) is not row
+
+
 def reference_flip_costs(rows):
     """Flip-cost table entry by entry: pool each (row, target) pair and
     take the KL over the row's support."""

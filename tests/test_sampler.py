@@ -51,7 +51,12 @@ def c01_trace_digest(cs, **kw):
     kw sets rng_seed."""
     corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
     config = SampleConfig(**{**dict(steps=16, length=10, num_samples=8, rng_seed=0), **kw})
-    seqs, traces = sample_constrained(corpus, cs, config)
+    return trace_digest(*sample_constrained(corpus, cs, config))
+
+
+def trace_digest(seqs, traces):
+    """sha256 of the samples and of every TraceRecord field but wall_time
+    (floats by repr)."""
     h = hashlib.sha256(b"".join(bytes(s.ids) for s in seqs))
     for r in traces:
         fields = (r.sample_index, r.step, r.projected, r.pre_violation, r.post_violation, r.kl_moved, r.outer_iters)
@@ -309,6 +314,22 @@ class TestDeterminism:
         seqs, _ = sample_constrained(corpus, None, config)
         digest = hashlib.sha256(b"".join(bytes(s.ids) for s in seqs)).hexdigest()
         assert digest == "77a71564214151349c48d7a00df040ebc11aade1182b0c16be3dda03af3abc7a"
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "9b845841dccd9f1fd499833bd7f466066c7e7d65f474021a58ddb6b96eb3dd21"),
+            (1, "f69f5a6f301cc86d1b7ba6f7c0b8fdc675f1c60931f561e3bf8387d938f5cc9d"),
+        ],
+    )
+    def test_seeded_novelty_trace_matches_recorded_digest(self, seed, digest):
+        """Traced novelty mode on the c02 shape, 200 chains: the digest
+        covers kl_moved, which depends on the bits of the forced rows.
+        Recorded while each chain still built its own one-hot rows and
+        the search's gap table was rebuilt on every call."""
+        corpus = make_corpus(make_vocab(6), length=6, n_entries=10, seed=23)
+        config = SampleConfig(steps=12, length=6, num_samples=200, rng_seed=seed, projection_mode="novelty")
+        assert trace_digest(*sample_constrained(corpus, None, config)) == digest
 
 
 class TestTraceShape:
@@ -657,6 +678,36 @@ class TestProjectionMemo:
         assert list(failing) == [1]
         assert len(set(failing[1])) < len(failing[1]) == 64
         assert projected == failing[1]
+
+    def test_novelty_step_builds_each_states_rows_once(self, monkeypatch):
+        # Chains that share a state hand novelty_project one SeqDist, and
+        # the database holds one search cursor per distinct state until
+        # the step ends.
+        corpus = make_corpus(make_vocab(6), length=6, n_entries=10, seed=23)
+        calls = []
+        real = sampler_module.novelty_project
+
+        def spy(x_in, db):
+            out = real(x_in, db)
+            calls.append((state_bytes(x_in), x_in, len(db.cursors)))
+            return out
+
+        monkeypatch.setattr(sampler_module, "novelty_project", spy)
+        db = NoveltyDb.from_corpus(corpus)
+        config = SampleConfig(steps=12, length=6, num_samples=64, rng_seed=0, projection_mode="novelty", trace=False)
+        sample_constrained(corpus, None, config, novelty_db=db)
+        assert len(calls) == 64
+        objects = {}
+        for state, x_in, _ in calls:
+            assert objects.setdefault(state, x_in) is x_in
+        assert len(objects) < 64
+        assert len({id(x_in) for x_in in objects.values()}) == len(objects)
+        # Each call adds a cursor exactly when its state is new.
+        seen = set()
+        for state, _, cursors in calls:
+            seen.add(state)
+            assert cursors == len(seen)
+        assert db.cursors == {}
 
 
 def full_row_draw(rows, u):
