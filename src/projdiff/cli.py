@@ -40,11 +40,10 @@ from .constraints import (
 from .core import Corpus, Sequence, SeqDist, Vocabulary, decode, read_sequences, write_sequences
 from .denoiser import ExactBayesDenoiser, exact_posterior
 from .noise import NoiseKernel
-from .oracle import enumerate_novelty, enumerate_posterior, grid_kl_project
+from .oracle import enumerate_cheapest_pattern, enumerate_novelty, enumerate_posterior, grid_kl_project
 from .projection import (
     AlmConfig,
     NoveltyDb,
-    _row_flip_costs,
     alm_project,
     novelty_project,
     position_project,
@@ -265,19 +264,6 @@ def _random_constraint(rng, n: int):
     return TokenCount(token=tok, op=kind, k=k)
 
 
-def _alm_oracle_optimum(rows: np.ndarray, cs: ConstraintSet) -> float | None:
-    seq_len, n = rows.shape
-    table = _row_flip_costs(rows).tolist()
-    best = None
-    for ids in itertools.product(range(n), repeat=seq_len):
-        if cs.max_hard_violation(Sequence(ids)) > 0:
-            continue
-        cost = sum(table[i][v] for i, v in enumerate(ids))
-        if best is None or cost < best:
-            best = cost
-    return best
-
-
 def _check_projection(run: Run, rng, cases: int) -> bool:
     worst_alm = 0.0
     worst_grid = 0.0
@@ -287,8 +273,9 @@ def _check_projection(run: Run, rng, cases: int) -> bool:
         n = int(rng.integers(2, 5))
         rows = rng.dirichlet(np.ones(n), size=seq_len)
         cs = ConstraintSet([_random_constraint(rng, n)])
-        opt = _alm_oracle_optimum(rows, cs)
-        if opt is None:
+        try:
+            _, opt = enumerate_cheapest_pattern(rows, cs)
+        except ValueError:  # no feasible pattern
             continue
         done += 1
         res = alm_project(SeqDist(rows), cs, AlmConfig())

@@ -188,6 +188,22 @@ def enumerate_novelty(x_in, db) -> tuple[Sequence, float]:
 MAX_FLIP_SPACE = 4096
 
 
+def _feasible_patterns(length: int, n: int, cs: ConstraintSet, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """All N^L patterns in lexicographic order and which are feasible.
+
+    A pattern is feasible when every hard violation is <= delta.  Raises
+    ValueError when N^L exceeds MAX_FLIP_SPACE and when no pattern is
+    feasible.
+    """
+    if n**length > MAX_FLIP_SPACE:
+        raise ValueError(f"pattern enumeration capped at N^L <= {MAX_FLIP_SPACE}")
+    patterns = np.asarray(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
+    feasible = (cs.hard_violations_batch(patterns) <= delta).all(axis=1)
+    if not feasible.any():
+        raise ValueError("no pattern satisfies the constraints")
+    return patterns, feasible
+
+
 def enumerate_fewest_flips(x_in, cs: ConstraintSet, delta: float = 0.0) -> tuple[Sequence, float]:
     """Cheapest feasible decode of one-hot rows by scanning all N^L patterns.
 
@@ -201,15 +217,50 @@ def enumerate_fewest_flips(x_in, cs: ConstraintSet, delta: float = 0.0) -> tuple
     """
     rows = x_in.rows if isinstance(x_in, SeqDist) else np.asarray(x_in)
     length, n = rows.shape
-    if n**length > MAX_FLIP_SPACE:
-        raise ValueError(f"flip enumeration capped at N^L <= {MAX_FLIP_SPACE}")
     if not (np.isin(rows, (0.0, 1.0)).all() and (rows.sum(axis=1) == 1.0).all()):
         raise ValueError("expected one-hot rows")
-    base = rows.argmax(axis=1)
-    patterns = np.asarray(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
-    feasible = (cs.hard_violations_batch(patterns) <= delta).all(axis=1)
-    if not feasible.any():
-        raise ValueError("no pattern satisfies the constraints")
-    flips = np.where(feasible, (patterns != base).sum(axis=1), length + 1)
+    patterns, feasible = _feasible_patterns(length, n, cs, delta)
+    flips = np.where(feasible, (patterns != rows.argmax(axis=1)).sum(axis=1), length + 1)
     k = int(np.argmin(flips))
     return Sequence(tuple(int(v) for v in patterns[k])), int(flips[k]) * math.log(2.0)
+
+
+def pooled_flip_cost(row, token: int) -> float:
+    """Least KL(row || q) over the points q whose argmax is token.
+
+    The minimizer pools token with some set A of competitors: token and
+    each member of A take their mean mass, and every other coordinate
+    keeps its own.  Every set A is tried; a pooled point with an
+    unpooled coordinate above the pooled level does not decode to token
+    and is dropped, and the least KL among the rest is returned.
+    """
+    r = [float(x) for x in row]
+    others = [u for u in range(len(r)) if u != token]
+    best = math.inf
+    for size in range(len(others) + 1):
+        for pool in itertools.combinations(others, size):
+            level = (r[token] + sum(r[u] for u in pool)) / (size + 1)
+            if any(r[u] > level for u in others if u not in pool):
+                continue
+            kl = sum(r[u] * math.log(r[u] / level) for u in (token, *pool) if r[u] > 0.0)
+            best = min(best, kl)
+    return best
+
+
+def enumerate_cheapest_pattern(rows: np.ndarray, cs: ConstraintSet) -> tuple[Sequence, float]:
+    """Cheapest feasible decode of any (L, N) rows by scanning all N^L patterns.
+
+    A pattern costs the sum over positions of pooled_flip_cost, the
+    least KL that gives each row its token as argmax; the minimum-KL
+    rows that decode to a pattern change each row on its own, so this
+    is the KL of the cheapest feasible projection.  A pattern is
+    feasible when it has no hard violation.  Ties resolve to the
+    lexicographically smallest pattern.  Returns the pattern and its
+    cost.  Raises ValueError when no pattern is feasible.
+    """
+    length, n = rows.shape
+    patterns, feasible = _feasible_patterns(length, n, cs, 0.0)
+    table = np.asarray([[pooled_flip_cost(row, v) for v in range(n)] for row in rows])
+    costs = np.where(feasible, table[np.arange(length), patterns].sum(axis=1), np.inf)
+    k = int(np.argmin(costs))
+    return Sequence(tuple(int(v) for v in patterns[k])), float(costs[k])

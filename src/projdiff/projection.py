@@ -368,26 +368,14 @@ def _segment_starts(labels: np.ndarray) -> np.ndarray:
 def _first_min(cands: np.ndarray, cost: np.ndarray, excess: np.ndarray, segment: np.ndarray) -> np.ndarray:
     """Per segment, the first row of cands at the least (excess, cost, ids) key.
 
-    segment labels each row with its segment, nondecreasing down the
-    rows; the result holds one row index per segment, in order.  Each is
-    the row np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0]
-    picks on its segment alone.  Segmented minima mark the rows at their
-    segment's least excess, then of those the ones at the least cost;
-    only when a segment keeps more than one row are the rows left
-    sorted: by segment, then ids, stably, so a full tie keeps the
-    segment's lowest index, as the sort of the whole segment does.
+    segment labels each row with its segment; the result holds one row
+    index per segment, in label order.  Each is the row
+    np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0] picks on its
+    segment alone: one stable sort of all rows by segment, then key, so a
+    full tie keeps the segment's lowest index.
     """
-    opens = _segment_starts(segment)
-    starts = np.flatnonzero(opens)
-    run = np.cumsum(opens) - 1  # each row's segment, counted from 0
-    best = excess == np.minimum.reduceat(excess, starts)[run]
-    cost = np.where(best, cost, np.inf)
-    best &= cost == np.minimum.reduceat(cost, starts)[run]
-    rows = np.flatnonzero(best)
-    if rows.shape[0] > starts.shape[0]:  # a segment still holds ties
-        rows = rows[np.lexsort(tuple(cands[rows, ::-1].T) + (segment[rows],))]
-        rows = rows[_segment_starts(segment[rows])]
-    return rows
+    order = np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess, segment))
+    return order[_segment_starts(segment[order])]
 
 
 # Grid cells per chunk of move groups: SEARCH_CHUNK_ROWS * L, the ids
@@ -489,11 +477,11 @@ def _decode_search(
     pairs that revert one already-changed position back to the base
     while changing another, which lets a misplaced flip migrate to a
     cheaper row.  Each state starts from the better of its start and
-    base patterns (scored once when starts is bases).  A qualifying
-    state only takes strictly cheaper moves.  Each state moves to the
-    least key among its moves if that is below its current key, and
-    otherwise stops, so each result equals that of scoring its moves
-    one by one.
+    base patterns, the start on a tie (scored once when starts is
+    bases).  A qualifying state only takes strictly cheaper moves.  Each
+    state moves to the least key among its moves if that is below its
+    current key, and otherwise stops, so each result equals that of
+    scoring its moves one by one.
 
     Each sweep takes the moves of every state still moving at once, in
     groups: a state's single moves, then one group per changed position
@@ -534,19 +522,16 @@ def _decode_search(
       1. its lowest possible excess is above the least of its state's
          current excess and the highest possible excesses of its state's
          moves in the chunk; or
-      2. some of its state's moves in the chunk surely reach zero
-         excess, and its lowest possible cost is above the least highest
-         possible cost among those; or
-      3. its state qualifies, and its lowest possible cost is not below
+      2. its state qualifies, and its lowest possible cost is not below
          the current cost.
 
     Comparisons with a NaN bound fail, and such a move stays.  Only the
     survivors get id rows, exact excess from one
     ConstraintSet.hard_violations_batch call per chunk and exact cost
-    (the integer update, or cost_of on float tables).  _first_min then
-    picks the least (excess, cost, ids) key of each state in a chunk,
-    then of each state's chunk winners, and _key_less compares it with
-    the state's current key; a state left with no survivor stops.
+    (the integer update, or cost_of on float tables).  _first_min picks
+    each state's least (excess, cost, ids) key in a chunk, then once
+    more over every live state's own pattern, put first, and the chunk
+    winners; a state whose pick is its own pattern stops.
     """
     k_states, seq_len, n = tables.shape
     if max_sweeps is None:
@@ -565,13 +550,16 @@ def _decode_search(
     def cost_of(cands, owner):
         return np.cumsum(flat[(owner * seq_len)[:, None] + positions, cands], axis=1)[:, -1]
 
-    # Each state starts from the lesser key of its start and its base.
+    # Each state starts from the least key of its start and its base,
+    # the start on a tie.
     everyone = np.arange(k_states)
     cur, cur_excess, cur_cost = starts.copy(), excess_of(starts), cost_of(starts, everyone)
     if not same:
-        base_key = (excess_of(bases), cost_of(bases, everyone), bases)
-        take = _key_less(base_key, (cur_excess, cur_cost, cur))
-        cur[take], cur_excess[take], cur_cost[take] = bases[take], base_key[0][take], base_key[1][take]
+        both = np.concatenate((starts, bases))
+        excess = np.concatenate((cur_excess, excess_of(bases)))
+        cost = np.concatenate((cur_cost, cost_of(bases, everyone)))
+        pick = _first_min(both, cost, excess, np.concatenate((everyone, everyone)))
+        cur, cur_excess, cur_cost = both[pick], excess[pick], cost[pick]
     if n == 1:  # no other token to move to
         return cur, cur_excess
 
@@ -606,39 +594,25 @@ def _decode_search(
         score = terms.tables - held_terms[:, :, None]
         score += (held_terms.sum(axis=1) + terms.offset)[:, None, None]
         exc_lo, exc_hi = terms.excess_bounds(score, delta)
-        cost_lo = cost_hi = tables[gs] + held_cost.sum(axis=1)[:, None, None]
-        cost_hi -= held_cost[:, :, None]
-        if not exact:
-            tol = cost_tol[gs][:, None, None]
-            cost_lo = cost_hi - tol
-            cost_hi += tol
-        # Per group, then per state: the least highest possible excess,
-        # and the least highest possible cost of a move surely at zero
-        # excess, capped by the strictly-cheaper rule.
+        cost = tables[gs] + held_cost.sum(axis=1)[:, None, None]
+        cost -= held_cost[:, :, None]
+        cost_lo = cost if exact else cost - cost_tol[gs][:, None, None]
+        # Per group, then per state: the least highest possible excess.
         least_excess = exc_hi.reshape(gs.shape[0], cells).min(axis=1)
-        least_cost = cost_cap[gs]
-        if not least_excess.all():
-            zero = (exc_hi == 0.0).reshape(gs.shape[0], cells)
-            zero_cost = np.minimum.reduce(
-                cost_hi.reshape(gs.shape[0], cells), axis=1, dtype=np.float64, initial=np.inf, where=zero
-            )
-            least_cost = np.minimum(zero_cost, least_cost)
         opens = _segment_starts(gs)
         if not opens.all():
-            first, run = np.flatnonzero(opens), np.cumsum(opens) - 1
-            least_excess = np.minimum.reduceat(least_excess, first)[run]
-            least_cost = np.minimum.reduceat(least_cost, first)[run]
+            least_excess = np.minimum.reduceat(least_excess, np.flatnonzero(opens))[np.cumsum(opens) - 1]
         least_excess = np.minimum(least_excess, cur_excess[gs])
         # Comparisons that NaN bounds fail keep their moves.
         prune = exc_lo > least_excess[:, None, None]
-        prune |= cost_lo > least_cost[:, None, None]
+        prune |= cost_lo > cost_cap[gs][:, None, None]
         cell = np.flatnonzero(np.logical_not(prune, out=prune))
         group, pos, tok = np.unravel_index(cell, exc_lo.shape)
         cands = start_ids[group]
         cands[np.arange(cell.shape[0]), pos] = tok
         owner = gs[group]
         if exact:
-            return cands, owner, cost_hi.ravel()[cell]
+            return cands, owner, cost.ravel()[cell]
         return cands, owner, cost_of(cands, owner)
 
     for _ in range(max_sweeps):
@@ -655,7 +629,9 @@ def _decode_search(
         qualifies = cur_excess == 0.0
         limit = np.where(qualifies, cur_cost, np.inf)
         cost_cap = np.where(qualifies, np.nextafter(cur_cost, -np.inf), np.inf)
-        won = []
+        # Each live state's own pattern comes first, so a move wins only
+        # at a strictly smaller key.
+        won = [(cur[live], cur_cost[live], cur_excess[live], live)]
         for g in range(0, group_state.shape[0], per_chunk):
             chunk = slice(g, g + per_chunk)
             cands, owner, cost = survivors(group_state[chunk], group_revert[chunk], cost_cap)
@@ -665,27 +641,12 @@ def _decode_search(
             excess[cost >= limit.take(owner)] = np.inf
             pick = _first_min(cands, cost, excess, owner)
             won.append((cands[pick], cost[pick], excess[pick], owner[pick]))
-        if not won:
-            break
-        cands, cost, excess, owner = won[0] if len(won) == 1 else (np.concatenate(parts) for parts in zip(*won))
-        if len(won) > 1:  # a state whose groups straddle chunks won in each
-            pick = _first_min(cands, cost, excess, owner)
-            cands, cost, excess, owner = cands[pick], cost[pick], excess[pick], owner[pick]
-        better = _key_less((excess, cost, cands), (cur_excess[owner], cur_cost[owner], cur[owner]))
-        live = owner[better]
-        cur[live], cur_cost[live], cur_excess[live] = cands[better], cost[better], excess[better]
+        cands, cost, excess, owner = (np.concatenate(parts) for parts in zip(*won))
+        pick = _first_min(cands, cost, excess, owner)
+        pick = pick[pick >= live.shape[0]]
+        live = owner[pick]
+        cur[live], cur_cost[live], cur_excess[live] = cands[pick], cost[pick], excess[pick]
     return cur, cur_excess
-
-
-def _key_less(a, b) -> np.ndarray:
-    """Which rows of key a = (excess, cost, ids) lie below those of b,
-    comparing excess, then cost, then the id rows lexicographically."""
-    (a_excess, a_cost, a_ids), (b_excess, b_cost, b_ids) = a, b
-    differ = a_ids != b_ids
-    rows, first = np.arange(a_ids.shape[0]), np.argmax(differ, axis=1)
-    ids_less = differ[rows, first] & (a_ids[rows, first] < b_ids[rows, first])
-    cheaper = (a_cost < b_cost) | ((a_cost == b_cost) & ids_less)
-    return (a_excess < b_excess) | ((a_excess == b_excess) & cheaper)
 
 
 def position_project(x_in: SeqDist, position: int, token: int, eps: float = ARGMAX_EPS) -> SeqDist:

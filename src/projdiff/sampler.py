@@ -209,14 +209,13 @@ class _Engine:
         states, their (U, L, N) denoised rows, and the (B,) index with
         states[inverse] equal to ids.
 
-        The uniform-kernel reverse step is exact when fed leave-one-out
-        posteriors; generic denoisers supply the plain estimate instead, one
-        chain at a time, with U = B and the identity index.
+        The reverse step is exact when fed leave-one-out posteriors (under
+        the masked kernel, the full ones); generic denoisers supply the
+        plain estimate instead, one chain at a time, with U = B and the
+        identity index.
         """
         if isinstance(self.denoiser, ExactBayesDenoiser):
-            if self.kernel.kind == "uniform":
-                return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel)
-            return self.denoiser.posterior_batch(ids, a_t, self.kernel)
+            return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel)
         out = np.empty((ids.shape[0], ids.shape[1], self.n))
         for i in range(ids.shape[0]):
             state = SeqDist(backend.ops.one_hot_rows(ids[i], self.n))
@@ -401,7 +400,9 @@ class _Engine:
                 if sd is None:
                     sd = memo[key] = SeqDist(ops.one_hot_rows(ids[ci], self.n))
                 res = novelty_project(sd, self.db)
-                new_dec, ok, outer = ops.argmax_rows(res.rows), True, 0
+                # An unchanged result decodes to the chain's own ids.
+                new_dec = ids[ci] if res is sd else ops.argmax_rows(res.rows)
+                ok, outer = True, 0
                 kl_moved = ops.kl_rows(sd.rows, res.rows) if cfg.trace else 0.0
             # An emitted sequence must not contain the mask token; inside
             # the chain a mask decode just re-opens that position.

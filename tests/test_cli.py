@@ -3,10 +3,12 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import projdiff
@@ -215,6 +217,30 @@ class TestOracleCheck:
         proc = run_cli("oracle-check", "--config", str(cfg))
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
+
+    def test_wrong_pooling_rule_fails_projection_suite(self, monkeypatch, capsys):
+        # Pooling every competitor still decodes to the target, but moves
+        # more mass than needed; the suite's optimum must not move with it.
+        from projdiff import cli, projection
+
+        def alm_excess():
+            return float(re.search(r"worst ALM excess = (\S+),", capsys.readouterr().out).group(1))
+
+        def pool_every_token(row, token, eps=projection.ARGMAX_EPS):
+            vals = row.tolist()
+            if vals.index(max(vals)) == token:
+                return row
+            level = sum(vals) / len(vals)
+            eps = min(eps, level / 2)
+            out = np.full_like(row, level - eps)
+            out[token] = level + (len(vals) - 1) * eps
+            return out
+
+        assert cli._check_projection(None, np.random.default_rng(0), 40)
+        assert alm_excess() <= 1e-2
+        monkeypatch.setattr(projection, "_force_argmax_row", pool_every_token)
+        assert not cli._check_projection(None, np.random.default_rng(0), 40)
+        assert alm_excess() > 1e-2
 
 
 class TestAblate:

@@ -13,12 +13,14 @@ from projdiff.oracle import (
     MAX_FLIP_SPACE,
     MAX_GRID_N,
     MAX_NOVELTY_SPACE,
+    enumerate_cheapest_pattern,
     enumerate_fewest_flips,
     enumerate_novelty,
     enumerate_posterior,
     grid_kl_project,
+    pooled_flip_cost,
 )
-from projdiff.projection import NoveltyDb
+from projdiff.projection import NoveltyDb, _row_flip_costs
 
 
 class TestEnumeratePosterior:
@@ -130,3 +132,38 @@ class TestEnumerateFewestFlips:
         assert 2**13 > MAX_FLIP_SPACE
         with pytest.raises(ValueError):
             enumerate_fewest_flips(rows, ConstraintSet([Forbidden(0)]))
+
+
+class TestPooledFlipCost:
+    def test_matches_closed_form_table(self):
+        rng = np.random.default_rng(19)
+        for n in range(2, 6):
+            for _ in range(20):
+                rows = rng.dirichlet(np.full(n, 0.7), size=3)
+                oracle = [[pooled_flip_cost(row, v) for v in range(n)] for row in rows]
+                np.testing.assert_allclose(oracle, _row_flip_costs(rows), rtol=0.0, atol=1e-12)
+
+    def test_hand_case(self):
+        # Token 1 pools with token 0 at 0.4 each; token 2 at 0.2 stays out.
+        assert pooled_flip_cost([0.5, 0.3, 0.2], 1) == pytest.approx(0.5 * math.log(1.25) + 0.3 * math.log(0.75))
+        assert pooled_flip_cost([0.5, 0.3, 0.2], 0) == 0.0
+
+
+class TestEnumerateCheapestPattern:
+    def test_soft_rows_hand_case(self):
+        rows = np.array([[0.9, 0.1], [0.6, 0.4]])
+        seq, cost = enumerate_cheapest_pattern(rows, ConstraintSet([TokenCount(token=0, op="le", k=1)]))
+        assert seq == Sequence((0, 1))
+        assert cost == pytest.approx(pooled_flip_cost(rows[1], 1))
+
+    def test_one_hot_rows_agree_with_fewest_flips(self):
+        rows = SeqDist.one_hot(Sequence((0, 0, 0)), 3).rows
+        cs = ConstraintSet([TokenCount(token=0, op="le", k=1)])
+        seq, cost = enumerate_cheapest_pattern(rows, cs)
+        assert (seq, cost) == (enumerate_fewest_flips(rows, cs)[0], pytest.approx(2 * math.log(2.0)))
+
+    def test_rejects_unsatisfiable_sets_and_large_spaces(self):
+        with pytest.raises(ValueError):
+            enumerate_cheapest_pattern(np.eye(2), ConstraintSet([TokenCount(token=0, op="ge", k=3)]))
+        with pytest.raises(ValueError):
+            enumerate_cheapest_pattern(np.full((13, 2), 0.5), ConstraintSet([Forbidden(0)]))

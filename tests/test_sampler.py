@@ -509,6 +509,29 @@ class TestNoveltyMode:
         assert len(set(seqs)) == 2000
         assert len(db) == 10 + 2000
 
+    def test_database_without_mask_id_cannot_emit_mask(self):
+        # The database holds every MASK-free sequence and bans no MASK, so
+        # each pick holds MASK, and the sampler must still refuse it.
+        corpus = make_corpus(make_vocab(2), length=2, n_entries=4)
+        db = NoveltyDb(s for s, _ in corpus.entries)
+        config = SampleConfig(
+            steps=4, length=2, rng_seed=0, projection_mode="novelty", infeasible_policy="abort", trace=False
+        )
+        with pytest.raises(InfeasibleSampleError):
+            sample_constrained(corpus, None, config, novelty_db=db)
+
+    def test_database_in_alm_mode_keeps_mask_scan(self, toy_corpus, monkeypatch):
+        # A projection whose decode is all MASK must be refused at t = 1,
+        # whatever database is passed alongside alm mode.
+        def mask_ids(states, n, cs, config):
+            return np.full_like(states, n - 1), np.ones(len(states), dtype=bool)
+
+        monkeypatch.setattr(sampler_module, "project_ids", mask_ids)
+        cs = ConstraintSet([TokenCount(token=0, op="ge", k=6)])
+        config = cfg(infeasible_policy="abort", trace=False)
+        with pytest.raises(InfeasibleSampleError, match="step 1"):
+            sample_constrained(toy_corpus, cs, config, novelty_db=NoveltyDb.from_corpus(toy_corpus))
+
 
 class TestInfeasiblePolicies:
     def impossible(self):
