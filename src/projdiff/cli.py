@@ -48,7 +48,6 @@ from .projection import (
     novelty_project,
     position_project,
 )
-from .relax import RelaxConfig
 from .sampler import InfeasibleSampleError, SampleConfig, sample_constrained
 
 TRACE_COLUMNS = (
@@ -109,9 +108,7 @@ class Run:
                 raise CliError(f"bad constraint file: {exc}") from None
 
         try:
-            alm_raw = dict(raw.get("alm", {}))
-            relax_raw = dict(alm_raw.pop("relax", {}))
-            alm = AlmConfig(relax=RelaxConfig(**relax_raw), **alm_raw)
+            alm = AlmConfig(**raw.get("alm", {}))
             sample_raw = dict(raw.get("sample", {}))
             sample_raw.setdefault("length", self.corpus.length)
             if seed is not None:

@@ -99,8 +99,8 @@ class Constraint:
         return max(0.0, self.hard_score(seq) - self.tau)
 
     def _check_tau(self):
-        if self.tau < 0:
-            raise ValueError(f"{self.name}: tau must be nonnegative")
+        if not self.tau >= 0:  # NaN fails this too
+            raise ValueError(f"{self.name}: tau must be nonnegative, got {self.tau!r}")
 
 
 @dataclass
@@ -119,6 +119,8 @@ class LinearScore(Constraint):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 1:
             raise ValueError("weights must be a vector over the vocabulary")
+        if not np.isfinite(self.weights).all():
+            raise ValueError(f"{self.name}: weights must be finite")
         self._check_tau()
 
     def check_fits(self, n: int, length: int) -> None:
@@ -179,7 +181,7 @@ class TokenCount(Constraint):
     def __post_init__(self):
         if self.op not in _OPS:
             raise ValueError(f"op must be one of {_OPS}, got {self.op!r}")
-        if self.k < 0:
+        if not self.k >= 0:
             raise ValueError("k must be nonnegative")
         if not self.name:
             sym = {"le": "<=", "ge": ">=", "eq": "=="}[self.op]

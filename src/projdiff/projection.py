@@ -32,14 +32,13 @@ win, so its result is that of scoring every move.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import backend
 from .constraints import ConstraintSet
 from .core import Corpus, SeqDist, Sequence, check_counts, decode
-from .relax import RelaxConfig
 
 
 @dataclass(frozen=True)
@@ -51,31 +50,26 @@ class AlmConfig:
         KL(x || y) + sum_i lam_i * d_i + (mu_i / 2) * d_i^2
 
     where d_i = max(0, g_i(phi(y)) - tau_i) uses the relaxed constraint
-    scores.  Inner iterations take eta-sized gradient steps in logit
-    coordinates; outer iterations raise lam by mu * d (measured on the
-    decoded iterate) and scale mu by alpha_scale up to mu_max.  The loop
-    stops as soon as every decoded violation is <= delta.
+    scores on phi, the noiseless relaxation at RELAX_TEMPERATURE.  lam
+    starts at zero and mu at mu_init.  Inner iterations take eta-sized
+    gradient steps in logit coordinates; outer iterations raise lam by
+    mu * d (measured on the decoded iterate) and scale mu by MU_GROWTH up
+    to MU_MAX.  The loop stops once every decoded violation is <= delta.
     """
 
-    lambda_init: float = 0.0
     mu_init: float = 1.0
     eta: float = 0.2
     max_inner_iter: int = 10
     max_outer_iter: int = 1000
-    mu_max: float = 1000.0
-    alpha_scale: float = 2.0
     delta: float = 0.0
-    relax: RelaxConfig = field(default_factory=RelaxConfig)
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:  # NaN fails these comparisons too
             raise ValueError("eta must be positive")
         check_counts(self, max_inner_iter=1, max_outer_iter=1)
-        if self.mu_init <= 0 or self.mu_init > self.mu_max:
-            raise ValueError("need 0 < mu_init <= mu_max")
-        if self.alpha_scale <= 1:
-            raise ValueError("alpha_scale must exceed 1")
-        if self.delta < 0:
+        if not 0 < self.mu_init <= MU_MAX:
+            raise ValueError(f"need 0 < mu_init <= {MU_MAX}")
+        if not self.delta >= 0:
             raise ValueError("delta must be nonnegative")
 
 
@@ -102,6 +96,13 @@ Z_INIT_FLOOR = 1e-3
 # toward a flip change the decode well within this window (a full
 # one-hot flip under default multipliers takes about 18 rounds).
 STALL_PATIENCE = 30
+
+# The penalty weight mu grows by MU_GROWTH per outer iteration left
+# infeasible, up to MU_MAX; the penalties score the noiseless relaxation
+# at RELAX_TEMPERATURE.
+MU_GROWTH = 2.0
+MU_MAX = 1000.0
+RELAX_TEMPERATURE = 0.5
 
 
 def alm_objective(
@@ -178,7 +179,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
     ops = backend.ops
     x_rows = x_in.rows
     m = len(cs)
-    lam = np.full(m, config.lambda_init, dtype=np.float64)
+    lam = np.zeros(m)
     mu = np.full(m, config.mu_init, dtype=np.float64)
 
     base = decode(x_rows).ids
@@ -194,9 +195,6 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
         if feasible[0]:
             return _pooled_result(x_rows, cs, tuple(ids[0].tolist()), True, 0)
 
-    xi = config.relax.noise(x_rows.shape)
-    temp = config.relax.temperature
-
     z = np.log(np.maximum(x_rows, Z_INIT_FLOOR))
     y = ops.row_softmax(z)
     hard = cs.hard_violations(decode(y))
@@ -210,7 +208,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
         z_before = z.copy()
         outer_any_active = False
         for _ in range(config.max_inner_iter):
-            dz, any_active = alm_gradient(z, x_rows, cs, lam, mu, xi, temp)
+            dz, any_active = alm_gradient(z, x_rows, cs, lam, mu, None, RELAX_TEMPERATURE)
             outer_any_active = outer_any_active or any_active
             z = z - config.eta * dz
         y = ops.row_softmax(z)
@@ -220,7 +218,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
             best_rows, best_hard = y, hard
         if float(hard.max()) > config.delta:
             lam = lam + mu * hard
-            mu = np.minimum(mu * config.alpha_scale, config.mu_max)
+            mu = np.minimum(mu * MU_GROWTH, MU_MAX)
             if not outer_any_active or np.array_equal(z, z_before):
                 # The relaxed scores sat at or below their thresholds for
                 # the whole outer iteration while the decoded check still
@@ -238,29 +236,26 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
                 stalled = 0
                 prev_decode = dec.ids
 
-    if float(hard.max()) <= config.delta:
-        out_rows, out_hard, feasible = y, hard, True
-    else:
-        out_rows, out_hard, feasible = best_rows, best_hard, False
     # The loop's job is to pick which argmax pattern to decode to; for a
     # fixed pattern the minimum-KL rows have a closed form (per-row
     # pooling).  A short lattice search around the iterate's pattern then
     # lands on the cheapest nearby qualifying pattern instead of wherever
     # the penalty dynamics overshot, and can also repair patterns the
-    # gated multiplier term cannot reach.
+    # gated multiplier term cannot reach.  A feasible best iterate starts
+    # the search at zero excess, so only an infeasible one gets past it.
     found, residual = _decode_search(
-        _row_flip_costs(x_rows)[None], cs, config.delta, np.asarray([decode(out_rows).ids]), np.asarray([base])
+        _row_flip_costs(x_rows)[None], cs, config.delta, np.asarray([decode(best_rows).ids]), np.asarray([base])
     )
     ids, residual = tuple(found[0].tolist()), float(residual[0])
-    loop_excess = float(np.maximum(out_hard - config.delta, 0.0).sum())
+    loop_excess = float(np.maximum(best_hard - config.delta, 0.0).sum())
     if residual == 0.0 or residual < loop_excess:
         return _pooled_result(x_rows, cs, ids, residual == 0.0, outer)
-    projected = SeqDist.normalized(out_rows)
+    projected = SeqDist.normalized(best_rows)
     return AlmResult(
         projected=projected,
-        feasible=feasible,
+        feasible=False,
         outer_iters=outer,
-        final_violation=out_hard,
+        final_violation=best_hard,
         kl_moved=ops.kl_rows(x_rows, projected.rows),
     )
 
@@ -649,7 +644,7 @@ def _decode_search(
     return cur, cur_excess
 
 
-def position_project(x_in: SeqDist, position: int, token: int, eps: float = ARGMAX_EPS) -> SeqDist:
+def position_project(x_in: SeqDist, position: int, token: int) -> SeqDist:
     """Closed-form projection forcing position to decode to token.
 
     Rows other than the targeted one are untouched; an input that
@@ -661,7 +656,7 @@ def position_project(x_in: SeqDist, position: int, token: int, eps: float = ARGM
     if not 0 <= token < rows.shape[1]:
         raise ValueError(f"token {token} out of range")
     row = rows[position]
-    new_row = _force_argmax_row(row, token, eps)
+    new_row = _force_argmax_row(row, token)
     if new_row is row:
         return x_in
     out = rows.copy()
@@ -802,7 +797,7 @@ class _NoveltyCursor:
         raise NoveltySaturationError("database already contains every sequence")
 
 
-def novelty_project(x_in: SeqDist, db: NoveltyDb, eps: float = ARGMAX_EPS) -> SeqDist:
+def novelty_project(x_in: SeqDist, db: NoveltyDb) -> SeqDist:
     """Force the decode to the cheapest sequence absent from db.
 
     Candidate cost is the argmax probability given up position by
@@ -830,5 +825,5 @@ def novelty_project(x_in: SeqDist, db: NoveltyDb, eps: float = ARGMAX_EPS) -> Se
         return x_in
     out = rows.copy()
     for i in changed:
-        out[i] = _force_argmax_row(rows[i], selected[i], eps)
+        out[i] = _force_argmax_row(rows[i], selected[i])
     return SeqDist(out)

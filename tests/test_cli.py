@@ -61,7 +61,7 @@ def make_workspace(tmp_path, constraints=CONSTRAINTS, sample=None, extra=None):
         "constraints": "constraints.json",
         "out_dir": "out",
         "sample": sample_cfg,
-        "alm": {"max_outer_iter": 12, "relax": {"temperature": 0.5}},
+        "alm": {"max_outer_iter": 12},
         "oracle": {"cases": 8},
     }
     if extra:
@@ -146,7 +146,7 @@ class TestSample:
         # The sampler passes a chain whose violations are all at most
         # alm.delta, and the exit code judges emitted samples the same
         # way; violation_rate stays the share violating by any amount.
-        alm = {"max_outer_iter": 12, "delta": delta, "relax": {"temperature": 0.5}}
+        alm = {"max_outer_iter": 12, "delta": delta}
         cfg = make_workspace(tmp_path, extra={"alm": alm})
         proc = run_cli("sample", "--config", str(cfg))
         assert proc.returncode == 0, proc.stderr
@@ -353,6 +353,28 @@ class TestUsageAndErrors:
         proc = run_cli("sample", "--config", str(cfg), *args)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: bad sample/alm settings")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "removed",
+        [{"mu_max": 1000.0}, {"alpha_scale": 2.0}, {"lambda_init": 0.0}, {"relax": {"temperature": 0.5}}],
+    )
+    def test_removed_alm_setting_is_an_error_line(self, tmp_path, removed):
+        # These are constants of the solver now, not settings.
+        cfg = make_workspace(tmp_path, extra={"alm": {"max_outer_iter": 12, **removed}})
+        proc = run_cli("sample", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: bad sample/alm settings")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out" / "samples.txt").exists()
+
+    def test_nan_tau_is_a_bad_constraint_file(self, tmp_path):
+        # Python's json reads and writes the bare constant NaN.
+        cfg = make_workspace(tmp_path, constraints=[{**CONSTRAINTS[0], "tau": float("nan")}])
+        assert "NaN" in (tmp_path / "constraints.json").read_text()
+        proc = run_cli("sample", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: bad constraint file")
         assert "Traceback" not in proc.stderr
 
     def test_config_relative_paths(self, tmp_path):

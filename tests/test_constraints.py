@@ -46,6 +46,33 @@ class TestLinearScore:
         c = LinearScore.from_weights_file(path, vocab, tau=0.5)
         assert c.weights == pytest.approx([0.2, 0.0, 0.8])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LinearScore(weights=np.array([0.1, bad, 0.5]), tau=0.5)
+        path = tmp_path / "w.tsv"
+        path.write_text(f"a\t{bad}\n")
+        with pytest.raises(ValueError, match="finite"):
+            LinearScore.from_weights_file(path, make_vocab(3, with_mask=False), tau=0.5)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda tau: LinearScore(weights=np.array([0.1, 0.9]), tau=tau),
+        lambda tau: TokenCount(token=0, op="le", k=1, tau=tau),
+        lambda tau: Forbidden(token=0, tau=tau),
+        lambda tau: Position(position=0, token=1, tau=tau),
+    ],
+    ids=["linear_score", "token_count", "forbidden", "position"],
+)
+def test_nan_or_negative_tau_rejected(family):
+    # A NaN tau would make every violation NaN, so no state could pass.
+    for bad in (np.nan, -0.5):
+        with pytest.raises(ValueError, match="tau"):
+            family(bad)
+    assert family(0.0).tau == 0.0
+
 
 class TestTokenCount:
     def test_le(self):
@@ -72,6 +99,11 @@ class TestTokenCount:
     def test_bad_op_rejected(self):
         with pytest.raises(ValueError):
             TokenCount(token=0, op="lt", k=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1])
+    def test_nan_or_negative_k_rejected(self, bad):
+        with pytest.raises(ValueError, match="k must be"):
+            TokenCount(token=0, op="le", k=bad)
 
     def test_auto_name(self):
         assert TokenCount(token=2, op="eq", k=3).name == "count[2]==3"

@@ -322,17 +322,21 @@ class TestDistinctStates:
             (-3, 4, 6, []),
             (2**63 - 2**59, 2**63 - 2**59 + 2**20, 3, [[2**63 - 2**59] * 3, [2**63 - 2**59 + 2**20 - 1] * 3]),
             (0, 3, 3, [[1, 0, 1], [0, 2, 0], [2**32, 0, 0]]),
+            (0, 3, 3, [[1, 0, 1], [2**57, 0, 0]]),
         ],
-        ids=["n4-L3", "n13-L20", "negative", "offset", "wide-radix"],
+        ids=["n4-L3", "n13-L20", "negative", "offset", "wide-radix", "too-wide"],
     )
     def test_fold_agrees_with_unique(self, low, high, length, extra):
         # 4**3 codes fit a rank table; 13**20 > 2**63, so the fold must
         # rank partial codes.  Folding the "offset" ids without shifting
         # them to 0 wraps codes past the sign bit.  With radix 2**32 + 1
-        # a plain int64 fold gives (1, 0, 1) and (0, 2, 0) one code.
+        # a plain int64 fold gives (1, 0, 1) and (0, 2, 0) one code.  With
+        # radix 2**57 + 1, 100 rows leave no room even for ranked codes,
+        # so np.unique decides.
         rng = np.random.default_rng(length)
         pool = np.concatenate([rng.integers(low, high, (9, length)), np.array(extra, dtype=np.int64).reshape(-1, length)])
         ids = pool[rng.integers(0, len(pool), 100)]
+        assert set(map(tuple, extra)) <= set(map(tuple, ids.tolist()))
         states, inverse = _distinct_rows(ids)
         expect, expect_inverse = np.unique(ids, axis=0, return_inverse=True)
         assert np.array_equal(states, expect)

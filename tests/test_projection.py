@@ -796,6 +796,20 @@ class TestBatchedDecodeSearch:
                     res = alm_project(SeqDist(np.eye(n)[s]), cs, AlmConfig(delta=delta, max_outer_iter=5))
                     assert res.outer_iters > 0
 
+    def test_project_ids_on_one_token_states(self):
+        # With one token there is no move: each state comes back as it is,
+        # feasible exactly when its own pattern qualifies.
+        states = np.zeros((3, 4), dtype=np.int64)
+        at_most_three = ConstraintSet([TokenCount(token=0, op="le", k=3)])
+        for cs, config, ok in [
+            (ConstraintSet([Position(position=2, token=0)]), AlmConfig(), True),
+            (at_most_three, AlmConfig(), False),
+            (at_most_three, AlmConfig(delta=1.0), True),
+        ]:
+            ids, feasible = project_ids(states, 1, cs, config)
+            assert np.array_equal(ids, states)
+            assert feasible.tolist() == [ok] * 3
+
 
 def near_tie_weights(rng, n):
     """Weights over n tokens from 0.1, 0.2 and 0.3, each moved a few ulps:

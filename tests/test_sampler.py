@@ -3,7 +3,7 @@
 import collections
 import hashlib
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from projdiff.core import SeqDist, Sequence, decode
 from projdiff.denoiser import ExactBayesDenoiser
 from projdiff.noise import reverse_mixture_rows
 from projdiff.oracle import enumerate_novelty
-from projdiff.projection import AlmConfig, NoveltyDb
+from projdiff.projection import MU_MAX, AlmConfig, NoveltyDb
 from projdiff.sampler import (
     InfeasibleSampleError,
     SampleConfig,
@@ -122,6 +122,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             AlmConfig(**{field: value})
 
+    def test_alm_mu_init_is_capped_and_nan_settings_rejected(self):
+        assert AlmConfig(mu_init=MU_MAX).mu_init == MU_MAX
+        for bad in (2 * MU_MAX, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="mu_init"):
+                AlmConfig(mu_init=bad)
+        for name in ("eta", "delta"):
+            with pytest.raises(ValueError, match=name):
+                AlmConfig(**{name: float("nan")})
+
+    def test_alm_config_holds_only_the_settings_callers_change(self):
+        names = [f.name for f in fields(AlmConfig)]
+        assert names == ["mu_init", "eta", "max_inner_iter", "max_outer_iter", "delta"]
+        with pytest.raises(TypeError):
+            AlmConfig(mu_max=1000.0)
+
     def test_length_must_match_corpus(self, toy_corpus):
         with pytest.raises(ValueError):
             sample_constrained(toy_corpus, simple_cs(), cfg(length=4))
@@ -202,6 +217,12 @@ class TestDeterminism:
         direct, _ = sample_constrained(toy_corpus, None, cfg(projection_mode="none", trace=False))
         helper = sample_unconstrained(toy_corpus, cfg())
         assert direct == helper
+
+    def test_traced_none_mode_without_constraints_reads_zero_violations(self, toy_corpus):
+        _, records = sample_constrained(toy_corpus, None, cfg(projection_mode="none", num_samples=6))
+        assert len(records) == 6 * 10
+        assert not any(r.projected for r in records)
+        assert {r.pre_violation for r in records} == {r.post_violation for r in records} == {0.0}
 
     def test_seeded_c01_samples_match_recorded_digest(self):
         """A fixed seed keeps giving the same samples.  The digest was
