@@ -17,8 +17,12 @@ coincide for all families here.
 position_terms(length, n) optionally writes the hard score as a sum of
 per-position table entries passed through a map phi (PositionTerms);
 the lattice search bounds its moves' scores from these tables and
-scores exactly only the moves that can win.  A constraint without
-them (the base class returns None) is scored exactly on every move.
+scores exactly only the moves that can win.  When every constraint's
+terms are exact (integer tables, scale and offset), the bounds are the
+exact scores and no move is scored again.  A constraint without terms
+(the base class returns None) is scored exactly on every move.  The
+search reads the tables once per sampling run, so a constraint changed
+between runs is read afresh by the next one.
 """
 
 from __future__ import annotations

@@ -24,9 +24,13 @@ whose decoded sequence is feasible, keeping KL(x || y) small.
 
 Each sweep of the lattice search bounds every move's constraint scores
 and cost on grids built from per-position tables
-(Constraint.position_terms), with a tolerance that covers float
-rounding, and scores exactly only the moves those bounds leave able to
-win, so its result is that of scoring every move.
+(Constraint.position_terms, stacked once in SearchTerms), with a
+tolerance that covers float rounding, and scores exactly only the moves
+those bounds leave able to win, so its result is that of scoring every
+move.  When every table is integer the grid holds each move's exact
+excess and nothing is scored again; on integer cost tables a state that
+qualifies at the least cost any qualifying pattern can have stops with
+no sweep to confirm it.
 """
 
 from __future__ import annotations
@@ -261,11 +265,14 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
 
 
 def project_ids(
-    states: np.ndarray, n: int, cs: ConstraintSet, config: AlmConfig = AlmConfig()
+    states: np.ndarray, n: int, cs: ConstraintSet | SearchTerms, config: AlmConfig = AlmConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode targets of a (K, L) stack of one-hot states, by their ids.
 
     Row k holds the ids of a state whose rows are one-hot over n tokens.
+    cs is the constraint set, or its SearchTerms for L and n, which a
+    caller that projects many stacks under unchanged constraints builds
+    once.
     Returns the (K, L) int64 ids that alm_project's lattice search picks
     for each state and the (K,) mask of the states it made feasible
     (zero violation beyond config.delta); a feasible state keeps its own
@@ -383,16 +390,21 @@ SEARCH_CHUNK_ROWS = 1024
 _TOL_ULPS = 8.0 * 2.0**-53
 
 
-class _TermStack:
-    """Every constraint's PositionTerms, stacked along a last axis of m.
+class SearchTerms:
+    """A constraint set with every constraint's PositionTerms on
+    length-long sequences over n tokens, stacked along a last axis of m.
 
-    tables is (L, N, m) float64, each constraint's table times its
-    scale, and zero for a constraint without terms (free); offset and
-    taus are (m,) arrays, and so are tol, absolute and free unless no
-    constraint needs them (None).
+    cs is the set.  tables is (L, N, m) float64, each constraint's table
+    times its scale, and zero for a constraint without terms (free);
+    offset and taus are (m,) arrays, and so are tol, absolute and free
+    unless no constraint needs them (None).  Every field is read from
+    the constraints when the stack is built, so it holds for as long as
+    they are not changed: a sampling run builds one and hands it to
+    project_ids in place of its ConstraintSet.
     """
 
     def __init__(self, cs: ConstraintSet, seq_len: int, n: int):
+        self.cs = cs
         terms = [c.position_terms(seq_len, n) for c in cs]
         zero = np.zeros((seq_len, n))
         scaled = [zero if t is None else t.scale * np.asarray(t.table, dtype=np.float64) for t in terms]
@@ -449,7 +461,7 @@ def _total_excess(violations: np.ndarray, delta: float) -> np.ndarray:
 
 def _decode_search(
     tables: np.ndarray,
-    cs: ConstraintSet,
+    cs: ConstraintSet | SearchTerms,
     delta: float,
     starts: np.ndarray,
     bases: np.ndarray,
@@ -459,7 +471,8 @@ def _decode_search(
 
     tables[k, i, v] is state k's cost of decoding position i to token v
     (a flip-cost table, or, on one-hot rows, whether v differs from the
-    state's own token); starts and bases are (K, L) id arrays.  Returns
+    state's own token); cs is the constraint set, or its SearchTerms for
+    the tables' L and N; starts and bases are (K, L) id arrays.  Returns
     the (K, L) int64 patterns reached and the (K,) total violation
     beyond delta left at each.
 
@@ -477,6 +490,13 @@ def _decode_search(
     state moves to the least key among its moves if that is below its
     current key, and otherwise stops, so each result equals that of
     scoring its moves one by one.
+
+    On integer tables a state also stops, with no sweep to confirm it,
+    once it qualifies at a cost no qualifying pattern goes below:
+    sum_i min_v t[i, v] when its base qualifies, and otherwise that sum
+    plus min_j (min_{v != base_j} t[j, v] - min_v t[j, v]), as such a
+    pattern differs from the base somewhere.  Integer costs are exact,
+    so no strictly cheaper move exists.
 
     Each sweep takes the moves of every state still moving at once, in
     groups: a state's single moves, then one group per changed position
@@ -509,7 +529,10 @@ def _decode_search(
     Score bounds then go through the very operations of
     hard_violations_batch and of the excess total, all monotone, so they
     bound each move's exact excess; a constraint without PositionTerms
-    has scores in (-inf, inf) and bounds no move.
+    has scores in (-inf, inf) and bounds no move.  When every
+    constraint's scores are exact, the two bounds are one value: the
+    move's exact excess, the value hard_violations_batch and the
+    excess total give.
 
     A move is pruned when it cannot be its state's least key below the
     current key:
@@ -521,16 +544,23 @@ def _decode_search(
          the current cost.
 
     Comparisons with a NaN bound fail, and such a move stays.  Only the
-    survivors get id rows, exact excess from one
-    ConstraintSet.hard_violations_batch call per chunk and exact cost
-    (the integer update, or cost_of on float tables).  _first_min picks
-    each state's least (excess, cost, ids) key in a chunk, then once
-    more over every live state's own pattern, put first, and the chunk
-    winners; a state whose pick is its own pattern stops.
+    survivors get id rows, exact cost (the integer update, or cost_of on
+    float tables) and exact excess: the grid's when every score is
+    exact, and otherwise from one ConstraintSet.hard_violations_batch
+    call per chunk.  When a sweep fits in one chunk, one _first_min
+    picks each state's least (excess, cost, ids) key over the live
+    states' own patterns, put first, and the survivors; otherwise it
+    picks each chunk's winners first, and then once more over the own
+    patterns and those winners.  A state whose pick is its own pattern
+    stops.
     """
     k_states, seq_len, n = tables.shape
     if max_sweeps is None:
         max_sweeps = seq_len + 8
+    terms = cs if isinstance(cs, SearchTerms) else SearchTerms(cs, seq_len, n)
+    if terms.tables.shape[:2] != (seq_len, n):
+        raise ValueError(f"search terms are for {terms.tables.shape[:2]} tables, not {(seq_len, n)}")
+    cs = terms.cs
     flat = tables.reshape(k_states * seq_len, n)
     positions = np.arange(seq_len)
     same = starts is bases
@@ -549,16 +579,17 @@ def _decode_search(
     # the start on a tie.
     everyone = np.arange(k_states)
     cur, cur_excess, cur_cost = starts.copy(), excess_of(starts), cost_of(starts, everyone)
+    base_excess = cur_excess
     if not same:
         both = np.concatenate((starts, bases))
         excess = np.concatenate((cur_excess, excess_of(bases)))
         cost = np.concatenate((cur_cost, cost_of(bases, everyone)))
+        base_excess = excess[k_states:]
         pick = _first_min(both, cost, excess, np.concatenate((everyone, everyone)))
         cur, cur_excess, cur_cost = both[pick], excess[pick], cost[pick]
     if n == 1:  # no other token to move to
         return cur, cur_excess
 
-    terms = _TermStack(cs, seq_len, n)
     # Flat indices: entry (i, v) of an (L, N) table is i * N + v, and
     # entry (k, i, v) of the (K, L, N) tables is k * L * N + i * N + v.
     h = terms.tables.reshape(seq_len * n, -1)
@@ -568,12 +599,15 @@ def _decode_search(
     per_chunk = max(1, SEARCH_CHUNK_ROWS * seq_len // cells)
     at_position = positions * n
     live = everyone
+    if exact:  # a state qualifying at its floor has no cheaper move left
+        floor =_least_qualifying_cost(tables, bases, base_excess == 0.0)
+        live = np.flatnonzero((cur_excess != 0.0) | (cur_cost > floor))
 
     def survivors(gs, gr, cost_cap):
-        """(candidate rows, their states, their exact costs) of the moves
-        of groups gs (states) with reverted positions gr (-1 for none)
-        that survive the bounds; cost_cap[k] is the highest cost state
-        k can take, by the strictly-cheaper rule."""
+        """(candidate rows, their states, their exact costs and excesses)
+        of the moves of groups gs (states) with reverted positions gr (-1
+        for none) that survive the bounds; cost_cap[k] is the highest
+        cost state k can take, by the strictly-cheaper rule."""
         # Each group's pattern before its move, its scaled table sums and
         # its cost.
         start_ids = cur[gs]
@@ -606,9 +640,11 @@ def _decode_search(
         cands = start_ids[group]
         cands[np.arange(cell.shape[0]), pos] = tok
         owner = gs[group]
-        if exact:
-            return cands, owner, cost.ravel()[cell]
-        return cands, owner, cost_of(cands, owner)
+        cost = cost.ravel()[cell] if exact else cost_of(cands, owner)
+        # Exact scores leave one bound, the exact excess; no survivor
+        # leaves nothing to score.
+        excess = exc_lo.ravel()[cell] if terms.tol is None or cell.shape[0] == 0 else excess_of(cands)
+        return cands, owner, cost, excess
 
     for _ in range(max_sweeps):
         if live.shape[0] == 0:
@@ -626,22 +662,42 @@ def _decode_search(
         cost_cap = np.where(qualifies, np.nextafter(cur_cost, -np.inf), np.inf)
         # Each live state's own pattern comes first, so a move wins only
         # at a strictly smaller key.
-        won = [(cur[live], cur_cost[live], cur_excess[live], live)]
+        found = [(cur[live], cur_cost[live], cur_excess[live], live)]
+        chunked = group_state.shape[0] > per_chunk
         for g in range(0, group_state.shape[0], per_chunk):
             chunk = slice(g, g + per_chunk)
-            cands, owner, cost = survivors(group_state[chunk], group_revert[chunk], cost_cap)
+            cands, owner, cost, excess = survivors(group_state[chunk], group_revert[chunk], cost_cap)
             if cands.shape[0] == 0:
                 continue
-            excess = excess_of(cands)
             excess[cost >= limit.take(owner)] = np.inf
-            pick = _first_min(cands, cost, excess, owner)
-            won.append((cands[pick], cost[pick], excess[pick], owner[pick]))
-        cands, cost, excess, owner = (np.concatenate(parts) for parts in zip(*won))
+            if chunked:  # keep only each state's winner in this chunk
+                pick = _first_min(cands, cost, excess, owner)
+                cands, owner, cost, excess = cands[pick], owner[pick], cost[pick], excess[pick]
+            found.append((cands, cost, excess, owner))
+        cands, cost, excess, owner = (np.concatenate(parts) for parts in zip(*found))
         pick = _first_min(cands, cost, excess, owner)
         pick = pick[pick >= live.shape[0]]
         live = owner[pick]
         cur[live], cur_cost[live], cur_excess[live] = cands[pick], cost[pick], excess[pick]
+        if exact:
+            live = live[(cur_excess[live] != 0.0) | (cur_cost[live] > floor[live])]
     return cur, cur_excess
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _least_qualifying_cost(tables: np.ndarray, bases: np.ndarray, base_qualifies: np.ndarray) -> np.ndarray:
+    """(K,) least summed cost a qualifying pattern of each state can have
+    on integer (K, L, N) tables with N >= 2; see _decode_search."""
+    costs = tables.astype(np.int64)
+    least = costs.min(axis=2)
+    floor = least.sum(axis=1)
+    # With each base entry at the largest int64, the min over the other
+    # N - 1 tokens is the min over the row.
+    costs.reshape(-1)[np.arange(0, costs.size, tables.shape[2]) + bases.ravel()] = _INT64_MAX
+    step = (costs.min(axis=2) - least).min(axis=1)
+    return np.where(base_qualifies, floor, floor + step)
 
 
 def position_project(x_in: SeqDist, position: int, token: int) -> SeqDist:

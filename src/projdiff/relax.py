@@ -42,7 +42,7 @@ class RelaxConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not self.temperature > 0:  # NaN fails this too
             raise ValueError("temperature must be positive")
         check_counts(self, rng_seed=0)
 

@@ -18,8 +18,9 @@ stream does not depend on which chains share a state.
 A chain's state is its row of token ids.  On a projected step one
 batched screen passes the chains the operator would leave unchanged.  In
 alm mode the distinct states among the rest then go through one batched
-call of projection.project_ids, which works on the ids alone; a state it
-leaves infeasible goes on to alm_project's gradient loop from its
+call of projection.project_ids, which works on the ids alone, with the
+search's term tables the run built once from the constraints; a state
+it leaves infeasible goes on to alm_project's gradient loop from its
 one-hot rows.  The results fill the step's memo, keyed by the id row.
 Chains are then handled in chain order: each takes its state's result,
 and a chain whose result is infeasible, or holds MASK at t = 1, redraws
@@ -63,6 +64,7 @@ from .noise import NoiseKernel, reverse_mixture_rows
 from .projection import (  # noqa: F401
     AlmConfig,
     NoveltyDb,
+    SearchTerms,
     alm_project,
     novelty_project,
     pooled_rows,
@@ -190,6 +192,9 @@ class _Engine:
         self.kernel = NoiseKernel.for_vocab(cfg.kernel, self.vocab)
         self.schedule = Schedule(cfg.schedule, cfg.steps)
         self.rng = np.random.default_rng(cfg.rng_seed)
+        # The lattice search's term tables, read from the constraints once
+        # per run, so a run sees the fields they hold when it starts.
+        self.terms = SearchTerms(cs, cfg.length, self.n) if cfg.projection_mode == "alm" else None
 
     def run(self) -> tuple[list[Sequence], list[TraceRecord]]:
         seqs: list[Sequence] = []
@@ -362,7 +367,7 @@ class _Engine:
         if not distinct:
             return
         ops = backend.ops
-        new_ids, feasible = project_ids(np.stack(list(distinct.values())), self.n, self.cs, self.cfg.alm)
+        new_ids, feasible = project_ids(np.stack(list(distinct.values())), self.n, self.terms, self.cfg.alm)
         for (key, state), new, ok in zip(distinct.items(), new_ids, feasible.tolist()):
             if ok:
                 kl = 0.0

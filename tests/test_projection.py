@@ -1,6 +1,7 @@
 """KL projection operators: closed-form row pooling, the augmented-
 Lagrangian solver, and novelty redirection."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -19,6 +20,7 @@ from projdiff.projection import (
     AlmConfig,
     NoveltyDb,
     NoveltySaturationError,
+    SearchTerms,
     _decode_search,
     _first_min,
     _force_argmax_row,
@@ -550,12 +552,13 @@ def reference_flip_costs(rows):
     return table
 
 
-def reference_decode_search(x_rows, cs, delta, start_ids, base_ids, max_sweeps=None, moves=None):
+def reference_decode_search(x_rows, cs, delta, start_ids, base_ids, max_sweeps=None, moves=None, costs=None):
     """The lattice search scoring one candidate pattern at a time.
 
     When moves is a list, the number of moves the search took is
-    appended to it."""
-    table = reference_flip_costs(x_rows)
+    appended to it.  costs, when given, is the (L, N) cost table searched
+    in place of x_rows' flip costs."""
+    table = reference_flip_costs(x_rows) if costs is None else costs
     seq_len, n = x_rows.shape
     if max_sweeps is None:
         max_sweeps = seq_len + 8
@@ -922,6 +925,143 @@ class TestPrunedSweeps:
         assert len(calls) - scored_once == scored_once + 1
         assert calls[scored_once : scored_once + 2] == [5, 5]
         assert all(np.array_equal(a, b) for a, b in zip(once, twice))
+
+def exact_constraint_set(rng, n, length):
+    """One to three constraints the search scores exactly from integer
+    tables: TokenCount of every op, Position and Forbidden."""
+    out = []
+    for j in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(0, 3))
+        tau = float(rng.choice([0.0, 0.0, 0.5, 1.0]))
+        if kind == 0:
+            op = str(rng.choice(["le", "ge", "eq"]))
+            out.append(TokenCount(int(rng.integers(0, n)), op, int(rng.integers(0, length + 1)), tau, f"count{j}"))
+        elif kind == 1:
+            out.append(Position(int(rng.integers(0, length)), int(rng.integers(0, n)), tau, f"position{j}"))
+        else:
+            out.append(Forbidden(int(rng.integers(0, n)), tau=tau, name=f"forbidden{j}"))
+    return ConstraintSet(tuple(out))
+
+
+def spy_search_traffic(monkeypatch):
+    """A Counter of hard_violations_batch calls and rows and _first_min calls."""
+    traffic = collections.Counter()
+    real_batch, real_first_min = ConstraintSet.hard_violations_batch, projection._first_min
+
+    def batch(self, ids):
+        traffic["batch_calls"] += 1
+        traffic["batch_rows"] += len(ids)
+        return real_batch(self, ids)
+
+    def first_min(*args):
+        traffic["first_min"] += 1
+        return real_first_min(*args)
+
+    monkeypatch.setattr(ConstraintSet, "hard_violations_batch", batch)
+    monkeypatch.setattr(projection, "_first_min", first_min)
+    return traffic
+
+
+class TestStopRuleAndExactExcess:
+    """Searches on integer cost tables, where a state stops once it
+    qualifies at the least cost any qualifying pattern can have, and on
+    exact constraint sets, whose moves take their excess from the bound
+    grids, against the one-at-a-time reference."""
+
+    @pytest.mark.parametrize("chunk_rows", [None, 40])
+    @pytest.mark.parametrize("family", ["exact", "mixed"])
+    def test_integer_costs_match_reference(self, monkeypatch, chunk_rows, family):
+        if chunk_rows is not None:
+            monkeypatch.setattr(projection, "SEARCH_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(50 + (chunk_rows or 0) + (family == "exact"))
+        make = exact_constraint_set if family == "exact" else make_constraint_set
+        seen = collections.Counter()
+        for _ in range(60):
+            k, seq_len, n = int(rng.integers(2, 13)), int(rng.integers(1, 8)), int(rng.integers(2, 7))
+            cs = make(rng, n, seq_len)
+            delta = float(rng.choice([0.0, 0.0, 0.5]))
+            bases = rng.integers(0, n, size=(k, seq_len))
+            costs = rng.integers(1, 4, size=(k, seq_len, n))
+            if rng.random() < 0.5:
+                np.put_along_axis(costs, bases[:, :, None], 0, axis=2)
+            costs[rng.random(costs.shape) < 0.25] = 0  # free tokens off the base
+            if rng.random() < 0.5:
+                starts = bases
+            else:
+                starts = np.where(rng.random((k, seq_len)) < 0.5, rng.integers(0, n, size=(k, seq_len)), bases)
+            ids, residual = _decode_search(costs, cs, delta, starts, bases)
+            for j in range(k):
+                want = reference_decode_search(np.eye(n)[bases[j]], cs, delta, starts[j], bases[j], costs=costs[j])
+                assert (tuple(ids[j].tolist()), float(residual[j])) == want, j
+            outcomes = set()
+            for j in range(k):
+                base = tuple(bases[j].tolist())
+                base_ok = reference_decode_search(np.eye(n)[bases[j]], cs, delta, base, base, max_sweeps=0)[1] == 0.0
+                seen["base qualifies" if base_ok else "base fails"] += 1
+                table = costs[j].tolist()
+                floor = sum(min(row) for row in table)
+                if not base_ok:
+                    floor += min(min(r[:b] + r[b + 1 :]) - min(r) for r, b in zip(table, base))
+                cost = sum(row[v] for row, v in zip(table, ids[j].tolist()))
+                outcomes.add("infeasible" if residual[j] > 0.0 else "at floor" if cost == floor else "above floor")
+            seen.update(outcomes)
+            seen["mixed outcomes"] += int(len(outcomes) > 1)
+        # Every case met many times, the stop rule's (at floor) included.
+        assert len(seen) == 6 and min(seen.values()) >= 5, seen
+
+    def test_exact_sets_score_only_their_starts(self, monkeypatch):
+        # Every move's excess comes from the grid: the only exact scoring
+        # is of the starts (and of the bases, when they are apart).
+        rng = np.random.default_rng(8)
+        traffic = spy_search_traffic(monkeypatch)
+        for _ in range(40):
+            k, seq_len, n = int(rng.integers(1, 9)), int(rng.integers(2, 8)), int(rng.integers(2, 7))
+            cs = exact_constraint_set(rng, n, seq_len)
+            bases = rng.integers(0, n, size=(k, seq_len))
+            flips = (np.arange(n) != bases[:, :, None]).astype(np.int8)
+            traffic.clear()
+            ids, feasible = project_ids(bases, n, cs)
+            assert traffic["batch_calls"] == 1 and traffic["batch_rows"] == k
+            for j, b in enumerate(bases):
+                assert tuple(ids[j].tolist()) == reference_decode_search(np.eye(n)[b], cs, 0.0, b, b)[0]
+            starts = rng.integers(0, n, size=(k, seq_len))
+            traffic.clear()
+            _decode_search(flips, cs, 0.0, starts, bases)
+            assert traffic["batch_calls"] == 2 and traffic["batch_rows"] == 2 * k
+
+    def test_one_flip_state_takes_one_sweep(self, monkeypatch):
+        # One occurrence too many: the sweep that flips it away reaches
+        # the least cost any qualifying pattern can have, one flip, and no
+        # second sweep confirms it.
+        traffic = spy_search_traffic(monkeypatch)
+        cs = ConstraintSet((TokenCount(token=2, op="le", k=1),))
+        state = np.array([[2, 0, 2, 1, 3]])
+        ids, feasible = project_ids(state, 5, cs)
+        assert ids.tolist() == [[0, 0, 2, 1, 3]] and feasible.tolist() == [True]
+        assert traffic == {"batch_calls": 1, "batch_rows": 1, "first_min": 1}
+
+    def test_qualifying_base_at_least_cost_takes_no_sweep(self, monkeypatch):
+        # The base qualifies at cost 0, the least any pattern has, and the
+        # start does not: the pick between them is the only _first_min.
+        traffic = spy_search_traffic(monkeypatch)
+        cs = ConstraintSet((Position(1, 3), Forbidden(0)))
+        bases = np.array([[1, 3, 2], [2, 3, 1]])
+        starts = np.array([[0, 3, 2], [2, 1, 1]])
+        flips = (np.arange(4) != bases[:, :, None]).astype(np.int8)
+        ids, residual = _decode_search(flips, cs, 0.0, starts, bases)
+        assert ids.tolist() == bases.tolist() and residual.tolist() == [0.0, 0.0]
+        assert traffic == {"batch_calls": 2, "batch_rows": 4, "first_min": 1}
+
+    def test_search_terms_stand_in_for_their_set(self):
+        rng = np.random.default_rng(4)
+        states = rng.integers(0, 6, size=(20, 7))
+        cs = ConstraintSet((TokenCount(1, "eq", 2), Position(3, 0), LinearScore(rng.uniform(0, 1, 6), tau=0.4)))
+        got = project_ids(states, 6, SearchTerms(cs, 7, 6))
+        want = project_ids(states, 6, cs)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        with pytest.raises(ValueError, match="search terms"):
+            project_ids(states, 6, SearchTerms(cs, 8, 6))
+
 
 def planted_stack(rng):
     """A (K, L) candidate stack with excess and cost, ties planted in each key."""

@@ -57,6 +57,13 @@ def test_temperature_must_be_positive():
         RelaxConfig(temperature=0.0)
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), -0.5])
+def test_nan_or_negative_temperature_is_refused_by_name(temperature):
+    # A NaN temperature used to pass and fail later, in SeqDist, naming
+    # no setting.
+    with pytest.raises(ValueError, match=r"^temperature must be positive$"):
+        RelaxConfig(temperature=temperature)
+
 
 @pytest.mark.parametrize("seed", [1.5, True, -3])
 def test_noise_seed_must_be_a_nonnegative_integer(seed):

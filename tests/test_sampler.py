@@ -754,6 +754,48 @@ class TestProjectionMemo:
         assert db.cursors == {}
 
 
+class TestSearchTermsPerRun:
+    def test_built_once_per_run(self, monkeypatch):
+        # Every project_ids call of a run gets the one SearchTerms the run
+        # built from its constraint set.
+        corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+        cs = ConstraintSet([TokenCount(token=1, op="le", k=1), Position(2, 4), Forbidden(3)])
+        built, passed = [], []
+        real_terms, real_ids = sampler_module.SearchTerms, sampler_module.project_ids
+
+        def terms(*args):
+            built.append(real_terms(*args))
+            return built[-1]
+
+        def spy(states, n, search, config):
+            passed.append(search)
+            return real_ids(states, n, search, config)
+
+        monkeypatch.setattr(sampler_module, "SearchTerms", terms)
+        monkeypatch.setattr(sampler_module, "project_ids", spy)
+        config = SampleConfig(steps=16, length=10, num_samples=16, rng_seed=0, trace=False)
+        for _ in range(2):
+            sample_constrained(corpus, cs, config)
+        assert len(built) == 2 and all(b.cs is cs for b in built)
+        assert len(passed) > 4 and {id(p) for p in passed} == {id(b) for b in built}
+
+    def test_second_run_honours_changed_tau(self):
+        # Constraints are mutable: a tau changed between two runs that
+        # share one ConstraintSet holds the second run, whose samples are
+        # those of a run on a set built with the new value.
+        corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+        count = TokenCount(token=0, op="le", k=0, tau=3.0)
+        cs = ConstraintSet((count, Position(2, 4)))
+        config = SampleConfig(steps=16, length=10, num_samples=32, rng_seed=0, trace=False)
+        first, _ = sample_constrained(corpus, cs, config)
+        assert max(s.ids.count(0) for s in first) > 0
+        count.tau = 0.0
+        second, _ = sample_constrained(corpus, cs, config)
+        assert all(s.ids.count(0) == 0 and s.ids[2] == 4 for s in second)
+        fresh = ConstraintSet((TokenCount(token=0, op="le", k=0), Position(2, 4)))
+        assert second == sample_constrained(corpus, fresh, config)[0]
+
+
 def full_row_draw(rows, u):
     """The CDF inversion of every row of rows at u, written out."""
     return np.minimum((np.cumsum(rows, axis=1) < u[:, None]).sum(axis=1), rows.shape[1] - 1)
