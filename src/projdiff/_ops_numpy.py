@@ -64,14 +64,21 @@ def sample_rows(probs: np.ndarray, u: np.ndarray, index: np.ndarray | None = Non
 
     probs is (R, N) with rows summing to one; u is (K,) in [0, 1).  Draw
     i inverts u[i] against row index[i], or against row i when index is
-    None (then K = R).  Each row's cumulative sum is taken once, however
-    many draws share it.
+    None (then K = R).  In block form probs is (U, L, N), u is (B, L) and
+    index is (B,): draw (i, j) inverts u[i, j] against row j of block
+    index[i], or of block i when index is None (then B = U), and the
+    draws come back as (B, L).  Each row's cumulative sum is taken once,
+    however many draws share it.  A draw counts the first N - 1 points
+    of its row's CDF that lie below its uniform, so it is at most N - 1
+    whatever rounding leaves in the last point.
     """
-    cdf = np.cumsum(probs, axis=1).T  # (N, R), so that the count sums over axis 0
+    if probs.ndim == 2:
+        cdf = np.cumsum(probs[:, :-1], axis=1).T  # (N - 1, R), so that the count sums over axis 0
+    else:
+        cdf = np.cumsum(probs[:, :, :-1], axis=2).transpose(2, 0, 1)  # (N - 1, U, L)
     if index is not None:
         cdf = cdf.take(index, axis=1)
-    idx = (cdf < u).sum(axis=0, dtype=np.int64)
-    return np.minimum(idx, probs.shape[1] - 1)
+    return (cdf < u).sum(axis=0, dtype=np.int64)
 
 
 def one_hot_rows(ids: np.ndarray, n: int) -> np.ndarray:

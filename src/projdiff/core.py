@@ -104,6 +104,68 @@ class Vocabulary:
                 fh.write(tok + "\n")
 
 
+_CODE_LIMIT = 2**63
+
+# Smaller batches are denoised as they are, and Sequence.from_id_array
+# shares their equal rows through a dict.  On the c01 shape (16 chains,
+# L=10) about one state in eight repeats, and finding the repeats took
+# longer inside a sampling run (about 24 us per call) than the rows they
+# spared.  That still holds now that a state also shares its mixture and
+# CDF rows: with the threshold at 16, five alternating pairs of 8 s
+# perfbench runs on a 2-core VM read samples/s -12.5% on linear and
+# -8.9% on token (medians; slower in every pair).
+_DEDUPE_MIN_ROWS = 64
+
+
+def _distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(states, inverse) for the rows of a (B, L) integer batch.
+
+    states are the distinct rows in lexicographic order, as
+    np.unique(ids, axis=0) gives them, and states[inverse] equals ids;
+    (ids, None) when no row repeats or B < _DEDUPE_MIN_ROWS.  Rows fold
+    into one int64 code, column by column in base radix; when the next
+    column would overflow int64, the partial codes are replaced by their
+    ranks first, so the fold stays exact for any length.
+    """
+    b, length = ids.shape
+    if b < _DEDUPE_MIN_ROWS or length == 0:
+        return ids, None
+    lo = int(ids.min())
+    radix = int(ids.max()) - lo + 1
+    if radix * b >= _CODE_LIMIT:  # too wide to fold even after ranking
+        states, inverse = np.unique(ids, axis=0, return_inverse=True)
+        return (ids, None) if len(states) == b else (states, inverse.reshape(-1))
+    digits = np.subtract(ids, lo, dtype=np.int64) if lo else ids
+    code, bound, j = None, 1, 0  # every code lies in [0, bound)
+    while j < length:
+        if bound * radix >= _CODE_LIMIT:
+            seen = np.unique(code)
+            code, bound = np.searchsorted(seen, code), len(seen)
+        k = length - j
+        while bound * radix**k >= _CODE_LIMIT:
+            k -= 1
+        part = digits[:, j : j + k] @ radix ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        code = part if code is None else code * radix**k + part
+        bound *= radix**k
+        j += k
+    if bound <= 4 * b:  # a rank table over the code range costs about a sort
+        present = np.zeros(bound, dtype=bool)
+        present[code] = True
+        rank = np.cumsum(present) - 1
+        count = int(rank[-1]) + 1
+        inverse = rank[code]
+    else:
+        ordered = np.sort(code)
+        new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        count = np.count_nonzero(new)
+        inverse = np.searchsorted(ordered[new], code) if count < b else None
+    if count == b:
+        return ids, None
+    first = np.empty(count, dtype=np.intp)
+    first[inverse] = np.arange(b)
+    return ids[first], inverse
+
+
 @dataclass(frozen=True)
 class Sequence:
     """An immutable, hashable tuple of token ids."""
@@ -143,7 +205,10 @@ class Sequence:
         constructor, so no object runs a check of its own.  Equal rows
         share one object, which a Sequence's immutability allows: sampled
         rows repeat heavily, and each object spared is an allocation the
-        garbage collector would otherwise trace.
+        garbage collector would otherwise trace.  From _DEDUPE_MIN_ROWS
+        rows on, _distinct_rows finds the distinct rows, one object is
+        built for each, and the rows take theirs by the inverse index;
+        smaller arrays share through a dict keyed by the row tuples.
         """
         ids = np.asarray(ids)
         if ids.ndim != 2:
@@ -155,12 +220,19 @@ class Sequence:
         if ids.min() < 0:
             raise ValueError("negative token id")
         new = object.__new__
-        made: dict[tuple, Sequence] = {}
+        if len(ids) >= _DEDUPE_MIN_ROWS:
+            states, inverse = _distinct_rows(ids)
+            made = np.empty(len(states), dtype=object)
+            for k, row in enumerate(map(tuple, states.tolist())):
+                seq = made[k] = new(cls)
+                seq.__dict__["ids"] = row
+            return (made if inverse is None else made.take(inverse)).tolist()
+        shared: dict[tuple, Sequence] = {}
         out = []
         for row in map(tuple, ids.tolist()):
-            seq = made.get(row)
+            seq = shared.get(row)
             if seq is None:
-                seq = made[row] = new(cls)
+                seq = shared[row] = new(cls)
                 seq.__dict__["ids"] = row
             out.append(seq)
         return out

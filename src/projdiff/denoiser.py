@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Corpus, SeqDist, Sequence, decode
+from .core import Corpus, SeqDist, Sequence, _distinct_rows, decode
 from .noise import NoiseKernel
 
 
@@ -103,67 +103,6 @@ def _entry_onehots(corpus: Corpus, n: int) -> np.ndarray:
     return out
 
 
-_CODE_LIMIT = 2**63
-
-# Smaller batches are computed as they are.  On the c01 shape (16 chains,
-# L=10) about one state in eight repeats, and finding the repeats took
-# longer inside a sampling run (about 24 us per call) than the rows they
-# spared.  That still holds now that a state also shares its mixture and
-# CDF rows: with the threshold at 16, five alternating pairs of 8 s
-# perfbench runs on a 2-core VM read samples/s -12.5% on linear and
-# -8.9% on token (medians; slower in every pair).
-_DEDUPE_MIN_ROWS = 64
-
-
-def _distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(states, inverse) for the rows of a (B, L) integer batch.
-
-    states are the distinct rows in lexicographic order, as
-    np.unique(ids, axis=0) gives them, and states[inverse] equals ids;
-    (ids, None) when no row repeats or B < _DEDUPE_MIN_ROWS.  Rows fold
-    into one int64 code, column by column in base radix; when the next
-    column would overflow int64, the partial codes are replaced by their
-    ranks first, so the fold stays exact for any length.
-    """
-    b, length = ids.shape
-    if b < _DEDUPE_MIN_ROWS or length == 0:
-        return ids, None
-    lo = int(ids.min())
-    radix = int(ids.max()) - lo + 1
-    if radix * b >= _CODE_LIMIT:  # too wide to fold even after ranking
-        states, inverse = np.unique(ids, axis=0, return_inverse=True)
-        return (ids, None) if len(states) == b else (states, inverse.reshape(-1))
-    digits = np.subtract(ids, lo, dtype=np.int64) if lo else ids
-    code, bound, j = None, 1, 0  # every code lies in [0, bound)
-    while j < length:
-        if bound * radix >= _CODE_LIMIT:
-            seen = np.unique(code)
-            code, bound = np.searchsorted(seen, code), len(seen)
-        k = length - j
-        while bound * radix**k >= _CODE_LIMIT:
-            k -= 1
-        part = digits[:, j : j + k] @ radix ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        code = part if code is None else code * radix**k + part
-        bound *= radix**k
-        j += k
-    if bound <= 4 * b:  # a rank table over the code range costs about a sort
-        present = np.zeros(bound, dtype=bool)
-        present[code] = True
-        rank = np.cumsum(present) - 1
-        count = int(rank[-1]) + 1
-        inverse = rank[code]
-    else:
-        ordered = np.sort(code)
-        new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-        count = np.count_nonzero(new)
-        inverse = np.searchsorted(ordered[new], code) if count < b else None
-    if count == b:
-        return ids, None
-    first = np.empty(count, dtype=np.intp)
-    first[inverse] = np.arange(b)
-    return ids[first], inverse
-
-
 class ExactBayesDenoiser:
     """Callable denoiser (xt, a_t, kernel) -> SeqDist over the exact corpus
     posterior.
@@ -176,9 +115,9 @@ class ExactBayesDenoiser:
     The batch methods return (states, rows, inverse): the (U, L) distinct
     states of a (B, L) batch, their (U, L, N) marginals, and the (B,)
     index with states[inverse] equal to the batch, so rows[inverse] holds
-    each chain's rows.  A batch of at least _DEDUPE_MIN_ROWS rows computes
-    each distinct state once; below that size, or when no state repeats,
-    states is the batch itself and inverse the identity.  A row's
+    each chain's rows.  A batch of at least core._DEDUPE_MIN_ROWS rows
+    computes each distinct state once; below that size, or when no state
+    repeats, states is the batch itself and inverse the identity.  A row's
     marginals are a function of its state alone, so every chain gets the
     row it would get on its own, and fallback_count counts every chain,
     repeats included.  Every method raises ValueError for a signal level

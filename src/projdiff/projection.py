@@ -109,6 +109,13 @@ MU_MAX = 1000.0
 RELAX_TEMPERATURE = 0.5
 
 
+def _check_temperature(temp: float) -> None:
+    # Negated, as in RelaxConfig, so that NaN fails it too: a NaN
+    # temperature makes every relaxed score NaN, and no penalty active.
+    if not temp > 0:
+        raise ValueError("temperature must be positive")
+
+
 def alm_objective(
     z: np.ndarray,
     x_rows: np.ndarray,
@@ -124,8 +131,10 @@ def alm_objective(
     (mu / 2) * d^2 with d = max(0, relaxed_score(phi) - tau) evaluated
     on the relaxed rows phi.  The solver itself only ever consumes the
     gradient; this scalar exists so the gradient can be checked against
-    finite differences of an independently coded value.
+    finite differences of an independently coded value.  Raises
+    ValueError unless temp is positive.
     """
+    _check_temperature(temp)
     ops = backend.ops
     y = ops.row_softmax(z)
     phi = ops.relax_forward(y, xi, temp)
@@ -149,8 +158,10 @@ def alm_gradient(
 
     Returns (dz, any_active) where any_active reports whether any
     penalty term had positive slack excess at z.  This is the exact
-    inner-loop step direction used by alm_project.
+    inner-loop step direction used by alm_project.  Raises ValueError
+    unless temp is positive.
     """
+    _check_temperature(temp)
     ops = backend.ops
     y = ops.row_softmax(z)
     phi = ops.relax_forward(y, xi, temp)
@@ -169,7 +180,7 @@ def alm_gradient(
     return dz, bool(np.any(active))
 
 
-def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig()) -> AlmResult:
+def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfig = AlmConfig()) -> AlmResult:
     """Project rows x_in to a nearby stack whose decode satisfies cs.
 
     An already-feasible input is returned unchanged with zero outer
@@ -178,9 +189,15 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
     iterations; the gradient loop runs only when that search leaves a
     violation, and on soft rows.  When the iteration budget runs out
     the best iterate found (smallest worst-case decoded violation) is
-    returned with feasible=False.
+    returned with feasible=False.  cs is the constraint set, or its
+    SearchTerms for x_in's shape, as project_ids takes it; given the
+    set, an infeasible input builds one SearchTerms, which both of the
+    call's searches use.
     """
     ops = backend.ops
+    terms = cs if isinstance(cs, SearchTerms) else None
+    if terms is not None:
+        cs = terms.cs
     x_rows = x_in.rows
     m = len(cs)
     lam = np.zeros(m)
@@ -190,12 +207,14 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
     hard = cs.hard_violations(Sequence(base))
     if float(hard.max()) <= config.delta:
         return AlmResult(projected=x_in, feasible=True, outer_iters=0, final_violation=hard, kl_moved=0.0)
+    if terms is None:
+        terms = SearchTerms(cs, *x_rows.shape)
 
     if _one_hot_mask(x_rows).all():
         # On one-hot rows the loop only hands its pattern to the closing
         # search; the search alone decides whenever it reaches a
         # qualifying pattern from the input's own.
-        ids, feasible = project_ids(np.asarray([base]), x_rows.shape[1], cs, config)
+        ids, feasible = project_ids(np.asarray([base]), x_rows.shape[1], terms, config)
         if feasible[0]:
             return _pooled_result(x_rows, cs, tuple(ids[0].tolist()), True, 0)
 
@@ -248,7 +267,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
     # gated multiplier term cannot reach.  A feasible best iterate starts
     # the search at zero excess, so only an infeasible one gets past it.
     found, residual = _decode_search(
-        _row_flip_costs(x_rows)[None], cs, config.delta, np.asarray([decode(best_rows).ids]), np.asarray([base])
+        _row_flip_costs(x_rows)[None], terms, config.delta, np.asarray([decode(best_rows).ids]), np.asarray([base])
     )
     ids, residual = tuple(found[0].tolist()), float(residual[0])
     loop_excess = float(np.maximum(best_hard - config.delta, 0.0).sum())

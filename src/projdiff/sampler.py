@@ -9,11 +9,15 @@ randomness comes from one generator stream so runs are reproducible.
 The reverse step works per distinct state: many chains share a state, and
 a chain's denoised rows and reverse mixture depend on its state alone.
 The denoiser's rows and the mixture are built once for each distinct
-state, and each chain inverts its own uniforms against its state's CDF
-rows, only at the positions that can change (MASK positions under the
-masked kernel, every position under the uniform kernel).  Every step
-draws one uniform per chain and position however many are used, so the
-stream does not depend on which chains share a state.
+state, and each chain inverts its own uniforms against its state's block
+of L CDF rows, only at the positions that can change.  Under the masked
+kernel those are the MASK positions, each drawn against its own row;
+under the uniform kernel every position changes, and each chain's block
+is gathered once, by the chain's state index.  When no two chains share
+a state the mixture holds one block per chain, and a position's flat
+index is its row.  Every step draws one uniform per chain and position
+however many are used, so the stream does not depend on which chains
+share a state.
 
 A chain's state is its row of token ids.  On a projected step one
 batched screen passes the chains the operator would leave unchanged.  In
@@ -273,8 +277,8 @@ class _Engine:
 
         for t in range(cfg.steps, 0, -1):
             step = self._reverse_mixture(ids, t)
-            _, mix, inverse = step
-            ids = self._draw(ids, mix, inverse, self.rng.random((b, length)))
+            states, mix, inverse = step
+            ids = self._draw(ids, mix, None if states is ids else inverse, self.rng.random((b, length)))
 
             projected = self._projects_at(t)
             if cfg.trace:
@@ -321,21 +325,26 @@ class _Engine:
         mix = reverse_mixture_rows(self.kernel, denoised.reshape(-1, self.n), a_t, a_s, states.reshape(-1))
         return states, mix, inverse
 
-    def _draw(self, prev: np.ndarray, mix: np.ndarray, inverse: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def _draw(self, prev: np.ndarray, mix: np.ndarray, inverse: np.ndarray | None, u: np.ndarray) -> np.ndarray:
         """Next ids of the (k, L) chains prev, one uniform of u per position.
 
-        Position j of chain i inverts u[i, j] against mixture row
-        inverse[i] * L + j.  Only positions that can change are drawn: the
-        MASK positions under the masked kernel, where a settled position
-        keeps its token, and every position under the uniform kernel.
+        Position j of chain i inverts u[i, j] against row j of its state's
+        L-row block of the mixture rows mix: block inverse[i], or block i
+        when inverse is None (no two chains share a state), so that then
+        the flat position i * L + j is the row index itself.  Only
+        positions that can change are drawn: the MASK positions under the
+        masked kernel, where a settled position keeps its token, and every
+        position under the uniform kernel, which with inverse given
+        gathers each chain's block once.
         """
         length = prev.shape[1]
         if self.kernel.kind == "uniform":
-            rows = (inverse[:, None] * length + np.arange(length)).ravel()
-            return backend.ops.sample_rows(mix, u.ravel(), rows).reshape(prev.shape)
+            if inverse is None:
+                return backend.ops.sample_rows(mix, u.ravel()).reshape(prev.shape)
+            return backend.ops.sample_rows(mix.reshape(-1, length, mix.shape[1]), u, inverse)
         flat = prev.ravel()
         pos = np.flatnonzero(flat == self.kernel.mask_id)
-        rows = inverse.take(pos // length) * length + pos % length
+        rows = pos if inverse is None else inverse.take(pos // length) * length + pos % length
         out = flat.copy()
         out[pos] = backend.ops.sample_rows(mix, u.ravel().take(pos), rows)
         return out.reshape(prev.shape)
@@ -344,19 +353,20 @@ class _Engine:
         """Chain ci's transition drawn again from its state's mixture rows.
 
         step is the (states, mix, inverse) of this step's draw; the (L, N)
-        rows of the chain's state go to the draw on their own.
+        rows of the chain's state go to one sample_rows call of their own.
         """
         states, mix, inverse = step
         length = self.cfg.length
         k = inverse[ci] * length
         u = self.rng.random((1, length))
-        return self._draw(states[inverse[ci]][None], mix[k : k + length], np.zeros(1, np.intp), u)[0]
+        return self._draw(states[inverse[ci]][None], mix[k : k + length], None, u)[0]
 
     def _project_states(self, failing: np.ndarray, memo: dict) -> None:
         """Project the distinct id rows of failing into memo (alm mode).
 
         One project_ids call decides every distinct state; each state it
-        leaves infeasible goes through alm_project from its one-hot rows.
+        leaves infeasible goes through alm_project from its one-hot rows,
+        with the run's SearchTerms.
         A memo entry is (decode, feasible, outer, kl); kl, which only
         trace records read, is computed only when tracing, from the same
         pooled rows alm_project's result would hold.
@@ -376,7 +386,7 @@ class _Engine:
                     kl = ops.kl_rows(x_rows, pooled_rows(x_rows, new.tolist()).rows)
                 memo[key] = (new, True, 0, kl)
             else:
-                res = alm_project(SeqDist(ops.one_hot_rows(state, self.n)), self.cs, self.cfg.alm)
+                res = alm_project(SeqDist(ops.one_hot_rows(state, self.n)), self.terms, self.cfg.alm)
                 memo[key] = (ops.argmax_rows(res.projected.rows), res.feasible, res.outer_iters, res.kl_moved)
 
     def _project_chain(self, ci, sample_index, t, ids, step, memo) -> tuple[float, int]:

@@ -1,5 +1,6 @@
 """Vocabulary, sequences, distributions, schedules, corpus I/O."""
 
+import itertools
 import math
 import re
 
@@ -90,6 +91,41 @@ class TestSequence:
         assert len(set(got)) == len(set(want)) and got[0] is got[1]
         with pytest.raises(AttributeError):
             got[0].ids = (0,)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.intp])
+    @pytest.mark.parametrize("repeats", [True, False], ids=["c04-repeats", "repeat-free"])
+    def test_from_id_array_above_the_dedupe_size(self, dtype, repeats):
+        # 16,384 rows drawn from 29 distinct ones, as a c04 chunk ends, or
+        # the 4**5 distinct rows over 5 positions, shuffled.
+        rng = np.random.default_rng(1)
+        if repeats:
+            ids = rng.integers(0, 4, size=(29, 3))[rng.integers(0, 29, 16384)]
+        else:
+            ids = rng.permutation(np.array(list(itertools.product(range(4), repeat=5))))
+        ids = ids.astype(dtype)
+        got = Sequence.from_id_array(ids)
+        want = [Sequence(tuple(int(v) for v in row)) for row in ids]
+        assert got == want
+        assert [hash(s) for s in got] == [hash(s) for s in want]
+        assert all(type(v) is int for s in got for v in s.ids)
+        # Equal rows share one object, and only equal rows do.
+        assert len({id(s) for s in got}) == len(set(want))
+        if repeats:
+            first = {}
+            for seq in got:
+                assert first.setdefault(seq, seq) is seq
+
+    def test_from_id_array_checks_a_large_array(self):
+        negative = np.zeros((100, 3), dtype=np.int64)
+        negative[83, 1] = -1
+        cases = [
+            (np.zeros((100, 0), dtype=np.int64), "empty sequence"),
+            (negative, "negative token id"),
+            (np.zeros(100, dtype=np.int64), "expected a 2-d id array"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Sequence.from_id_array(bad)
 
     def test_from_id_array_checks_the_array(self):
         assert Sequence.from_id_array(np.zeros((0, 3), dtype=np.int64)) == []

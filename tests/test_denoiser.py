@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from projdiff import denoiser as denoiser_module
-from projdiff.core import SeqDist, Sequence, decode
-from projdiff.denoiser import ExactBayesDenoiser, IncompatibleEvidenceError, _distinct_rows, exact_posterior
+from projdiff.core import SeqDist, Sequence, _distinct_rows, decode
+from projdiff.denoiser import ExactBayesDenoiser, IncompatibleEvidenceError, exact_posterior
 from projdiff.noise import NoiseKernel
 from projdiff.oracle import enumerate_posterior
 

@@ -243,6 +243,57 @@ class TestAlmProject:
         assert cs.satisfied(decode(res.projected))
         assert res.kl_moved <= best + 1e-2
 
+    def test_search_terms_give_the_constraint_sets_result(self, monkeypatch):
+        # Given the set, an infeasible input builds one SearchTerms for
+        # both of its searches; given the terms, it builds none and
+        # returns the same result.
+        built = [0]
+        real_init = SearchTerms.__init__
+
+        def init(self, *args):
+            built[0] += 1
+            real_init(self, *args)
+
+        monkeypatch.setattr(SearchTerms, "__init__", init)
+        rng = np.random.default_rng(77)
+        config = AlmConfig(max_outer_iter=8)
+        loops = 0
+        for i in range(60):
+            seq_len, n = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+            rows = random_rows(rng, ("dirichlet", "one_hot")[i % 2], seq_len, n)
+            cs = make_constraint_set(rng, n, seq_len)
+            built[0] = 0
+            want = alm_project(SeqDist(rows), cs, config)
+            feasible_input = cs.max_hard_violation(decode(SeqDist(rows))) <= 0.0
+            assert built[0] == (0 if feasible_input else 1)
+            terms = SearchTerms(cs, seq_len, n)
+            built[0] = 0
+            got = alm_project(SeqDist(rows), terms, config)
+            assert built[0] == 0
+            assert np.array_equal(got.projected.rows, want.projected.rows)
+            assert (got.feasible, got.outer_iters, got.kl_moved) == (want.feasible, want.outer_iters, want.kl_moved)
+            assert np.array_equal(got.final_violation, want.final_violation)
+            loops += want.outer_iters > 0
+        assert loops > 0
+
+    def test_search_terms_for_another_shape_rejected(self):
+        cs = ConstraintSet([TokenCount(token=0, op="le", k=1)])
+        rows = SeqDist.one_hot(Sequence((0, 0, 0)), 2).rows
+        with pytest.raises(ValueError, match="search terms"):
+            alm_project(SeqDist(rows), SearchTerms(cs, 4, 2))
+
+    @pytest.mark.parametrize("temp", [0.0, -0.5, float("nan")], ids=["zero", "negative", "nan"])
+    def test_objective_and_gradient_reject_bad_temperature(self, temp):
+        # A NaN temperature would make every relaxed score NaN, so no
+        # penalty would be active and nothing would fail.
+        cs = ConstraintSet([TokenCount(token=0, op="le", k=0)])
+        x_rows = np.array([[0.9, 0.1], [0.6, 0.4]])
+        z, lam, mu = np.log(x_rows), np.zeros(1), np.ones(1)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            projection.alm_objective(z, x_rows, cs, lam, mu, None, temp)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            projection.alm_gradient(z, x_rows, cs, lam, mu, None, temp)
+
 
 class TestOneHotAgainstOracle:
     """alm_project on one-hot rows against enumeration of every pattern."""

@@ -15,7 +15,7 @@ from projdiff.core import SeqDist, Sequence, decode
 from projdiff.denoiser import ExactBayesDenoiser
 from projdiff.noise import reverse_mixture_rows
 from projdiff.oracle import enumerate_novelty
-from projdiff.projection import MU_MAX, AlmConfig, NoveltyDb
+from projdiff.projection import MU_MAX, AlmConfig, NoveltyDb, SearchTerms
 from projdiff.sampler import (
     InfeasibleSampleError,
     SampleConfig,
@@ -651,6 +651,30 @@ class TestProjectionMemo:
         assert sum(len(rows) - len(set(rows)) for rows in failing.values()) > 0
         assert sorted(projected) == sorted({(t, row) for t, rows in failing.items() for row in rows})
         assert set(calls.values()) == {1}
+
+    def test_alm_fallbacks_use_the_runs_search_terms(self, monkeypatch):
+        # No c01 state holds eleven zeros in ten positions, so project_ids
+        # leaves every failing state infeasible and each goes on to
+        # alm_project, which takes the run's SearchTerms and builds none.
+        corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+        cs = ConstraintSet([TokenCount(token=0, op="ge", k=11)])
+        built, calls = [0], [0]
+        real_init, real_project = SearchTerms.__init__, sampler_module.alm_project
+
+        def init(self, *args):
+            built[0] += 1
+            real_init(self, *args)
+
+        def project(*args, **kwargs):
+            calls[0] += 1
+            return real_project(*args, **kwargs)
+
+        monkeypatch.setattr(SearchTerms, "__init__", init)
+        monkeypatch.setattr(sampler_module, "alm_project", project)
+        config = SampleConfig(steps=16, length=10, num_samples=4, rng_seed=0, infeasible_policy="continue")
+        sample_constrained(corpus, cs, config)
+        assert calls[0] > 0
+        assert built[0] == 1
 
     def test_batched_projection_then_chain_order_retries(self, monkeypatch):
         # The uniform-kernel c01 run with retries: each projected step
