@@ -40,7 +40,6 @@ from .projection import (
     novelty_project,
     position_project,
 )
-from .relax import RelaxConfig, gumbel_softmax
 from .sampler import (
     InfeasibleSampleError,
     SampleConfig,
@@ -69,7 +68,6 @@ __all__ = [
     "NoveltySaturationError",
     "Position",
     "PositionTerms",
-    "RelaxConfig",
     "SampleConfig",
     "Schedule",
     "SeqDist",
@@ -84,7 +82,6 @@ __all__ = [
     "exact_posterior",
     "forward_marginal",
     "forward_sample",
-    "gumbel_softmax",
     "kl_divergence",
     "load_constraint_file",
     "novelty_count",

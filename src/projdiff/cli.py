@@ -151,8 +151,8 @@ def _write_trace(path: str, records) -> None:
 def _emitted_infeasible(run: Run, seqs) -> int:
     """Count emitted sequences that miss the run's feasibility target.
 
-    A constrained sample misses it the way the sampler judges a chain:
-    some violation exceeds alm.delta.
+    A constrained sample misses it when some constraint is violated,
+    the rule the sampler and metrics.json's violation_rate both use.
     """
     mode = run.cfg.projection_mode
     if mode == "novelty":
@@ -160,7 +160,7 @@ def _emitted_infeasible(run: Run, seqs) -> int:
         return sum(1 for s in seqs if s in db) + (len(seqs) - len(set(seqs)))
     if mode == "none":
         return 0
-    return metrics_mod.violation_count(seqs, run.cs, run.cfg.alm.delta)
+    return metrics_mod.violation_count(seqs, run.cs)
 
 
 def cmd_sample(run: Run) -> int:

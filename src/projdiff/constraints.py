@@ -336,11 +336,8 @@ class ConstraintSet:
     def hard_violations(self, seq: Sequence) -> np.ndarray:
         return self.hard_violations_batch(np.asarray([seq.ids]))[0]
 
-    def max_hard_violation(self, seq: Sequence) -> float:
-        return float(self.hard_violations(seq).max())
-
-    def satisfied(self, seq: Sequence, slack: float = 0.0) -> bool:
-        return bool(np.all(self.hard_violations(seq) <= slack))
+    def satisfied(self, seq: Sequence) -> bool:
+        return bool(np.all(self.hard_violations(seq) <= 0.0))
 
 
 def parse_constraint_spec(spec, vocab: Vocabulary, base_dir: str = ".") -> ConstraintSet:

@@ -85,9 +85,8 @@ def entropy(seq: Sequence) -> float:
     return -sum((c / total) * math.log(c / total) for c in counts.values())
 
 
-def violation_count(seqs: list[Sequence], cs: ConstraintSet | None, delta: float = 0.0) -> int:
-    """Number of sequences violating at least one constraint by more than
-    delta (by any amount at the default 0).
+def violation_count(seqs: list[Sequence], cs: ConstraintSet | None) -> int:
+    """Number of sequences violating at least one constraint.
 
     The sequences of each length are scored in one batch.
     """
@@ -97,7 +96,7 @@ def violation_count(seqs: list[Sequence], cs: ConstraintSet | None, delta: float
     for s in seqs:
         by_length.setdefault(len(s), []).append(s.ids)
     return sum(
-        int((~np.all(cs.hard_violations_batch(group) <= delta, axis=1)).sum())
+        int((~np.all(cs.hard_violations_batch(group) <= 0.0, axis=1)).sum())
         for group in by_length.values()
     )
 

@@ -188,29 +188,29 @@ def enumerate_novelty(x_in, db) -> tuple[Sequence, float]:
 MAX_FLIP_SPACE = 4096
 
 
-def _feasible_patterns(length: int, n: int, cs: ConstraintSet, delta: float) -> tuple[np.ndarray, np.ndarray]:
+def _feasible_patterns(length: int, n: int, cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     """All N^L patterns in lexicographic order and which are feasible.
 
-    A pattern is feasible when every hard violation is <= delta.  Raises
+    A pattern is feasible when it has no hard violation.  Raises
     ValueError when N^L exceeds MAX_FLIP_SPACE and when no pattern is
     feasible.
     """
     if n**length > MAX_FLIP_SPACE:
         raise ValueError(f"pattern enumeration capped at N^L <= {MAX_FLIP_SPACE}")
     patterns = np.asarray(list(itertools.product(range(n), repeat=length)), dtype=np.int64)
-    feasible = (cs.hard_violations_batch(patterns) <= delta).all(axis=1)
+    feasible = (cs.hard_violations_batch(patterns) <= 0.0).all(axis=1)
     if not feasible.any():
         raise ValueError("no pattern satisfies the constraints")
     return patterns, feasible
 
 
-def enumerate_fewest_flips(x_in, cs: ConstraintSet, delta: float = 0.0) -> tuple[Sequence, float]:
+def enumerate_fewest_flips(x_in, cs: ConstraintSet) -> tuple[Sequence, float]:
     """Cheapest feasible decode of one-hot rows by scanning all N^L patterns.
 
     On a one-hot row, moving the argmax to any other token pools 1 and 0
     at 1/2, so every flip costs ln 2 and the minimum-KL feasible pattern
-    is the one with the fewest flips.  A pattern is feasible when every
-    hard violation is <= delta.  Ties resolve to the lexicographically
+    is the one with the fewest flips.  A pattern is feasible when it has
+    no hard violation.  Ties resolve to the lexicographically
     smallest pattern.  Returns the pattern and its cost, flips * ln 2.
     Raises ValueError on rows that are not one-hot and when no pattern
     is feasible.
@@ -219,7 +219,7 @@ def enumerate_fewest_flips(x_in, cs: ConstraintSet, delta: float = 0.0) -> tuple
     length, n = rows.shape
     if not (np.isin(rows, (0.0, 1.0)).all() and (rows.sum(axis=1) == 1.0).all()):
         raise ValueError("expected one-hot rows")
-    patterns, feasible = _feasible_patterns(length, n, cs, delta)
+    patterns, feasible = _feasible_patterns(length, n, cs)
     flips = np.where(feasible, (patterns != rows.argmax(axis=1)).sum(axis=1), length + 1)
     k = int(np.argmin(flips))
     return Sequence(tuple(int(v) for v in patterns[k])), int(flips[k]) * math.log(2.0)
@@ -259,7 +259,7 @@ def enumerate_cheapest_pattern(rows: np.ndarray, cs: ConstraintSet) -> tuple[Seq
     cost.  Raises ValueError when no pattern is feasible.
     """
     length, n = rows.shape
-    patterns, feasible = _feasible_patterns(length, n, cs, 0.0)
+    patterns, feasible = _feasible_patterns(length, n, cs)
     table = np.asarray([[pooled_flip_cost(row, v) for v in range(n)] for row in rows])
     costs = np.where(feasible, table[np.arange(length), patterns].sum(axis=1), np.inf)
     k = int(np.argmin(costs))

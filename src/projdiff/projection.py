@@ -58,14 +58,14 @@ class AlmConfig:
     starts at zero and mu at mu_init.  Inner iterations take eta-sized
     gradient steps in logit coordinates; outer iterations raise lam by
     mu * d (measured on the decoded iterate) and scale mu by MU_GROWTH up
-    to MU_MAX.  The loop stops once every decoded violation is <= delta.
+    to MU_MAX.  The loop stops once every decoded violation is 0, that
+    is, every constraint's score is at most its tau.
     """
 
     mu_init: float = 1.0
     eta: float = 0.2
     max_inner_iter: int = 10
     max_outer_iter: int = 1000
-    delta: float = 0.0
 
     def __post_init__(self):
         if not self.eta > 0:  # NaN fails these comparisons too
@@ -73,8 +73,6 @@ class AlmConfig:
         check_counts(self, max_inner_iter=1, max_outer_iter=1)
         if not 0 < self.mu_init <= MU_MAX:
             raise ValueError(f"need 0 < mu_init <= {MU_MAX}")
-        if not self.delta >= 0:
-            raise ValueError("delta must be nonnegative")
 
 
 @dataclass
@@ -110,8 +108,8 @@ RELAX_TEMPERATURE = 0.5
 
 
 def _check_temperature(temp: float) -> None:
-    # Negated, as in RelaxConfig, so that NaN fails it too: a NaN
-    # temperature makes every relaxed score NaN, and no penalty active.
+    # Negated, so that NaN fails it too: a NaN temperature makes every
+    # relaxed score NaN, and no penalty active.
     if not temp > 0:
         raise ValueError("temperature must be positive")
 
@@ -157,9 +155,9 @@ def alm_gradient(
     """Gradient of alm_objective in logit coordinates.
 
     Returns (dz, any_active) where any_active reports whether any
-    penalty term had positive slack excess at z.  This is the exact
-    inner-loop step direction used by alm_project.  Raises ValueError
-    unless temp is positive.
+    penalty term had a relaxed score above its tau at z.  This is the
+    exact inner-loop step direction used by alm_project.  Raises
+    ValueError unless temp is positive.
     """
     _check_temperature(temp)
     ops = backend.ops
@@ -205,7 +203,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
 
     base = decode(x_rows).ids
     hard = cs.hard_violations(Sequence(base))
-    if float(hard.max()) <= config.delta:
+    if float(hard.max()) <= 0.0:
         return AlmResult(projected=x_in, feasible=True, outer_iters=0, final_violation=hard, kl_moved=0.0)
     if terms is None:
         terms = SearchTerms(cs, *x_rows.shape)
@@ -214,7 +212,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
         # On one-hot rows the loop only hands its pattern to the closing
         # search; the search alone decides whenever it reaches a
         # qualifying pattern from the input's own.
-        ids, feasible = project_ids(np.asarray([base]), x_rows.shape[1], terms, config)
+        ids, feasible = project_ids(np.asarray([base]), x_rows.shape[1], terms)
         if feasible[0]:
             return _pooled_result(x_rows, cs, tuple(ids[0].tolist()), True, 0)
 
@@ -226,7 +224,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
     stalled = 0
     prev_decode = decode(y).ids
 
-    while float(hard.max()) > config.delta and outer < config.max_outer_iter:
+    while float(hard.max()) > 0.0 and outer < config.max_outer_iter:
         outer += 1
         z_before = z.copy()
         outer_any_active = False
@@ -239,7 +237,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
         hard = cs.hard_violations(dec)
         if float(hard.max()) < float(best_hard.max()):
             best_rows, best_hard = y, hard
-        if float(hard.max()) > config.delta:
+        if float(hard.max()) > 0.0:
             lam = lam + mu * hard
             mu = np.minimum(mu * MU_GROWTH, MU_MAX)
             if not outer_any_active or np.array_equal(z, z_before):
@@ -267,10 +265,10 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
     # gated multiplier term cannot reach.  A feasible best iterate starts
     # the search at zero excess, so only an infeasible one gets past it.
     found, residual = _decode_search(
-        _row_flip_costs(x_rows)[None], terms, config.delta, np.asarray([decode(best_rows).ids]), np.asarray([base])
+        _row_flip_costs(x_rows)[None], terms, np.asarray([decode(best_rows).ids]), np.asarray([base])
     )
     ids, residual = tuple(found[0].tolist()), float(residual[0])
-    loop_excess = float(np.maximum(best_hard - config.delta, 0.0).sum())
+    loop_excess = float(best_hard.sum())
     if residual == 0.0 or residual < loop_excess:
         return _pooled_result(x_rows, cs, ids, residual == 0.0, outer)
     projected = SeqDist.normalized(best_rows)
@@ -283,9 +281,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
     )
 
 
-def project_ids(
-    states: np.ndarray, n: int, cs: ConstraintSet | SearchTerms, config: AlmConfig = AlmConfig()
-) -> tuple[np.ndarray, np.ndarray]:
+def project_ids(states: np.ndarray, n: int, cs: ConstraintSet | SearchTerms) -> tuple[np.ndarray, np.ndarray]:
     """Decode targets of a (K, L) stack of one-hot states, by their ids.
 
     Row k holds the ids of a state whose rows are one-hot over n tokens.
@@ -294,17 +290,17 @@ def project_ids(
     once.
     Returns the (K, L) int64 ids that alm_project's lattice search picks
     for each state and the (K,) mask of the states it made feasible
-    (zero violation beyond config.delta); a feasible state keeps its own
-    ids.  No probability rows are built: on one-hot rows every flip
-    costs ln 2, so a pattern's summed cost is a strictly increasing
-    function of its Hamming distance to the state, equal distances give
-    equal cost bits, and the search ranks patterns by that distance.
+    (every violation 0); a feasible state keeps its own ids.  No
+    probability rows are built: on one-hot rows every flip costs ln 2,
+    so a pattern's summed cost is a strictly increasing function of its
+    Hamming distance to the state, equal distances give equal cost bits,
+    and the search ranks patterns by that distance.
     All K states go through one batched search.  A state left infeasible
     needs alm_project's gradient loop, which this function does not run.
     """
     states = np.asarray(states, dtype=np.int64)
     flips = (np.arange(n) != states[:, :, None]).astype(np.int8)
-    ids, residual = _decode_search(flips, cs, config.delta, states, states)
+    ids, residual = _decode_search(flips, cs, states, states)
     return ids, residual == 0.0
 
 
@@ -437,14 +433,15 @@ class SearchTerms:
         self.free = np.asarray(free) if any(free) else None
         self.tol = np.asarray(tol) if any(tol) or self.free is not None else None
 
-    def excess_bounds(self, score: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds of the total excess at scores (..., m)
+    def excess_bounds(self, score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds of the total excess, the summed
+        max(0, score - tau) over the m constraints, at scores (..., m)
         within tolerance of the exact ones, overwriting score; one array
         twice when every score is exact."""
         if self.tol is None:
             if self.absolute is not None:
                 np.abs(score, out=score, where=self.absolute)
-            excess = self._total(score, delta)
+            excess = self._total(score)
             return excess, excess
         lo = score - self.tol
         hi = score
@@ -457,13 +454,13 @@ class SearchTerms:
         if self.free is not None:  # no terms: the score is unbounded
             lo[..., self.free] = -np.inf
             hi[..., self.free] = np.inf
-        return self._total(lo, delta), self._total(hi, delta)
+        return self._total(lo), self._total(hi)
 
-    def _total(self, score, delta):
-        # The operations of hard_violations_batch, then _total_excess, in
-        # place: each is monotone in the score.
+    def _total(self, score):
+        # The operations of hard_violations_batch, then the sum over
+        # constraints, in place: each is monotone in the score.
         score -= self.taus
-        return _total_excess(np.maximum(score, 0.0, out=score), delta)
+        return np.maximum(score, 0.0, out=score).sum(axis=-1)
 
 
 def _tolerance(scaled: np.ndarray, offset: float) -> float:
@@ -471,17 +468,9 @@ def _tolerance(scaled: np.ndarray, offset: float) -> float:
     return _TOL_ULPS * (scaled.shape[0] + 4) * (np.abs(scaled).max(axis=1).sum() + abs(offset))
 
 
-def _total_excess(violations: np.ndarray, delta: float) -> np.ndarray:
-    """Violation beyond delta summed over the last axis of m
-    constraints, computed in place."""
-    violations -= delta
-    return np.maximum(violations, 0.0, out=violations).sum(axis=-1)
-
-
 def _decode_search(
     tables: np.ndarray,
     cs: ConstraintSet | SearchTerms,
-    delta: float,
     starts: np.ndarray,
     bases: np.ndarray,
     max_sweeps: int | None = None,
@@ -492,13 +481,14 @@ def _decode_search(
     (a flip-cost table, or, on one-hot rows, whether v differs from the
     state's own token); cs is the constraint set, or its SearchTerms for
     the tables' L and N; starts and bases are (K, L) id arrays.  Returns
-    the (K, L) int64 patterns reached and the (K,) total violation
-    beyond delta left at each.
+    the (K, L) int64 patterns reached and the (K,) total hard violation
+    left at each.
 
-    Patterns are ordered by (total hard violation beyond delta, summed
-    per-row cost, the ids themselves): descent first repairs violations
-    one flip per sweep, then minimizes cost among qualifying patterns;
-    the ids component keeps ties deterministic.  Violations are totalled
+    Patterns are ordered by (total hard violation, summed per-row cost,
+    the ids themselves): descent first repairs violations one flip per
+    sweep, then minimizes cost among qualifying patterns, those whose
+    every score is at most its tau (total violation 0); the ids
+    component keeps ties deterministic.  Violations are totalled
     rather than maxed so that multi-constraint repairs always have a
     downhill flip available.  Moves are single-position changes plus
     pairs that revert one already-changed position back to the base
@@ -589,7 +579,7 @@ def _decode_search(
     exact = not np.issubdtype(tables.dtype, np.floating)
 
     def excess_of(cands):
-        return _total_excess(cs.hard_violations_batch(cands), delta)
+        return cs.hard_violations_batch(cands).sum(axis=-1)
 
     def cost_of(cands, owner):
         return np.cumsum(flat[(owner * seq_len)[:, None] + positions, cands], axis=1)[:, -1]
@@ -641,7 +631,7 @@ def _decode_search(
         # go below the current key nor hide a lesser move, so it stays.
         score = terms.tables - held_terms[:, :, None]
         score += (held_terms.sum(axis=1) + terms.offset)[:, None, None]
-        exc_lo, exc_hi = terms.excess_bounds(score, delta)
+        exc_lo, exc_hi = terms.excess_bounds(score)
         cost = tables[gs] + held_cost.sum(axis=1)[:, None, None]
         cost -= held_cost[:, :, None]
         cost_lo = cost if exact else cost - cost_tol[gs][:, None, None]

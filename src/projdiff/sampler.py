@@ -259,7 +259,7 @@ class _Engine:
         """
         if self.cfg.projection_mode == "novelty":
             return np.zeros(ids.shape[0], dtype=bool)
-        passed = self._violations(ids) <= self.cfg.alm.delta
+        passed = self._violations(ids) <= 0.0
         if self.kernel.kind == "masked" and t == 1:
             passed &= ~np.any(ids == self.kernel.mask_id, axis=1)
         return passed
@@ -377,7 +377,7 @@ class _Engine:
         if not distinct:
             return
         ops = backend.ops
-        new_ids, feasible = project_ids(np.stack(list(distinct.values())), self.n, self.terms, self.cfg.alm)
+        new_ids, feasible = project_ids(np.stack(list(distinct.values())), self.n, self.terms)
         for (key, state), new, ok in zip(distinct.items(), new_ids, feasible.tolist()):
             if ok:
                 kl = 0.0

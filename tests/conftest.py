@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,18 @@ def make_constraint_set(rng, n, length):
         else:
             weights = rng.integers(0, 4, size=n) / 4.0  # ties and exact values
             out.append(LinearScore(weights=weights, tau=tau, name=f"linear{j}"))
+    return ConstraintSet(tuple(out))
+
+
+def raise_taus(cs: ConstraintSet, delta: float) -> ConstraintSet:
+    """cs with every constraint's tau raised by delta: in exact
+    arithmetic its feasible patterns are those that violate no
+    constraint of cs by more than delta."""
+    out = []
+    for c in cs:
+        c = copy.copy(c)
+        c.tau += delta
+        out.append(c)
     return ConstraintSet(tuple(out))
 
 

@@ -270,7 +270,7 @@ def test_c05_projection_near_optimality():
         )
         opt = None
         for ids in itertools.product(range(n), repeat=length):
-            if cs.max_hard_violation(Sequence(ids)) > 0:
+            if not cs.satisfied(Sequence(ids)):
                 continue
             c = float(sum(cost[i, ids[i]] for i in range(length)))
             if opt is None or c < opt:

@@ -115,3 +115,41 @@ def test_sample_rows_blocks_equal_the_gathered_rows(n, blocks, length, chains, z
     masked = prev == mask_id
     assert np.array_equal(by_position[~masked], prev[~masked])
     assert np.array_equal(by_position[masked], got[masked])
+
+
+def _random_rows(seed, length=3, n=4, floor=1e-3):
+    rng = np.random.default_rng(seed)
+    rows = np.maximum(rng.dirichlet(np.ones(n), size=length), floor)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def test_relax_forward_is_the_identity_at_unit_temperature():
+    rows = _random_rows(0)
+    assert np.allclose(backend.ops.relax_forward(rows, None, 1.0), rows, atol=1e-12)
+
+
+def test_relax_forward_sharpens_toward_the_argmax_at_low_temperature():
+    rows = _random_rows(1)
+    sharp = backend.ops.relax_forward(rows, None, 0.05)
+    assert np.array_equal(backend.ops.argmax_rows(sharp), backend.ops.argmax_rows(rows))
+    assert np.all(sharp.max(axis=1) > rows.max(axis=1))
+    assert np.all(sharp.max(axis=1) > 0.99)
+
+
+def test_relax_forward_keeps_rows_on_the_simplex():
+    out = backend.ops.relax_forward(_random_rows(2), None, 0.5)
+    assert np.all(out >= 0)
+    assert np.allclose(out.sum(axis=1), 1.0)
+
+
+def test_relax_forward_keeps_the_argmax():
+    for seed in range(20):
+        rows = _random_rows(seed)
+        out = backend.ops.relax_forward(rows, None, 0.5)
+        assert np.array_equal(backend.ops.argmax_rows(out), backend.ops.argmax_rows(rows))
+
+
+def test_relax_forward_floors_zero_coordinates():
+    out = backend.ops.relax_forward(np.array([[1.0, 0.0, 0.0]]), None, 0.5)
+    assert np.all(np.isfinite(out))
+    assert out[0, 0] > 0.999

@@ -141,17 +141,18 @@ class TestSample:
         assert "infeasible" in proc.stderr
         assert len((tmp_path / "out" / "samples.txt").read_text().splitlines()) == 2
 
-    @pytest.mark.parametrize("delta", [0.0, 1.0])
-    def test_exit_code_allows_the_sampler_slack(self, tmp_path, delta):
-        # The sampler passes a chain whose violations are all at most
-        # alm.delta, and the exit code judges emitted samples the same
-        # way; violation_rate stays the share violating by any amount.
-        alm = {"max_outer_iter": 12, "delta": delta}
-        cfg = make_workspace(tmp_path, extra={"alm": alm})
+    @pytest.mark.parametrize("slack", [0.0, 1.0])
+    def test_slack_written_as_tau_keeps_exit_code_and_rate_agreed(self, tmp_path, slack):
+        # A slack is each constraint's tau: the sampler, the exit code and
+        # violation_rate all judge a sample by score <= tau.
+        constraints = [dict(c, tau=slack) for c in CONSTRAINTS]
+        cfg = make_workspace(tmp_path, constraints=constraints)
         proc = run_cli("sample", "--config", str(cfg))
         assert proc.returncode == 0, proc.stderr
-        rate = json.loads((tmp_path / "out" / "metrics.json").read_text())["violation_rate"]
-        assert (rate > 0.0) == (delta > 0.0)
+        assert json.loads((tmp_path / "out" / "metrics.json").read_text())["violation_rate"] == 0.0
+        samples = [line.split() for line in (tmp_path / "out" / "samples.txt").read_text().splitlines()]
+        beyond_zero_tau = [s for s in samples if s.count("a") > 2 or "d" in s]
+        assert bool(beyond_zero_tau) == (slack > 0.0)  # the slack was used
 
 
 class TestEval:
@@ -357,10 +358,17 @@ class TestUsageAndErrors:
 
     @pytest.mark.parametrize(
         "removed",
-        [{"mu_max": 1000.0}, {"alpha_scale": 2.0}, {"lambda_init": 0.0}, {"relax": {"temperature": 0.5}}],
+        [
+            {"mu_max": 1000.0},
+            {"alpha_scale": 2.0},
+            {"lambda_init": 0.0},
+            {"relax": {"temperature": 0.5}},
+            {"delta": 0.0},
+        ],
     )
     def test_removed_alm_setting_is_an_error_line(self, tmp_path, removed):
-        # These are constants of the solver now, not settings.
+        # These are constants of the solver now, not settings; a slack is
+        # written as each constraint's tau.
         cfg = make_workspace(tmp_path, extra={"alm": {"max_outer_iter": 12, **removed}})
         proc = run_cli("sample", "--config", str(cfg))
         assert proc.returncode == 1

@@ -216,7 +216,6 @@ class TestConstraintSet:
         cs = ConstraintSet((Forbidden(0), TokenCount(token=1, op="ge", k=2)))
         seq = Sequence((0, 1, 2))
         assert cs.hard_violations(seq) == pytest.approx([1.0, 1.0])
-        assert cs.max_hard_violation(seq) == 1.0
         assert not cs.satisfied(seq)
         assert cs.satisfied(Sequence((1, 1, 2)))
 

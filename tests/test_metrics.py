@@ -101,10 +101,11 @@ class TestRates:
         seqs = [Sequence((1,)), Sequence((0, 1)), Sequence((1, 1, 0)), Sequence((2, 2, 2))]
         assert violation_count(seqs, cs) == 2
 
-    def test_violation_count_above_delta(self):
-        cs = ConstraintSet([Forbidden(0)])  # violation: occurrences of token 0
+    def test_violation_count_above_tau(self):
         seqs = [Sequence((1, 1)), Sequence((0, 1)), Sequence((0, 0))]
-        assert [violation_count(seqs, cs, delta) for delta in (0.0, 1.0, 2.0)] == [2, 1, 0]
+        # score: occurrences of token 0
+        counts = [violation_count(seqs, ConstraintSet([Forbidden(0, tau=tau)])) for tau in (0.0, 1.0, 2.0)]
+        assert counts == [2, 1, 0]
 
     def test_novelty_count_distinct_absent(self):
         db = NoveltyDb([Sequence((0, 0))])

@@ -116,10 +116,10 @@ class TestEnumerateFewestFlips:
         assert seq == Sequence((0, 1, 1))
         assert cost == 2 * math.log(2.0)
 
-    def test_delta_slack(self):
+    def test_tau_slack(self):
         rows = SeqDist.one_hot(Sequence((0, 0)), 2).rows
-        cs = ConstraintSet([TokenCount(token=0, op="le", k=1)])
-        assert enumerate_fewest_flips(rows, cs, delta=1.0) == (Sequence((0, 0)), 0.0)
+        cs = ConstraintSet([TokenCount(token=0, op="le", k=1, tau=1.0)])
+        assert enumerate_fewest_flips(rows, cs) == (Sequence((0, 0)), 0.0)
 
     def test_rejects_soft_rows_and_unsatisfiable_sets(self):
         with pytest.raises(ValueError):

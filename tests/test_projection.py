@@ -31,7 +31,7 @@ from projdiff.projection import (
     project_ids,
 )
 
-from conftest import make_constraint_set, make_corpus, make_vocab
+from conftest import make_constraint_set, make_corpus, make_vocab, raise_taus
 
 # The SLSQP reference solver clips bound violations internally and says
 # so; that chatter is not a property under test.
@@ -181,7 +181,7 @@ class TestAlmProject:
         cs = ConstraintSet([TokenCount(token=0, op="ge", k=3), Position(position=3, token=1)])
         rows = SeqDist.one_hot(Sequence((1, 1, 1, 0)), 2).rows
         base = (1, 1, 1, 0)
-        assert search_one(rows, cs, 0.0, base, base) == ((0, 0, 1, 0), 1.0)
+        assert search_one(rows, cs, base, base) == ((0, 0, 1, 0), 1.0)
         res = alm_project(SeqDist(rows), cs)
         assert res.feasible
         assert decode(res.projected) == Sequence((0, 0, 0, 1))
@@ -194,10 +194,10 @@ class TestAlmProject:
         assert not res.feasible
         assert res.final_violation.max() > 0
 
-    def test_delta_slack_accepts_near_feasible(self):
-        cs = ConstraintSet([TokenCount(token=0, op="le", k=0)])
+    def test_tau_slack_accepts_near_feasible(self):
+        cs = ConstraintSet([TokenCount(token=0, op="le", k=0, tau=1.0)])
         rows = SeqDist.one_hot(Sequence((0, 1)), 2).rows
-        res = alm_project(SeqDist(rows), cs, AlmConfig(delta=1.0))
+        res = alm_project(SeqDist(rows), cs)
         assert res.feasible
         assert res.kl_moved == 0.0
 
@@ -227,7 +227,7 @@ class TestAlmProject:
 
         best = None
         for ids in itertools.product(range(n), repeat=length):
-            if cs.max_hard_violation(Sequence(ids)) > 0:
+            if not cs.satisfied(Sequence(ids)):
                 continue
             cost = 0.0
             for i, v in enumerate(ids):
@@ -264,7 +264,7 @@ class TestAlmProject:
             cs = make_constraint_set(rng, n, seq_len)
             built[0] = 0
             want = alm_project(SeqDist(rows), cs, config)
-            feasible_input = cs.max_hard_violation(decode(SeqDist(rows))) <= 0.0
+            feasible_input = cs.satisfied(decode(SeqDist(rows)))
             assert built[0] == (0 if feasible_input else 1)
             terms = SearchTerms(cs, seq_len, n)
             built[0] = 0
@@ -603,7 +603,7 @@ def reference_flip_costs(rows):
     return table
 
 
-def reference_decode_search(x_rows, cs, delta, start_ids, base_ids, max_sweeps=None, moves=None, costs=None):
+def reference_decode_search(x_rows, cs, start_ids, base_ids, max_sweeps=None, moves=None, costs=None):
     """The lattice search scoring one candidate pattern at a time.
 
     When moves is a list, the number of moves the search took is
@@ -618,8 +618,7 @@ def reference_decode_search(x_rows, cs, delta, start_ids, base_ids, max_sweeps=N
         return float(sum(table[i, ids[i]] for i in range(seq_len)))
 
     def excess(ids):
-        v = np.asarray([c.hard_violation(Sequence(ids)) for c in cs])
-        return float(np.maximum(v - delta, 0.0).sum())
+        return float(np.asarray([c.hard_violation(Sequence(ids)) for c in cs]).sum())
 
     def key(ids):
         return (excess(ids), cost(ids), ids)
@@ -665,11 +664,9 @@ def reference_decode_search(x_rows, cs, delta, start_ids, base_ids, max_sweeps=N
     return cur, cur_key[0]
 
 
-def search_one(rows, cs, delta, start, base, max_sweeps=None):
+def search_one(rows, cs, start, base, max_sweeps=None):
     """_decode_search on one state with its flip-cost table, as (ids, residual)."""
-    ids, residual = _decode_search(
-        _row_flip_costs(rows)[None], cs, delta, np.asarray([start]), np.asarray([base]), max_sweeps
-    )
+    ids, residual = _decode_search(_row_flip_costs(rows)[None], cs, np.asarray([start]), np.asarray([base]), max_sweeps)
     assert ids.shape == (1, rows.shape[0]) and ids.dtype == np.int64
     assert residual.shape == (1,) and residual.dtype == np.float64
     return tuple(ids[0].tolist()), float(residual[0])
@@ -737,10 +734,10 @@ class TestDecodeSearch:
         rng = np.random.default_rng(seed)
         seq_len, n = int(rng.integers(1, 8)), int(rng.integers(2, 8))
         rows = random_rows(rng, kind, seq_len, n)
-        cs = make_constraint_set(rng, n, seq_len)
+        cs = raise_taus(make_constraint_set(rng, n, seq_len), delta)
         base = tuple(int(v) for v in np.argmax(rows, axis=1))
         start = base if rng.random() < 0.25 else tuple(int(v) for v in rng.integers(0, n, size=seq_len))
-        assert search_one(rows, cs, delta, start, base) == reference_decode_search(rows, cs, delta, start, base)
+        assert search_one(rows, cs, start, base) == reference_decode_search(rows, cs, start, base)
 
     def test_c01_shape(self):
         rng = np.random.default_rng(7)
@@ -750,8 +747,8 @@ class TestDecodeSearch:
             rows = random_rows(rng, "one_hot", 10, 13)
             base = tuple(int(v) for v in np.argmax(rows, axis=1))
             start = tuple(int(v) for v in rng.integers(0, 13, size=10))
-            got = search_one(rows, cs, 0.0, start, base)
-            assert got == reference_decode_search(rows, cs, 0.0, start, base)
+            got = search_one(rows, cs, start, base)
+            assert got == reference_decode_search(rows, cs, start, base)
             assert got[1] == 0.0
 
     def test_max_sweeps_limits_moves(self):
@@ -760,8 +757,8 @@ class TestDecodeSearch:
         rows[:, 1] -= 0.1
         cs = ConstraintSet([TokenCount(token=1, op="ge", k=4)])
         base = (0, 0, 0, 0)
-        one = search_one(rows, cs, 0.0, base, base, max_sweeps=1)
-        assert one == reference_decode_search(rows, cs, 0.0, base, base, max_sweeps=1)
+        one = search_one(rows, cs, base, base, max_sweeps=1)
+        assert one == reference_decode_search(rows, cs, base, base, max_sweeps=1)
         assert one[0].count(1) == 1
         assert one[1] == 3.0
 
@@ -792,12 +789,12 @@ class TestBatchedDecodeSearch:
         stopped_apart = 0
         for _ in range(12):
             rows, cs, starts, bases = random_stack(rng)
-            delta = float(rng.choice([0.0, 0.0, 0.1, 0.5]))
+            cs = raise_taus(cs, float(rng.choice([0.0, 0.0, 0.1, 0.5])))
             tables = np.stack([_row_flip_costs(r) for r in rows])
-            ids, residual = _decode_search(tables, cs, delta, starts, bases, max_sweeps)
+            ids, residual = _decode_search(tables, cs, starts, bases, max_sweeps)
             moves = []
             for k, r in enumerate(rows):
-                want = reference_decode_search(r, cs, delta, starts[k], bases[k], max_sweeps, moves)
+                want = reference_decode_search(r, cs, starts[k], bases[k], max_sweeps, moves)
                 assert (tuple(ids[k].tolist()), float(residual[k])) == want, k
             stopped_apart += len(set(moves)) > 1
         assert stopped_apart >= 3  # states of one stack stopped in different sweeps
@@ -814,17 +811,16 @@ class TestBatchedDecodeSearch:
             k, seq_len, n = int(rng.integers(1, 17)), int(rng.integers(1, 9)), int(rng.integers(2, 9))
             bases = rng.integers(0, n, size=(k, seq_len))
             starts = np.where(rng.random((k, seq_len)) < 0.5, rng.integers(0, n, size=(k, seq_len)), bases)
-            cs = make_constraint_set(rng, n, seq_len)
-            delta = float(rng.choice([0.0, 0.5]))
+            cs = raise_taus(make_constraint_set(rng, n, seq_len), float(rng.choice([0.0, 0.5])))
             flips = (np.arange(n) != bases[:, :, None]).astype(np.int8)
             tables = np.stack([_row_flip_costs(np.eye(n)[b]) for b in bases])
-            got = _decode_search(flips, cs, delta, starts, bases)
-            want = _decode_search(tables, cs, delta, starts, bases)
+            got = _decode_search(flips, cs, starts, bases)
+            want = _decode_search(tables, cs, starts, bases)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             # Any small integer costs, the base tokens' too, sum exactly as floats.
             costs = rng.integers(0, 4, size=(k, seq_len, n)).astype(np.int8)
-            got = _decode_search(costs, cs, delta, starts, bases)
-            want = _decode_search(costs.astype(np.float64), cs, delta, starts, bases)
+            got = _decode_search(costs, cs, starts, bases)
+            want = _decode_search(costs.astype(np.float64), cs, starts, bases)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
@@ -836,18 +832,18 @@ class TestBatchedDecodeSearch:
         for _ in range(30):
             k, seq_len, n = int(rng.integers(1, 17)), int(rng.integers(1, 9)), int(rng.integers(2, 9))
             states = rng.integers(0, n, size=(k, seq_len))
-            cs = make_constraint_set(rng, n, seq_len)
-            ids, feasible = project_ids(states, n, cs, AlmConfig(delta=delta))
+            cs = raise_taus(make_constraint_set(rng, n, seq_len), delta)
+            ids, feasible = project_ids(states, n, cs)
             tables = np.stack([_row_flip_costs(np.eye(n)[s]) for s in states])
-            want, residual = _decode_search(tables, cs, delta, states, states)
+            want, residual = _decode_search(tables, cs, states, states)
             assert np.array_equal(ids, want)
             assert np.array_equal(feasible, residual == 0.0)
             for s, got, ok in zip(states, ids, feasible):
                 if ok:
-                    assert cs.satisfied(Sequence(tuple(got.tolist())), slack=delta)
+                    assert cs.satisfied(Sequence(tuple(got.tolist())))
                 else:
                     # alm_project goes on to its gradient loop.
-                    res = alm_project(SeqDist(np.eye(n)[s]), cs, AlmConfig(delta=delta, max_outer_iter=5))
+                    res = alm_project(SeqDist(np.eye(n)[s]), cs, AlmConfig(max_outer_iter=5))
                     assert res.outer_iters > 0
 
     def test_project_ids_on_one_token_states(self):
@@ -855,12 +851,12 @@ class TestBatchedDecodeSearch:
         # feasible exactly when its own pattern qualifies.
         states = np.zeros((3, 4), dtype=np.int64)
         at_most_three = ConstraintSet([TokenCount(token=0, op="le", k=3)])
-        for cs, config, ok in [
-            (ConstraintSet([Position(position=2, token=0)]), AlmConfig(), True),
-            (at_most_three, AlmConfig(), False),
-            (at_most_three, AlmConfig(delta=1.0), True),
+        for cs, ok in [
+            (ConstraintSet([Position(position=2, token=0)]), True),
+            (at_most_three, False),
+            (raise_taus(at_most_three, 1.0), True),
         ]:
-            ids, feasible = project_ids(states, 1, cs, config)
+            ids, feasible = project_ids(states, 1, cs)
             assert np.array_equal(ids, states)
             assert feasible.tolist() == [ok] * 3
 
@@ -915,22 +911,21 @@ class TestPrunedSweeps:
             monkeypatch.setattr(projection, "SEARCH_CHUNK_ROWS", chunk_rows)
         rng = np.random.default_rng(seed)
         k, seq_len, n = int(rng.integers(1, 9)), int(rng.integers(1, 8)), int(rng.integers(2, 7))
-        cs = near_tie_set(rng, n, seq_len)
-        delta = float(rng.choice([0.0, 0.0, 1e-17, 0.05]))
+        cs = raise_taus(near_tie_set(rng, n, seq_len), float(rng.choice([0.0, 0.0, 1e-17, 0.05])))
         rows = [random_rows(rng, str(rng.choice(["one_hot", "dirichlet", "tied"])), seq_len, n) for _ in range(k)]
         bases = np.stack([np.argmax(r, axis=1) for r in rows])
         starts = np.where(rng.random((k, seq_len)) < 0.5, rng.integers(0, n, size=(k, seq_len)), bases)
-        ids, residual = _decode_search(np.stack([_row_flip_costs(r) for r in rows]), cs, delta, starts, bases)
+        ids, residual = _decode_search(np.stack([_row_flip_costs(r) for r in rows]), cs, starts, bases)
         for j, r in enumerate(rows):
-            want = reference_decode_search(r, cs, delta, starts[j], bases[j])
+            want = reference_decode_search(r, cs, starts[j], bases[j])
             assert (tuple(ids[j].tolist()), float(residual[j])) == want, j
         # The integer path from the states themselves, as project_ids runs it.
-        got, feasible = project_ids(bases, n, cs, AlmConfig(delta=delta))
+        got, feasible = project_ids(bases, n, cs)
         tables = np.stack([_row_flip_costs(np.eye(n)[b]) for b in bases])
-        want, want_residual = _decode_search(tables, cs, delta, bases, bases)
+        want, want_residual = _decode_search(tables, cs, bases, bases)
         assert np.array_equal(got, want) and np.array_equal(feasible, want_residual == 0.0)
         for j, b in enumerate(bases):
-            ref = reference_decode_search(np.eye(n)[b], cs, delta, b, b)
+            ref = reference_decode_search(np.eye(n)[b], cs, b, b)
             assert tuple(want[j].tolist()) == ref[0]
 
     @pytest.mark.parametrize("chunk_rows", [None, 40])
@@ -943,18 +938,17 @@ class TestPrunedSweeps:
             extra = list(make_constraint_set(rng, n, seq_len)) if rng.random() < 0.5 else []
             distinct = DistinctTokens(int(rng.integers(1, min(n, seq_len) + 1)))
             assert distinct.position_terms(seq_len, n) is None
-            cs = ConstraintSet(tuple([distinct] + extra))
-            delta = float(rng.choice([0.0, 0.5]))
+            cs = raise_taus(ConstraintSet(tuple([distinct] + extra)), float(rng.choice([0.0, 0.5])))
             rows = [random_rows(rng, str(rng.choice(ROW_KINDS)), seq_len, n) for _ in range(k)]
             bases = np.stack([np.argmax(r, axis=1) for r in rows])
             starts = np.where(rng.random((k, seq_len)) < 0.5, rng.integers(0, n, size=(k, seq_len)), bases)
-            ids, residual = _decode_search(np.stack([_row_flip_costs(r) for r in rows]), cs, delta, starts, bases)
+            ids, residual = _decode_search(np.stack([_row_flip_costs(r) for r in rows]), cs, starts, bases)
             for j, r in enumerate(rows):
-                want = reference_decode_search(r, cs, delta, starts[j], bases[j])
+                want = reference_decode_search(r, cs, starts[j], bases[j])
                 assert (tuple(ids[j].tolist()), float(residual[j])) == want, j
-            got, _ = project_ids(bases, n, cs, AlmConfig(delta=delta))
+            got, _ = project_ids(bases, n, cs)
             for j, b in enumerate(bases):
-                assert tuple(got[j].tolist()) == reference_decode_search(np.eye(n)[b], cs, delta, b, b)[0]
+                assert tuple(got[j].tolist()) == reference_decode_search(np.eye(n)[b], cs, b, b)[0]
 
     def test_start_scored_once_when_it_is_the_base(self, monkeypatch):
         # project_ids passes its states as both starts and bases.
@@ -970,9 +964,9 @@ class TestPrunedSweeps:
             return real(self, ids)
 
         monkeypatch.setattr(ConstraintSet, "hard_violations_batch", spy)
-        once = _decode_search(flips, cs, 0.0, states, states)
+        once = _decode_search(flips, cs, states, states)
         scored_once = len(calls)
-        twice = _decode_search(flips, cs, 0.0, states, states.copy())
+        twice = _decode_search(flips, cs, states, states.copy())
         assert len(calls) - scored_once == scored_once + 1
         assert calls[scored_once : scored_once + 2] == [5, 5]
         assert all(np.array_equal(a, b) for a, b in zip(once, twice))
@@ -1029,8 +1023,7 @@ class TestStopRuleAndExactExcess:
         seen = collections.Counter()
         for _ in range(60):
             k, seq_len, n = int(rng.integers(2, 13)), int(rng.integers(1, 8)), int(rng.integers(2, 7))
-            cs = make(rng, n, seq_len)
-            delta = float(rng.choice([0.0, 0.0, 0.5]))
+            cs = raise_taus(make(rng, n, seq_len), float(rng.choice([0.0, 0.0, 0.5])))
             bases = rng.integers(0, n, size=(k, seq_len))
             costs = rng.integers(1, 4, size=(k, seq_len, n))
             if rng.random() < 0.5:
@@ -1040,14 +1033,14 @@ class TestStopRuleAndExactExcess:
                 starts = bases
             else:
                 starts = np.where(rng.random((k, seq_len)) < 0.5, rng.integers(0, n, size=(k, seq_len)), bases)
-            ids, residual = _decode_search(costs, cs, delta, starts, bases)
+            ids, residual = _decode_search(costs, cs, starts, bases)
             for j in range(k):
-                want = reference_decode_search(np.eye(n)[bases[j]], cs, delta, starts[j], bases[j], costs=costs[j])
+                want = reference_decode_search(np.eye(n)[bases[j]], cs, starts[j], bases[j], costs=costs[j])
                 assert (tuple(ids[j].tolist()), float(residual[j])) == want, j
             outcomes = set()
             for j in range(k):
                 base = tuple(bases[j].tolist())
-                base_ok = reference_decode_search(np.eye(n)[bases[j]], cs, delta, base, base, max_sweeps=0)[1] == 0.0
+                base_ok = reference_decode_search(np.eye(n)[bases[j]], cs, base, base, max_sweeps=0)[1] == 0.0
                 seen["base qualifies" if base_ok else "base fails"] += 1
                 table = costs[j].tolist()
                 floor = sum(min(row) for row in table)
@@ -1074,10 +1067,10 @@ class TestStopRuleAndExactExcess:
             ids, feasible = project_ids(bases, n, cs)
             assert traffic["batch_calls"] == 1 and traffic["batch_rows"] == k
             for j, b in enumerate(bases):
-                assert tuple(ids[j].tolist()) == reference_decode_search(np.eye(n)[b], cs, 0.0, b, b)[0]
+                assert tuple(ids[j].tolist()) == reference_decode_search(np.eye(n)[b], cs, b, b)[0]
             starts = rng.integers(0, n, size=(k, seq_len))
             traffic.clear()
-            _decode_search(flips, cs, 0.0, starts, bases)
+            _decode_search(flips, cs, starts, bases)
             assert traffic["batch_calls"] == 2 and traffic["batch_rows"] == 2 * k
 
     def test_one_flip_state_takes_one_sweep(self, monkeypatch):
@@ -1099,7 +1092,7 @@ class TestStopRuleAndExactExcess:
         bases = np.array([[1, 3, 2], [2, 3, 1]])
         starts = np.array([[0, 3, 2], [2, 1, 1]])
         flips = (np.arange(4) != bases[:, :, None]).astype(np.int8)
-        ids, residual = _decode_search(flips, cs, 0.0, starts, bases)
+        ids, residual = _decode_search(flips, cs, starts, bases)
         assert ids.tolist() == bases.tolist() and residual.tolist() == [0.0, 0.0]
         assert traffic == {"batch_calls": 2, "batch_rows": 4, "first_min": 1}
 

@@ -127,15 +127,15 @@ class TestConfigValidation:
         for bad in (2 * MU_MAX, 0.0, float("nan")):
             with pytest.raises(ValueError, match="mu_init"):
                 AlmConfig(mu_init=bad)
-        for name in ("eta", "delta"):
-            with pytest.raises(ValueError, match=name):
-                AlmConfig(**{name: float("nan")})
+        with pytest.raises(ValueError, match="eta"):
+            AlmConfig(eta=float("nan"))
 
     def test_alm_config_holds_only_the_settings_callers_change(self):
         names = [f.name for f in fields(AlmConfig)]
-        assert names == ["mu_init", "eta", "max_inner_iter", "max_outer_iter", "delta"]
-        with pytest.raises(TypeError):
-            AlmConfig(mu_max=1000.0)
+        assert names == ["mu_init", "eta", "max_inner_iter", "max_outer_iter"]
+        for removed in ("mu_max", "delta"):
+            with pytest.raises(TypeError):
+                AlmConfig(**{removed: 0.0})
 
     def test_length_must_match_corpus(self, toy_corpus):
         with pytest.raises(ValueError):
@@ -544,7 +544,7 @@ class TestNoveltyMode:
     def test_database_in_alm_mode_keeps_mask_scan(self, toy_corpus, monkeypatch):
         # A projection whose decode is all MASK must be refused at t = 1,
         # whatever database is passed alongside alm mode.
-        def mask_ids(states, n, cs, config):
+        def mask_ids(states, n, cs):
             return np.full_like(states, n - 1), np.ones(len(states), dtype=bool)
 
         monkeypatch.setattr(sampler_module, "project_ids", mask_ids)
@@ -791,9 +791,9 @@ class TestSearchTermsPerRun:
             built.append(real_terms(*args))
             return built[-1]
 
-        def spy(states, n, search, config):
+        def spy(states, n, search):
             passed.append(search)
-            return real_ids(states, n, search, config)
+            return real_ids(states, n, search)
 
         monkeypatch.setattr(sampler_module, "SearchTerms", terms)
         monkeypatch.setattr(sampler_module, "project_ids", spy)
