@@ -153,3 +153,16 @@ def test_relax_forward_floors_zero_coordinates():
     out = backend.ops.relax_forward(np.array([[1.0, 0.0, 0.0]]), None, 0.5)
     assert np.all(np.isfinite(out))
     assert out[0, 0] > 0.999
+
+
+def test_relax_forward_adds_the_noise_to_the_log_probabilities():
+    rows = _random_rows(4)
+    xi = np.random.default_rng(5).gumbel(size=rows.shape)
+    want = np.exp((np.log(rows) + xi) / 0.5)
+    want /= want.sum(axis=1, keepdims=True)
+    assert np.allclose(backend.ops.relax_forward(rows, xi, 0.5), want, atol=1e-12)
+    # Noise large enough moves every row's argmax onto its least likely token.
+    least = rows.argmin(axis=1)
+    shove = np.zeros_like(rows)
+    shove[np.arange(len(rows)), least] = 50.0
+    assert np.array_equal(backend.ops.argmax_rows(backend.ops.relax_forward(rows, shove, 0.5)), least)

@@ -1,5 +1,6 @@
 """Constraint families: hard scores, relaxed scores, gradients, parsing."""
 
+import itertools
 import json
 
 import numpy as np
@@ -18,9 +19,12 @@ from projdiff.constraints import (
     parse_constraint_spec,
 )
 from projdiff.core import SeqDist, Sequence
+from projdiff.metrics import violation_count
+from projdiff.oracle import _feasible_patterns
 from projdiff.projection import _tolerance
+from projdiff.sampler import SampleConfig, _Engine
 
-from conftest import make_constraint_set, make_vocab
+from conftest import make_constraint_set, make_corpus, make_vocab, raise_taus
 
 
 def one_hot_rows(seq, n):
@@ -218,6 +222,71 @@ class TestConstraintSet:
         assert cs.hard_violations(seq) == pytest.approx([1.0, 1.0])
         assert not cs.satisfied(seq)
         assert cs.satisfied(Sequence((1, 1, 2)))
+
+
+class NanOnLeadingZero(Constraint):
+    """Scores NaN on sequences that start with token 0, and -1 on the rest."""
+
+    name, tau = "nan_on_leading_zero", 0.0
+
+    def hard_scores(self, ids):
+        return np.where(ids[:, 0] == 0, np.nan, -1.0)
+
+    def check_fits(self, n, length):
+        pass
+
+
+def _sampler_passes(cs, ids, n):
+    corpus = make_corpus(make_vocab(n, with_mask=False), length=ids.shape[1], n_entries=4)
+    config = SampleConfig(steps=2, length=ids.shape[1], kernel="uniform", projection_mode="alm")
+    return _Engine(corpus, cs, config, None, None)._passes(ids, 2)
+
+
+# Every reader of the feasibility rule, as a map from a (K, L) stack of
+# ids to which rows it counts as feasible.
+FEASIBILITY_READERS = {
+    "satisfied": lambda cs, ids, n: np.array([cs.satisfied(Sequence(tuple(row))) for row in ids.tolist()]),
+    "violation_count": lambda cs, ids, n: np.array(
+        [violation_count([Sequence(tuple(row))], cs) == 0 for row in ids.tolist()]
+    ),
+    "feasible_patterns": lambda cs, ids, n: _feasible_patterns(ids.shape[1], n, cs)[1],
+    "sampler_passes": _sampler_passes,
+}
+
+
+class TestOneFeasibilityRule:
+    """A constraint holds when its score is at most its tau; a slack is
+    written as a raised tau."""
+
+    @pytest.mark.parametrize("reader", sorted(FEASIBILITY_READERS))
+    def test_nan_score_is_a_violation(self, reader):
+        n, length = 3, 2
+        ids = np.asarray(list(itertools.product(range(n), repeat=length)))  # the order _feasible_patterns uses
+        cs = ConstraintSet((NanOnLeadingZero(), Forbidden(2, tau=2.0)))
+        got = FEASIBILITY_READERS[reader](cs, ids, n)
+        assert np.array_equal(got, ids[:, 0] != 0)
+
+    @pytest.mark.parametrize("family", ["count", "forbidden", "position", "linear"])
+    def test_raised_tau_forgives_exactly_the_slack(self, family):
+        n, length = 3, 4
+        c = {
+            "count": TokenCount(token=0, op="le", k=1),
+            "forbidden": Forbidden(1),
+            "position": Position(position=2, token=1),
+            "linear": LinearScore(weights=np.array([0.0, 0.25, 1.0]), tau=0.0),
+        }[family]
+        cs = ConstraintSet((c,))
+        ids = np.asarray(list(itertools.product(range(n), repeat=length)))
+        base = cs.hard_violations_batch(ids)[:, 0]
+        # Quarter weights over four positions: every score and slack is exact.
+        slacks = (0.0, 0.25, 0.5) if family == "linear" else (0.0, 1.0, 2.0)
+        for d in slacks:
+            raised = raise_taus(cs, d)
+            assert np.array_equal(raised.hard_violations_batch(ids)[:, 0], np.maximum(base - d, 0.0))
+            got = [raised.satisfied(Sequence(tuple(row))) for row in ids.tolist()]
+            assert got == (base <= d).tolist()
+        assert np.any((base > 0) & (base <= slacks[1]))  # some row needs the slack
+        assert c.tau == 0.0  # raise_taus leaves cs as it was
 
 
 def reference_hard_score(c, seq):
