@@ -15,25 +15,31 @@ optimizer can move probability rows; at one-hot rows the two scores
 coincide for all families here.
 
 position_terms(length, n) optionally writes the hard score as a sum of
-per-position table entries passed through a map phi (PositionTerms);
-the lattice search bounds its moves' scores from these tables and
-scores exactly only the moves that can win.  When every constraint's
-terms are exact (integer tables, scale and offset), the bounds are the
-exact scores and no move is scored again.  A constraint without terms
-(the base class returns None) is scored exactly on every move.  The
-search reads the tables once per sampling run, so a constraint changed
-between runs is read afresh by the next one.
+per-position table entries passed through a map phi (PositionTerms).
+On one-hot states, a set whose every constraint has exact terms with a
+0/1 table, no two constraints using one row, is projected in closed
+form (projection._fewest_flips): TokenCount, Forbidden, and Position
+pins on distinct positions.  Every other set goes through the lattice
+search, which bounds its moves' scores from these tables and scores
+exactly only the moves that can win.  When every constraint's terms
+are exact (integer tables, scale and offset), the bounds are the exact
+scores and no move is scored again.  A constraint without terms (the
+base class returns None) is scored exactly on every move.  The tables
+are read once per sampling run, so a constraint changed between runs
+is read afresh by the next one.  The fields that index tables or count
+occurrences (token, k, position) must be integers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sequence, Vocabulary, as_rows
+from .core import Sequence, Vocabulary, as_rows, check_counts
 
 
 @dataclass(frozen=True)
@@ -185,8 +191,8 @@ class TokenCount(Constraint):
     def __post_init__(self):
         if self.op not in _OPS:
             raise ValueError(f"op must be one of {_OPS}, got {self.op!r}")
-        if not self.k >= 0:
-            raise ValueError("k must be nonnegative")
+        # check_fits checks the token's range against the vocabulary.
+        check_counts(self, token=-math.inf, k=0)
         if not self.name:
             sym = {"le": "<=", "ge": ">=", "eq": "=="}[self.op]
             self.name = f"count[{self.token}]{sym}{self.k}"
@@ -250,8 +256,7 @@ class Position(Constraint):
     name: str = ""
 
     def __post_init__(self):
-        if self.position < 0:
-            raise ValueError("position must be nonnegative")
+        check_counts(self, position=0, token=-math.inf)
         if not self.name:
             self.name = f"position[{self.position}]={self.token}"
         self._check_tau()
@@ -351,7 +356,9 @@ def parse_constraint_spec(spec, vocab: Vocabulary, base_dir: str = ".") -> Const
       {"type": "linear_score", "weights_file": "w.tsv", "tau": 0.25}
 
     Token fields are token strings resolved against the vocabulary;
-    weights_file paths resolve relative to base_dir.
+    weights_file paths resolve relative to base_dir.  k and position
+    must be JSON integers: 2.5, true or "3" raise ValueError, as they
+    do in the constructors.
     """
     if not isinstance(spec, list):
         raise ValueError("constraint spec must be a JSON array")
@@ -367,7 +374,7 @@ def parse_constraint_spec(spec, vocab: Vocabulary, base_dir: str = ".") -> Const
                 TokenCount(
                     token=vocab.id_of(obj["token"]),
                     op=obj.get("op", "le"),
-                    k=int(obj["k"]),
+                    k=obj["k"],
                     tau=tau,
                     name=name,
                 )
@@ -375,7 +382,7 @@ def parse_constraint_spec(spec, vocab: Vocabulary, base_dir: str = ".") -> Const
         elif ctype == "forbidden":
             out.append(Forbidden(vocab.id_of(obj["token"]), tau=tau, name=name))
         elif ctype == "position":
-            out.append(Position(int(obj["position"]), vocab.id_of(obj["token"]), tau=tau, name=name))
+            out.append(Position(obj["position"], vocab.id_of(obj["token"]), tau=tau, name=name))
         elif ctype == "linear_score":
             path = os.path.join(base_dir, obj["weights_file"])
             out.append(LinearScore.from_weights_file(path, vocab, tau, name or "linear_score"))

@@ -18,9 +18,15 @@ whose decoded sequence is feasible, keeping KL(x || y) small.
 
   project_ids       the decode alm_project's lattice search picks for
                     each of a (K, L) stack of one-hot states, given and
-                    returned as token ids, in one batched search
-                    (_decode_search) with no rows built; pooled_rows
-                    turns a picked decode back into the minimum-KL rows
+                    returned as token ids, with no rows built: in closed
+                    form (_fewest_flips: the fewest flips, then the
+                    smallest ids) for one TokenCount or Forbidden,
+                    Position pins on distinct positions, and user sets
+                    of exact 0/1 tables on rows of their own; otherwise
+                    (LinearScore, mixed families, pins sharing a
+                    position, constraints without terms) in one batched
+                    search (_decode_search); pooled_rows turns a picked
+                    decode back into the minimum-KL rows
 
 Each sweep of the lattice search bounds every move's constraint scores
 and cost on grids built from per-position tables
@@ -184,7 +190,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
     An already-feasible input is returned unchanged with zero outer
     iterations.  An input of one-hot rows (the sampler's states) is
     decided by project_ids from its own pattern, also with zero outer
-    iterations; the gradient loop runs only when that search leaves a
+    iterations; the gradient loop runs only when project_ids leaves a
     violation, and on soft rows.  When the iteration budget runs out
     the best iterate found (smallest worst-case decoded violation) is
     returned with feasible=False.  cs is the constraint set, or its
@@ -295,13 +301,69 @@ def project_ids(states: np.ndarray, n: int, cs: ConstraintSet | SearchTerms) -> 
     so a pattern's summed cost is a strictly increasing function of its
     Hamming distance to the state, equal distances give equal cost bits,
     and the search ranks patterns by that distance.
-    All K states go through one batched search.  A state left infeasible
-    needs alm_project's gradient loop, which this function does not run.
+
+    When the set has a closed form (SearchTerms.fewest_flips: one
+    count or forbidden constraint, position pins on distinct positions,
+    or any constraints with exact 0/1 tables on rows of their own, that
+    some pattern satisfies), every state gets its pick from
+    _fewest_flips and qualifies.  Every other set (a LinearScore, mixed
+    families, two pins on one position, a constraint without terms, a
+    set no pattern satisfies) sends all K states through one batched
+    search (_decode_search).  A state left infeasible needs
+    alm_project's gradient loop, which this function does not run.
     """
     states = np.asarray(states, dtype=np.int64)
+    terms = _terms_for(cs, states.shape[1], n)
+    if terms.fewest_flips is not None:
+        return _fewest_flips(states, n, terms.fewest_flips), np.ones(states.shape[0], dtype=bool)
     flips = (np.arange(n) != states[:, :, None]).astype(np.int8)
-    ids, residual = _decode_search(flips, cs, states, states)
+    ids, residual = _decode_search(flips, terms, states, states)
     return ids, residual == 0.0
+
+
+def _fewest_flips(states: np.ndarray, n: int, parts: tuple) -> np.ndarray:
+    """The search's pick for each of a (K, L) stack of one-hot states
+    over n tokens under a set with a closed form (see _closed_form for
+    parts).
+
+    The constraints own disjoint rows, so each is solved on its own
+    rows.  A state whose table sum S = sum_i table[i, x_i] is d above
+    the interval [lo, hi] where the constraint holds moves d positions
+    holding a 1 to their row's least 0 token; d below lo, d positions
+    holding a 0 to their row's least 1 token.  The positions whose new
+    token is smaller than the one held go first, left to right, then
+    the others, right to left.  As [lo, hi] is reachable, there are
+    always d such positions.
+
+    This is what _decode_search reaches.  Its first key is the summed
+    excess, which is convex in each S, zero exactly on [lo, hi] and
+    strictly monotone off it, so while a constraint is off its interval
+    every sweep takes a single flip that moves its S one step closer:
+    a flip that moves no S, or a pair move (a revert and a flip), does
+    not lower the excess as much.  Those flips all cost one, and the
+    least ids among them change the leftmost movable position whose new
+    token is smaller than its held one, else the rightmost.  On the
+    interval's edge every strictly cheaper move reverts a flip and
+    leaves it, so the state stops at d flips, the fewest any qualifying
+    pattern needs.
+    """
+    k_states, seq_len = states.shape
+    ids = states
+    positions = np.arange(seq_len)
+    # A part reads and moves only its own rows, so every part reads the
+    # states' cells.
+    cell = states + positions * n
+    for table, ranks, targets, needs, sides in parts:
+        total = table.take(cell).sum(axis=1)
+        need = needs[total]
+        side = sides[total][:, None]
+        # Each state's movable positions in their order, and the first
+        # need of them.
+        rank = ranks[side, cell]
+        last = np.sort(rank, axis=1)[np.arange(k_states), need - 1]
+        moved = (rank <= last[:, None]) & (need > 0)[:, None]
+        ids = np.where(moved, targets[side, positions], ids)
+    return ids
 
 
 def pooled_rows(x_rows: np.ndarray, ids) -> SeqDist:
@@ -412,10 +474,12 @@ class SearchTerms:
     cs is the set.  tables is (L, N, m) float64, each constraint's table
     times its scale, and zero for a constraint without terms (free);
     offset and taus are (m,) arrays, and so are tol, absolute and free
-    unless no constraint needs them (None).  Every field is read from
-    the constraints when the stack is built, so it holds for as long as
-    they are not changed: a sampling run builds one and hands it to
-    project_ids in place of its ConstraintSet.
+    unless no constraint needs them (None).  fewest_flips holds
+    _fewest_flips's parts when the set has a closed form on one-hot
+    states, and is None otherwise (see _closed_form).  Every field is
+    read from the constraints when the stack is built, so it holds for
+    as long as they are not changed: a sampling run builds one and
+    hands it to project_ids in place of its ConstraintSet.
     """
 
     def __init__(self, cs: ConstraintSet, seq_len: int, n: int):
@@ -432,6 +496,7 @@ class SearchTerms:
         self.absolute = np.asarray(absolute) if any(absolute) else None
         self.free = np.asarray(free) if any(free) else None
         self.tol = np.asarray(tol) if any(tol) or self.free is not None else None
+        self.fewest_flips = _closed_form(cs, terms, seq_len)
 
     def excess_bounds(self, score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds of the total excess, the summed
@@ -463,9 +528,70 @@ class SearchTerms:
         return np.maximum(score, 0.0, out=score).sum(axis=-1)
 
 
+def _closed_form(cs: ConstraintSet, terms: list, seq_len: int) -> tuple | None:
+    """_fewest_flips's parts for the set, or None when it has no closed
+    form: it has one when every constraint's terms are exact with a 0/1
+    table, no two constraints have a nonzero entry in one row, and each
+    constraint holds at some table sum a pattern can reach.
+
+    A part is, per constraint with the interval [lo, hi] of reachable
+    sums at which it holds: its (L, N) table, flattened; for each side
+    (0: a state whose sum is below lo, 1: above hi), the flattened
+    (L, N) rank of position i holding token v among the positions that
+    move (i when the new token is smaller than v, else 2L - 1 - i, and
+    2L when position i cannot move from v) and the (L,) token each row
+    moves to (its least token with a 1 on side 0, with a 0 on side 1);
+    and, indexed by the sum 0..L, the flips it needs and its side.
+    """
+    parts = []
+    owned = np.zeros(seq_len, dtype=bool)
+    every_sum = np.arange(seq_len + 1)
+    positions = every_sum[:seq_len, None]
+    for c, t in zip(cs, terms):
+        if t is None or not t.exact:
+            return None
+        table = np.asarray(t.table)
+        if ((table != 0) & (table != 1)).any():
+            return None
+        ones = table.any(axis=1)
+        if (ones & owned).any():
+            return None
+        owned |= ones
+        # The constraint's scores, exact on integers, at the sums a
+        # pattern reaches; it holds where score - tau <= 0, that is
+        # score <= tau.
+        score = float(t.scale) * every_sum + float(t.offset)
+        holds = (np.abs(score) if t.absolute else score) <= c.tau
+        holds[: table.min(axis=1).sum()] = False
+        holds[ones.sum() + 1 :] = False
+        holds = np.flatnonzero(holds)
+        if holds.shape[0] == 0:
+            return None
+        lo, hi = holds[0], holds[-1]
+        n = table.shape[1]
+        least_one = np.where(ones, table.argmax(axis=1), n)
+        least_zero = np.where(table.all(axis=1), n, table.argmin(axis=1))
+        targets = np.stack((least_one, least_zero))
+        ranks = np.where(targets[:, :, None] < np.arange(n), positions, 2 * seq_len - 1 - positions)
+        movable = (table == np.arange(2)[:, None, None]) & (targets < n)[:, :, None]
+        ranks[~movable] = 2 * seq_len
+        needs = np.maximum(np.maximum(every_sum - hi, lo - every_sum), 0)
+        parts.append((table.ravel(), ranks.reshape(2, -1), targets, needs, (every_sum > hi).astype(np.intp)))
+    return tuple(parts)
+
+
 def _tolerance(scaled: np.ndarray, offset: float) -> float:
     """8 (L + 4) u A for a scaled (L, N) table; see _decode_search."""
     return _TOL_ULPS * (scaled.shape[0] + 4) * (np.abs(scaled).max(axis=1).sum() + abs(offset))
+
+
+def _terms_for(cs: ConstraintSet | SearchTerms, seq_len: int, n: int) -> SearchTerms:
+    """cs's SearchTerms for (L, N) tables; raises ValueError when cs is
+    SearchTerms for another shape."""
+    terms = cs if isinstance(cs, SearchTerms) else SearchTerms(cs, seq_len, n)
+    if terms.tables.shape[:2] != (seq_len, n):
+        raise ValueError(f"search terms are for {terms.tables.shape[:2]} tables, not {(seq_len, n)}")
+    return terms
 
 
 def _decode_search(
@@ -566,9 +692,7 @@ def _decode_search(
     k_states, seq_len, n = tables.shape
     if max_sweeps is None:
         max_sweeps = seq_len + 8
-    terms = cs if isinstance(cs, SearchTerms) else SearchTerms(cs, seq_len, n)
-    if terms.tables.shape[:2] != (seq_len, n):
-        raise ValueError(f"search terms are for {terms.tables.shape[:2]} tables, not {(seq_len, n)}")
+    terms = _terms_for(cs, seq_len, n)
     cs = terms.cs
     flat = tables.reshape(k_states * seq_len, n)
     positions = np.arange(seq_len)

@@ -385,6 +385,25 @@ class TestUsageAndErrors:
         assert proc.stderr.startswith("error: bad constraint file")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            {"type": "token_count", "token": "a", "op": "le", "k": 2.5},
+            {"type": "token_count", "token": "a", "op": "le", "k": True},
+            {"type": "token_count", "token": "a", "op": "le", "k": "3"},
+            {"type": "position", "position": 1.5, "token": "a"},
+        ],
+    )
+    def test_non_integer_count_or_position_is_a_bad_constraint_file(self, tmp_path, constraint):
+        # Not rounded or converted: 2.5 would otherwise count as 2.
+        cfg = make_workspace(tmp_path, constraints=[constraint])
+        proc = run_cli("sample", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: bad constraint file")
+        assert "must be an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out" / "samples.txt").exists()
+
     def test_config_relative_paths(self, tmp_path):
         cfg = make_workspace(tmp_path)
         proc = run_cli("sample", "--config", os.path.relpath(cfg, tmp_path), cwd=tmp_path)

@@ -113,6 +113,40 @@ class TestTokenCount:
         assert TokenCount(token=2, op="eq", k=3).name == "count[2]==3"
 
 
+class TestIntegerFields:
+    """token, k and position index tables and count occurrences, so each
+    must be an integer (numpy's too), never a float or a bool."""
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: TokenCount(token=1.5, op="le", k=1), "token"),
+            (lambda: TokenCount(token=True, op="le", k=1), "token"),
+            (lambda: TokenCount(token=0, op="eq", k=1.5), "k"),
+            (lambda: TokenCount(token=0, op="le", k=2.0), "k"),
+            (lambda: TokenCount(token=0, op="ge", k=True), "k"),
+            (lambda: TokenCount(token=0, op="le", k="3"), "k"),
+            (lambda: Forbidden(2.0), "token"),
+            (lambda: Position(position=1.5, token=0), "position"),
+            (lambda: Position(position=False, token=0), "position"),
+            (lambda: Position(position=1, token=0.0), "token"),
+        ],
+    )
+    def test_non_integer_field_rejected(self, make, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        c = TokenCount(token=np.int64(1), op="eq", k=np.int32(2))
+        assert c.hard_violation(Sequence((1, 1, 0))) == 0.0
+        assert Position(position=np.int64(1), token=np.int8(2)).hard_violation(Sequence((0, 2))) == 0.0
+        assert Forbidden(np.int16(0)).hard_violation(Sequence((1,))) == 0.0
+
+    def test_negative_position_rejected(self):
+        with pytest.raises(ValueError, match="position must be >= 0"):
+            Position(position=-1, token=0)
+
+
 class TestForbidden:
     def test_zero_count_semantics(self):
         c = Forbidden(token=2)
@@ -428,6 +462,22 @@ class TestParsing:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             parse_constraint_spec([{"type": "regex"}], make_vocab(2))
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"type": "token_count", "token": "a", "op": "le", "k": 2.5}, "k"),
+            ({"type": "token_count", "token": "a", "op": "ge", "k": True}, "k"),
+            ({"type": "token_count", "token": "a", "op": "eq", "k": "3"}, "k"),
+            ({"type": "position", "position": 1.5, "token": "a"}, "position"),
+            ({"type": "position", "position": True, "token": "a"}, "position"),
+            ({"type": "position", "position": "1", "token": "a"}, "position"),
+        ],
+    )
+    def test_non_integer_file_value_rejected(self, obj, field):
+        # Read back from JSON, as a constraints file would give it.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            parse_constraint_spec(json.loads(json.dumps([obj])), make_vocab(3))
 
     def test_non_array_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from projdiff import projection
-from projdiff.constraints import Constraint, ConstraintSet, Forbidden, LinearScore, Position, TokenCount
+from projdiff.constraints import (
+    Constraint,
+    ConstraintSet,
+    Forbidden,
+    LinearScore,
+    Position,
+    PositionTerms,
+    TokenCount,
+)
 from projdiff.core import SeqDist, Sequence, decode, kl_divergence
 from projdiff.oracle import MAX_FLIP_SPACE, enumerate_fewest_flips, enumerate_novelty
 from projdiff.projection import (
@@ -300,6 +308,7 @@ class TestOneHotAgainstOracle:
 
     def test_fewest_flips(self):
         singles = set()
+        closed = 0
         for seed in range(600):
             rng = np.random.default_rng(seed)
             length = int(rng.integers(1, 7))
@@ -307,10 +316,15 @@ class TestOneHotAgainstOracle:
             rows = np.eye(n)[rng.integers(0, n, size=length)]
             cs = make_constraint_set(rng, n, length)
             try:
-                _, best = enumerate_fewest_flips(rows, cs)
+                pattern, best = enumerate_fewest_flips(rows, cs)
             except ValueError:
                 continue  # no pattern satisfies this draw
             res = alm_project(SeqDist(rows), cs)
+            if SearchTerms(cs, length, n).fewest_flips is not None:
+                # The closed form's pick: the fewest flips, then the
+                # smallest ids.
+                closed += 1
+                assert decode(res.projected) == pattern, seed
             flips = int(np.count_nonzero(np.asarray(decode(res.projected).ids) != rows.argmax(axis=1)))
             if len(cs) == 1:
                 singles.add(cs.names[0].rstrip("0"))
@@ -323,6 +337,7 @@ class TestOneHotAgainstOracle:
                 assert cs.satisfied(decode(res.projected)), seed
                 assert flips * math.log(2.0) == best, seed
         assert singles == {"linear", "count", "forbidden", "position"}
+        assert closed >= 100
 
 
 class TestNoveltyDb:
@@ -1063,11 +1078,12 @@ class TestStopRuleAndExactExcess:
             cs = exact_constraint_set(rng, n, seq_len)
             bases = rng.integers(0, n, size=(k, seq_len))
             flips = (np.arange(n) != bases[:, :, None]).astype(np.int8)
-            traffic.clear()
             ids, feasible = project_ids(bases, n, cs)
-            assert traffic["batch_calls"] == 1 and traffic["batch_rows"] == k
             for j, b in enumerate(bases):
                 assert tuple(ids[j].tolist()) == reference_decode_search(np.eye(n)[b], cs, b, b)[0]
+            traffic.clear()
+            _decode_search(flips, cs, bases, bases)
+            assert traffic["batch_calls"] == 1 and traffic["batch_rows"] == k
             starts = rng.integers(0, n, size=(k, seq_len))
             traffic.clear()
             _decode_search(flips, cs, starts, bases)
@@ -1080,8 +1096,9 @@ class TestStopRuleAndExactExcess:
         traffic = spy_search_traffic(monkeypatch)
         cs = ConstraintSet((TokenCount(token=2, op="le", k=1),))
         state = np.array([[2, 0, 2, 1, 3]])
-        ids, feasible = project_ids(state, 5, cs)
-        assert ids.tolist() == [[0, 0, 2, 1, 3]] and feasible.tolist() == [True]
+        flips = (np.arange(5) != state[:, :, None]).astype(np.int8)
+        ids, residual = _decode_search(flips, cs, state, state)
+        assert ids.tolist() == [[0, 0, 2, 1, 3]] and residual.tolist() == [0.0]
         assert traffic == {"batch_calls": 1, "batch_rows": 1, "first_min": 1}
 
     def test_qualifying_base_at_least_cost_takes_no_sweep(self, monkeypatch):
@@ -1105,6 +1122,171 @@ class TestStopRuleAndExactExcess:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         with pytest.raises(ValueError, match="search terms"):
             project_ids(states, 6, SearchTerms(cs, 8, 6))
+
+
+class TableCount(Constraint):
+    """A user constraint scored through a 0/1 table, several ones to a
+    row allowed: g = phi(sum_i table[i, ids[i]])."""
+
+    def __init__(self, table, scale, offset, absolute=False, tau=0.0, name="table"):
+        self.table, self.scale, self.offset, self.absolute = table, scale, offset, absolute
+        self.tau, self.name = tau, name
+
+    def hard_scores(self, ids):
+        score = self.scale * self.table[np.arange(ids.shape[1]), ids].sum(axis=1) + self.offset
+        return (np.abs(score) if self.absolute else score).astype(np.float64)
+
+    def position_terms(self, length, n):
+        return PositionTerms(self.table, self.scale, self.offset, self.absolute)
+
+
+def closed_form_set(rng, n, length):
+    """A set _fewest_flips answers: one TokenCount of any op, one
+    Forbidden, pins on distinct positions, one TableCount, or two
+    TableCounts on disjoint rows."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        op = str(rng.choice(["le", "ge", "eq"]))
+        return ConstraintSet((TokenCount(int(rng.integers(0, n)), op, int(rng.integers(0, length + 1))),))
+    if kind == 1:
+        return ConstraintSet((Forbidden(int(rng.integers(0, n))),))
+    if kind == 2:
+        pins = rng.choice(length, size=int(rng.integers(1, min(length, 3) + 1)), replace=False)
+        return ConstraintSet(tuple(Position(int(p), int(rng.integers(0, n)), name=f"pin{p}") for p in pins))
+    owner = rng.integers(0, 2 if kind == 3 else 3, size=length)
+    out = []
+    for j in range(1 if kind == 3 else 2):
+        table = (rng.random((length, n)) < rng.uniform(0.2, 0.8)).astype(np.int64)
+        table[owner != j] = 0
+        scale, offset = int(rng.choice([-2, -1, 1, 2])), int(rng.integers(-length, length + 1))
+        out.append(TableCount(table, scale, offset, bool(rng.random() < 0.4), name=f"table{j}"))
+    return ConstraintSet(tuple(out))
+
+
+def closed_form_states(rng, shape, n, length):
+    """A (K, L) stack of states: for shape "c01" mostly MASK (the last
+    id), as at t = T, else uniform ids."""
+    k = int(rng.integers(1, 40))
+    states = rng.integers(0, n, size=(k, length))
+    if shape == "c01":
+        return np.where(rng.random((k, length)) < rng.uniform(0.6, 1.0, size=(k, 1)), n - 1, states)
+    return states
+
+
+def search_ids(states, n, cs):
+    """_decode_search from the states themselves, as project_ids runs it."""
+    flips = (np.arange(n) != states[:, :, None]).astype(np.int8)
+    ids, residual = _decode_search(flips, cs, states, states)
+    return ids, residual == 0.0
+
+
+class TestFewestFlipsClosedForm:
+    """project_ids answers count, forbidden and position sets, and user
+    sets of 0/1 tables on rows of their own, in closed form; the result
+    is the lattice search's."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["c01", "n2", "l1", "any"]),
+        st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_search(self, seed, shape, delta):
+        rng = np.random.default_rng(seed)
+        length, n = {
+            "c01": (10, 13),
+            "n2": (int(rng.integers(1, 9)), 2),
+            "l1": (1, int(rng.integers(1, 8))),
+            "any": (int(rng.integers(1, 9)), int(rng.integers(1, 8))),
+        }[shape]
+        cs = raise_taus(closed_form_set(rng, n, length), delta)
+        terms = SearchTerms(cs, length, n)
+        states = closed_form_states(rng, shape, n, length)
+        ids, feasible = project_ids(states, n, terms)
+        want, want_feasible = search_ids(states, n, cs)
+        assert np.array_equal(ids, want) and np.array_equal(feasible, want_feasible)
+        assert ids.dtype == np.int64 and feasible.dtype == bool
+        # A set keeps the search only when no pattern satisfies it, and
+        # then no state qualifies.
+        assert feasible.all() if terms.fewest_flips is not None else not feasible.any()
+
+    def test_cases_met(self):
+        # Draws like test_matches_the_search's meet each case many times.
+        rng = np.random.default_rng(7)
+        seen = collections.Counter()
+        for _ in range(300):
+            length, n = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+            cs = raise_taus(closed_form_set(rng, n, length), float(rng.choice([0.0, 0.5])))
+            terms = SearchTerms(cs, length, n)
+            states = closed_form_states(rng, str(rng.choice(["c01", "any"])), n, length)
+            ids, feasible = project_ids(states, n, terms)
+            want, want_feasible = search_ids(states, n, cs)
+            assert np.array_equal(ids, want) and np.array_equal(feasible, want_feasible)
+            if terms.fewest_flips is None:
+                seen["no pattern satisfies the set"] += 1
+                seen["one token"] += int(n == 1)
+                continue
+            moved = (ids != states).sum(axis=1)
+            seen["two or more flips"] += int((moved >= 2).any())
+            seen["two tables"] += int(len(cs) == 2 and moved.any())
+            tables = [c.table for c in cs if isinstance(c, TableCount)]
+            seen["several ones to a row"] += int(any((t.sum(axis=1) >= 2).any() for t in tables) and moved.any())
+            # A flip to a larger token: the flips then come from the right.
+            seen["larger new token"] += int(bool(((ids > states) & (moved[:, None] > 0)).any()))
+        assert len(seen) == 6 and min(seen.values()) >= 5, seen
+
+    @pytest.mark.parametrize(
+        "cs, closed",
+        [
+            ([TokenCount(1, "ge", 2)], True),
+            ([TokenCount(1, "eq", 2, tau=0.5)], True),
+            ([Forbidden(0)], True),
+            ([Position(0, 2), Position(3, 1)], True),
+            ([Position(0, 2), Position(0, 1)], False),  # one shared position
+            ([TokenCount(1, "le", 2), Position(0, 1)], False),  # mixed families
+            ([TokenCount(1, "le", 2), Forbidden(3)], False),  # two tables on every row
+            ([LinearScore(np.full(4, 0.5), tau=0.25)], False),
+            ([DistinctTokens(2)], False),  # no terms
+            ([TokenCount(1, "ge", 6)], False),  # six in five positions: no pattern
+        ],
+    )
+    def test_eligibility(self, cs, closed):
+        terms = SearchTerms(ConstraintSet(tuple(cs)), 5, 4)
+        assert (terms.fewest_flips is not None) == closed
+
+    def test_closed_sets_make_no_search(self, monkeypatch):
+        calls = []
+        real = projection._decode_search
+
+        def spy(tables, cs, starts, bases, *args):
+            calls.append(starts.tolist())
+            return real(tables, cs, starts, bases, *args)
+
+        monkeypatch.setattr(projection, "_decode_search", spy)
+        states = c01_start_states(200)
+        for name in ("count_le", "count_eq", "position", "forbidden"):
+            project_ids(states, 13, ConstraintSet(tuple(PROJECT_IDS_SETS[name])))
+        assert calls == []
+        # No state of one token can move, and one token 0 per position is
+        # four too many for Forbidden(0): every state takes the search.
+        ids, feasible = project_ids(np.zeros((2, 4), dtype=np.int64), 1, ConstraintSet((Forbidden(0),)))
+        assert calls == [[[0, 0, 0, 0], [0, 0, 0, 0]]] and feasible.tolist() == [False, False]
+        # So does every state of a LinearScore set.
+        project_ids(states[:3], 13, ConstraintSet(tuple(PROJECT_IDS_SETS["linear0.5"])))
+        assert calls[1:] == [states[:3].tolist()]
+
+    def test_smaller_new_tokens_from_the_left_then_larger_from_the_right(self):
+        # At most two 2s in (2, 0, 2, 1, 2, 2): the 2s move to 0, smaller,
+        # so from the left.  At most one 0 in (1, 0, 2, 0, 0): the 0s move
+        # to 1, larger, so from the right.
+        down, _ = project_ids(np.array([[2, 0, 2, 1, 2, 2]]), 3, ConstraintSet((TokenCount(2, "le", 2),)))
+        assert down.tolist() == [[0, 0, 0, 1, 2, 2]]
+        up, _ = project_ids(np.array([[1, 0, 2, 0, 0]]), 3, ConstraintSet((TokenCount(0, "le", 1),)))
+        assert up.tolist() == [[1, 0, 2, 1, 1]]
+        # At least three 1s: the 2 moves down to 1 first, then the 0s up,
+        # from the right.
+        mixed, _ = project_ids(np.array([[0, 2, 0, 0]]), 3, ConstraintSet((TokenCount(1, "ge", 3),)))
+        assert mixed.tolist() == [[0, 1, 1, 1]]
 
 
 def planted_stack(rng):

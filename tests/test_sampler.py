@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from projdiff import backend
+from projdiff import projection as projection_module
 from projdiff import sampler as sampler_module
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
 from projdiff.core import SeqDist, Sequence, decode
@@ -776,6 +777,42 @@ class TestProjectionMemo:
             seen.add(state)
             assert cursors == len(seen)
         assert db.cursors == {}
+
+
+class TestSearchOnlyWhereNeeded:
+    @pytest.mark.parametrize(
+        "constraints, searches",
+        [
+            ([TokenCount(token=0, op="le", k=2)], False),
+            ([TokenCount(token=1, op="eq", k=2)], False),
+            ([Position(0, 2), Position(5, 0)], False),
+            ([Forbidden(3)], False),
+            ([LinearScore(weights=np.random.default_rng(0).uniform(0.0, 1.0, size=13), tau=0.25)], True),
+        ],
+        ids=["count_le", "count_eq", "position", "forbidden", "linear"],
+    )
+    def test_token_sets_never_search(self, monkeypatch, constraints, searches):
+        # The token workload's sets on the c01 shape take project_ids'
+        # closed form for every failing state; a LinearScore set searches.
+        corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+        calls, projected = [0], [0]
+        real_search, real_ids = projection_module._decode_search, sampler_module.project_ids
+
+        def search(*args, **kwargs):
+            calls[0] += 1
+            return real_search(*args, **kwargs)
+
+        def ids(states, *args):
+            projected[0] += len(states)
+            return real_ids(states, *args)
+
+        monkeypatch.setattr(projection_module, "_decode_search", search)
+        monkeypatch.setattr(sampler_module, "project_ids", ids)
+        config = SampleConfig(steps=16, length=10, num_samples=16, rng_seed=0, trace=False)
+        seqs, _ = sample_constrained(corpus, ConstraintSet(constraints), config)
+        assert projected[0] > 0
+        assert (calls[0] > 0) == searches
+        assert all(ConstraintSet(constraints).satisfied(s) for s in seqs)
 
 
 class TestSearchTermsPerRun:
