@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -358,7 +359,8 @@ def parse_constraint_spec(spec, vocab: Vocabulary, base_dir: str = ".") -> Const
     Token fields are token strings resolved against the vocabulary;
     weights_file paths resolve relative to base_dir.  k and position
     must be JSON integers: 2.5, true or "3" raise ValueError, as they
-    do in the constructors.
+    do in the constructors.  tau must be a JSON number: true, "0.5" or
+    null raise ValueError.
     """
     if not isinstance(spec, list):
         raise ValueError("constraint spec must be a JSON array")
@@ -367,7 +369,10 @@ def parse_constraint_spec(spec, vocab: Vocabulary, base_dir: str = ".") -> Const
         if not isinstance(obj, dict) or "type" not in obj:
             raise ValueError(f"constraint {i}: expected an object with a 'type'")
         ctype = obj["type"]
-        tau = float(obj.get("tau", 0.0))
+        tau = obj.get("tau", 0.0)
+        if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+            raise ValueError(f"constraint {i}: tau must be a number, got {tau!r}")
+        tau = float(tau)
         name = obj.get("name", "")
         if ctype == "token_count":
             out.append(

@@ -16,6 +16,10 @@ Three operators cover the three constraint regimes:
 All three take a stack of probability rows x and return a nearby stack y
 whose decoded sequence is feasible, keeping KL(x || y) small.
 
+  novelty_project_ids  novelty_project's pick for the one-hot rows of an
+                    (L,) id row, given and returned as token ids, with
+                    no rows built; the sampler's novelty step calls it
+
   project_ids       the decode alm_project's lattice search picks for
                     each of a (K, L) stack of one-hot states, given and
                     returned as token ids, with no rows built: in closed
@@ -41,6 +45,7 @@ no sweep to confirm it.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -864,8 +869,9 @@ class NoveltyDb:
     so a novelty pick is never an unfinished decode the sampler would
     have to reject.  len() counts only the stored sequences.
 
-    The database also holds novelty_project's search cursors, one per
-    distinct input, keyed by (shape, bytes) of its rows.  A cursor has
+    The database also holds the novelty search cursors, one per distinct
+    input: novelty_project keys its rows by (shape, bytes), and
+    novelty_project_ids keys its id rows by (n, ids).  A cursor has
     passed only sequences the database holds, and add is the database's
     only change, so the database only grows and a cursor stays valid:
     its next pick is still the cheapest absent decode.  Clearing cursors
@@ -891,12 +897,28 @@ class NoveltyDb:
         return cls((s for s, _ in corpus.entries), mask_id=corpus.vocab.mask_id)
 
 
+@functools.lru_cache(maxsize=64)
+def _one_hot_rankings(n: int, mask_id: int | None) -> tuple[tuple, tuple]:
+    """(gaps, orders) of a one-hot row holding token v, for each v < n:
+    gaps[v], 0.0 at v and 1.0 elsewhere, and orders[v], v and then the
+    other tokens ascending, without MASK."""
+    tokens = [u for u in range(n) if u != mask_id]
+    gaps, orders = [], []
+    for v in range(n):
+        gaps.append((1.0,) * v + (0.0,) + (1.0,) * (n - 1 - v))
+        rest = tuple(u for u in tokens if u != v)
+        # Every completion of a decode holding a banned MASK is in db already.
+        orders.append(rest if v == mask_id else (v,) + rest)
+    return tuple(gaps), tuple(orders)
+
+
 class _NoveltyCursor:
     """One input's decodes in (cost, lex) order, resumable across calls.
 
-    Built from the input's rows, it keeps what every call on them reads:
-    gaps, the flip cost max_v x[i, v] - x[i, u] of each position and
-    token as nested lists, and decode, the rows' argmax ids.
+    Built from the input's rows, or for one-hot rows from their ids
+    (one_hot), it keeps what every call on them reads: gaps, the flip
+    cost max_v x[i, v] - x[i, u] of each position and token as nested
+    tuples, and decode, the rows' argmax ids.
 
     Lawler's k-best partition (Management Science 18(7), 1972).  Each
     position's tokens are ranked by (gap, id); the root decode takes
@@ -926,7 +948,7 @@ class _NoveltyCursor:
     def __init__(self, rows: np.ndarray, mask_id: int | None):
         gaps = rows.max(axis=1, keepdims=True) - rows  # flip cost per position/token
         length = gaps.shape[0]
-        self.gaps = gaps.tolist()
+        self.gaps = tuple(map(tuple, gaps.tolist()))
         self.decode = rows.argmax(axis=1).tolist()
         ranked = np.argsort(gaps, axis=1, kind="stable").tolist()
         # Every completion of a decode holding a banned MASK is in db already.
@@ -944,6 +966,25 @@ class _NoveltyCursor:
         for i in range(length - 1, -1, -1):
             tied_from[i] = i if near[i] else tied_from[i + 1]
         self.tied_from = tuple(tied_from)
+        self._push_root()
+
+    @classmethod
+    def one_hot(cls, ids: tuple, n: int, mask_id: int | None) -> "_NoveltyCursor":
+        """The cursor of the one-hot rows of ids over n tokens, built from
+        the ids alone: each position's gaps are 0.0 at its token and 1.0
+        elsewhere, so its order is its token, then the others ascending,
+        and no gaps are near-tied."""
+        self = cls.__new__(cls)
+        gaps, orders = _one_hot_rankings(n, mask_id)
+        self.gaps = tuple(gaps[v] for v in ids)
+        self.decode = list(ids)
+        self.orders = tuple(orders[v] for v in ids)
+        length = len(ids)
+        self.tied_from = (length,) * (length + 1)
+        self._push_root()
+        return self
+
+    def _push_root(self) -> None:
         self.heap: list[tuple] = []
         if all(self.orders):
             root = tuple(order[0] for order in self.orders)
@@ -998,7 +1039,7 @@ def novelty_project(x_in: SeqDist, db: NoveltyDb) -> SeqDist:
     equal rows goes on from where this one stopped and reuses the
     cursor's gaps and decode.  The selected sequence is added to db;
     rows that already decode to it pass through unchanged, and otherwise
-    only the positions whose decode moves are forced.
+    only the positions whose decode moves are forced (forced_rows).
 
     Raises NoveltySaturationError when db covers all N^L sequences.
     """
@@ -1009,10 +1050,41 @@ def novelty_project(x_in: SeqDist, db: NoveltyDb) -> SeqDist:
         cursor = db.cursors[key] = _NoveltyCursor(rows, db.mask_id)
     selected = cursor.next_absent(db)
     db.add(selected)
-    changed = [i for i, (a, v) in enumerate(zip(cursor.decode, selected)) if a != v]
-    if not changed:
+    if cursor.decode == list(selected.ids):
         return x_in
+    return SeqDist(forced_rows(rows, cursor.decode, selected.ids))
+
+
+def novelty_project_ids(state: np.ndarray, n: int, db: NoveltyDb) -> tuple[int, ...]:
+    """novelty_project of the one-hot rows of state, given and returned as
+    token ids: claims the cheapest sequence absent from db and returns
+    its ids.
+
+    state is an (L,) row of ids below n.  Its cursor in db is built from
+    the ids alone (_NoveltyCursor.one_hot) and keyed by (n, ids), which
+    never equals novelty_project's (shape, bytes) key, so each distinct
+    state resumes one search however many calls hand it in.
+
+    Raises NoveltySaturationError when db covers all N^L sequences.
+    """
+    ids = tuple(np.asarray(state).tolist())
+    key = (n, ids)
+    cursor = db.cursors.get(key)
+    if cursor is None:
+        if not all(0 <= v < n for v in ids):
+            raise ValueError(f"state ids must lie in [0, {n})")
+        cursor = db.cursors[key] = _NoveltyCursor.one_hot(ids, n, db.mask_id)
+    selected = cursor.next_absent(db)
+    db.add(selected)
+    return selected.ids
+
+
+def forced_rows(rows: np.ndarray, decode: list, ids) -> np.ndarray:
+    """A copy of rows, whose argmax ids are decode, with each row where
+    ids differs from decode forced to decode to ids by _force_argmax_row;
+    not renormalised."""
     out = rows.copy()
-    for i in changed:
-        out[i] = _force_argmax_row(rows[i], selected[i])
-    return SeqDist(out)
+    for i, (a, v) in enumerate(zip(decode, ids)):
+        if a != v:
+            out[i] = _force_argmax_row(rows[i], v)
+    return out

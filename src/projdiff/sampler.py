@@ -30,12 +30,11 @@ Chains are then handled in chain order: each takes its state's result,
 and a chain whose result is infeasible, or holds MASK at t = 1, redraws
 at its own turn and has its new state projected on its own, so the rng
 stream does not depend on the batching.  Novelty mode projects each
-failing chain in chain order, from the one-hot rows of its ids.  The
-step builds each distinct state's rows once, in its memo, so chains
-that share a state hand the projector one SeqDist and resume one
-search in the database; the sampler drops the database's search
-cursors when its novelty step ends, so they hold at most one step's
-distinct states.
+failing chain in chain order with projection.novelty_project_ids, which
+takes and returns the chain's ids and builds no rows.  Chains that
+share a state resume one search in the database; the sampler drops the
+database's search cursors when its novelty step ends, so they hold at
+most one step's distinct states.
 
 When tracing, each step appends one TraceRecord per chain, in chain
 order.  The step scores the violations once, as arrays: one batched call
@@ -64,13 +63,16 @@ from .constraints import ConstraintSet
 from .core import Corpus, Schedule, SeqDist, Sequence, check_counts
 from .denoiser import ExactBayesDenoiser
 from .noise import NoiseKernel, reverse_mixture_rows
-# position_project is not called here: perfbench/tracer.py patches it on this module.
+# novelty_project and position_project are not called here:
+# perfbench/tracer.py patches them on this module.
 from .projection import (  # noqa: F401
     AlmConfig,
     NoveltyDb,
     SearchTerms,
     alm_project,
+    forced_rows,
     novelty_project,
+    novelty_project_ids,
     pooled_rows,
     position_project,
     project_ids,
@@ -288,9 +290,8 @@ class _Engine:
                 kl, outer, wall = [0.0] * b, [0] * b, [0.0] * b
             if projected:
                 failed = ~self._passes(ids, t)
-                # This step's per-state work, keyed by the state's id bytes:
-                # alm results, or the one-hot rows novelty_project takes.
-                memo: dict[bytes, tuple | SeqDist] = {}
+                # This step's alm results, keyed by the state's id bytes.
+                memo: dict[bytes, tuple] = {}
                 if not novelty:
                     self._project_states(ids[failed], memo)
                 for ci, fails in enumerate(failed.tolist()):
@@ -395,33 +396,31 @@ class _Engine:
         In alm mode the result is a function of the state alone and is
         read from memo; a state the step's batch did not hold (a retry's
         redraw) is projected on its own into memo first.  Novelty mode
-        calls its projector every time, since each call claims a sequence,
-        on the state's one-hot rows, which memo holds once built; it
-        computes kl, which only trace records read, only when tracing.
-        step is the (states, mix, inverse) of this step's draw, which a
-        retry draws from again.
+        calls novelty_project_ids every time, since each call claims a
+        sequence, on the chain's ids.  It computes kl, which only trace
+        records read, only when tracing, from the one-hot rows and the
+        forced rows novelty_project would return for them.  step is the
+        (states, mix, inverse) of this step's draw, which a retry draws
+        from again.
         """
         cfg = self.cfg
         ops = backend.ops
         attempts = 0
         while True:
-            key = ids[ci].tobytes()
             if cfg.projection_mode == "alm":
+                key = ids[ci].tobytes()
                 if key not in memo:
                     self._project_states(ids[ci][None], memo)
                 new_dec, ok, outer, kl_moved = memo[key]
             else:
-                sd = memo.get(key)
-                if sd is None:
-                    sd = memo[key] = SeqDist(ops.one_hot_rows(ids[ci], self.n))
-                res = novelty_project(sd, self.db)
-                # An unchanged result decodes to the chain's own ids.
-                new_dec = ids[ci] if res is sd else ops.argmax_rows(res.rows)
-                ok, outer = True, 0
-                kl_moved = ops.kl_rows(sd.rows, res.rows) if cfg.trace else 0.0
+                new_dec = novelty_project_ids(ids[ci], self.n, self.db)
+                ok, outer, kl_moved = True, 0, 0.0
+                if cfg.trace:
+                    x_rows = ops.one_hot_rows(ids[ci], self.n)
+                    kl_moved = ops.kl_rows(x_rows, forced_rows(x_rows, ids[ci].tolist(), new_dec))
             # An emitted sequence must not contain the mask token; inside
             # the chain a mask decode just re-opens that position.
-            if ok and self.kernel.kind == "masked" and t == 1 and np.any(new_dec == self.kernel.mask_id):
+            if ok and self.kernel.kind == "masked" and t == 1 and self.kernel.mask_id in new_dec:
                 ok = False
             if ok or cfg.infeasible_policy == "continue":
                 break

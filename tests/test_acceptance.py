@@ -38,6 +38,7 @@ from projdiff.projection import (
     alm_gradient,
     alm_objective,
     alm_project,
+    novelty_project,
     position_project,
 )
 from projdiff import sampler as sampler_mod
@@ -158,23 +159,22 @@ def test_c02_novelty_projection(monkeypatch):
     # makes must equal the exhaustive minimum-cost novel sequence.
     small_vocab = make_vocab(4)
     small_corpus = make_corpus(small_vocab, length=5, n_entries=10, seed=29)
-    real = sampler_mod.novelty_project
+    real_ids = sampler_mod.novelty_project_ids
     checked = []
 
-    def checked_project(dist, db, **kwargs):
-        expected, _cost = enumerate_novelty(dist, db)
-        out = real(dist, db, **kwargs)
-        got = decode(out.rows)
+    def checked_project(state, n, db):
+        expected, _cost = enumerate_novelty(backend.ops.one_hot_rows(state, n), db)
+        got = Sequence(real_ids(state, n, db))
         checked.append((got, expected))
         assert got == expected, f"picked {got.ids}, scan says {expected.ids}"
-        return out
+        return got.ids
 
-    monkeypatch.setattr(sampler_mod, "novelty_project", checked_project)
+    monkeypatch.setattr(sampler_mod, "novelty_project_ids", checked_project)
     small_cfg = SampleConfig(
         steps=10, length=5, num_samples=80, rng_seed=17, projection_mode="novelty", trace=False
     )
     small_seqs, _ = sample_constrained(small_corpus, None, small_cfg)
-    monkeypatch.setattr(sampler_mod, "novelty_project", real)
+    monkeypatch.setattr(sampler_mod, "novelty_project_ids", real_ids)
     assert len(small_seqs) == 80
     assert len(checked) >= 80
 
@@ -184,7 +184,7 @@ def test_c02_novelty_projection(monkeypatch):
     for _ in range(40):
         rows = rng.dirichlet(np.ones(small_vocab.size), size=5)
         expected, _cost = enumerate_novelty(SeqDist(rows), db)
-        got = decode(real(SeqDist(rows), db).rows)
+        got = decode(novelty_project(SeqDist(rows), db).rows)
         assert got == expected
 
     elapsed = time.perf_counter() - start

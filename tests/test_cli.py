@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -26,11 +27,18 @@ CONSTRAINTS = [
 ]
 
 
+# One bytecode cache for every child of this test session, outside the
+# source tree: the first child compiles projdiff and the rest load it.
+PYCACHE = tempfile.TemporaryDirectory(prefix="projdiff-test-pycache-")
+
+
 def run_cli(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = PYCACHE.name
     return subprocess.run(
         [sys.executable, "-m", "projdiff.cli", *args],
         capture_output=True,
@@ -401,6 +409,16 @@ class TestUsageAndErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: bad constraint file")
         assert "must be an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out" / "samples.txt").exists()
+
+    def test_non_number_tau_is_a_bad_constraint_file(self, tmp_path):
+        # Not converted: "0.5" would otherwise read as a tau of 0.5.
+        cfg = make_workspace(tmp_path, constraints=[{"type": "forbidden", "token": "a", "tau": "0.5"}])
+        proc = run_cli("sample", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: bad constraint file")
+        assert "tau must be a number" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out" / "samples.txt").exists()
 

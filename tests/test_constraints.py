@@ -479,6 +479,32 @@ class TestParsing:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             parse_constraint_spec(json.loads(json.dumps([obj])), make_vocab(3))
 
+    @pytest.mark.parametrize("tau", [True, False, "0.5", None])
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"type": "token_count", "token": "a", "op": "le", "k": 1},
+            {"type": "forbidden", "token": "a"},
+            {"type": "position", "position": 0, "token": "a"},
+        ],
+        ids=["token_count", "forbidden", "position"],
+    )
+    def test_non_number_tau_rejected(self, obj, tau):
+        # Not converted: true would otherwise read as a tau of 1.0.
+        with pytest.raises(ValueError, match="tau must be a number"):
+            parse_constraint_spec(json.loads(json.dumps([dict(obj, tau=tau)])), make_vocab(3))
+
+    def test_linear_score_non_number_tau_rejected(self, tmp_path):
+        (tmp_path / "w.tsv").write_text("a\t0.5\n")
+        spec = [{"type": "linear_score", "weights_file": "w.tsv", "tau": "0.25"}]
+        with pytest.raises(ValueError, match="tau must be a number"):
+            parse_constraint_spec(spec, make_vocab(3), base_dir=str(tmp_path))
+
+    def test_integer_tau_accepted(self):
+        cs = parse_constraint_spec([{"type": "forbidden", "token": "a", "tau": 1}], make_vocab(3))
+        (c,) = cs
+        assert c.tau == 1.0 and isinstance(c.tau, float)
+
     def test_non_array_rejected(self):
         with pytest.raises(ValueError):
             parse_constraint_spec({"type": "forbidden"}, make_vocab(2))

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from projdiff import projection
+from projdiff import backend, projection
 from projdiff.constraints import (
     Constraint,
     ConstraintSet,
@@ -32,9 +32,11 @@ from projdiff.projection import (
     _decode_search,
     _first_min,
     _force_argmax_row,
+    _NoveltyCursor,
     _row_flip_costs,
     alm_project,
     novelty_project,
+    novelty_project_ids,
     position_project,
     project_ids,
 )
@@ -522,6 +524,67 @@ class TestNoveltyResume:
         for _ in range(3):
             db = NoveltyDb()
             assert claim_until_saturated(near_tie_rows(rng, 3, 3), db) == 27
+
+
+class TestNoveltyProjectIds:
+    """novelty_project_ids is novelty_project on the one-hot rows of an id
+    row, with its cursor built from the ids alone."""
+
+    CURSOR_FIELDS = ("gaps", "decode", "orders", "tied_from", "heap")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    @pytest.mark.parametrize("mask", [False, True])
+    def test_one_hot_cursor_equals_rows_cursor(self, n, length, mask):
+        mask_id = n - 1 if mask else None
+        for ids in itertools.product(range(n), repeat=length):
+            got = _NoveltyCursor.one_hot(ids, n, mask_id)
+            want = _NoveltyCursor(backend.ops.one_hot_rows(np.array(ids), n), mask_id)
+            for field in self.CURSOR_FIELDS:
+                assert getattr(got, field) == getattr(want, field), (ids, field)
+            # A root with no near tie is its own bound, so it is final when popped.
+            for cursor in (got, want):
+                assert all(item[1] is item[2] for item in cursor.heap)
+
+    @pytest.mark.parametrize("mask", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_picks_equal_rows_api_until_saturated(self, mask, seed):
+        # Twin databases fed one seeded stream of repeated one-hot states.
+        n, length = 3, 3
+        rng = np.random.default_rng(seed)
+        mask_id = n - 1 if mask else None
+        pool = rng.integers(0, n, size=(4, length))
+        start = [Sequence(tuple(int(v) for v in rng.integers(0, n, size=length))) for _ in range(3)]
+        by_ids, by_rows = NoveltyDb(start, mask_id=mask_id), NoveltyDb(start, mask_id=mask_id)
+        used = set()
+        for call in range(n**length + 1):
+            state = pool[rng.integers(0, len(pool))]
+            used.add(state.tobytes())
+            try:
+                got = novelty_project_ids(state, n, by_ids)
+            except NoveltySaturationError:
+                with pytest.raises(NoveltySaturationError):
+                    novelty_project(SeqDist(backend.ops.one_hot_rows(state, n)), by_rows)
+                break
+            want = decode(novelty_project(SeqDist(backend.ops.one_hot_rows(state, n)), by_rows))
+            assert Sequence(got) == want, call
+        else:
+            pytest.fail("the stream never saturated the database")
+        assert len(by_ids) == len(by_rows)
+        assert len(by_ids.cursors) == len(by_rows.cursors) == len(used)
+
+    def test_ids_and_rows_keep_separate_cursors(self):
+        # One state handed to both entry points resumes two searches.
+        db = NoveltyDb()
+        state = np.array([1, 0])
+        first = novelty_project_ids(state, 2, db)
+        second = decode(novelty_project(SeqDist(backend.ops.one_hot_rows(state, 2)), db))
+        assert first == (1, 0) and second == Sequence((0, 0))
+        assert len(db.cursors) == 2
+
+    def test_out_of_range_ids_rejected(self):
+        with pytest.raises(ValueError, match="state ids"):
+            novelty_project_ids(np.array([0, 3]), 3, NoveltyDb())
 
 
 def reference_force_argmax_row(row, token, eps=projection.ARGMAX_EPS):

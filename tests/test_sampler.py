@@ -12,7 +12,7 @@ from projdiff import backend
 from projdiff import projection as projection_module
 from projdiff import sampler as sampler_module
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
-from projdiff.core import SeqDist, Sequence, decode
+from projdiff.core import SeqDist, Sequence
 from projdiff.denoiser import ExactBayesDenoiser
 from projdiff.noise import reverse_mixture_rows
 from projdiff.oracle import enumerate_novelty
@@ -88,6 +88,11 @@ def spy_failing_states(monkeypatch):
 def state_bytes(x_in):
     """The id row bytes of a one-hot projector input."""
     return x_in.rows.argmax(axis=1).astype(np.int64).tobytes()
+
+
+def id_bytes(ids):
+    """The bytes of an id row, as the sampler's int64 rows hold them."""
+    return np.asarray(ids, dtype=np.int64).tobytes()
 
 
 class TestConfigValidation:
@@ -403,14 +408,15 @@ class TestTraceShape:
         # chains before it, so a draw an earlier chain claimed reads 1.0.
         corpus = make_corpus(make_vocab(6), length=6, n_entries=10, seed=23)
         claims = []
-        real = sampler_module.novelty_project
+        real = sampler_module.novelty_project_ids
 
-        def spy(x_in, db):
-            out = real(x_in, db)
-            claims.append((state_bytes(x_in), out.rows.argmax(axis=1).astype(np.int64).tobytes()))
+        def spy(state, n, db):
+            before = id_bytes(state)
+            out = real(state, n, db)
+            claims.append((before, id_bytes(out)))
             return out
 
-        monkeypatch.setattr(sampler_module, "novelty_project", spy)
+        monkeypatch.setattr(sampler_module, "novelty_project_ids", spy)
         config = SampleConfig(steps=12, length=6, num_samples=64, rng_seed=0, projection_mode="novelty")
         _, traces = sample_constrained(corpus, None, config)
         final = [r for r in traces if r.step == 1]
@@ -484,16 +490,16 @@ class TestNoveltyMode:
     def test_reused_database_picks_match_scan(self, toy_corpus, monkeypatch):
         # A second run on the first run's database starts fresh cursors on
         # a database that has grown; every pick of both runs is the scan's.
-        real = sampler_module.novelty_project
+        real = sampler_module.novelty_project_ids
         checked = []
 
-        def checked_project(dist, db, **kwargs):
-            expected, _cost = enumerate_novelty(dist, db)
-            out = real(dist, db, **kwargs)
-            checked.append((decode(out), expected))
+        def checked_project(state, n, db):
+            expected, _cost = enumerate_novelty(backend.ops.one_hot_rows(state, n), db)
+            out = real(state, n, db)
+            checked.append((Sequence(out), expected))
             return out
 
-        monkeypatch.setattr(sampler_module, "novelty_project", checked_project)
+        monkeypatch.setattr(sampler_module, "novelty_project_ids", checked_project)
         db = NoveltyDb.from_corpus(toy_corpus)
         emitted = []
         for seed in (3, 4):
@@ -730,18 +736,18 @@ class TestProjectionMemo:
         assert any(len(rows) > 1 for kind, rows in expected)
 
     def test_novelty_projects_every_failing_chain(self, monkeypatch):
-        # Each novelty_project call claims a sequence, so chains holding
-        # the same state still get one call each.
+        # Each novelty_project_ids call claims a sequence, so chains
+        # holding the same state still get one call each.
         corpus = make_corpus(make_vocab(6), length=6, n_entries=10, seed=23)
         failing, _ = spy_failing_states(monkeypatch)
         projected = []
-        real = sampler_module.novelty_project
+        real = sampler_module.novelty_project_ids
 
-        def spy(x_in, *args, **kwargs):
-            projected.append(state_bytes(x_in))
-            return real(x_in, *args, **kwargs)
+        def spy(state, *args, **kwargs):
+            projected.append(id_bytes(state))
+            return real(state, *args, **kwargs)
 
-        monkeypatch.setattr(sampler_module, "novelty_project", spy)
+        monkeypatch.setattr(sampler_module, "novelty_project_ids", spy)
         config = SampleConfig(steps=12, length=6, num_samples=64, rng_seed=0, projection_mode="novelty", trace=False)
         sample_constrained(corpus, None, config)
         assert list(failing) == [1]
@@ -749,31 +755,27 @@ class TestProjectionMemo:
         assert projected == failing[1]
 
     def test_novelty_step_builds_each_states_rows_once(self, monkeypatch):
-        # Chains that share a state hand novelty_project one SeqDist, and
-        # the database holds one search cursor per distinct state until
-        # the step ends.
+        # The database holds one search cursor per distinct state until
+        # the step ends, however many chains share the state.
         corpus = make_corpus(make_vocab(6), length=6, n_entries=10, seed=23)
         calls = []
-        real = sampler_module.novelty_project
+        real = sampler_module.novelty_project_ids
 
-        def spy(x_in, db):
-            out = real(x_in, db)
-            calls.append((state_bytes(x_in), x_in, len(db.cursors)))
+        def spy(state, n, db):
+            before = id_bytes(state)
+            out = real(state, n, db)
+            calls.append((before, len(db.cursors)))
             return out
 
-        monkeypatch.setattr(sampler_module, "novelty_project", spy)
+        monkeypatch.setattr(sampler_module, "novelty_project_ids", spy)
         db = NoveltyDb.from_corpus(corpus)
         config = SampleConfig(steps=12, length=6, num_samples=64, rng_seed=0, projection_mode="novelty", trace=False)
         sample_constrained(corpus, None, config, novelty_db=db)
         assert len(calls) == 64
-        objects = {}
-        for state, x_in, _ in calls:
-            assert objects.setdefault(state, x_in) is x_in
-        assert len(objects) < 64
-        assert len({id(x_in) for x_in in objects.values()}) == len(objects)
+        assert len({state for state, _ in calls}) < 64
         # Each call adds a cursor exactly when its state is new.
         seen = set()
-        for state, _, cursors in calls:
+        for state, cursors in calls:
             seen.add(state)
             assert cursors == len(seen)
         assert db.cursors == {}

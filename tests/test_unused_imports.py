@@ -11,9 +11,9 @@ import pytest
 
 PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "projdiff")
 
-# perfbench/tracer.py patches sampler.position_project by name; sampler
-# itself never calls it.
-ALLOWED = {("sampler", "position_project")}
+# perfbench/tracer.py patches sampler.position_project and
+# sampler.novelty_project by name; sampler itself never calls them.
+ALLOWED = {("sampler", "position_project"), ("sampler", "novelty_project")}
 
 
 def unused_imports(source: str) -> list[str]:
