@@ -19,9 +19,12 @@ per-position table entries passed through a map phi (PositionTerms).
 On one-hot states, a set whose every constraint has exact terms with a
 0/1 table, no two constraints using one row, is projected in closed
 form (projection._fewest_flips): TokenCount, Forbidden, and Position
-pins on distinct positions.  Every other set goes through the lattice
-search, which bounds its moves' scores from these tables and scores
-exactly only the moves that can win.  When every constraint's terms
+pins on distinct positions.  A lone LinearScore is projected by single
+moves (projection._linear_descent), estimated from its table and scored
+exactly only where they can win; the states near tau or near a tie go
+on to the lattice search.  Every other set goes through that search,
+which bounds its moves' scores from these tables and scores exactly
+only the moves that can win.  When every constraint's terms
 are exact (integer tables, scale and offset), the bounds are the exact
 scores and no move is scored again.  A constraint without terms (the
 base class returns None) is scored exactly on every move.  The tables

@@ -26,8 +26,10 @@ whose decoded sequence is feasible, keeping KL(x || y) small.
                     form (_fewest_flips: the fewest flips, then the
                     smallest ids) for one TokenCount or Forbidden,
                     Position pins on distinct positions, and user sets
-                    of exact 0/1 tables on rows of their own; otherwise
-                    (LinearScore, mixed families, pins sharing a
+                    of exact 0/1 tables on rows of their own; for a
+                    lone LinearScore by single moves (_linear_descent),
+                    handing the states near tau or near a tie to the
+                    search; otherwise (mixed families, pins sharing a
                     position, constraints without terms) in one batched
                     search (_decode_search); pooled_rows turns a picked
                     decode back into the minimum-KL rows
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .constraints import ConstraintSet
+from .constraints import ConstraintSet, LinearScore
 from .core import Corpus, SeqDist, Sequence, check_counts, decode
 
 
@@ -311,19 +313,113 @@ def project_ids(states: np.ndarray, n: int, cs: ConstraintSet | SearchTerms) -> 
     count or forbidden constraint, position pins on distinct positions,
     or any constraints with exact 0/1 tables on rows of their own, that
     some pattern satisfies), every state gets its pick from
-    _fewest_flips and qualifies.  Every other set (a LinearScore, mixed
+    _fewest_flips and qualifies.  A lone LinearScore's states take
+    _linear_descent, single moves scored where they can win, and only
+    those it hands off (a score near tau, a move near a tie) go through
+    one batched search (_decode_search).  Every other set (mixed
     families, two pins on one position, a constraint without terms, a
-    set no pattern satisfies) sends all K states through one batched
-    search (_decode_search).  A state left infeasible needs
-    alm_project's gradient loop, which this function does not run.
+    set no pattern satisfies) sends all K states through that search.
+    A state left infeasible needs alm_project's gradient loop, which
+    this function does not run.
     """
     states = np.asarray(states, dtype=np.int64)
     terms = _terms_for(cs, states.shape[1], n)
     if terms.fewest_flips is not None:
         return _fewest_flips(states, n, terms.fewest_flips), np.ones(states.shape[0], dtype=bool)
+    if not terms.lone_linear:
+        return _search_one_hot(states, n, terms)
+    ids, feasible, rest = _linear_descent(states, terms)
+    if rest.shape[0]:
+        ids[rest], feasible[rest] = _search_one_hot(states[rest], n, terms)
+    return ids, feasible
+
+
+def _search_one_hot(states: np.ndarray, n: int, terms: SearchTerms) -> tuple[np.ndarray, np.ndarray]:
+    """_decode_search from each of a (K, L) stack of one-hot states, as
+    (ids, feasible)."""
     flips = (np.arange(n) != states[:, :, None]).astype(np.int8)
     ids, residual = _decode_search(flips, terms, states, states)
     return ids, residual == 0.0
+
+
+def _linear_descent(states: np.ndarray, terms: SearchTerms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_decode_search's pick for each of a (K, L) stack of one-hot states
+    under a lone LinearScore, by single moves only, where it is sure to
+    be that pick.
+
+    Returns the (K, L) ids reached, the (K,) mask of states that hold
+    there, and the indices of the states it hands off: their ids and
+    feasible entries are to be filled by _decode_search from the state.
+
+    Each sweep estimates every single move of each failing state as its
+    excess plus the move's change of table sum, within tol / 2 of the
+    move's excess as hard_violations_batch gives it (tol is the search's
+    own, 8 (L + 4) u A; see _decode_search).  It scores exactly only the
+    moves estimated within tol of the least estimate or of tau; a move
+    estimated more than tol below tau holds, and every other move has
+    a greater excess than some scored one.  The state takes the least
+    (excess, flips, ids) key among them, ids ranked as _fewest_flips
+    ranks single moves, and stops once it holds.
+
+    A state whose excess is at most 4 tol, or whose least estimate lies
+    within 2 tol of zero, is handed off; one whose every estimate is
+    above 2 tol stops.  Otherwise the search's pair moves cannot win: in
+    exact arithmetic a pair scores above its single move by the
+    reduction of the flip it reverts, which was above tol when taken as
+    that sweep's least excess, and no pair qualifies from a score more
+    than 4 tol above tau, nor does a cheaper move once the state holds.
+    So pairs and sideways moves matter only near tau or near a tie,
+    where the state is handed off.
+    """
+    seq_len = states.shape[1]
+    table = terms.tables[:, :, 0]
+    n = table.shape[1]
+    tol = 0.0 if terms.tol is None else float(terms.tol[0])
+    tokens = np.arange(n)
+    positions = np.arange(seq_len)
+    # A single move (i, v)'s ids rank: i when v is below the token held,
+    # else 2L - 1 - i, then v.
+    rank_left = positions[:, None] * n + tokens
+    rank_right = (2 * seq_len - 1 - positions[:, None]) * n + tokens
+    ids = states.copy()
+    excess = terms.cs.hard_violations_batch(states)[:, 0]
+    live = np.flatnonzero(excess != 0.0)
+    handed = []
+    # A state that does not hold after a step has flipped a position it
+    # held at the start, so L + 1 sweeps settle every state; any left
+    # over is handed off.
+    for _ in range(seq_len + 1):
+        if live.shape[0] == 0:
+            break
+        cur, base, e = ids[live], states[live], excess[live]
+        # delta[k, i, v]: the change of table sum when position i of
+        # state k moves to token v; no move to the token held.
+        delta = table - table[positions, cur][:, :, None]
+        delta[cur[:, :, None] == tokens] = np.inf
+        best = delta.reshape(live.shape[0], seq_len * n).min(axis=1)
+        # Comparisons that a NaN fails hand the state off.
+        clear = e > 4.0 * tol
+        step = clear & (best < -2.0 * tol)
+        handed.append(live[~(step | (clear & (best > 2.0 * tol)))])
+        live, cur, base, e, best, delta = (a[step] for a in (live, cur, base, e, best, delta))
+        estimate = delta + e[:, None, None]
+        move_excess = np.where(estimate < -tol, 0.0, np.inf)
+        scored = (delta <= (best + tol)[:, None, None]) | (np.abs(estimate) <= tol)
+        owner, at, to = np.nonzero(scored)
+        rows = cur[owner]
+        rows[np.arange(owner.shape[0]), at] = to
+        move_excess[owner, at, to] = terms.cs.hard_violations_batch(rows)[:, 0]
+        # The flips each move adds (-1, 0 or 1), then its ids rank.
+        flips = (base[:, :, None] != tokens).astype(np.int64) - (cur != base)[:, :, None]
+        order = (flips + 1) * (2 * seq_len * n) + np.where(tokens < cur[:, :, None], rank_left, rank_right)
+        move_excess = move_excess.reshape(live.shape[0], seq_len * n)
+        least = move_excess.min(axis=1)
+        pick = np.where(move_excess == least[:, None], order.reshape(move_excess.shape), _INT64_MAX).argmin(axis=1)
+        ids[live, pick // n] = pick % n
+        excess[live] = least
+        live = live[least != 0.0]
+    handed.append(live)
+    return ids, excess == 0.0, np.sort(np.concatenate(handed))
 
 
 def _fewest_flips(states: np.ndarray, n: int, parts: tuple) -> np.ndarray:
@@ -481,10 +577,11 @@ class SearchTerms:
     offset and taus are (m,) arrays, and so are tol, absolute and free
     unless no constraint needs them (None).  fewest_flips holds
     _fewest_flips's parts when the set has a closed form on one-hot
-    states, and is None otherwise (see _closed_form).  Every field is
-    read from the constraints when the stack is built, so it holds for
-    as long as they are not changed: a sampling run builds one and
-    hands it to project_ids in place of its ConstraintSet.
+    states, and is None otherwise (see _closed_form); lone_linear says
+    whether the set is one LinearScore (see _linear_descent).  Every
+    field is read from the constraints when the stack is built, so it
+    holds for as long as they are not changed: a sampling run builds one
+    and hands it to project_ids in place of its ConstraintSet.
     """
 
     def __init__(self, cs: ConstraintSet, seq_len: int, n: int):
@@ -502,6 +599,7 @@ class SearchTerms:
         self.free = np.asarray(free) if any(free) else None
         self.tol = np.asarray(tol) if any(tol) or self.free is not None else None
         self.fewest_flips = _closed_form(cs, terms, seq_len)
+        self.lone_linear = len(cs) == 1 and type(cs.constraints[0]) is LinearScore
 
     def excess_bounds(self, score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds of the total excess, the summed

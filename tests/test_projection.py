@@ -341,6 +341,34 @@ class TestOneHotAgainstOracle:
         assert singles == {"linear", "count", "forbidden", "position"}
         assert closed >= 100
 
+    def test_lone_linear_score_takes_the_fewest_flips(self):
+        # Float weights, and no pattern's mean within 1e-9 of tau, so that
+        # rounding decides no pick: a state qualifies exactly when some
+        # pattern does, at as many flips as the oracle's pattern makes.
+        rng = np.random.default_rng(5)
+        checked = collections.Counter()
+        while checked["states"] < 2000:
+            length, n = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+            cs = ConstraintSet((LinearScore(rng.uniform(0.0, 1.0, size=n), tau=float(rng.uniform(0.0, 0.8))),))
+            patterns = np.array(list(itertools.product(range(n), repeat=length)))
+            if (np.abs(cs.constraints[0].hard_scores(patterns) - cs.constraints[0].tau) < 1e-9).any():
+                continue
+            states = rng.integers(0, n, size=(4, length))
+            ids, feasible = project_ids(states, n, cs)
+            for state, got, ok in zip(states, ids, feasible):
+                checked["states"] += 1
+                try:
+                    _, cost = enumerate_fewest_flips(np.eye(n)[state], cs)
+                except ValueError:  # no pattern satisfies the set
+                    checked["infeasible"] += 1
+                    assert not ok
+                    continue
+                assert ok and cs.satisfied(Sequence(tuple(got.tolist())))
+                flips = int((got != state).sum())
+                assert flips == round(cost / math.log(2.0))
+                checked["two or more flips"] += flips >= 2
+        assert min(checked.values()) >= 100, checked
+
 
 class TestNoveltyDb:
     def test_membership_and_add(self):
@@ -1334,9 +1362,19 @@ class TestFewestFlipsClosedForm:
         # four too many for Forbidden(0): every state takes the search.
         ids, feasible = project_ids(np.zeros((2, 4), dtype=np.int64), 1, ConstraintSet((Forbidden(0),)))
         assert calls == [[[0, 0, 0, 0], [0, 0, 0, 0]]] and feasible.tolist() == [False, False]
-        # So does every state of a LinearScore set.
+        # Every state of a LinearScore set takes the single-move descent,
+        # and the search sees only those it hands off: none, on float
+        # weights.
+        descended = []
+        real_descent = projection._linear_descent
+
+        def descent(states, terms):
+            descended.append(states.tolist())
+            return real_descent(states, terms)
+
+        monkeypatch.setattr(projection, "_linear_descent", descent)
         project_ids(states[:3], 13, ConstraintSet(tuple(PROJECT_IDS_SETS["linear0.5"])))
-        assert calls[1:] == [states[:3].tolist()]
+        assert descended == [states[:3].tolist()] and calls[1:] == []
 
     def test_smaller_new_tokens_from_the_left_then_larger_from_the_right(self):
         # At most two 2s in (2, 0, 2, 1, 2, 2): the 2s move to 0, smaller,
@@ -1350,6 +1388,107 @@ class TestFewestFlipsClosedForm:
         # from the right.
         mixed, _ = project_ids(np.array([[0, 2, 0, 0]]), 3, ConstraintSet((TokenCount(1, "ge", 3),)))
         assert mixed.tolist() == [[0, 1, 1, 1]]
+
+
+def descent_weights(rng, kind, n):
+    """Weights of a LinearScore over n tokens: uniform floats, or tied
+    0/1, thirds or tenths."""
+    if kind == "float":
+        return rng.uniform(0.0, 1.0, size=n)
+    steps = {"0/1": 1, "thirds": 3, "tenths": 10}[kind]
+    return rng.integers(0, steps + 1, size=n) / steps
+
+
+def spy_descent(monkeypatch):
+    """Patch _linear_descent and _decode_search to record the states each
+    is handed; returns the two lists."""
+    descended, searched = [], []
+    real_descent, real_search = projection._linear_descent, projection._decode_search
+
+    def descent(states, terms):
+        descended.append(states.tolist())
+        return real_descent(states, terms)
+
+    def search(tables, cs, starts, bases, *args):
+        searched.append(starts.tolist())
+        return real_search(tables, cs, starts, bases, *args)
+
+    monkeypatch.setattr(projection, "_linear_descent", descent)
+    monkeypatch.setattr(projection, "_decode_search", search)
+    return descended, searched
+
+
+class TestLinearDescent:
+    """project_ids takes a lone LinearScore by single moves, and hands the
+    states where the search's pair and sideways moves could win to the
+    search: the result is the search's, byte for byte."""
+
+    def test_matches_the_search(self):
+        rng = np.random.default_rng(27)
+        seen = collections.Counter()
+        for _ in range(400):
+            length, n, k = int(rng.integers(1, 11)), int(rng.integers(2, 14)), int(rng.integers(1, 13))
+            kind = str(rng.choice(["float", "0/1", "thirds", "tenths"]))
+            tau = float(rng.choice([0.0, 0.1, 0.25, 1 / 3, 0.5, rng.uniform(0.0, 1.0)]))
+            terms = SearchTerms(ConstraintSet((LinearScore(descent_weights(rng, kind, n), tau),)), length, n)
+            # Mostly one token, as at t = T.
+            one = int(rng.integers(0, n))
+            states = np.where(rng.random((k, length)) < rng.uniform(0.5, 1.0), one, rng.integers(0, n, (k, length)))
+            ids, feasible = project_ids(states, n, terms)
+            want, want_feasible = search_ids(states, n, terms)
+            assert ids.tobytes() == want.tobytes() and feasible.tobytes() == want_feasible.tobytes()
+            _, _, handed = projection._linear_descent(states, terms)
+            decided = np.setdiff1d(np.arange(k), handed)
+            moved = (ids[decided] != states[decided]).sum(axis=1)
+            if kind != "float":
+                seen["tied weights handed off"] += handed.shape[0]
+            seen["two or more flips"] += int((moved >= 2).sum())
+            seen["left infeasible"] += int((~feasible[decided]).sum())
+        # Tied weights meet hand-offs, and the descent alone decides
+        # states of several flips and states it leaves infeasible.
+        assert min(seen["tied weights handed off"], seen["two or more flips"], seen["left infeasible"]) >= 20, seen
+
+    def test_tied_pair_move_is_handed_to_the_search(self, monkeypatch):
+        # The search takes a pair move to 2 1 4 4 0 0 4, whose mean is
+        # exactly 1/3; single flips alone would read a 2-flip pattern at
+        # 0.33333333333333337 and flip a third position.
+        descended, searched = spy_descent(monkeypatch)
+        cs = ConstraintSet((LinearScore(np.array([0.0, 1 / 3, 1.0, 1.0, 1 / 3]), tau=1 / 3),))
+        state = np.array([[2, 1, 4, 4, 3, 2, 4]])
+        ids, feasible = project_ids(state, 5, cs)
+        assert ids.tolist() == [[2, 1, 4, 4, 0, 0, 4]] and feasible.tolist() == [True]
+        assert descended == searched == [state.tolist()]
+
+    def test_float_weights_make_no_search(self, monkeypatch):
+        descended, searched = spy_descent(monkeypatch)
+        states = c01_start_states(300)
+        for name in ("linear0.25", "linear0.5", "linear0.75"):
+            ids, feasible = project_ids(states, 13, ConstraintSet(tuple(PROJECT_IDS_SETS[name])))
+            assert feasible.all()
+        assert len(descended) == 3 and searched == []
+
+    def test_edge_cases(self, monkeypatch):
+        descended, searched = spy_descent(monkeypatch)
+        weights = np.array([0.5, 0.2, 0.9])
+        # No states.
+        ids, feasible = project_ids(np.zeros((0, 4), dtype=np.int64), 3, ConstraintSet((LinearScore(weights, 0.3),)))
+        assert ids.shape == (0, 4) and ids.dtype == np.int64 and feasible.shape == (0,) and feasible.dtype == bool
+        # One position: the least weight that holds.
+        ids, feasible = project_ids(np.array([[2], [0], [1]]), 3, ConstraintSet((LinearScore(weights, 0.6),)))
+        assert ids.tolist() == [[0], [0], [1]] and feasible.all()
+        # A start that holds keeps its ids.
+        state = np.array([[1, 0, 1, 2]])
+        ids, feasible = project_ids(state, 3, ConstraintSet((LinearScore(weights, 0.45),)))
+        assert ids.tolist() == state.tolist() and feasible.tolist() == [True]
+        # tau below the least weight: every position moves to it, and
+        # the state stays infeasible.
+        ids, feasible = project_ids(state, 3, ConstraintSet((LinearScore(weights, 0.1),)))
+        assert ids.tolist() == [[1, 1, 1, 1]] and feasible.tolist() == [False]
+        # One token: nothing can move.
+        for tau, holds in ((0.1, False), (0.6, True)):
+            ids, feasible = project_ids(np.zeros((2, 3), dtype=np.int64), 1, ConstraintSet((LinearScore([0.5], tau),)))
+            assert ids.tolist() == [[0] * 3] * 2 and feasible.tolist() == [holds] * 2
+        assert len(descended) == 6 and searched == []
 
 
 def planted_stack(rng):

@@ -783,7 +783,7 @@ class TestProjectionMemo:
 
 class TestSearchOnlyWhereNeeded:
     @pytest.mark.parametrize(
-        "constraints, searches",
+        "constraints, descends",
         [
             ([TokenCount(token=0, op="le", k=2)], False),
             ([TokenCount(token=1, op="eq", k=2)], False),
@@ -793,12 +793,15 @@ class TestSearchOnlyWhereNeeded:
         ],
         ids=["count_le", "count_eq", "position", "forbidden", "linear"],
     )
-    def test_token_sets_never_search(self, monkeypatch, constraints, searches):
+    def test_token_sets_never_search(self, monkeypatch, constraints, descends):
         # The token workload's sets on the c01 shape take project_ids'
-        # closed form for every failing state; a LinearScore set searches.
+        # closed form for every failing state; a LinearScore set with float
+        # weights takes the single-move descent for every one, which hands
+        # none of them to the search.
         corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
-        calls, projected = [0], [0]
+        calls, projected, descended = [0], [0], [0]
         real_search, real_ids = projection_module._decode_search, sampler_module.project_ids
+        real_descent = projection_module._linear_descent
 
         def search(*args, **kwargs):
             calls[0] += 1
@@ -808,12 +811,18 @@ class TestSearchOnlyWhereNeeded:
             projected[0] += len(states)
             return real_ids(states, *args)
 
+        def descent(states, terms):
+            descended[0] += len(states)
+            return real_descent(states, terms)
+
         monkeypatch.setattr(projection_module, "_decode_search", search)
+        monkeypatch.setattr(projection_module, "_linear_descent", descent)
         monkeypatch.setattr(sampler_module, "project_ids", ids)
         config = SampleConfig(steps=16, length=10, num_samples=16, rng_seed=0, trace=False)
         seqs, _ = sample_constrained(corpus, ConstraintSet(constraints), config)
         assert projected[0] > 0
-        assert (calls[0] > 0) == searches
+        assert calls[0] == 0
+        assert descended[0] == (projected[0] if descends else 0)
         assert all(ConstraintSet(constraints).satisfied(s) for s in seqs)
 
 
