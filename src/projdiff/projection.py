@@ -9,16 +9,19 @@ Three operators cover the three constraint regimes:
   position_project  closed-form KL projection for "position p decodes to
                     token v"
   novelty_project   the cheapest decode not yet in a database, found in
-                    whole-sequence cost order by a search that is resumed
-                    for each distinct input, then closed-form row edits
-                    to force it
+                    whole-sequence cost order by a Lawler k-best search
+                    (_NoveltyCursor) that is resumed for each distinct
+                    input, then closed-form row edits to force it
 
 All three take a stack of probability rows x and return a nearby stack y
 whose decoded sequence is feasible, keeping KL(x || y) small.
 
   novelty_project_ids  novelty_project's pick for the one-hot rows of an
                     (L,) id row, given and returned as token ids, with
-                    no rows built; the sampler's novelty step calls it
+                    no rows built: there a decode's cost is its Hamming
+                    distance from the ids, so the search is a resumable
+                    walk over Hamming shells in lex order (_ShellWalk)
+                    with no heap; the sampler's novelty step calls it
 
   project_ids       the decode alm_project's lattice search picks for
                     each of a (K, L) stack of one-hot states, given and
@@ -47,8 +50,8 @@ no sweep to confirm it.
 
 from __future__ import annotations
 
-import functools
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -967,19 +970,20 @@ class NoveltyDb:
     so a novelty pick is never an unfinished decode the sampler would
     have to reject.  len() counts only the stored sequences.
 
-    The database also holds the novelty search cursors, one per distinct
-    input: novelty_project keys its rows by (shape, bytes), and
-    novelty_project_ids keys its id rows by (n, ids).  A cursor has
-    passed only sequences the database holds, and add is the database's
-    only change, so the database only grows and a cursor stays valid:
-    its next pick is still the cheapest absent decode.  Clearing cursors
-    discards work, never correctness.
+    The database also holds the novelty searches in cursors, one per
+    distinct input: novelty_project keys a _NoveltyCursor over its rows
+    by (shape, bytes), and novelty_project_ids keys a _ShellWalk over
+    its id row by (n, ids).  A search has passed only sequences the
+    database holds, and add is the database's only change, so the
+    database only grows and a search stays valid: its next pick is still
+    the cheapest absent decode.  Clearing cursors discards work, never
+    correctness.
     """
 
     def __init__(self, seqs=(), mask_id: int | None = None):
         self._seen: set[Sequence] = set(seqs)
         self.mask_id = mask_id
-        self.cursors: dict[tuple, _NoveltyCursor] = {}
+        self.cursors: dict[tuple, _NoveltyCursor | Iterator[tuple]] = {}
 
     def __contains__(self, seq: Sequence) -> bool:
         return seq in self._seen or (self.mask_id is not None and self.mask_id in seq.ids)
@@ -995,28 +999,12 @@ class NoveltyDb:
         return cls((s for s, _ in corpus.entries), mask_id=corpus.vocab.mask_id)
 
 
-@functools.lru_cache(maxsize=64)
-def _one_hot_rankings(n: int, mask_id: int | None) -> tuple[tuple, tuple]:
-    """(gaps, orders) of a one-hot row holding token v, for each v < n:
-    gaps[v], 0.0 at v and 1.0 elsewhere, and orders[v], v and then the
-    other tokens ascending, without MASK."""
-    tokens = [u for u in range(n) if u != mask_id]
-    gaps, orders = [], []
-    for v in range(n):
-        gaps.append((1.0,) * v + (0.0,) + (1.0,) * (n - 1 - v))
-        rest = tuple(u for u in tokens if u != v)
-        # Every completion of a decode holding a banned MASK is in db already.
-        orders.append(rest if v == mask_id else (v,) + rest)
-    return tuple(gaps), tuple(orders)
-
-
 class _NoveltyCursor:
     """One input's decodes in (cost, lex) order, resumable across calls.
 
-    Built from the input's rows, or for one-hot rows from their ids
-    (one_hot), it keeps what every call on them reads: gaps, the flip
-    cost max_v x[i, v] - x[i, u] of each position and token as nested
-    tuples, and decode, the rows' argmax ids.
+    Built from the input's rows, it keeps what every call on them reads:
+    gaps, the flip cost max_v x[i, v] - x[i, u] of each position and
+    token as nested tuples, and decode, the rows' argmax ids.
 
     Lawler's k-best partition (Management Science 18(7), 1972).  Each
     position's tokens are ranked by (gap, id); the root decode takes
@@ -1064,25 +1052,6 @@ class _NoveltyCursor:
         for i in range(length - 1, -1, -1):
             tied_from[i] = i if near[i] else tied_from[i + 1]
         self.tied_from = tuple(tied_from)
-        self._push_root()
-
-    @classmethod
-    def one_hot(cls, ids: tuple, n: int, mask_id: int | None) -> "_NoveltyCursor":
-        """The cursor of the one-hot rows of ids over n tokens, built from
-        the ids alone: each position's gaps are 0.0 at its token and 1.0
-        elsewhere, so its order is its token, then the others ascending,
-        and no gaps are near-tied."""
-        self = cls.__new__(cls)
-        gaps, orders = _one_hot_rankings(n, mask_id)
-        self.gaps = tuple(gaps[v] for v in ids)
-        self.decode = list(ids)
-        self.orders = tuple(orders[v] for v in ids)
-        length = len(ids)
-        self.tied_from = (length,) * (length + 1)
-        self._push_root()
-        return self
-
-    def _push_root(self) -> None:
         self.heap: list[tuple] = []
         if all(self.orders):
             root = tuple(order[0] for order in self.orders)
@@ -1158,23 +1127,102 @@ def novelty_project_ids(state: np.ndarray, n: int, db: NoveltyDb) -> tuple[int, 
     token ids: claims the cheapest sequence absent from db and returns
     its ids.
 
-    state is an (L,) row of ids below n.  Its cursor in db is built from
-    the ids alone (_NoveltyCursor.one_hot) and keyed by (n, ids), which
-    never equals novelty_project's (shape, bytes) key, so each distinct
-    state resumes one search however many calls hand it in.
+    state is an (L,) row of ids below n.  On its one-hot rows a decode's
+    cost is its Hamming distance from state, so the claim is the first
+    sequence of _ShellWalk(state) that db lacks.  The walk is kept in
+    db keyed by (n, ids), which never equals novelty_project's
+    (shape, bytes) key, so each distinct state resumes one walk however
+    many calls hand it in.
 
     Raises NoveltySaturationError when db covers all N^L sequences.
     """
     ids = tuple(np.asarray(state).tolist())
     key = (n, ids)
-    cursor = db.cursors.get(key)
-    if cursor is None:
+    walk = db.cursors.get(key)
+    if walk is None:
         if not all(0 <= v < n for v in ids):
             raise ValueError(f"state ids must lie in [0, {n})")
-        cursor = db.cursors[key] = _NoveltyCursor.one_hot(ids, n, db.mask_id)
-    selected = cursor.next_absent(db)
-    db.add(selected)
-    return selected.ids
+        walk = db.cursors[key] = iter(_ShellWalk(ids, n, db.mask_id))
+    for seq in walk:
+        candidate = Sequence(seq)
+        if candidate not in db:
+            db.add(candidate)
+            return seq
+    raise NoveltySaturationError("database already contains every sequence")
+
+
+class _ShellWalk:
+    """Every sequence over the n tokens but mask_id, in (Hamming distance
+    from ids, lex) order: _NoveltyCursor's order on the one-hot rows of
+    ids, whose gaps are 0.0 at each position's token and 1.0 elsewhere.
+
+    Shell d holds the sequences at distance d.  A position holding MASK
+    changes in every one of them, so with m such positions the shells
+    run from d = m to L.  Shell 0 is ids itself.  In lex order shell 1
+    is the moves to a smaller token, positions left to right, then the
+    moves to a larger token, positions right to left.  Every other shell
+    is a depth-first walk over the positions, tokens ascending, that
+    spends exactly d flips; on a walk's last flip the rest of the
+    sequence is shell 1 of the rest of ids.  Iterating gives a
+    generator, which resumes where its caller's last claim stopped.  The
+    generators refer to the walk and not back, so dropping one frees it
+    at once, with no cycle left for the garbage collector.
+    """
+
+    __slots__ = ("ids", "mask_id", "tokens", "must", "can")
+
+    def __init__(self, ids: tuple, n: int, mask_id: int | None):
+        self.ids, self.mask_id = ids, mask_id
+        self.tokens = tokens = tuple(v for v in range(n) if v != mask_id)
+        length = len(ids)
+        # must[i] counts the MASK positions from i on, which every
+        # sequence changes; can[i] the positions from i on that can
+        # change at all.
+        must, can = [0] * (length + 1), [0] * (length + 1)
+        for i in range(length - 1, -1, -1):
+            must[i] = must[i + 1] + (ids[i] == mask_id)
+            can[i] = can[i + 1] + (ids[i] == mask_id or len(tokens) > 1)
+        self.must, self.can = must, can
+
+    def __iter__(self) -> Iterator[tuple]:
+        if not self.tokens:
+            return
+        if not self.must[0]:
+            yield self.ids
+        for d in range(max(self.must[0], 1), self.can[0] + 1):
+            yield from self._flips((), 0, d)
+
+    def _flips(self, head: tuple, i: int, budget: int) -> Iterator[tuple]:
+        """head + the sequences budget flips from ids[i:], in lex order."""
+        if budget == 1:
+            yield from self._one_flip(head, i)
+            return
+        v0, must, can = self.ids[i], self.must[i + 1], self.can[i + 1]
+        for v in self.tokens:
+            left = budget - (v != v0)
+            if must <= left <= can:
+                yield from self._flips(head + (v,), i + 1, left)
+
+    def _one_flip(self, head: tuple, i: int) -> Iterator[tuple]:
+        """head + the sequences one flip from ids[i:], in lex order."""
+        ids, tokens = self.ids, self.tokens
+        if self.must[i]:
+            k = ids.index(self.mask_id, i)
+            before, after = head + ids[i:k], ids[k + 1 :]
+            for v in tokens:
+                yield before + (v,) + after
+            return
+        for k in range(i, len(ids)):
+            before, after, v0 = head + ids[i:k], ids[k + 1 :], ids[k]
+            for v in tokens:
+                if v >= v0:
+                    break
+                yield before + (v,) + after
+        for k in range(len(ids) - 1, i - 1, -1):
+            before, after, v0 = head + ids[i:k], ids[k + 1 :], ids[k]
+            for v in tokens:
+                if v > v0:
+                    yield before + (v,) + after
 
 
 def forced_rows(rows: np.ndarray, decode: list, ids) -> np.ndarray:

@@ -19,29 +19,34 @@ index is its row.  Every step draws one uniform per chain and position
 however many are used, so the stream does not depend on which chains
 share a state.
 
-A chain's state is its row of token ids.  On a projected step one
-batched screen passes the chains the operator would leave unchanged.  In
-alm mode the distinct states among the rest then go through one batched
-call of projection.project_ids, which works on the ids alone, with the
-search's term tables the run built once from the constraints; a state
-it leaves infeasible goes on to alm_project's gradient loop from its
-one-hot rows.  The results fill the step's memo, keyed by the id row.
-Chains are then handled in chain order: each takes its state's result,
-and a chain whose result is infeasible, or holds MASK at t = 1, redraws
-at its own turn and has its new state projected on its own, so the rng
-stream does not depend on the batching.  Novelty mode projects each
-failing chain in chain order with projection.novelty_project_ids, which
-takes and returns the chain's ids and builds no rows.  Chains that
-share a state resume one search in the database; the sampler drops the
-database's search cursors when its novelty step ends, so they hold at
-most one step's distinct states.
+A chain's state is its row of token ids.  On a projected step in alm
+mode one batched screen passes the chains the operator would leave
+unchanged.  The distinct states among the rest then go through one
+batched call of projection.project_ids, which works on the ids alone,
+with the search's term tables the run built once from the constraints;
+a state it leaves infeasible goes on to alm_project's gradient loop
+from its one-hot rows.  The results fill the step's memo, keyed by the
+id row.  Chains are then handled in chain order: each takes its state's
+result, and a chain whose result is infeasible, or holds MASK at t = 1,
+redraws at its own turn and has its new state projected on its own, so
+the rng stream does not depend on the batching.
+
+The novelty step is one loop over the chains, in chain order: each
+chain claims a sequence with one projection.novelty_project_ids call,
+which takes and returns the chain's ids and builds no rows.  A claim is
+always accepted: under the masked kernel the database must ban the
+vocabulary's MASK, so no claim holds it, and nothing is redrawn.
+Chains that share a state resume one search in the database; the
+sampler drops the database's searches when its novelty step ends, so
+they hold at most one step's distinct states.
 
 When tracing, each step appends one TraceRecord per chain, in chain
 order.  The step scores the violations once, as arrays: one batched call
 before projection, and in alm mode one after it for the chains the
 screen failed; every other chain keeps its pre value.  The per-chain
-code only looks results up, claims novel sequences and redraws.  An
-untraced run builds none of these arrays.
+code only looks results up, claims novel sequences and redraws; in the
+novelty step tracing adds only each chain's pre value, read at its turn,
+its wall time and its kl.  An untraced run builds none of these arrays.
 
 Projection scheduling: step t projects when t <= T - project_start and
 T - project_start - t is a multiple of project_every, and the final
@@ -145,13 +150,18 @@ class TraceRecord:
     wall_time: float
 
 
-def _validate(corpus: Corpus, cs: ConstraintSet | None, cfg: SampleConfig):
+def _validate(corpus: Corpus, cs: ConstraintSet | None, cfg: SampleConfig, db: NoveltyDb | None):
     if cfg.length != corpus.length:
         raise ValueError(f"config length {cfg.length} != corpus length {corpus.length}")
     if cfg.projection_mode == "alm" and cs is None:
         raise ValueError("projection_mode='alm' requires constraints")
     if cfg.projection_mode == "novelty" and cs is not None:
         raise ValueError("novelty mode does not take a constraint set")
+    # A database that bans the vocabulary's MASK never hands out a claim
+    # holding it, so no claim needs checking before it is emitted.
+    mask_id = corpus.vocab.mask_id
+    if cfg.projection_mode == "novelty" and cfg.kernel == "masked" and db is not None and db.mask_id != mask_id:
+        raise ValueError(f"novelty database mask_id {db.mask_id} is not the vocabulary's MASK id {mask_id}")
     if cs is not None:
         cs.check_fits(corpus.vocab.size, corpus.length)
 
@@ -170,7 +180,7 @@ def sample_constrained(
     the caller's database object is updated in place as sequences are
     claimed.
     """
-    _validate(corpus, cs, cfg)
+    _validate(corpus, cs, cfg, novelty_db)
     if denoiser is None:
         denoiser = ExactBayesDenoiser(corpus)
     if cfg.projection_mode == "novelty" and novelty_db is None:
@@ -254,13 +264,8 @@ class _Engine:
         return self.cs.hard_violations_batch(ids).max(axis=1)
 
     def _passes(self, ids: np.ndarray, t: int) -> np.ndarray:
-        """Which chains of ids the operator would return unchanged at step t.
-
-        Novelty mode passes none, since each chain must claim its own
-        sequence; at t = 1 the masked kernel passes no chain holding MASK.
-        """
-        if self.cfg.projection_mode == "novelty":
-            return np.zeros(ids.shape[0], dtype=bool)
+        """Which chains of ids alm_project would return unchanged at step t;
+        at t = 1 the masked kernel passes no chain holding MASK."""
         passed = self._violations(ids) <= 0.0
         if self.kernel.kind == "masked" and t == 1:
             passed &= ~np.any(ids == self.kernel.mask_id, axis=1)
@@ -288,27 +293,24 @@ class _Engine:
                 # after the claims of the chains before it.
                 pre = np.zeros(b) if projected and novelty else self._violations(ids)
                 kl, outer, wall = [0.0] * b, [0] * b, [0.0] * b
-            if projected:
+            if projected and novelty:
+                self._claim_novel(ids, (pre, kl, wall) if cfg.trace else None)
+            elif projected:
                 failed = ~self._passes(ids, t)
                 # This step's alm results, keyed by the state's id bytes.
                 memo: dict[bytes, tuple] = {}
-                if not novelty:
-                    self._project_states(ids[failed], memo)
-                for ci, fails in enumerate(failed.tolist()):
-                    if fails and not cfg.trace:
+                self._project_states(ids[failed], memo)
+                for ci in np.flatnonzero(failed).tolist():
+                    if not cfg.trace:
                         self._project_chain(ci, offset + ci, t, ids, step, memo)
-                    elif fails:
+                    else:
                         start = time.perf_counter()
-                        if novelty:
-                            pre[ci] = self._violations(ids[ci : ci + 1])[0]
                         kl[ci], outer[ci] = self._project_chain(ci, offset + ci, t, ids, step, memo)
                         wall[ci] = time.perf_counter() - start
-                if novelty:
-                    self.db.cursors.clear()
             if cfg.trace:
-                post = pre.copy()
-                if projected and failed.any():
-                    post[failed] = 0.0 if novelty else self._violations(ids[failed])
+                post = np.zeros(b) if projected and novelty else pre.copy()
+                if projected and not novelty and failed.any():
+                    post[failed] = self._violations(ids[failed])
                 columns = zip(pre.tolist(), post.tolist(), kl, outer, wall)
                 traces.extend(TraceRecord(offset + ci, t, projected, *rec) for ci, rec in enumerate(columns))
         return ids
@@ -390,34 +392,50 @@ class _Engine:
                 res = alm_project(SeqDist(ops.one_hot_rows(state, self.n)), self.terms, self.cfg.alm)
                 memo[key] = (ops.argmax_rows(res.projected.rows), res.feasible, res.outer_iters, res.kl_moved)
 
-    def _project_chain(self, ci, sample_index, t, ids, step, memo) -> tuple[float, int]:
-        """Project chain ci's ids in place; returns its (kl_moved, outer_iters).
+    def _claim_novel(self, ids: np.ndarray, trace: tuple | None) -> None:
+        """Replace each chain's ids by the sequence it claims, in chain order.
 
-        In alm mode the result is a function of the state alone and is
-        read from memo; a state the step's batch did not hold (a retry's
-        redraw) is projected on its own into memo first.  Novelty mode
-        calls novelty_project_ids every time, since each call claims a
-        sequence, on the chain's ids.  It computes kl, which only trace
-        records read, only when tracing, from the one-hot rows and the
-        forced rows novelty_project would return for them.  step is the
+        Each chain makes one novelty_project_ids call on its id row.  trace
+        is None, or the step's (pre, kl, wall) to fill in: pre is the
+        chain's membership in the database at its turn, after the claims
+        of the chains before it, and kl is computed from the one-hot rows
+        and the forced rows novelty_project would return for them.  The
+        database's walks are dropped once every chain has claimed.
+        """
+        n, db = self.n, self.db
+        ops = backend.ops
+        claims = []
+        for ci, state in enumerate(ids):
+            if trace:
+                pre, kl, wall = trace
+                pre[ci] = Sequence(tuple(state.tolist())) in db
+                start = time.perf_counter()
+            claims.append(novelty_project_ids(state, n, db))
+            if trace:
+                x_rows = ops.one_hot_rows(state, n)
+                kl[ci] = ops.kl_rows(x_rows, forced_rows(x_rows, state.tolist(), claims[ci]))
+                wall[ci] = time.perf_counter() - start
+        # No chain's claim reads another chain's row, so all are written at once.
+        ids[:] = claims
+        db.cursors.clear()
+
+    def _project_chain(self, ci, sample_index, t, ids, step, memo) -> tuple[float, int]:
+        """Project chain ci's ids in place (alm mode); returns its
+        (kl_moved, outer_iters).
+
+        The result is a function of the state alone and is read from memo;
+        a state the step's batch did not hold (a retry's redraw) is
+        projected on its own into memo first.  step is the
         (states, mix, inverse) of this step's draw, which a retry draws
         from again.
         """
         cfg = self.cfg
-        ops = backend.ops
         attempts = 0
         while True:
-            if cfg.projection_mode == "alm":
-                key = ids[ci].tobytes()
-                if key not in memo:
-                    self._project_states(ids[ci][None], memo)
-                new_dec, ok, outer, kl_moved = memo[key]
-            else:
-                new_dec = novelty_project_ids(ids[ci], self.n, self.db)
-                ok, outer, kl_moved = True, 0, 0.0
-                if cfg.trace:
-                    x_rows = ops.one_hot_rows(ids[ci], self.n)
-                    kl_moved = ops.kl_rows(x_rows, forced_rows(x_rows, ids[ci].tolist(), new_dec))
+            key = ids[ci].tobytes()
+            if key not in memo:
+                self._project_states(ids[ci][None], memo)
+            new_dec, ok, outer, kl_moved = memo[key]
             # An emitted sequence must not contain the mask token; inside
             # the chain a mask decode just re-opens that position.
             if ok and self.kernel.kind == "masked" and t == 1 and self.kernel.mask_id in new_dec:

@@ -2,6 +2,7 @@
 Lagrangian solver, and novelty redirection."""
 
 import collections
+import gc
 import hashlib
 import itertools
 import math
@@ -34,6 +35,7 @@ from projdiff.projection import (
     _force_argmax_row,
     _NoveltyCursor,
     _row_flip_costs,
+    _ShellWalk,
     alm_project,
     novelty_project,
     novelty_project_ids,
@@ -556,23 +558,69 @@ class TestNoveltyResume:
 
 class TestNoveltyProjectIds:
     """novelty_project_ids is novelty_project on the one-hot rows of an id
-    row, with its cursor built from the ids alone."""
+    row, with its search walked over the ids alone."""
 
-    CURSOR_FIELDS = ("gaps", "decode", "orders", "tied_from", "heap")
+    @staticmethod
+    def claim_both(state, n, by_ids, by_rows, cursor):
+        """One claim on each side: the shell walk through novelty_project_ids
+        and the rows cursor, or None for a side that saturated."""
+        try:
+            got = novelty_project_ids(state, n, by_ids)
+        except NoveltySaturationError:
+            got = None
+        try:
+            want = cursor.next_absent(by_rows)
+            by_rows.add(want)
+            want = want.ids
+        except NoveltySaturationError:
+            want = None
+        return got, want
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("length", [1, 2, 3])
     @pytest.mark.parametrize("mask", [False, True])
-    def test_one_hot_cursor_equals_rows_cursor(self, n, length, mask):
+    def test_shell_walk_claims_equal_rows_cursor(self, n, length, mask):
+        # Every id row's full claim order, until saturation, is the rows
+        # cursor's on its one-hot rows.
         mask_id = n - 1 if mask else None
+        free = (n - 1 if mask else n) ** length
         for ids in itertools.product(range(n), repeat=length):
-            got = _NoveltyCursor.one_hot(ids, n, mask_id)
-            want = _NoveltyCursor(backend.ops.one_hot_rows(np.array(ids), n), mask_id)
-            for field in self.CURSOR_FIELDS:
-                assert getattr(got, field) == getattr(want, field), (ids, field)
-            # A root with no near tie is its own bound, so it is final when popped.
-            for cursor in (got, want):
-                assert all(item[1] is item[2] for item in cursor.heap)
+            state = np.array(ids)
+            by_ids, by_rows = NoveltyDb(mask_id=mask_id), NoveltyDb(mask_id=mask_id)
+            cursor = _NoveltyCursor(backend.ops.one_hot_rows(state, n), mask_id)
+            claims = []
+            while True:
+                got, want = self.claim_both(state, n, by_ids, by_rows, cursor)
+                assert got == want, (ids, len(claims))
+                if got is None:
+                    break
+                claims.append(got)
+            assert len(claims) == len(set(claims)) == free, ids
+            # On an empty database the walk yields the claims and nothing else.
+            assert list(_ShellWalk(ids, n, mask_id)) == claims, ids
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shell_walk_claims_equal_rows_cursor_on_c02_states(self, seed):
+        # c02-shaped states (6 tokens and MASK, L = 6), some holding MASK,
+        # against a database that also grows behind both searches' backs:
+        # the first 300 claims of each state agree.
+        n, length, mask_id = 7, 6, 6
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            state = rng.integers(0, mask_id, size=length)
+            state[rng.random(length) < 0.2] = mask_id
+            start = [Sequence(tuple(rng.integers(0, mask_id, size=length).tolist())) for _ in range(10)]
+            by_ids, by_rows = NoveltyDb(start, mask_id=mask_id), NoveltyDb(start, mask_id=mask_id)
+            cursor = _NoveltyCursor(backend.ops.one_hot_rows(state, n), mask_id)
+            for call in range(300):
+                if call % 7 == 0:  # a near neighbour another chain claimed
+                    extra = state.copy()
+                    extra[rng.integers(0, length, size=2)] = rng.integers(0, mask_id, size=2)
+                    for db in (by_ids, by_rows):
+                        db.add(Sequence(tuple(extra.tolist())))
+                got, want = self.claim_both(state, n, by_ids, by_rows, cursor)
+                assert got == want and got is not None, (state, call)
+            assert len(by_ids) == len(by_rows)
 
     @pytest.mark.parametrize("mask", [False, True])
     @pytest.mark.parametrize("seed", range(4))
@@ -600,6 +648,22 @@ class TestNoveltyProjectIds:
             pytest.fail("the stream never saturated the database")
         assert len(by_ids) == len(by_rows)
         assert len(by_ids.cursors) == len(by_rows.cursors) == len(used)
+
+    def test_dropped_walks_leave_no_garbage_cycles(self):
+        # A walk's generators refer to it and not back, so clearing the
+        # database's walks, some deep in shell 2, frees them at once.
+        rng = np.random.default_rng(0)
+        pool = rng.integers(0, 6, size=(4, 6))
+        db = NoveltyDb(mask_id=6)
+        gc.collect()
+        gc.disable()
+        try:
+            for state in pool[rng.integers(0, len(pool), size=300)]:
+                novelty_project_ids(state, 7, db)
+            db.cursors.clear()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_ids_and_rows_keep_separate_cursors(self):
         # One state handed to both entry points resumes two searches.

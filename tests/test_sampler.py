@@ -537,16 +537,37 @@ class TestNoveltyMode:
         assert len(set(seqs)) == 2000
         assert len(db) == 10 + 2000
 
+    def test_traced_and_untraced_runs_claim_alike(self):
+        # Tracing only reads each chain's membership, wall time and KL
+        # around its claim: on the c02 shape both modes emit the same
+        # sequences and leave equal databases.
+        corpus = make_corpus(make_vocab(6), length=6, n_entries=10, seed=23)
+        runs = []
+        for trace in (False, True):
+            db = NoveltyDb.from_corpus(corpus)
+            config = SampleConfig(
+                steps=12, length=6, num_samples=300, rng_seed=2, projection_mode="novelty", trace=trace
+            )
+            seqs, traces = sample_constrained(corpus, None, config, novelty_db=db)
+            assert len(traces) == (12 * 300 if trace else 0)
+            runs.append((seqs, db._seen, db.cursors))
+        (seqs_a, seen_a, cursors_a), (seqs_b, seen_b, cursors_b) = runs
+        assert seqs_a == seqs_b
+        assert seen_a == seen_b and len(seen_a) == 10 + 300
+        assert cursors_a == cursors_b == {}
+
     def test_database_without_mask_id_cannot_emit_mask(self):
         # The database holds every MASK-free sequence and bans no MASK, so
-        # each pick holds MASK, and the sampler must still refuse it.
+        # each pick would hold MASK: the masked kernel refuses such a
+        # database before any chain runs, naming both ids.
         corpus = make_corpus(make_vocab(2), length=2, n_entries=4)
         db = NoveltyDb(s for s, _ in corpus.entries)
         config = SampleConfig(
             steps=4, length=2, rng_seed=0, projection_mode="novelty", infeasible_policy="abort", trace=False
         )
-        with pytest.raises(InfeasibleSampleError):
+        with pytest.raises(ValueError, match=r"mask_id None .* MASK id 2"):
             sample_constrained(corpus, None, config, novelty_db=db)
+        assert len(db) == 4 and db.cursors == {}
 
     def test_database_in_alm_mode_keeps_mask_scan(self, toy_corpus, monkeypatch):
         # A projection whose decode is all MASK must be refused at t = 1,
@@ -736,10 +757,18 @@ class TestProjectionMemo:
         assert any(len(rows) > 1 for kind, rows in expected)
 
     def test_novelty_projects_every_failing_chain(self, monkeypatch):
-        # Each novelty_project_ids call claims a sequence, so chains
-        # holding the same state still get one call each.
+        # Each novelty_project_ids call claims a sequence, so every chain
+        # fails the novelty step, and chains holding the same state still
+        # get one call each, in chain order.
         corpus = make_corpus(make_vocab(6), length=6, n_entries=10, seed=23)
-        failing, _ = spy_failing_states(monkeypatch)
+        stepped = []  # the id rows handed to each novelty step
+        real_claim = sampler_module._Engine._claim_novel
+
+        def claim(self, ids, trace):
+            stepped.append([row.tobytes() for row in ids])
+            return real_claim(self, ids, trace)
+
+        monkeypatch.setattr(sampler_module._Engine, "_claim_novel", claim)
         projected = []
         real = sampler_module.novelty_project_ids
 
@@ -750,9 +779,9 @@ class TestProjectionMemo:
         monkeypatch.setattr(sampler_module, "novelty_project_ids", spy)
         config = SampleConfig(steps=12, length=6, num_samples=64, rng_seed=0, projection_mode="novelty", trace=False)
         sample_constrained(corpus, None, config)
-        assert list(failing) == [1]
-        assert len(set(failing[1])) < len(failing[1]) == 64
-        assert projected == failing[1]
+        assert len(stepped) == 1
+        assert len(set(stepped[0])) < len(stepped[0]) == 64
+        assert projected == stepped[0]
 
     def test_novelty_step_builds_each_states_rows_once(self, monkeypatch):
         # The database holds one search cursor per distinct state until
