@@ -106,14 +106,17 @@ class Vocabulary:
 
 _CODE_LIMIT = 2**63
 
-# Smaller batches are denoised as they are, and Sequence.from_id_array
-# shares their equal rows through a dict.  On the c01 shape (16 chains,
-# L=10) about one state in eight repeats, and finding the repeats took
-# longer inside a sampling run (about 24 us per call) than the rows they
-# spared.  That still holds now that a state also shares its mixture and
-# CDF rows: with the threshold at 16, five alternating pairs of 8 s
-# perfbench runs on a 2-core VM read samples/s -12.5% on linear and
-# -8.9% on token (medians; slower in every pair).
+# Smaller batches skip the search for repeated states: the denoiser
+# takes them as they are (under the masked kernel it still shares rows
+# between chains with equal compatible-entry sets, found through a dict),
+# and Sequence.from_id_array shares their equal rows through a dict.  On
+# the c01 shape (16 chains, L=10) about one state in eight repeats, and
+# finding the repeats took longer inside a sampling run (about 24 us per
+# call) than the rows they spared.  With the threshold at 16, five
+# alternating pairs of 8 s perfbench runs on a 2-core VM read samples/s
+# -12.5% on linear and -8.9% on token (medians; slower in every pair),
+# measured while each distinct state still got its own denoised,
+# mixture and CDF rows.
 _DEDUPE_MIN_ROWS = 64
 
 
@@ -198,6 +201,14 @@ class Sequence:
         return cls(tuple(vocab.id_of(t) for t in tokens))
 
     @classmethod
+    def unchecked(cls, ids: tuple[int, ...]) -> "Sequence":
+        """A Sequence of a non-empty tuple of ids known to be non-negative,
+        built without the constructor's checks."""
+        seq = object.__new__(cls)
+        seq.__dict__["ids"] = ids
+        return seq
+
+    @classmethod
     def from_id_array(cls, ids: np.ndarray) -> list["Sequence"]:
         """One Sequence per row of a (K, L) integer array.
 
@@ -219,21 +230,19 @@ class Sequence:
             raise ValueError("empty sequence")
         if ids.min() < 0:
             raise ValueError("negative token id")
-        new = object.__new__
+        unchecked = cls.unchecked
         if len(ids) >= _DEDUPE_MIN_ROWS:
             states, inverse = _distinct_rows(ids)
             made = np.empty(len(states), dtype=object)
             for k, row in enumerate(map(tuple, states.tolist())):
-                seq = made[k] = new(cls)
-                seq.__dict__["ids"] = row
+                made[k] = unchecked(row)
             return (made if inverse is None else made.take(inverse)).tolist()
         shared: dict[tuple, Sequence] = {}
         out = []
         for row in map(tuple, ids.tolist()):
             seq = shared.get(row)
             if seq is None:
-                seq = shared[row] = new(cls)
-                seq.__dict__["ids"] = row
+                seq = shared[row] = unchecked(row)
             out.append(seq)
         return out
 

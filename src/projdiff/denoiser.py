@@ -13,7 +13,9 @@ counting positions:
   masked:  q = a if w_i = x_i, (1 - a) if w_i = MASK, else 0.  Every
            compatible entry matches on all unmasked positions, so the
            likelihood is constant across compatible entries and the
-           posterior just restricts the prior to them.
+           posterior just restricts the prior to them.  Observations
+           with the same set of compatible entries, in whatever state,
+           share one posterior, and a batch computes it once per set.
   uniform: q = a * 1[w_i = x_i] + (1 - a)/N, so the likelihood is
            proportional to (1 + a N / (1 - a)) ** #matches.
 """
@@ -34,7 +36,7 @@ def _posterior_weights(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray, a_t
     """Unnormalized posterior entry weights for a (B, L) batch of observations.
 
     Returns (B, M); a zero row means the observation is incompatible with
-    every entry.  Every posterior path range-checks a_t here.
+    every entry.  Every posterior path range-checks a_t and the ids here.
     """
     if not 0.0 <= a_t <= 1.0:
         raise ValueError(f"signal level {a_t} outside [0, 1]")
@@ -43,32 +45,35 @@ def _posterior_weights(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray, a_t
     if ids.shape[1] != entries.shape[1]:
         raise ValueError("observed length differs from corpus length")
     n = kernel.vocab_size
+    # The masked kernel's table is indexed by the ids.
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"token ids must lie in [0, {n})")
+    if kernel.kind == "masked":
+        # The prior restricted to the compatible entries.
+        return prior * _compatible(corpus, kernel, ids)
     # Token indicators of the observations times the entries' one-hots
     # count each entry's matching positions; small integers, so exact.
     observed = (ids[:, :, None] == np.arange(n)).reshape(len(ids), -1).astype(float)
     matches = observed @ _entry_onehots(corpus, n).reshape(len(entries), -1).T  # (B, M)
-    if kernel.kind == "masked":
-        # No entry holds MASK, so a compatible entry matches every unmasked position.
-        return prior * (matches == (ids != kernel.mask_id).sum(axis=1, keepdims=True))
     if a_t >= 1.0:
         return prior * (matches == entries.shape[1])
     ratio = 1.0 + a_t * n / (1.0 - a_t)
     return prior * np.power(ratio, matches)
 
 
-def _marginals(corpus: Corpus, kernel: NoiseKernel, states: np.ndarray, a_t: float):
-    """(rows, empty) for a (U, L) batch of states: their (U, L, N)
-    posterior marginals, and the (U,) mask of the states no corpus entry
-    is compatible with, whose rows are zero.
+def _weighted_marginals(corpus: Corpus, n: int, weights: np.ndarray):
+    """(rows, empty) for (U, M) unnormalized entry weights: the (U, L, N)
+    marginals of the posteriors they define, and the (U,) mask of the
+    all-zero rows, whose marginals are zero.
 
     The entry sum is an einsum, whose order does not depend on the batch,
-    where a BLAS product's can, so a state's row is the same in any batch.
+    where a BLAS product's can, so a row of weights gives the same
+    marginals in any batch.
     """
-    weights = _posterior_weights(corpus, kernel, states, a_t)
-    totals = weights.sum(axis=1, keepdims=True)
-    empty = totals[:, 0] <= 0.0  # every weight of such a row is 0
+    totals = weights.sum(axis=1)
+    empty = totals <= 0.0  # every weight of such a row is 0
     totals[empty] = 1.0
-    rows = np.einsum("um,mln->uln", weights / totals, _entry_onehots(corpus, kernel.vocab_size))
+    rows = np.einsum("um,mln->uln", weights / totals[:, None], _entry_onehots(corpus, n))
     return rows, empty
 
 
@@ -79,7 +84,8 @@ def exact_posterior(corpus: Corpus, kernel: NoiseKernel, xt_decoded: Sequence, a
     Raises IncompatibleEvidenceError when no entry has positive
     likelihood (only possible under the masked kernel).
     """
-    rows, empty = _marginals(corpus, kernel, xt_decoded.as_array()[None, :], a_t)
+    weights = _posterior_weights(corpus, kernel, xt_decoded.as_array()[None, :], a_t)
+    rows, empty = _weighted_marginals(corpus, kernel.vocab_size, weights)
     if empty[0]:
         raise IncompatibleEvidenceError(f"no corpus entry compatible with {xt_decoded.ids}")
     return SeqDist(rows[0])
@@ -103,6 +109,59 @@ def _entry_onehots(corpus: Corpus, n: int) -> np.ndarray:
     return out
 
 
+def _entry_matches(corpus: Corpus, n: int, mask_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, offsets): the (L * N, W) uint64 table whose row i * N + v
+    has bit m % 64 of word m // 64 set when entry m holds token v at
+    position i, with every entry matching MASK, and the (L,) row offsets
+    i * N.
+
+    An (L,) row of ids below n is compatible with entry m when that bit
+    is set in every row ids + offsets of the table.  Cached on the corpus
+    instance, as _entry_onehots is.
+    """
+    cached = getattr(corpus, "_match_cache", None)
+    if cached is not None and cached[0] == (n, mask_id):
+        return cached[1], cached[2]
+    entries = corpus.sequences()
+    m, length = entries.shape
+    words = -(-m // 64)
+    holds = np.zeros((length, n, 64 * words), dtype=bool)
+    holds[np.arange(length)[:, None], entries.T, np.arange(m)] = True
+    holds[:, mask_id, :m] = True
+    table = np.packbits(holds, axis=2, bitorder="little").view("<u8").reshape(length * n, words)
+    offsets = np.arange(length) * n
+    corpus._match_cache = ((n, mask_id), table, offsets)
+    return table, offsets
+
+
+def _compatible(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray) -> np.ndarray:
+    """(B, M) booleans: which entries are compatible under the masked
+    kernel with each row of a (B, L) batch of ids in [0, N), that is,
+    hold every token of the row but MASK."""
+    table, offsets = _entry_matches(corpus, kernel.vocab_size, kernel.mask_id)
+    words = np.bitwise_and.reduce(table.take(ids + offsets, axis=0), axis=1)  # (B, W)
+    return np.unpackbits(words.view(np.uint8), axis=1, count=corpus.size, bitorder="little").view(bool)
+
+
+def _distinct_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(first, index) for a (U, M) batch of entry weight rows.
+
+    first holds the first row of each distinct weight row, in order, and
+    row u equals row first[index[u]]; index is None when no row repeats,
+    and then first is every row.  A dict keyed by each row's bytes finds
+    the first rows: at 16 rows that takes a few microseconds, where
+    np.unique takes about 11.
+    """
+    u = len(weights)
+    blob, w = weights.tobytes(), weights.itemsize * weights.shape[1]
+    seen: dict[bytes, int] = {}
+    firsts = [seen.setdefault(blob[k * w : (k + 1) * w], k) for k in range(u)]
+    if len(seen) == u:
+        return np.arange(u), None
+    first = np.fromiter(seen.values(), np.intp, len(seen))
+    return first, first.searchsorted(firsts)
+
+
 class ExactBayesDenoiser:
     """Callable denoiser (xt, a_t, kernel) -> SeqDist over the exact corpus
     posterior.
@@ -112,16 +171,21 @@ class ExactBayesDenoiser:
     fallback_count records how often that happened.  A call is a one-row
     posterior_batch.
 
-    The batch methods return (states, rows, inverse): the (U, L) distinct
-    states of a (B, L) batch, their (U, L, N) marginals, and the (B,)
-    index with states[inverse] equal to the batch, so rows[inverse] holds
-    each chain's rows.  A batch of at least core._DEDUPE_MIN_ROWS rows
-    computes each distinct state once; below that size, or when no state
-    repeats, states is the batch itself and inverse the identity.  A row's
-    marginals are a function of its state alone, so every chain gets the
-    row it would get on its own, and fallback_count counts every chain,
-    repeats included.  Every method raises ValueError for a signal level
-    outside [0, 1].
+    The batch methods return (states, rows, inverse) for a (B, L) batch:
+    (K, L) states, their (K, L, N) marginals, and the (B,) index with
+    rows[inverse] holding each chain's rows.  Block k is one distinct
+    posterior and states[k] a state of a chain that has it.  Under the
+    uniform kernel a block is a distinct state, and states[inverse]
+    equals the batch.  Under the masked kernel the posterior is the
+    prior restricted to the entries compatible with the state, so a
+    block is a distinct set of compatible entries, and chains in
+    different states can share it.  A batch of at least
+    core._DEDUPE_MIN_ROWS rows first finds its distinct states.  When no
+    two chains share a block, states is the batch itself and inverse the
+    identity.  A block's rows are a function of its state or set alone,
+    so every chain gets the rows it would get on its own, and
+    fallback_count counts every chain, repeats included.  Every method
+    raises ValueError for a signal level outside [0, 1].
     """
 
     def __init__(self, corpus: Corpus):
@@ -143,8 +207,16 @@ class ExactBayesDenoiser:
         """(states, rows, inverse) of the posterior marginals of a (B, L)
         batch of decoded states; an incompatible state gets the prior's."""
         states, inverse = _distinct_rows(ids)
-        rows, empty = _marginals(self.corpus, kernel, states, a_t)
-        if np.any(empty):
+        weights = _posterior_weights(self.corpus, kernel, states, a_t)
+        if kernel.kind == "masked":
+            # The weights are the prior on the state's compatible entries,
+            # so states with one compatible set share one row of them.
+            first, index = _distinct_weights(weights)
+            if index is not None:
+                states, weights = states[first], weights[first]
+                inverse = index if inverse is None else index.take(inverse)
+        rows, empty = _weighted_marginals(self.corpus, kernel.vocab_size, weights)
+        if empty.any():
             self.fallback_count += int(np.count_nonzero(empty if inverse is None else empty.take(inverse)))
             rows[empty] = self._prior()
         return states, rows, np.arange(len(states)) if inverse is None else inverse

@@ -25,7 +25,9 @@ For exactness x0_hat should exclude the current position's own evidence
 counts the current token twice, which is a mild extra sharpening.
 
 reverse_mixture_rows gives the rows of this transition; the sampler
-builds them once per distinct chain state and draws from them.
+builds them once per block of chains that share their denoised rows (a
+distinct compatible-entry set under the masked kernel, a distinct state
+under the uniform kernel) and draws from them.
 """
 
 from __future__ import annotations

@@ -994,6 +994,15 @@ class NoveltyDb:
     def add(self, seq: Sequence) -> None:
         self._seen.add(seq)
 
+    def claim(self, seq: Sequence) -> bool:
+        """Add seq unless it is stored already; returns whether it was
+        added.  One hash of seq; seq must not hold mask_id, which this
+        does not check."""
+        seen = self._seen
+        size = len(seen)
+        seen.add(seq)
+        return len(seen) > size
+
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "NoveltyDb":
         return cls((s for s, _ in corpus.entries), mask_id=corpus.vocab.mask_id)
@@ -1140,13 +1149,15 @@ def novelty_project_ids(state: np.ndarray, n: int, db: NoveltyDb) -> tuple[int, 
     key = (n, ids)
     walk = db.cursors.get(key)
     if walk is None:
+        if not ids:
+            raise ValueError("empty sequence")
         if not all(0 <= v < n for v in ids):
             raise ValueError(f"state ids must lie in [0, {n})")
         walk = db.cursors[key] = iter(_ShellWalk(ids, n, db.mask_id))
+    # The walk yields in-range tuples free of db's MASK, so no candidate
+    # needs Sequence's checks.
     for seq in walk:
-        candidate = Sequence(seq)
-        if candidate not in db:
-            db.add(candidate)
+        if db.claim(Sequence.unchecked(seq)):
             return seq
     raise NoveltySaturationError("database already contains every sequence")
 

@@ -6,18 +6,22 @@ t-1, and then, on scheduled steps, projects the new state so that its
 decode is feasible.  Chains are advanced in lockstep as a batch; all
 randomness comes from one generator stream so runs are reproducible.
 
-The reverse step works per distinct state: many chains share a state, and
-a chain's denoised rows and reverse mixture depend on its state alone.
-The denoiser's rows and the mixture are built once for each distinct
-state, and each chain inverts its own uniforms against its state's block
-of L CDF rows, only at the positions that can change.  Under the masked
-kernel those are the MASK positions, each drawn against its own row;
-under the uniform kernel every position changes, and each chain's block
-is gathered once, by the chain's state index.  When no two chains share
-a state the mixture holds one block per chain, and a position's flat
-index is its row.  Every step draws one uniform per chain and position
-however many are used, so the stream does not depend on which chains
-share a state.
+The reverse step works per block of chains that share their denoised
+rows, and so their reverse mixture.  Under the uniform kernel a block is
+a distinct state.  Under the masked kernel it is a distinct set of
+compatible corpus entries, since the exact posterior is the prior
+restricted to that set: chains in different states share a block, and
+most chains of a constrained run match no entry and share the prior's.
+The denoiser's rows and the mixture are built once per block, and each
+chain inverts its own uniforms against its block of L CDF rows, only at
+the positions that can change.  Under the masked kernel those are the
+MASK positions, each drawn against its own row; under the uniform
+kernel every position changes, and each chain's block is gathered once,
+by the chain's block index.  When no two chains share a block the
+mixture holds one block per chain, and a position's flat index is its
+row.  A retry redraws from the chain's own pre-draw ids and its block.
+Every step draws one uniform per chain and position however many are
+used, so the stream does not depend on which chains share a block.
 
 A chain's state is its row of token ids.  On a projected step in alm
 mode one batched screen passes the chains the operator would leave
@@ -226,14 +230,15 @@ class _Engine:
         return seqs, traces
 
     def _denoise_states(self, ids: np.ndarray, a_t: float):
-        """(states, rows, inverse) for a (B, L) batch: the (U, L) distinct
-        states, their (U, L, N) denoised rows, and the (B,) index with
-        states[inverse] equal to ids.
+        """(states, rows, inverse) for a (B, L) batch, as the exact
+        denoiser's batch methods give them: the (K, L) states of the K
+        blocks, their (K, L, N) denoised rows, and the (B,) block of each
+        chain.
 
         The reverse step is exact when fed leave-one-out posteriors (under
         the masked kernel, the full ones); generic denoisers supply the
-        plain estimate instead, one chain at a time, with U = B and the
-        identity index.
+        plain estimate instead, one chain at a time, with one block per
+        chain: states is ids and inverse the identity.
         """
         if isinstance(self.denoiser, ExactBayesDenoiser):
             return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel)
@@ -284,8 +289,7 @@ class _Engine:
 
         for t in range(cfg.steps, 0, -1):
             step = self._reverse_mixture(ids, t)
-            states, mix, inverse = step
-            ids = self._draw(ids, mix, None if states is ids else inverse, self.rng.random((b, length)))
+            ids = self._draw(ids, step[1], step[2], self.rng.random((b, length)))
 
             projected = self._projects_at(t)
             if cfg.trace:
@@ -316,53 +320,58 @@ class _Engine:
         return ids
 
     def _reverse_mixture(self, ids: np.ndarray, t: int):
-        """(states, mix, inverse) of the step from level t to t - 1.
+        """(ids, mix, index) of the step from level t to t - 1.
 
-        states and inverse are as _denoise_states gives them; mix holds the
-        (U * L, N) reverse mixture rows of the distinct states, row
-        k * L + j for position j of state k.
+        ids is the step's (B, L) batch itself, not a copy: the draw
+        writes a new array, so ids keeps each chain's pre-draw ids for its
+        redraws.  mix holds
+        the (K * L, N) reverse mixture rows of the K blocks
+        _denoise_states gives, row k * L + j for position j of block k;
+        index is the (B,) block of each chain, or None when block i is
+        chain i.
         """
         a_t = self.schedule.alpha(t)
         a_s = self.schedule.alpha(t - 1)
         states, denoised, inverse = self._denoise_states(ids, a_t)
         mix = reverse_mixture_rows(self.kernel, denoised.reshape(-1, self.n), a_t, a_s, states.reshape(-1))
-        return states, mix, inverse
+        return ids, mix, None if states is ids else inverse
 
-    def _draw(self, prev: np.ndarray, mix: np.ndarray, inverse: np.ndarray | None, u: np.ndarray) -> np.ndarray:
+    def _draw(self, prev: np.ndarray, mix: np.ndarray, index: np.ndarray | None, u: np.ndarray) -> np.ndarray:
         """Next ids of the (k, L) chains prev, one uniform of u per position.
 
-        Position j of chain i inverts u[i, j] against row j of its state's
-        L-row block of the mixture rows mix: block inverse[i], or block i
-        when inverse is None (no two chains share a state), so that then
-        the flat position i * L + j is the row index itself.  Only
-        positions that can change are drawn: the MASK positions under the
-        masked kernel, where a settled position keeps its token, and every
-        position under the uniform kernel, which with inverse given
-        gathers each chain's block once.
+        Position j of chain i inverts u[i, j] against row j of its L-row
+        block of the mixture rows mix: block index[i], or block i when
+        index is None (each chain its own block), so that then the flat
+        position i * L + j is the row index itself.  Only positions that
+        can change are drawn: the MASK positions under the masked kernel,
+        where a settled position keeps its token, and every position under
+        the uniform kernel, which with index given gathers each chain's
+        block once.
         """
         length = prev.shape[1]
         if self.kernel.kind == "uniform":
-            if inverse is None:
+            if index is None:
                 return backend.ops.sample_rows(mix, u.ravel()).reshape(prev.shape)
-            return backend.ops.sample_rows(mix.reshape(-1, length, mix.shape[1]), u, inverse)
+            return backend.ops.sample_rows(mix.reshape(-1, length, mix.shape[1]), u, index)
         flat = prev.ravel()
-        pos = np.flatnonzero(flat == self.kernel.mask_id)
-        rows = pos if inverse is None else inverse.take(pos // length) * length + pos % length
+        pos = (flat == self.kernel.mask_id).nonzero()[0]
+        rows = pos if index is None else index.take(pos // length) * length + pos % length
         out = flat.copy()
         out[pos] = backend.ops.sample_rows(mix, u.ravel().take(pos), rows)
         return out.reshape(prev.shape)
 
     def _redraw(self, ci: int, step) -> np.ndarray:
-        """Chain ci's transition drawn again from its state's mixture rows.
+        """Chain ci's transition drawn again from its block's mixture rows.
 
-        step is the (states, mix, inverse) of this step's draw; the (L, N)
-        rows of the chain's state go to one sample_rows call of their own.
+        step is the (ids, mix, index) of this step's draw: chain ci's
+        pre-draw ids and the (L, N) rows of its block go to one
+        sample_rows call of their own.
         """
-        states, mix, inverse = step
+        prev, mix, index = step
         length = self.cfg.length
-        k = inverse[ci] * length
+        k = (ci if index is None else index[ci]) * length
         u = self.rng.random((1, length))
-        return self._draw(states[inverse[ci]][None], mix[k : k + length], None, u)[0]
+        return self._draw(prev[ci][None], mix[k : k + length], None, u)[0]
 
     def _project_states(self, failing: np.ndarray, memo: dict) -> None:
         """Project the distinct id rows of failing into memo (alm mode).
@@ -426,8 +435,8 @@ class _Engine:
         The result is a function of the state alone and is read from memo;
         a state the step's batch did not hold (a retry's redraw) is
         projected on its own into memo first.  step is the
-        (states, mix, inverse) of this step's draw, which a retry draws
-        from again.
+        (ids, mix, index) of this step's draw, which a retry draws from
+        again.
         """
         cfg = self.cfg
         attempts = 0

@@ -40,6 +40,16 @@ def make_corpus(
     return Corpus(vocab, entries)
 
 
+def compatible_sets(corpus, ids):
+    """Each row's set of masked-kernel compatible entries, written out."""
+    mask = corpus.vocab.mask_id
+    entries = corpus.sequences().tolist()
+    return [
+        frozenset(m for m, entry in enumerate(entries) if all(v in (mask, e) for v, e in zip(row, entry)))
+        for row in ids.tolist()
+    ]
+
+
 def make_constraint_set(rng, n, length):
     """One to three constraints of random families over n tokens and length positions."""
     out = []

@@ -75,6 +75,12 @@ class TestSequence:
         with pytest.raises(ValueError):
             Sequence(())
 
+    def test_unchecked_equals_checked(self):
+        s = Sequence.unchecked((1, 0, 2))
+        assert type(s) is Sequence and s.ids == (1, 0, 2)
+        assert s == Sequence((1, 0, 2)) and hash(s) == hash(Sequence((1, 0, 2)))
+        assert {s: 1}[Sequence((1, 0, 2))] == 1
+
     def test_from_tokens(self):
         v = Vocabulary(("a", "b"))
         assert Sequence.from_tokens(["b", "a"], v) == Sequence((1, 0))

@@ -12,7 +12,7 @@ from projdiff.denoiser import ExactBayesDenoiser, IncompatibleEvidenceError, exa
 from projdiff.noise import NoiseKernel
 from projdiff.oracle import enumerate_posterior
 
-from conftest import make_corpus, make_vocab
+from conftest import compatible_sets, make_corpus, make_vocab
 
 
 # Hand-checkable fixture: corpus {ab: 2/3, bb: 1/3} over {a, b, MASK}.
@@ -97,6 +97,20 @@ class TestExactBayesDenoiser:
         expect = exact_posterior(tiny_corpus, kernel, Sequence((0, 2)), 0.5)
         assert np.allclose(out.rows, expect.rows)
         assert den.fallback_count == 0
+
+    @pytest.mark.parametrize("kind", ["masked", "uniform"])
+    @pytest.mark.parametrize("state", [(0, 3), (3, 0), (-1, 0), (0, -1)])
+    def test_out_of_range_id_raises(self, tiny_corpus, kind, state):
+        # Under the masked kernel id 3 at position 0 would read the
+        # table's row of token 0 at position 1, and -1 that of MASK.
+        kernel = NoiseKernel.for_vocab(kind, tiny_corpus.vocab)
+        den = ExactBayesDenoiser(tiny_corpus)
+        for method in (den.posterior_batch, den.posterior_loo_batch):
+            with pytest.raises(ValueError, match="token ids"):
+                method(np.array([state, (0, 1)]), 0.5, kernel)
+        if min(state) >= 0:
+            with pytest.raises(ValueError, match="token ids"):
+                exact_posterior(tiny_corpus, kernel, Sequence(state), 0.5)
 
     def test_fallback_to_prior_on_incompatible(self, tiny_corpus):
         kernel = NoiseKernel.masked(tiny_corpus.vocab)
@@ -228,9 +242,19 @@ class TestOnePosteriorPath:
                 getattr(den, caller)(state.as_array()[None, :], a_t, kernel)
 
 
+def block_count(corpus, kernel, ids):
+    """How many blocks the batch methods give ids: one per distinct
+    compatible set under the masked kernel, and under the uniform one the
+    batch itself below 64 rows, then one per distinct state."""
+    if kernel.kind == "masked":
+        return len(set(compatible_sets(corpus, ids)))
+    return len(ids) if len(ids) < 64 else len(np.unique(ids, axis=0))
+
+
 class TestDistinctStates:
-    """The batch methods compute each distinct state once; repeats must
-    not show in the rows or in fallback_count."""
+    """The batch methods compute each block once, a distinct state or
+    under the masked kernel a distinct compatible set; repeats must not
+    show in the rows or in fallback_count."""
 
     @staticmethod
     def repeated_batch(corpus, kernel, rng, distinct=12, size=96):
@@ -267,39 +291,53 @@ class TestDistinctStates:
     @pytest.mark.parametrize("kind", ["masked", "uniform"])
     @pytest.mark.parametrize("size", [40, 96])
     def test_ungathered_rows_gather_to_the_batch(self, kind, size):
-        # 40 rows are below the deduplication size: the batch itself and
-        # the identity index come back.
+        # Under the uniform kernel 40 rows are below the deduplication
+        # size: the batch itself and the identity index come back.  Under
+        # the masked kernel each block's state holds the compatible set of
+        # every chain the index sends to it.
         vocab = make_vocab(4, with_mask=(kind == "masked"))
         corpus = make_corpus(vocab, length=5, n_entries=7, seed=11)
         kernel = NoiseKernel.for_vocab(kind, vocab)
         ids = self.repeated_batch(corpus, kernel, np.random.default_rng(5), size=size)
         for method in ("posterior_batch", "posterior_loo_batch"):
             batched, single = ExactBayesDenoiser(corpus), ExactBayesDenoiser(corpus)
-            states, state_rows, inverse = getattr(batched, method)(ids, 0.4, kernel)
-            assert np.array_equal(states[inverse], ids)
-            assert len(states) == (size if size < 64 else len(np.unique(ids, axis=0)))
+            states, block_rows, inverse = getattr(batched, method)(ids, 0.4, kernel)
+            if kind == "masked":
+                assert compatible_sets(corpus, states[inverse]) == compatible_sets(corpus, ids)
+            else:
+                assert np.array_equal(states[inverse], ids)
+            assert len(states) == block_count(corpus, kernel, ids)
             rows = np.concatenate([getattr(single, method)(ids[b : b + 1], 0.4, kernel)[1] for b in range(size)])
-            assert np.array_equal(state_rows[inverse], rows)
+            assert np.array_equal(block_rows[inverse], rows)
             assert batched.fallback_count == single.fallback_count
 
     @pytest.mark.parametrize("kind", ["masked", "uniform"])
-    def test_each_distinct_state_computed_once(self, monkeypatch, kind):
+    @pytest.mark.parametrize("size", [40, 96])
+    def test_each_block_computed_once(self, monkeypatch, kind, size):
+        # Under the masked kernel the marginals are built from one row of
+        # entry weights per distinct compatible set; under the uniform
+        # kernel the weights are computed once per distinct state.
         vocab = make_vocab(4, with_mask=(kind == "masked"))
         corpus = make_corpus(vocab, length=5, n_entries=7, seed=11)
         kernel = NoiseKernel.for_vocab(kind, vocab)
-        ids = self.repeated_batch(corpus, kernel, np.random.default_rng(4))
+        ids = self.repeated_batch(corpus, kernel, np.random.default_rng(4), size=size)
         sizes = []
+        # Both take the (U, ...) batch they work on as their third argument.
+        name = "_weighted_marginals" if kind == "masked" else "_posterior_weights"
+        real = getattr(denoiser_module, name)
 
-        def spy(corpus, kernel, states, a_t):
-            sizes.append(len(states))
-            return real(corpus, kernel, states, a_t)
+        def spy(*args):
+            sizes.append(len(args[2]))
+            return real(*args)
 
-        real = denoiser_module._posterior_weights
-        monkeypatch.setattr(denoiser_module, "_posterior_weights", spy)
+        monkeypatch.setattr(denoiser_module, name, spy)
         den = ExactBayesDenoiser(corpus)
         den.posterior_batch(ids, 0.4, kernel)
         den.posterior_loo_batch(ids, 0.4, kernel)
-        assert sizes == [len(np.unique(ids, axis=0))] * 2
+        blocks = block_count(corpus, kernel, ids)
+        if kind == "masked":
+            assert blocks < len(np.unique(ids, axis=0))
+        assert sizes == [blocks] * 2
 
     def test_repeated_incompatible_rows_each_fall_back(self, tiny_corpus):
         kernel = NoiseKernel.masked(tiny_corpus.vocab)

@@ -380,6 +380,15 @@ class TestNoveltyDb:
         db.add(Sequence((1, 0)))
         assert len(db) == 2
 
+    def test_claim_adds_only_an_absent_sequence(self):
+        db = NoveltyDb([Sequence((0, 1))], mask_id=2)
+        assert not db.claim(Sequence.unchecked((0, 1)))
+        assert len(db) == 1
+        assert db.claim(Sequence.unchecked((1, 0)))
+        assert Sequence((1, 0)) in db and len(db) == 2
+        assert not db.claim(Sequence((1, 0)))
+        assert len(db) == 2
+
     def test_from_corpus(self, tiny_corpus):
         db = NoveltyDb.from_corpus(tiny_corpus)
         assert Sequence((0, 1)) in db

@@ -12,7 +12,7 @@ from projdiff import backend
 from projdiff import projection as projection_module
 from projdiff import sampler as sampler_module
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
-from projdiff.core import SeqDist, Sequence
+from projdiff.core import Corpus, SeqDist, Sequence, Vocabulary
 from projdiff.denoiser import ExactBayesDenoiser
 from projdiff.noise import reverse_mixture_rows
 from projdiff.oracle import enumerate_novelty
@@ -25,7 +25,7 @@ from projdiff.sampler import (
     violation_contraction,
 )
 
-from conftest import make_corpus, make_vocab
+from conftest import compatible_sets, make_corpus, make_vocab
 
 
 def simple_cs():
@@ -903,8 +903,8 @@ def full_row_draw(rows, u):
 
 
 class TestPerStateDraw:
-    """The reverse step built once per distinct state, against the path
-    it replaced: the denoiser's rows gathered to every chain, then
+    """The reverse step built once per block, against the path it
+    replaced: the denoiser's rows gathered to every chain, then
     reverse_mixture_rows and the draw on each chain's own rows, with
     settled positions put back under the masked kernel."""
 
@@ -928,30 +928,137 @@ class TestPerStateDraw:
                 marg = np.stack([exact(SeqDist(np.eye(n)[row]), a_t, engine.kernel).rows for row in ids])
             else:
                 batch = exact.posterior_loo_batch if kernel == "uniform" else exact.posterior_batch
-                _, state_marg, index = batch(ids, a_t, engine.kernel)
-                marg = state_marg[index]
+                _, block_marg, index = batch(ids, a_t, engine.kernel)
+                marg = block_marg[index]
             step = engine._reverse_mixture(ids, t)
-            states, mix, inverse = step
-            assert len(states) == (b if b < 64 or denoiser == "generic" else len(np.unique(ids, axis=0)))
-            got = engine._draw(ids, mix, inverse, engine.rng.random((b, length)))
+            prev, mix, index = step
+            assert prev is ids
+            # One block per chain for a generic denoiser; per distinct
+            # state under the uniform kernel from 64 chains on; per
+            # distinct compatible set under the masked kernel.
+            if denoiser == "generic":
+                blocks = b
+            elif kernel == "uniform":
+                blocks = b if b < 64 else len(np.unique(ids, axis=0))
+            else:
+                blocks = len(set(compatible_sets(corpus, ids)))
+            assert len(mix) == blocks * length
+            assert (index is None) == (blocks == b)
+            got = engine._draw(ids, mix, index, engine.rng.random((b, length)))
 
             u = twin.random((b, length))
             want = np.empty_like(ids)
             chain_rows = []
             for i in range(b):
                 rows = reverse_mixture_rows(engine.kernel, marg[i], a_t, a_s, ids[i])
-                assert np.array_equal(mix.reshape(len(states), length, n)[inverse[i]], rows)
+                block = i if index is None else index[i]
+                assert np.array_equal(mix.reshape(blocks, length, n)[block], rows)
                 drawn = full_row_draw(rows, u[i])
                 want[i] = np.where(ids[i] != mask, ids[i], drawn) if kernel == "masked" else drawn
                 chain_rows.append(rows)
             assert np.array_equal(got, want)
 
-            for ci in (0, b // 2, b - 1):  # a retry redraws from its state's rows
+            for ci in (0, b // 2, b - 1):  # a retry redraws from its block's rows
                 drawn = full_row_draw(chain_rows[ci], twin.random(length))
                 expect = np.where(ids[ci] != mask, ids[ci], drawn) if kernel == "masked" else drawn
                 assert np.array_equal(engine._redraw(ci, step), expect)
             ids = got
         assert engine.rng.random() == twin.random()
+
+
+def per_state_step(corpus, kernel, ids, a_t, a_s):
+    """The masked reverse step built once per distinct state, as it was
+    before blocks were sets: each state's entry weights from counting its
+    matching positions through the entries' one-hot rows, the prior's
+    rows for a state no entry is compatible with, and every chain's
+    mixture rows.  Returns the (B, L, N) mixture rows and how many chains
+    fell back to the prior."""
+    n, length = kernel.vocab_size, corpus.length
+    entries, prior = corpus.sequences(), corpus.weights()
+    states, inverse = np.unique(ids, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    onehots = np.eye(n)[entries]  # (M, L, N)
+    matches = np.eye(n)[states].reshape(len(states), -1) @ onehots.reshape(len(entries), -1).T
+    weights = prior * (matches == (states != kernel.mask_id).sum(axis=1, keepdims=True))
+    totals = weights.sum(axis=1, keepdims=True)
+    empty = totals[:, 0] <= 0.0
+    totals[empty] = 1.0
+    rows = np.einsum("um,mln->uln", weights / totals, onehots)
+    fallback = corpus.prior_marginals()
+    rows[empty] = fallback / fallback.sum(axis=1, keepdims=True)
+    mix = reverse_mixture_rows(kernel, rows.reshape(-1, n), a_t, a_s).reshape(len(states), length, n)
+    return mix[inverse], int(np.count_nonzero(empty[inverse]))
+
+
+def mask_first_corpus(n_data, length, n_entries, seed):
+    """A corpus over a vocabulary whose MASK is id 0, before the data tokens."""
+    vocab = Vocabulary(("[MASK]",) + tuple("abcdefghijklmnop"[:n_data]), mask_id=0)
+    shifted = make_corpus(make_vocab(n_data, with_mask=False), length, n_entries, seed=seed)
+    return Corpus(vocab, [(Sequence(tuple(v + 1 for v in seq.ids)), w) for seq, w in shifted.entries])
+
+
+class TestPerSetStep:
+    """Under the masked kernel the step is built once per distinct set of
+    compatible entries; it must give every chain the mixture rows, draws,
+    redraws and fallbacks of the step built once per distinct state."""
+
+    CASES = {
+        "c01-16": (lambda: make_corpus(make_vocab(12), length=10, n_entries=16, seed=11), 16, 0.5),
+        "c01-300": (lambda: make_corpus(make_vocab(12), length=10, n_entries=16, seed=11), 300, 0.5),
+        "no-match-16": (lambda: make_corpus(make_vocab(6), length=6, n_entries=10, seed=23), 16, 0.0),
+        "no-match-300": (lambda: make_corpus(make_vocab(6), length=6, n_entries=10, seed=23), 300, 0.05),
+        "m100-40": (lambda: make_corpus(make_vocab(3), length=6, n_entries=100, seed=3), 40, 0.6),
+        "m100-500": (lambda: make_corpus(make_vocab(3), length=6, n_entries=100, seed=3), 500, 0.6),
+        "mask-first-20": (lambda: mask_first_corpus(4, 4, 12, seed=8), 20, 0.6),
+        "mask-first-200": (lambda: mask_first_corpus(4, 4, 12, seed=8), 200, 0.6),
+    }
+
+    @staticmethod
+    def start_states(rng, corpus, b, matching):
+        """b states: a share `matching` of them are entries with about half
+        their positions masked, and the rest random data tokens with
+        about a third masked, which mostly match no entry."""
+        vocab, length = corpus.vocab, corpus.length
+        data = np.array([v for v in range(vocab.size) if v != vocab.mask_id])
+        entries = corpus.sequences()
+        noisy = np.where(rng.random((b, length)) < 0.5, vocab.mask_id, entries[rng.integers(0, len(entries), b)])
+        other = np.where(rng.random((b, length)) < 1 / 3, vocab.mask_id, data[rng.integers(0, len(data), (b, length))])
+        return np.where((rng.random(b) < matching)[:, None], noisy, other)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_state_step(self, case):
+        build, b, matching = self.CASES[case]
+        corpus = build()
+        length, n, mask = corpus.length, corpus.vocab.size, corpus.vocab.mask_id
+        steps = 8
+        config = SampleConfig(steps=steps, length=length, num_samples=b, rng_seed=4, projection_mode="none")
+        engine = sampler_module._Engine(corpus, None, config, ExactBayesDenoiser(corpus), None)
+        twin = np.random.default_rng(4)
+        ids = self.start_states(np.random.default_rng(1), corpus, b, matching)
+        shared = fallbacks = 0
+        for t in range(steps, 0, -1):
+            a_t, a_s = engine.schedule.alpha(t), engine.schedule.alpha(t - 1)
+            want_mix, fell_back = per_state_step(corpus, engine.kernel, ids, a_t, a_s)
+            before = engine.denoiser.fallback_count
+            step = engine._reverse_mixture(ids, t)
+            _, mix, index = step
+            assert engine.denoiser.fallback_count - before == fell_back
+            blocks = mix.reshape(-1, length, n)
+            assert np.array_equal(blocks if index is None else blocks[index], want_mix)
+            shared += len(blocks) < len(np.unique(ids, axis=0))
+            fallbacks += fell_back
+
+            got = engine._draw(ids, mix, index, engine.rng.random((b, length)))
+            u = twin.random((b, length))
+            drawn = np.stack([full_row_draw(want_mix[i], u[i]) for i in range(b)])
+            assert np.array_equal(got, np.where(ids == mask, drawn, ids))
+            for ci in (0, b // 3, b - 1):
+                drawn = full_row_draw(want_mix[ci], twin.random(length))
+                assert np.array_equal(engine._redraw(ci, step), np.where(ids[ci] == mask, drawn, ids[ci]))
+            ids = got
+        assert engine.rng.random() == twin.random()
+        # Chains in different states shared a block, and some fell back.
+        assert shared > 0 and fallbacks > 0
 
 
 class TestDistributionRecovery:

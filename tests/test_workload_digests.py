@@ -29,6 +29,15 @@ DIGESTS = {
     "novelty": "6376fbce6295f87d",
 }
 
+# How often the workload's exact denoisers fell back to their prior over
+# the same calls, summed over its corpora.
+FALLBACKS = {
+    "linear": 1225,
+    "token": 1111,
+    "unconstrained": 8133,
+    "novelty": 1787,
+}
+
 
 def load_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
@@ -50,3 +59,4 @@ def test_seeded_workload_output(name):
             for seq in seqs:
                 digest.update(bytes(seq.ids))
     assert digest.hexdigest()[:16] == DIGESTS[name]
+    assert sum(d.fallback_count for d in program.denoisers.values()) == FALLBACKS[name]
