@@ -108,9 +108,10 @@ _CODE_LIMIT = 2**63
 
 # Smaller batches skip the search for repeated states: the denoiser
 # takes them as they are (under the masked kernel it still shares rows
-# between chains with equal compatible-entry sets, found through a dict),
-# and Sequence.from_id_array shares their equal rows through a dict.  On
-# the c01 shape (16 chains, L=10) about one state in eight repeats, and
+# between chains with equal compatible-entry sets, keyed by the sets'
+# packed words in the run's table), and Sequence.from_id_array shares
+# their equal rows through a dict.  On the c01 shape (16 chains, L=10)
+# about one state in eight repeats, and
 # finding the repeats took longer inside a sampling run (about 24 us per
 # call) than the rows they spared.  With the threshold at 16, five
 # alternating pairs of 8 s perfbench runs on a 2-core VM read samples/s

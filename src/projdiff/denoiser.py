@@ -14,8 +14,9 @@ counting positions:
            compatible entry matches on all unmasked positions, so the
            likelihood is constant across compatible entries and the
            posterior just restricts the prior to them.  Observations
-           with the same set of compatible entries, in whatever state,
-           share one posterior, and a batch computes it once per set.
+           with the same set of compatible entries, in whatever state
+           and at whatever signal level, share one posterior, and a
+           sampling run computes it once per set (SetTable).
   uniform: q = a * 1[w_i = x_i] + (1 - a)/N, so the likelihood is
            proportional to (1 + a N / (1 - a)) ** #matches.
 """
@@ -32,25 +33,32 @@ class IncompatibleEvidenceError(ValueError):
     """No corpus entry has positive likelihood for the observed sequence."""
 
 
-def _posterior_weights(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray, a_t: float) -> np.ndarray:
-    """Unnormalized posterior entry weights for a (B, L) batch of observations.
-
-    Returns (B, M); a zero row means the observation is incompatible with
-    every entry.  Every posterior path range-checks a_t and the ids here.
-    """
+def _check_batch(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray, a_t: float) -> None:
+    """Raise ValueError unless a_t lies in [0, 1] and ids is a (B, L)
+    batch of ids in [0, N); every posterior path checks here."""
     if not 0.0 <= a_t <= 1.0:
         raise ValueError(f"signal level {a_t} outside [0, 1]")
-    entries = corpus.sequences()  # (M, L)
-    prior = corpus.weights()  # (M,)
-    if ids.shape[1] != entries.shape[1]:
+    if ids.shape[1] != corpus.length:
         raise ValueError("observed length differs from corpus length")
     n = kernel.vocab_size
     # The masked kernel's table is indexed by the ids.
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"token ids must lie in [0, {n})")
+
+
+def _posterior_weights(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray, a_t: float) -> np.ndarray:
+    """Unnormalized posterior entry weights for a (B, L) batch of observations.
+
+    Returns (B, M); a zero row means the observation is incompatible with
+    every entry.
+    """
+    _check_batch(corpus, kernel, ids, a_t)
+    entries = corpus.sequences()  # (M, L)
+    prior = corpus.weights()  # (M,)
+    n = kernel.vocab_size
     if kernel.kind == "masked":
         # The prior restricted to the compatible entries.
-        return prior * _compatible(corpus, kernel, ids)
+        return prior * _unpack(corpus, _compatible_words(corpus, kernel, ids))
     # Token indicators of the observations times the entries' one-hots
     # count each entry's matching positions; small integers, so exact.
     observed = (ids[:, :, None] == np.arange(n)).reshape(len(ids), -1).astype(float)
@@ -134,32 +142,54 @@ def _entry_matches(corpus: Corpus, n: int, mask_id: int) -> tuple[np.ndarray, np
     return table, offsets
 
 
-def _compatible(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray) -> np.ndarray:
-    """(B, M) booleans: which entries are compatible under the masked
+def _compatible_words(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray) -> np.ndarray:
+    """(B, W) uint64 words of the entries compatible under the masked
     kernel with each row of a (B, L) batch of ids in [0, N), that is,
-    hold every token of the row but MASK."""
+    holding every token of the row but MASK: bit m % 64 of word m // 64
+    is set when entry m is."""
     table, offsets = _entry_matches(corpus, kernel.vocab_size, kernel.mask_id)
-    words = np.bitwise_and.reduce(table.take(ids + offsets, axis=0), axis=1)  # (B, W)
+    return np.bitwise_and.reduce(table.take(ids + offsets, axis=0), axis=1)
+
+
+def _unpack(corpus: Corpus, words: np.ndarray) -> np.ndarray:
+    """(B, M) booleans of the entries set in (B, W) compatibility words."""
     return np.unpackbits(words.view(np.uint8), axis=1, count=corpus.size, bitorder="little").view(bool)
 
 
-def _distinct_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(first, index) for a (U, M) batch of entry weight rows.
+class SetTable:
+    """The masked kernel's denoised rows of every compatible-entry set
+    one sampling run has met, each built once.
 
-    first holds the first row of each distinct weight row, in order, and
-    row u equals row first[index[u]]; index is None when no row repeats,
-    and then first is every row.  A dict keyed by each row's bytes finds
-    the first rows: at 16 rows that takes a few microseconds, where
-    np.unique takes about 11.
+    A set's rows are the prior restricted to its entries, whatever the
+    state or signal level, so a step builds only the sets new to the run
+    and reads the rest.  slots maps a set's key, its packed compatibility
+    words (a Python int for a corpus of up to 64 entries, else the words'
+    bytes), to its slot k: rows[k] holds the set's (L, N) rows and
+    empty[k] whether it has no entry, in which case they are the prior's.
+    Both buffers have room to grow.  A table serves one denoiser and
+    kernel for one run and is not carried to the next, so it holds at
+    most the run's distinct sets.
     """
-    u = len(weights)
-    blob, w = weights.tobytes(), weights.itemsize * weights.shape[1]
-    seen: dict[bytes, int] = {}
-    firsts = [seen.setdefault(blob[k * w : (k + 1) * w], k) for k in range(u)]
-    if len(seen) == u:
-        return np.arange(u), None
-    first = np.fromiter(seen.values(), np.intp, len(seen))
-    return first, first.searchsorted(firsts)
+
+    def __init__(self):
+        self.slots: dict = {}
+        self.rows: np.ndarray | None = None
+        self.empty: np.ndarray | None = None
+
+    def add(self, keys: list, rows: np.ndarray, empty: np.ndarray) -> None:
+        """Give J new keys the next J slots, holding their (J, L, N) rows
+        and (J,) empty flags; a full buffer doubles."""
+        k = len(self.slots)
+        for key in keys:
+            self.slots[key] = len(self.slots)
+        if self.rows is None or len(self.slots) > len(self.rows):
+            capacity = max(8, 2 * len(self.slots))
+            grown, flags = np.empty((capacity,) + rows.shape[1:]), np.empty(capacity, dtype=bool)
+            if k:
+                grown[:k], flags[:k] = self.rows[:k], self.empty[:k]
+            self.rows, self.empty = grown, flags
+        self.rows[k : len(self.slots)] = rows
+        self.empty[k : len(self.slots)] = empty
 
 
 class ExactBayesDenoiser:
@@ -179,13 +209,17 @@ class ExactBayesDenoiser:
     equals the batch.  Under the masked kernel the posterior is the
     prior restricted to the entries compatible with the state, so a
     block is a distinct set of compatible entries, and chains in
-    different states can share it.  A batch of at least
-    core._DEDUPE_MIN_ROWS rows first finds its distinct states.  When no
-    two chains share a block, states is the batch itself and inverse the
-    identity.  A block's rows are a function of its state or set alone,
-    so every chain gets the rows it would get on its own, and
-    fallback_count counts every chain, repeats included.  Every method
-    raises ValueError for a signal level outside [0, 1].
+    different states can share it.  Its rows do not depend on the
+    signal level either: the batch methods take the run's SetTable as
+    table and build only the sets new to it, so a sampling run builds
+    each set once; with no table a call builds every set it holds.  A
+    batch of at least core._DEDUPE_MIN_ROWS rows first finds its
+    distinct states.  When no two chains share a block, states is the
+    batch itself and inverse the identity.  A block's rows are a
+    function of its state or set alone, so every chain gets the rows it
+    would get on its own, and fallback_count counts every chain, repeats
+    included.  Every method raises ValueError for a signal level outside
+    [0, 1].
     """
 
     def __init__(self, corpus: Corpus):
@@ -203,25 +237,56 @@ class ExactBayesDenoiser:
         _, rows, _ = self.posterior_batch(decode(xt).as_array()[None, :], a_t, kernel)
         return SeqDist(rows[0])
 
-    def posterior_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel):
+    def posterior_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel, table: SetTable | None = None):
         """(states, rows, inverse) of the posterior marginals of a (B, L)
-        batch of decoded states; an incompatible state gets the prior's."""
+        batch of decoded states; an incompatible state gets the prior's.
+        table, the run's SetTable, is read and extended under the masked
+        kernel, and ignored under the uniform one."""
         states, inverse = _distinct_rows(ids)
-        weights = _posterior_weights(self.corpus, kernel, states, a_t)
         if kernel.kind == "masked":
-            # The weights are the prior on the state's compatible entries,
-            # so states with one compatible set share one row of them.
-            first, index = _distinct_weights(weights)
-            if index is not None:
-                states, weights = states[first], weights[first]
-                inverse = index if inverse is None else index.take(inverse)
-        rows, empty = _weighted_marginals(self.corpus, kernel.vocab_size, weights)
+            _check_batch(self.corpus, kernel, states, a_t)
+            table = SetTable() if table is None else table
+            states, rows, empty, inverse = self._set_blocks(states, inverse, kernel, table)
+        else:
+            weights = _posterior_weights(self.corpus, kernel, states, a_t)
+            rows, empty = _weighted_marginals(self.corpus, kernel.vocab_size, weights)
         if empty.any():
             self.fallback_count += int(np.count_nonzero(empty if inverse is None else empty.take(inverse)))
-            rows[empty] = self._prior()
+            if kernel.kind != "masked":  # a table's rows hold the prior's
+                rows[empty] = self._prior()
         return states, rows, np.arange(len(states)) if inverse is None else inverse
 
-    def posterior_loo_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel):
+    def _set_blocks(self, states: np.ndarray, inverse: np.ndarray | None, kernel: NoiseKernel, table: SetTable):
+        """(states, rows, empty, inverse) of the masked kernel's blocks for
+        (U, L) distinct states, whose chains take them by inverse (None
+        for the identity): one block per distinct compatible set, its
+        rows gathered from table after the sets new to it are built."""
+        words = _compatible_words(self.corpus, kernel, states)  # (U, W)
+        if words.shape[1] == 1:
+            keys = words[:, 0].tolist()
+        else:
+            blob, w = words.tobytes(), words.itemsize * words.shape[1]
+            keys = [blob[u * w : (u + 1) * w] for u in range(len(words))]
+        # The first state of each distinct set, in order, and for each
+        # state the first state with its set.
+        seen: dict = {}
+        firsts = [seen.setdefault(key, u) for u, key in enumerate(keys)]
+        slots = table.slots
+        new = [u for key, u in seen.items() if key not in slots]
+        if new or table.rows is None:
+            weights = self.corpus.weights() * _unpack(self.corpus, words[new])
+            rows, empty = _weighted_marginals(self.corpus, kernel.vocab_size, weights)
+            rows[empty] = self._prior()
+            table.add([keys[u] for u in new], rows, empty)
+        block = [slots[key] for key in seen]
+        if len(seen) < len(keys):
+            first = np.fromiter(seen.values(), np.intp, len(seen))
+            index = first.searchsorted(firsts)
+            states = states[first]
+            inverse = index if inverse is None else index.take(inverse)
+        return states, table.rows.take(block, axis=0), table.empty.take(block), inverse
+
+    def posterior_loo_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel, table: SetTable | None = None):
         """(states, rows, inverse) of the leave-one-out posterior marginals.
 
         Entry (u, i) of rows is the posterior marginal of position i with
@@ -231,10 +296,11 @@ class ExactBayesDenoiser:
         conditional, whereas the full posterior would double count the
         current token.  Under the masked kernel a masked position
         contributes a constant factor, so there the leave-one-out and
-        full posteriors coincide and the full one is returned.
+        full posteriors coincide and the full one is returned, with table
+        as posterior_batch takes it.
         """
         if kernel.kind == "masked":
-            return self.posterior_batch(ids, a_t, kernel)
+            return self.posterior_batch(ids, a_t, kernel, table=table)
         if a_t >= 1.0:
             raise ValueError("leave-one-out posterior undefined at a_t = 1")
         states, inverse = _distinct_rows(ids)

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .constraints import ConstraintSet, LinearScore
+from .constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
 from .core import Corpus, SeqDist, Sequence, check_counts, decode
 
 
@@ -583,8 +583,9 @@ class SearchTerms:
     states, and is None otherwise (see _closed_form); lone_linear says
     whether the set is one LinearScore (see _linear_descent).  Every
     field is read from the constraints when the stack is built, so it
-    holds for as long as they are not changed: a sampling run builds one
-    and hands it to project_ids in place of its ConstraintSet.
+    holds for as long as they are not changed: a sampling run takes one
+    from SearchTerms.of and hands it to project_ids in place of its
+    ConstraintSet.
     """
 
     def __init__(self, cs: ConstraintSet, seq_len: int, n: int):
@@ -603,6 +604,25 @@ class SearchTerms:
         self.tol = np.asarray(tol) if any(tol) or self.free is not None else None
         self.fewest_flips = _closed_form(cs, terms, seq_len)
         self.lone_linear = len(cs) == 1 and type(cs.constraints[0]) is LinearScore
+
+    @classmethod
+    def of(cls, cs: ConstraintSet, seq_len: int, n: int) -> SearchTerms:
+        """cs's SearchTerms for (L, N) tables, kept on cs and reused while
+        (L, N) and every field of every constraint hold the values they
+        held when it was built.  Fields are compared by value, arrays by
+        their bytes, so a changed tau or weights edited in place build
+        anew.  A set with a constraint of a type other than the built-in
+        ones is built anew on every call: its terms may read more than
+        its fields."""
+        key = _fields_key(cs, seq_len, n)
+        if key is None:
+            return cls(cs, seq_len, n)
+        kept = getattr(cs, "_kept_terms", None)
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        terms = cls(cs, seq_len, n)
+        object.__setattr__(cs, "_kept_terms", (key, terms))  # cs is frozen
+        return terms
 
     def excess_bounds(self, score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds of the total excess, the summed
@@ -632,6 +652,29 @@ class SearchTerms:
         # constraints, in place: each is monotone in the score.
         score -= self.taus
         return np.maximum(score, 0.0, out=score).sum(axis=-1)
+
+
+# The constraint types whose position terms and tau are read from their
+# fields alone.
+_BUILT_IN = (LinearScore, TokenCount, Forbidden, Position)
+
+
+def _fields_key(cs: ConstraintSet, seq_len: int, n: int) -> tuple | None:
+    """(L, N), then each constraint's type and its fields with their
+    types, an array as its dtype, shape and bytes; None when a
+    constraint's type is not built in.  A field's type is in the key
+    because equal values of other types (1, 1.0, True) need not build
+    equal terms."""
+    key: list = [seq_len, n]
+    for c in cs:
+        if type(c) not in _BUILT_IN:
+            return None
+        key.append(type(c))
+        for name, value in vars(c).items():
+            if isinstance(value, np.ndarray):
+                value = (value.dtype.str, value.shape, value.tobytes())
+            key.append((name, type(value), value))
+    return tuple(key)
 
 
 def _closed_form(cs: ConstraintSet, terms: list, seq_len: int) -> tuple | None:

@@ -12,9 +12,12 @@ a distinct state.  Under the masked kernel it is a distinct set of
 compatible corpus entries, since the exact posterior is the prior
 restricted to that set: chains in different states share a block, and
 most chains of a constrained run match no entry and share the prior's.
-The denoiser's rows and the mixture are built once per block, and each
-chain inverts its own uniforms against its block of L CDF rows, only at
-the positions that can change.  Under the masked kernel those are the
+A set's denoised rows depend on neither the state nor the signal level,
+so the run keeps them in a SetTable of its own, and the exact denoiser
+builds each set's rows once per run, at the first step that meets it.
+The mixture is built once per block and step, and each chain inverts
+its own uniforms against its block of L CDF rows, only at the positions
+that can change.  Under the masked kernel those are the
 MASK positions, each drawn against its own row; under the uniform
 kernel every position changes, and each chain's block is gathered once,
 by the chain's block index.  When no two chains share a block the
@@ -27,7 +30,8 @@ A chain's state is its row of token ids.  On a projected step in alm
 mode one batched screen passes the chains the operator would leave
 unchanged.  The distinct states among the rest then go through one
 batched call of projection.project_ids, which works on the ids alone,
-with the search's term tables the run built once from the constraints;
+with the search's term tables, which a run of a set of built-in
+constraints shares with the earlier runs that saw the same fields;
 a state it leaves infeasible goes on to alm_project's gradient loop
 from its one-hot rows.  The results fill the step's memo, keyed by the
 id row.  Chains are then handled in chain order: each takes its state's
@@ -70,7 +74,7 @@ import numpy as np
 from . import backend
 from .constraints import ConstraintSet
 from .core import Corpus, Schedule, SeqDist, Sequence, check_counts
-from .denoiser import ExactBayesDenoiser
+from .denoiser import ExactBayesDenoiser, SetTable
 from .noise import NoiseKernel, reverse_mixture_rows
 # novelty_project and position_project are not called here:
 # perfbench/tracer.py patches them on this module.
@@ -212,9 +216,12 @@ class _Engine:
         self.kernel = NoiseKernel.for_vocab(cfg.kernel, self.vocab)
         self.schedule = Schedule(cfg.schedule, cfg.steps)
         self.rng = np.random.default_rng(cfg.rng_seed)
-        # The lattice search's term tables, read from the constraints once
-        # per run, so a run sees the fields they hold when it starts.
-        self.terms = SearchTerms(cs, cfg.length, self.n) if cfg.projection_mode == "alm" else None
+        # The lattice search's term tables for the fields the constraints
+        # hold when the run starts, shared with earlier runs on the set
+        # that saw the same fields.
+        self.terms = SearchTerms.of(cs, cfg.length, self.n) if cfg.projection_mode == "alm" else None
+        # The exact denoiser's rows of each compatible set the run meets.
+        self.sets = SetTable() if self.kernel.kind == "masked" else None
 
     def run(self) -> tuple[list[Sequence], list[TraceRecord]]:
         seqs: list[Sequence] = []
@@ -238,10 +245,12 @@ class _Engine:
         The reverse step is exact when fed leave-one-out posteriors (under
         the masked kernel, the full ones); generic denoisers supply the
         plain estimate instead, one chain at a time, with one block per
-        chain: states is ids and inverse the identity.
+        chain: states is ids and inverse the identity.  The exact denoiser
+        builds each compatible set's rows once per run, into the run's
+        SetTable.
         """
         if isinstance(self.denoiser, ExactBayesDenoiser):
-            return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel)
+            return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel, table=self.sets)
         out = np.empty((ids.shape[0], ids.shape[1], self.n))
         for i in range(ids.shape[0]):
             state = SeqDist(backend.ops.one_hot_rows(ids[i], self.n))

@@ -38,6 +38,18 @@ class TestLinearScore:
         assert c.hard_violation(Sequence((0, 1, 2))) == pytest.approx(0.1)
         assert c.hard_violation(Sequence((0, 0, 1))) == 0.0
 
+    def test_hard_scores_bit_equal_to_mean(self):
+        # On C-ordered ids, as hard_violations_batch passes them,
+        # hard_scores sums and divides as np.mean does, so every digest
+        # recorded with the mean still holds.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n, k, length = rng.integers(1, 40), rng.integers(0, 70), rng.integers(1, 40)
+            weights = rng.random(n) * 10.0 ** rng.integers(-3, 4)
+            ids = rng.integers(0, n, (k, length))
+            got = LinearScore(weights=weights, tau=1.0).hard_scores(ids)
+            assert got.tobytes() == weights[ids].mean(axis=1).tobytes()
+
     def test_relaxed_matches_hard_on_one_hot(self):
         c = LinearScore(weights=np.array([0.1, 0.9]), tau=0.5)
         seq = (0, 1, 1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from projdiff import backend
+from projdiff import denoiser as denoiser_module
 from projdiff import projection as projection_module
 from projdiff import sampler as sampler_module
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
@@ -856,29 +857,80 @@ class TestSearchOnlyWhereNeeded:
 
 
 class TestSearchTermsPerRun:
-    def test_built_once_per_run(self, monkeypatch):
-        # Every project_ids call of a run gets the one SearchTerms the run
-        # built from its constraint set.
-        corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
-        cs = ConstraintSet([TokenCount(token=1, op="le", k=1), Position(2, 4), Forbidden(3)])
+    @staticmethod
+    def spy_terms(monkeypatch):
+        """(built, passed): every SearchTerms built, and the terms each
+        project_ids call of the sampler is handed, as runs make them."""
         built, passed = [], []
-        real_terms, real_ids = sampler_module.SearchTerms, sampler_module.project_ids
+        real_init, real_ids = SearchTerms.__init__, sampler_module.project_ids
 
-        def terms(*args):
-            built.append(real_terms(*args))
-            return built[-1]
+        def init(self, *args):
+            built.append(self)
+            real_init(self, *args)
 
         def spy(states, n, search):
             passed.append(search)
             return real_ids(states, n, search)
 
-        monkeypatch.setattr(sampler_module, "SearchTerms", terms)
+        monkeypatch.setattr(SearchTerms, "__init__", init)
         monkeypatch.setattr(sampler_module, "project_ids", spy)
+        return built, passed
+
+    def test_built_once_per_field_values(self, monkeypatch):
+        # Every project_ids call of a run gets the SearchTerms built from
+        # its constraint set; runs on one set share them until a field
+        # of a constraint changes, and a set of equal constraints builds
+        # its own.
+        corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+        count = TokenCount(token=1, op="le", k=1)
+        cs = ConstraintSet([count, Position(2, 4), Forbidden(3)])
+        built, passed = self.spy_terms(monkeypatch)
         config = SampleConfig(steps=16, length=10, num_samples=16, rng_seed=0, trace=False)
         for _ in range(2):
             sample_constrained(corpus, cs, config)
-        assert len(built) == 2 and all(b.cs is cs for b in built)
-        assert len(passed) > 4 and {id(p) for p in passed} == {id(b) for b in built}
+        assert len(built) == 1 and built[0].cs is cs
+        assert len(passed) > 4 and {id(p) for p in passed} == {id(built[0])}
+        count.k = 2
+        sample_constrained(corpus, cs, config)
+        assert len(built) == 2 and passed[-1] is built[1]
+        count.k = 1
+        sample_constrained(corpus, cs, config)
+        assert len(built) == 3 and passed[-1] is built[2]
+        equal = ConstraintSet([TokenCount(token=1, op="le", k=1), Position(2, 4), Forbidden(3)])
+        sample_constrained(corpus, equal, config)
+        assert len(built) == 4
+
+    def test_weights_edited_in_place_build_anew(self, monkeypatch):
+        # The terms read a LinearScore's weights by their bytes: an edit
+        # in place holds the next run, whose samples are those of a set
+        # built with the new weights.
+        corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+        weights = np.linspace(0.0, 1.0, 13)
+        cs = ConstraintSet((LinearScore(weights=weights.copy(), tau=0.5),))
+        built, _ = self.spy_terms(monkeypatch)
+        config = SampleConfig(steps=16, length=10, num_samples=16, rng_seed=0, trace=False)
+        first, _ = sample_constrained(corpus, cs, config)
+        assert sample_constrained(corpus, cs, config)[0] == first and len(built) == 1
+        cs.constraints[0].weights[:6] = 1.0
+        second, _ = sample_constrained(corpus, cs, config)
+        assert len(built) == 2 and second != first
+        edited = weights.copy()
+        edited[:6] = 1.0
+        assert second == sample_constrained(corpus, ConstraintSet((LinearScore(weights=edited, tau=0.5),)), config)[0]
+
+    def test_user_constraint_built_every_run(self, monkeypatch):
+        # A constraint of a type not built in may read more than its
+        # fields, so a set holding one builds its terms on every run.
+        class UserCount(TokenCount):
+            pass
+
+        corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+        cs = ConstraintSet((UserCount(token=1, op="le", k=1), Position(2, 4)))
+        built, _ = self.spy_terms(monkeypatch)
+        config = SampleConfig(steps=8, length=10, num_samples=8, rng_seed=0, trace=False)
+        for _ in range(2):
+            sample_constrained(corpus, cs, config)
+        assert len(built) == 2
 
     def test_second_run_honours_changed_tau(self):
         # Constraints are mutable: a tau changed between two runs that
@@ -999,8 +1051,10 @@ def mask_first_corpus(n_data, length, n_entries, seed):
 
 class TestPerSetStep:
     """Under the masked kernel the step is built once per distinct set of
-    compatible entries; it must give every chain the mixture rows, draws,
-    redraws and fallbacks of the step built once per distinct state."""
+    compatible entries, whose rows the run's one SetTable carries from
+    step to step; it must give every chain the mixture rows, draws,
+    redraws and fallbacks of the step rebuilt once per distinct state at
+    every step."""
 
     CASES = {
         "c01-16": (lambda: make_corpus(make_vocab(12), length=10, n_entries=16, seed=11), 16, 0.5),
@@ -1035,7 +1089,8 @@ class TestPerSetStep:
         engine = sampler_module._Engine(corpus, None, config, ExactBayesDenoiser(corpus), None)
         twin = np.random.default_rng(4)
         ids = self.start_states(np.random.default_rng(1), corpus, b, matching)
-        shared = fallbacks = 0
+        shared = fallbacks = blocks_met = 0
+        met = set()
         for t in range(steps, 0, -1):
             a_t, a_s = engine.schedule.alpha(t), engine.schedule.alpha(t - 1)
             want_mix, fell_back = per_state_step(corpus, engine.kernel, ids, a_t, a_s)
@@ -1047,6 +1102,8 @@ class TestPerSetStep:
             assert np.array_equal(blocks if index is None else blocks[index], want_mix)
             shared += len(blocks) < len(np.unique(ids, axis=0))
             fallbacks += fell_back
+            blocks_met += len(blocks)
+            met |= set(compatible_sets(corpus, ids))
 
             got = engine._draw(ids, mix, index, engine.rng.random((b, length)))
             u = twin.random((b, length))
@@ -1059,6 +1116,89 @@ class TestPerSetStep:
         assert engine.rng.random() == twin.random()
         # Chains in different states shared a block, and some fell back.
         assert shared > 0 and fallbacks > 0
+        # The table holds every set the run met, once, and later steps
+        # read sets earlier steps built.
+        assert len(engine.sets.slots) == len(met) < blocks_met
+
+    @pytest.mark.parametrize("case", ["c01-16", "no-match-300", "m100-40"])
+    @pytest.mark.parametrize("mode", ["none", "alm"])
+    def test_run_matches_table_rebuilt_every_step(self, monkeypatch, case, mode):
+        # A whole run, redraws included, gives the samples, trace records
+        # and fallbacks of a run whose denoiser drops the run's table and
+        # builds every set at every step.  In alm mode a stand-in
+        # projector keeps each state and calls it infeasible when it holds
+        # MASK and its ids sum to an odd number, so many projected chains
+        # redraw from their blocks' rows, without the cost of real
+        # projections.
+        build, b, _ = self.CASES[case]
+        corpus = build()
+        mask = corpus.vocab.mask_id
+
+        class RebuiltEveryStep(ExactBayesDenoiser):
+            def posterior_batch(self, ids, a_t, kernel, table=None):
+                return super().posterior_batch(ids, a_t, kernel)
+
+        def project_states(engine, failing, memo):
+            for row in failing:
+                memo[row.tobytes()] = (row.copy(), mask not in row or int(row.sum()) % 2 == 0, 0, 0.0)
+
+        redraws, real_redraw = [0], sampler_module._Engine._redraw
+
+        def redraw(engine, *args):
+            redraws[0] += 1
+            return real_redraw(engine, *args)
+
+        monkeypatch.setattr(sampler_module._Engine, "_project_states", project_states)
+        monkeypatch.setattr(sampler_module._Engine, "_redraw", redraw)
+        cs = ConstraintSet((Position(0, 0),)) if mode == "alm" else None
+        config = SampleConfig(steps=8, length=corpus.length, num_samples=b, rng_seed=2, projection_mode=mode, max_retries=50)
+        runs = []
+        for den in (ExactBayesDenoiser(corpus), RebuiltEveryStep(corpus)):
+            seqs, traces = sample_constrained(corpus, cs, config, denoiser=den)
+            runs.append((seqs, trace_digest(seqs, traces), den.fallback_count))
+        assert runs[0] == runs[1] and runs[0][2] > 0
+        assert (redraws[0] > 0) == (mode == "alm")
+
+
+class TestSetTablePerRun:
+    """Under the masked kernel a sampling run builds each compatible
+    set's rows once, into a table of its own: the next run, on the same
+    denoiser, builds them again."""
+
+    @pytest.mark.parametrize(
+        "entries, mode",
+        [(16, "none"), (16, "alm"), (100, "none")],
+        ids=["one-word", "one-word-alm", "two-word"],
+    )
+    def test_each_set_built_once_per_run(self, monkeypatch, entries, mode):
+        if entries == 16:
+            corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
+        else:
+            corpus = make_corpus(make_vocab(3), length=6, n_entries=100, seed=3)
+        built, met = [], [0]
+        real = denoiser_module._weighted_marginals
+
+        def spy(corpus, n, weights):
+            # A set's weight row, the prior on its entries, names it.
+            built[-1].extend(row.tobytes() for row in weights)
+            return real(corpus, n, weights)
+
+        class Counting(ExactBayesDenoiser):
+            def posterior_batch(self, ids, a_t, kernel, table=None):
+                out = super().posterior_batch(ids, a_t, kernel, table=table)
+                met[0] += len(out[0])
+                return out
+
+        monkeypatch.setattr(denoiser_module, "_weighted_marginals", spy)
+        cs = ConstraintSet((TokenCount(token=1, op="le", k=1), Forbidden(3))) if mode == "alm" else None
+        config = SampleConfig(steps=16, length=corpus.length, num_samples=300, rng_seed=0, projection_mode=mode)
+        den = Counting(corpus)
+        for _ in range(2):
+            built.append([])
+            sample_constrained(corpus, cs, config, denoiser=den)
+        first, second = built
+        assert len(first) == len(set(first)) and second == first
+        assert len(first) + len(second) < met[0]
 
 
 class TestDistributionRecovery:
