@@ -16,21 +16,21 @@ coincide for all families here.
 
 position_terms(length, n) optionally writes the hard score as a sum of
 per-position table entries passed through a map phi (PositionTerms).
-On one-hot states, a set whose every constraint has exact terms with a
-0/1 table, no two constraints using one row, is projected in closed
-form (projection._fewest_flips): TokenCount, Forbidden, and Position
-pins on distinct positions.  A lone LinearScore is projected by single
-moves (projection._linear_descent), estimated from its table and scored
-exactly only where they can win; the states near tau or near a tie go
-on to the lattice search.  Every other set goes through that search,
-which bounds its moves' scores from these tables and scores exactly
-only the moves that can win.  When every constraint's terms
-are exact (integer tables, scale and offset), the bounds are the exact
-scores and no move is scored again.  A constraint without terms (the
-base class returns None) is scored exactly on every move.  The tables
-are read when a sampling run starts, and a set made of the built-in
-types keeps them for its next run while every field holds its value,
-so a constraint changed between runs is read afresh by the next one.
+Projection reads these tables to find a one-hot state's pattern with
+the fewest flips.  A set whose every constraint has exact terms
+(integer table, scale and offset) with a 0/1 table, no two constraints
+using one row, is projected in closed form (projection._fewest_flips):
+TokenCount, Forbidden, and Position pins on distinct positions.  Any
+other set whose constraints all have terms, at most one of them inexact
+(a LinearScore), is projected by a dynamic program over positions
+(projection._FlipDP) that tracks each exact constraint's table sum and
+the least sum of the inexact one's table.  A set holding a constraint
+without terms (the base class returns None), or two inexact ones, goes
+through the plain lattice search, which scores every move by
+hard_scores.  The tables are read when a sampling run starts, and a set
+made of the built-in types keeps them for its next run while every
+field holds its value, so a constraint changed between runs is read
+afresh by the next one.
 The fields that index tables or count occurrences (token, k, position)
 must be integers.
 """
@@ -78,9 +78,9 @@ class Constraint:
 
     A subclass must define hard_scores (and, for projection on soft
     rows, relaxed_score and relaxed_grad).  It may define position_terms
-    when its hard score has that form; the lattice search then bounds
-    its moves by the table and scores fewer of them exactly, with the
-    same result.
+    when its hard score has that form; projection then finds a one-hot
+    state's pattern with the fewest flips from the table, where the
+    plain lattice search may stop short of it.
     """
 
     name: str
@@ -95,8 +95,8 @@ class Constraint:
 
     def position_terms(self, length: int, n: int) -> PositionTerms | None:
         """The hard score's per-position form on length-long sequences
-        over n tokens, or None when it has none (every move of the
-        search is then scored exactly)."""
+        over n tokens, or None when it has none (a set holding it is
+        then projected by the plain lattice search)."""
         return None
 
     def relaxed_score(self, dist) -> float:

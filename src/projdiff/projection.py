@@ -2,10 +2,11 @@
 
 Three operators cover the three constraint regimes:
 
-  alm_project       KL projection for any constraint mix: a lattice
-                    search over argmax patterns on one-hot rows, else
-                    an iterative augmented-Lagrangian solve over the
-                    differentiable constraint surrogates
+  alm_project       KL projection for any constraint mix: on one-hot rows
+                    the pick of project_ids, else an iterative
+                    augmented-Lagrangian solve over the differentiable
+                    constraint surrogates, closed by a lattice search over
+                    argmax patterns
   position_project  closed-form KL projection for "position p decodes to
                     token v"
   novelty_project   the cheapest decode not yet in a database, found in
@@ -23,29 +24,25 @@ whose decoded sequence is feasible, keeping KL(x || y) small.
                     walk over Hamming shells in lex order (_ShellWalk)
                     with no heap; the sampler's novelty step calls it
 
-  project_ids       the decode alm_project's lattice search picks for
-                    each of a (K, L) stack of one-hot states, given and
-                    returned as token ids, with no rows built: in closed
-                    form (_fewest_flips: the fewest flips, then the
-                    smallest ids) for one TokenCount or Forbidden,
-                    Position pins on distinct positions, and user sets
-                    of exact 0/1 tables on rows of their own; for a
-                    lone LinearScore by single moves (_linear_descent),
-                    handing the states near tau or near a tie to the
-                    search; otherwise (mixed families, pins sharing a
-                    position, constraints without terms) in one batched
-                    search (_decode_search); pooled_rows turns a picked
-                    decode back into the minimum-KL rows
+  project_ids       the qualifying pattern with the fewest flips, then the
+                    smallest ids, for each of a (K, L) stack of one-hot
+                    states, given and returned as token ids, with no rows
+                    built: in closed form (_fewest_flips) for one
+                    TokenCount or Forbidden, Position pins on distinct
+                    positions, and user sets of exact 0/1 tables on rows
+                    of their own; by an exact dynamic program over
+                    positions (_FlipDP) for every other set whose
+                    constraints all have position terms, at most one with
+                    a float table (a LinearScore); and by the plain
+                    lattice search (_decode_search) for the other sets
+                    and for the states the program cannot settle;
+                    pooled_rows turns a picked decode back into the
+                    minimum-KL rows
 
-Each sweep of the lattice search bounds every move's constraint scores
-and cost on grids built from per-position tables
-(Constraint.position_terms, stacked once in SearchTerms), with a
-tolerance that covers float rounding, and scores exactly only the moves
-those bounds leave able to win, so its result is that of scoring every
-move.  When every table is integer the grid holds each move's exact
-excess and nothing is scored again; on integer cost tables a state that
-qualifies at the least cost any qualifying pattern can have stops with
-no sweep to confirm it.
+The lattice search scores every move it considers exactly, by
+ConstraintSet.hard_violations_batch and the cost table.  The closed form
+and the dynamic program read the constraints' per-position tables
+(Constraint.position_terms), which SearchTerms reads once per set.
 """
 
 from __future__ import annotations
@@ -200,13 +197,17 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
     An already-feasible input is returned unchanged with zero outer
     iterations.  An input of one-hot rows (the sampler's states) is
     decided by project_ids from its own pattern, also with zero outer
-    iterations; the gradient loop runs only when project_ids leaves a
-    violation, and on soft rows.  When the iteration budget runs out
-    the best iterate found (smallest worst-case decoded violation) is
-    returned with feasible=False.  cs is the constraint set, or its
-    SearchTerms for x_in's shape, as project_ids takes it; given the
-    set, an infeasible input builds one SearchTerms, which both of the
-    call's searches use.
+    iterations: the fewest flips, by the closed form or the dynamic
+    program where the set has one.  The gradient loop runs only when
+    project_ids leaves a violation (no pattern satisfies the set, or the
+    plain search stopped short), and on soft rows; its closing lattice
+    search (_decode_search) sums float flip costs, so it is the plain
+    search.  When the iteration budget runs out the best iterate found
+    (smallest worst-case decoded violation) is returned with
+    feasible=False.  cs is the constraint set, or its SearchTerms for
+    x_in's shape, as project_ids takes it; given the set, an infeasible
+    input builds one SearchTerms, which both of the call's projections
+    use.
     """
     ops = backend.ops
     terms = cs if isinstance(cs, SearchTerms) else None
@@ -226,7 +227,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
 
     if _one_hot_mask(x_rows).all():
         # On one-hot rows the loop only hands its pattern to the closing
-        # search; the search alone decides whenever it reaches a
+        # search; project_ids alone decides whenever it reaches a
         # qualifying pattern from the input's own.
         ids, feasible = project_ids(np.asarray([base]), x_rows.shape[1], terms)
         if feasible[0]:
@@ -304,131 +305,221 @@ def project_ids(states: np.ndarray, n: int, cs: ConstraintSet | SearchTerms) -> 
     cs is the constraint set, or its SearchTerms for L and n, which a
     caller that projects many stacks under unchanged constraints builds
     once.
-    Returns the (K, L) int64 ids that alm_project's lattice search picks
-    for each state and the (K,) mask of the states it made feasible
-    (every violation 0); a feasible state keeps its own ids.  No
-    probability rows are built: on one-hot rows every flip costs ln 2,
-    so a pattern's summed cost is a strictly increasing function of its
-    Hamming distance to the state, equal distances give equal cost bits,
-    and the search ranks patterns by that distance.
+    Returns the (K, L) int64 ids picked for each state and the (K,) mask
+    of the states made feasible (every violation 0); a feasible state
+    keeps its own ids.  No probability rows are built: on one-hot rows
+    every flip costs ln 2, so a pattern's KL cost is its number of flips,
+    its Hamming distance to the state.
 
-    When the set has a closed form (SearchTerms.fewest_flips: one
-    count or forbidden constraint, position pins on distinct positions,
-    or any constraints with exact 0/1 tables on rows of their own, that
-    some pattern satisfies), every state gets its pick from
-    _fewest_flips and qualifies.  A lone LinearScore's states take
-    _linear_descent, single moves scored where they can win, and only
-    those it hands off (a score near tau, a move near a tie) go through
-    one batched search (_decode_search).  Every other set (mixed
-    families, two pins on one position, a constraint without terms, a
-    set no pattern satisfies) sends all K states through that search.
-    A state left infeasible needs alm_project's gradient loop, which
-    this function does not run.
+    The pick is the qualifying pattern with the fewest flips, then the
+    smallest ids, as oracle.enumerate_fewest_flips picks it: by the closed
+    form (_fewest_flips) when the set has one (SearchTerms.fewest_flips),
+    else by the dynamic program (_FlipDP) when it takes the set
+    (SearchTerms.dp), where hard_violations_batch confirms the pick.  Other
+    sets (two LinearScores, a constraint without terms), and each state
+    the program leaves infeasible (no pattern qualifies, or rounding ran
+    out its budget) or the check refuses, go through the plain lattice
+    search (_decode_search) from the state, which may stop short of the
+    fewest flips or of feasibility.  A state left infeasible needs
+    alm_project's gradient loop, which this function does not run.
     """
     states = np.asarray(states, dtype=np.int64)
     terms = _terms_for(cs, states.shape[1], n)
     if terms.fewest_flips is not None:
         return _fewest_flips(states, n, terms.fewest_flips), np.ones(states.shape[0], dtype=bool)
-    if not terms.lone_linear:
+    if terms.dp is None:
         return _search_one_hot(states, n, terms)
-    ids, feasible, rest = _linear_descent(states, terms)
+    ids, feasible = terms.dp.pick(states)
+    # The program sums the float table in its own order; the pick stands
+    # where the scores the sampler checks agree.
+    feasible[feasible] = (terms.cs.hard_violations_batch(ids[feasible]) <= 0.0).all(axis=1)
+    rest = np.flatnonzero(~feasible)
     if rest.shape[0]:
         ids[rest], feasible[rest] = _search_one_hot(states[rest], n, terms)
     return ids, feasible
 
 
+# States per _decode_search call from project_ids: a sweep holds up to
+# (L + 1) L N candidate rows per state, so this caps its temporaries
+# however many states a batch holds.
+SEARCH_CHUNK_STATES = 64
+
+
 def _search_one_hot(states: np.ndarray, n: int, terms: SearchTerms) -> tuple[np.ndarray, np.ndarray]:
     """_decode_search from each of a (K, L) stack of one-hot states, as
     (ids, feasible)."""
-    flips = (np.arange(n) != states[:, :, None]).astype(np.int8)
-    ids, residual = _decode_search(flips, terms, states, states)
-    return ids, residual == 0.0
+    ids = np.empty_like(states)
+    feasible = np.empty(states.shape[0], dtype=bool)
+    for lo in range(0, states.shape[0], SEARCH_CHUNK_STATES):
+        part = states[lo : lo + SEARCH_CHUNK_STATES]
+        flips = (np.arange(n) != part[:, :, None]).astype(np.int8)
+        ids[lo : lo + part.shape[0]], residual = _decode_search(flips, terms, part, part)
+        feasible[lo : lo + part.shape[0]] = residual == 0.0
+    return ids, feasible
 
 
-def _linear_descent(states: np.ndarray, terms: SearchTerms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_decode_search's pick for each of a (K, L) stack of one-hot states
-    under a lone LinearScore, by single moves only, where it is sure to
-    be that pick.
+# Cells of a chunk of _FlipDP's tables: the suffix table and a step's
+# temporaries of all the chunk's states.  A set whose one state needs
+# more takes the plain search.
+DP_CHUNK_CELLS = 2**20
 
-    Returns the (K, L) ids reached, the (K,) mask of states that hold
-    there, and the indices of the states it hands off: their ids and
-    feasible entries are to be filled by _decode_search from the state.
 
-    Each sweep estimates every single move of each failing state as its
-    excess plus the move's change of table sum, within tol / 2 of the
-    move's excess as hard_violations_batch gives it (tol is the search's
-    own, 8 (L + 4) u A; see _decode_search).  It scores exactly only the
-    moves estimated within tol of the least estimate or of tau; a move
-    estimated more than tol below tau holds, and every other move has
-    a greater excess than some scored one.  The state takes the least
-    (excess, flips, ids) key among them, ids ranked as _fewest_flips
-    ranks single moves, and stops once it holds.
+class _FlipDP:
+    """project_ids's pick by a dynamic program over positions, for a set
+    whose constraints all have position terms, at most one of them
+    inexact (the float constraint, a LinearScore), with a positive scale
+    and no absolute value.
 
-    A state whose excess is at most 4 tol, or whose least estimate lies
-    within 2 tol of zero, is handed off; one whose every estimate is
-    above 2 tol stops.  Otherwise the search's pair moves cannot win: in
-    exact arithmetic a pair scores above its single move by the
-    reduction of the flip it reverts, which was above tol when taken as
-    that sweep's least excess, and no pair qualifies from a score more
-    than 4 tol above tau, nor does a cheaper move once the state holds.
-    So pairs and sideways moves matter only near tau or near a tie,
-    where the state is handed off.
+    Each exact constraint's table sum, with each row shifted so that its
+    least entry is 0, only grows along the positions; it is capped at the
+    sum from which the constraint's verdict no longer changes.  A cell
+    holds one capped sum per exact constraint: moves[i, v, p] is cell p
+    after position i takes token v, and holds[p] says whether every exact
+    constraint holds at p.  weights is the float constraint's (L, N) table
+    (zero without one) and budget the largest sum of it at which that
+    constraint holds, (tau - offset) / scale (0 without one).
+
+    For each state, the suffix table holds, per position i, cell p and
+    flip count r, the least weights sum over positions i.. of a completion
+    from p that ends at a cell that holds with exactly r flips (inf when
+    none does).  The fewest flips is the least r whose entry at position
+    0 and the start cell is within the budget.  A forward pass then takes,
+    at each position, the smallest token whose rest still completes with
+    the flips and the budget left, so the pick is the least pattern in
+    lex order among those with the fewest flips.  Sums are rounded in the
+    program's own order, so a state whose budget runs out by rounding on
+    the way is left infeasible, and project_ids confirms every pick.
+
+    Tokens whose moves agree at every position form a group (for a
+    TokenCount, its token and all the others); the backward pass steps
+    over groups, with each state's least weight in the group when the
+    position keeps its token (stay) and when it flips (flip).  States go
+    through in chunks of at most DP_CHUNK_CELLS table cells.
     """
-    seq_len = states.shape[1]
-    table = terms.tables[:, :, 0]
-    n = table.shape[1]
-    tol = 0.0 if terms.tol is None else float(terms.tol[0])
-    tokens = np.arange(n)
-    positions = np.arange(seq_len)
-    # A single move (i, v)'s ids rank: i when v is below the token held,
-    # else 2L - 1 - i, then v.
-    rank_left = positions[:, None] * n + tokens
-    rank_right = (2 * seq_len - 1 - positions[:, None]) * n + tokens
-    ids = states.copy()
-    excess = terms.cs.hard_violations_batch(states)[:, 0]
-    live = np.flatnonzero(excess != 0.0)
-    handed = []
-    # A state that does not hold after a step has flipped a position it
-    # held at the start, so L + 1 sweeps settle every state; any left
-    # over is handed off.
-    for _ in range(seq_len + 1):
-        if live.shape[0] == 0:
-            break
-        cur, base, e = ids[live], states[live], excess[live]
-        # delta[k, i, v]: the change of table sum when position i of
-        # state k moves to token v; no move to the token held.
-        delta = table - table[positions, cur][:, :, None]
-        delta[cur[:, :, None] == tokens] = np.inf
-        best = delta.reshape(live.shape[0], seq_len * n).min(axis=1)
-        # Comparisons that a NaN fails hand the state off.
-        clear = e > 4.0 * tol
-        step = clear & (best < -2.0 * tol)
-        handed.append(live[~(step | (clear & (best > 2.0 * tol)))])
-        live, cur, base, e, best, delta = (a[step] for a in (live, cur, base, e, best, delta))
-        estimate = delta + e[:, None, None]
-        move_excess = np.where(estimate < -tol, 0.0, np.inf)
-        scored = (delta <= (best + tol)[:, None, None]) | (np.abs(estimate) <= tol)
-        owner, at, to = np.nonzero(scored)
-        rows = cur[owner]
-        rows[np.arange(owner.shape[0]), at] = to
-        move_excess[owner, at, to] = terms.cs.hard_violations_batch(rows)[:, 0]
-        # The flips each move adds (-1, 0 or 1), then its ids rank.
-        flips = (base[:, :, None] != tokens).astype(np.int64) - (cur != base)[:, :, None]
-        order = (flips + 1) * (2 * seq_len * n) + np.where(tokens < cur[:, :, None], rank_left, rank_right)
-        move_excess = move_excess.reshape(live.shape[0], seq_len * n)
-        least = move_excess.min(axis=1)
-        pick = np.where(move_excess == least[:, None], order.reshape(move_excess.shape), _INT64_MAX).argmin(axis=1)
-        ids[live, pick // n] = pick % n
-        excess[live] = least
-        live = live[least != 0.0]
-    handed.append(live)
-    return ids, excess == 0.0, np.sort(np.concatenate(handed))
+
+    def __init__(self, moves, holds, weights, budget):
+        seq_len, n, cells = moves.shape
+        width = seq_len + 2  # an inf column, then flip counts 0..L
+        self.moves, self.weights, self.budget = moves, weights, budget
+        # The table after the last position: no flip left, at a cell that
+        # holds.
+        self.last = np.full((cells, width), np.inf)
+        self.last[holds, 1] = 0.0
+        # The flat index of suffix[k, i + 1, moves[i, v, p], 1] less that
+        # of suffix[k, 0, 0, 1] (see _pick).
+        self.offsets = moves * width + (np.arange(seq_len)[:, None, None] + 1) * (cells * width)
+        # Each group's moves, and per position and token held, the least
+        # weight in each group without a flip and with one.
+        columns = moves.transpose(1, 0, 2).reshape(n, -1)
+        _, first, group = np.unique(columns, axis=0, return_index=True, return_inverse=True)
+        self.group_moves = moves[:, first]
+        self.stay = np.where(group.reshape(-1, 1) == np.arange(first.shape[0]), weights[:, :, None], np.inf)
+        least = np.sort(np.concatenate((self.stay, np.full_like(self.stay[:, :1], np.inf)), axis=1), axis=1)
+        holder = np.arange(n)[:, None] == self.stay.argmin(axis=1)[:, None, :]
+        self.flip = np.where(holder, least[:, 1:2], least[:, :1])
+        self.chunk = DP_CHUNK_CELLS // (cells * width * (seq_len + 1 + 3 * first.shape[0]))
+
+    @classmethod
+    def of(cls, cs: ConstraintSet, terms: list, seq_len: int, n: int) -> _FlipDP | None:
+        """The program for the set with these PositionTerms on (L, N)
+        tables, or None when it takes none."""
+        if any(t is None for t in terms):
+            return None
+        inexact = [(c, t) for c, t in zip(cs, terms) if not t.exact]
+        weights, budget = np.zeros((seq_len, n)), 0.0
+        if len(inexact) > 1:
+            return None
+        if inexact:
+            c, t = inexact[0]
+            if t.absolute or not t.scale > 0:
+                return None
+            weights = np.asarray(t.table, dtype=np.float64)
+            budget = (c.tau - t.offset) / t.scale
+            if not np.isfinite(budget):  # inf, the sum of no completion, would pass
+                return None
+        moves = np.zeros((seq_len, n, 1), dtype=np.intp)
+        holds = np.ones(1, dtype=bool)
+        for c, t in zip(cs, terms):
+            if not t.exact:
+                continue
+            table = np.asarray(t.table, dtype=np.int64)
+            least = table.min(axis=1)
+            table = table - least[:, None]
+            span = int(table.max(axis=1).sum())
+            if span >= DP_CHUNK_CELLS:
+                return None
+            # The verdict at each shifted sum, by hard_violations_batch's
+            # operations; it is constant from cap on.
+            score = t.scale * (np.arange(span + 1) + int(least.sum())) + t.offset
+            ok = (np.abs(score) if t.absolute else score) - c.tau <= 0.0
+            changes = np.flatnonzero(ok[1:] != ok[:-1])
+            cap = int(changes[-1]) + 1 if changes.shape[0] else 0
+            if moves.shape[2] * (cap + 1) * (seq_len + 2) ** 2 > DP_CHUNK_CELLS:
+                return None
+            step = np.minimum(np.arange(cap + 1) + table[:, :, None], cap)
+            moves = (moves[:, :, :, None] * (cap + 1) + step[:, :, None, :]).reshape(seq_len, n, -1)
+            holds = (holds[:, None] & ok[None, : cap + 1]).reshape(-1)
+        dp = cls(moves, holds, weights, budget)
+        return dp if dp.chunk > 0 else None
+
+    def pick(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, feasible) for a (K, L) stack of states, as project_ids
+        returns them before its check; ids are not meaningful where
+        feasible is False."""
+        ids = np.empty_like(states)
+        feasible = np.empty(states.shape[0], dtype=bool)
+        for lo in range(0, states.shape[0], self.chunk):
+            part = slice(lo, lo + self.chunk)
+            ids[part], feasible[part] = self._pick(states[part])
+        return ids, feasible
+
+    def _pick(self, states):
+        k_states, seq_len = states.shape
+        cells, width = self.last.shape
+        positions = np.arange(seq_len)
+        # suffix[k, i, p, r + 1]: the least weights sum of positions i..
+        # from cell p with exactly r flips; column 0 is inf, so that a
+        # flip with none left reads inf.
+        suffix = np.empty((k_states, seq_len + 1, cells, width))
+        suffix[:, seq_len] = self.last
+        suffix[:, :seq_len, :, 0] = np.inf
+        stay = self.stay[positions, states][:, :, :, None, None]
+        flip = self.flip[positions, states][:, :, :, None, None]
+        for i in range(seq_len - 1, -1, -1):
+            after = suffix[:, i + 1].take(self.group_moves[i], axis=1)
+            least = after[..., 1:] + stay[:, i]
+            np.minimum(least, after[..., :-1] + flip[:, i], out=least).min(axis=1, out=suffix[:, i, :, 1:])
+        ok = suffix[:, 0, 0, 1:] <= self.budget
+        feasible = ok.any(axis=1)
+        need = ok.argmax(axis=1)
+        rows = np.arange(k_states)
+        flat = suffix.ravel()
+        start = rows * suffix[0].size + 1
+        flipped = states[:, :, None] != np.arange(self.weights.shape[1])
+        cell = np.zeros(k_states, dtype=np.intp)
+        left = np.full(k_states, self.budget)
+        ids = np.empty_like(states)
+        for i in range(seq_len):
+            if not need.any():
+                # No flip left: each state keeps the rest of its ids.
+                ids[:, i:] = states[:, i:]
+                feasible &= suffix[rows, i, cell, 1] <= left
+                break
+            rest = left[:, None] - self.weights[i]
+            ok = flat.take(self.offsets[i][:, cell].T + (start + need)[:, None] - flipped[:, i]) <= rest
+            v = ok.argmax(axis=1)
+            feasible &= ok[rows, v]
+            ids[:, i] = v
+            need -= flipped[rows, i, v]
+            cell = self.moves[i, v, cell]
+            left = rest[rows, v]
+        return ids, feasible
 
 
 def _fewest_flips(states: np.ndarray, n: int, parts: tuple) -> np.ndarray:
-    """The search's pick for each of a (K, L) stack of one-hot states
-    over n tokens under a set with a closed form (see _closed_form for
-    parts).
+    """project_ids's pick, the fewest flips and then the smallest ids, for
+    each of a (K, L) stack of one-hot states over n tokens under a set
+    with a closed form (see _closed_form for parts).
 
     The constraints own disjoint rows, so each is solved on its own
     rows.  A state whose table sum S = sum_i table[i, x_i] is d above
@@ -439,7 +530,7 @@ def _fewest_flips(states: np.ndarray, n: int, parts: tuple) -> np.ndarray:
     the others, right to left.  As [lo, hi] is reachable, there are
     always d such positions.
 
-    This is what _decode_search reaches.  Its first key is the summed
+    This is also what _decode_search reaches.  Its first key is the summed
     excess, which is convex in each S, zero exactly on [lo, hi] and
     strictly monotone off it, so while a constraint is off its interval
     every sweep takes a single flip that moves its S one step closer:
@@ -543,11 +634,6 @@ def _row_flip_costs(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _segment_starts(labels: np.ndarray) -> np.ndarray:
-    """Whether each row opens a run of equal labels."""
-    return np.concatenate(([True], labels[1:] != labels[:-1]))
-
-
 def _first_min(cands: np.ndarray, cost: np.ndarray, excess: np.ndarray, segment: np.ndarray) -> np.ndarray:
     """Per segment, the first row of cands at the least (excess, cost, ids) key.
 
@@ -558,52 +644,31 @@ def _first_min(cands: np.ndarray, cost: np.ndarray, excess: np.ndarray, segment:
     full tie keeps the segment's lowest index.
     """
     order = np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess, segment))
-    return order[_segment_starts(segment[order])]
-
-
-# Grid cells per chunk of move groups: SEARCH_CHUNK_ROWS * L, the ids
-# of that many candidate rows, unless one group alone is wider.  Caps
-# the search's temporaries however many states a batch holds.
-SEARCH_CHUNK_ROWS = 1024
-
-# The search's tolerance is 8 (L + 4) u A, u being the unit roundoff of
-# float64 (see _decode_search).
-_TOL_ULPS = 8.0 * 2.0**-53
+    labels = segment[order]
+    return order[np.concatenate(([True], labels[1:] != labels[:-1]))]
 
 
 class SearchTerms:
-    """A constraint set with every constraint's PositionTerms on
-    length-long sequences over n tokens, stacked along a last axis of m.
+    """A constraint set's projection tables for length-long sequences over
+    n tokens.
 
-    cs is the set.  tables is (L, N, m) float64, each constraint's table
-    times its scale, and zero for a constraint without terms (free);
-    offset and taus are (m,) arrays, and so are tol, absolute and free
-    unless no constraint needs them (None).  fewest_flips holds
-    _fewest_flips's parts when the set has a closed form on one-hot
-    states, and is None otherwise (see _closed_form); lone_linear says
-    whether the set is one LinearScore (see _linear_descent).  Every
-    field is read from the constraints when the stack is built, so it
-    holds for as long as they are not changed: a sampling run takes one
-    from SearchTerms.of and hands it to project_ids in place of its
+    cs is the set and shape is (L, N).  fewest_flips holds _fewest_flips's
+    parts when the set has a closed form on one-hot states, and is None
+    otherwise (see _closed_form); dp is the set's _FlipDP when it has no
+    closed form and the program takes it, and None otherwise.  Every field
+    is read from the constraints' PositionTerms when the tables are built,
+    so it holds for as long as they are not changed: a sampling run takes
+    one from SearchTerms.of and hands it to project_ids in place of its
     ConstraintSet.
     """
 
     def __init__(self, cs: ConstraintSet, seq_len: int, n: int):
         self.cs = cs
+        self.shape = (seq_len, n)
         terms = [c.position_terms(seq_len, n) for c in cs]
-        zero = np.zeros((seq_len, n))
-        scaled = [zero if t is None else t.scale * np.asarray(t.table, dtype=np.float64) for t in terms]
-        self.tables = np.stack(scaled, axis=-1)
-        self.offset = np.asarray([0.0 if t is None else t.offset for t in terms], dtype=np.float64)
-        self.taus = np.asarray([c.tau for c in cs], dtype=np.float64)
-        tol = [0.0 if t is None or t.exact else _tolerance(h, t.offset) for t, h in zip(terms, scaled)]
-        absolute = [t is not None and t.absolute for t in terms]
-        free = [t is None for t in terms]
-        self.absolute = np.asarray(absolute) if any(absolute) else None
-        self.free = np.asarray(free) if any(free) else None
-        self.tol = np.asarray(tol) if any(tol) or self.free is not None else None
         self.fewest_flips = _closed_form(cs, terms, seq_len)
-        self.lone_linear = len(cs) == 1 and type(cs.constraints[0]) is LinearScore
+        self.dp = None if self.fewest_flips is not None else _FlipDP.of(cs, terms, seq_len, n)
+
 
     @classmethod
     def of(cls, cs: ConstraintSet, seq_len: int, n: int) -> SearchTerms:
@@ -623,35 +688,6 @@ class SearchTerms:
         terms = cls(cs, seq_len, n)
         object.__setattr__(cs, "_kept_terms", (key, terms))  # cs is frozen
         return terms
-
-    def excess_bounds(self, score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds of the total excess, the summed
-        max(0, score - tau) over the m constraints, at scores (..., m)
-        within tolerance of the exact ones, overwriting score; one array
-        twice when every score is exact."""
-        if self.tol is None:
-            if self.absolute is not None:
-                np.abs(score, out=score, where=self.absolute)
-            excess = self._total(score)
-            return excess, excess
-        lo = score - self.tol
-        hi = score
-        hi += self.tol
-        if self.absolute is not None:  # |x| over x in [lo, hi]
-            lo, hi = (
-                np.where(self.absolute, np.maximum(np.maximum(lo, -hi), 0.0), lo),
-                np.where(self.absolute, np.maximum(-lo, hi), hi),
-            )
-        if self.free is not None:  # no terms: the score is unbounded
-            lo[..., self.free] = -np.inf
-            hi[..., self.free] = np.inf
-        return self._total(lo), self._total(hi)
-
-    def _total(self, score):
-        # The operations of hard_violations_batch, then the sum over
-        # constraints, in place: each is monotone in the score.
-        score -= self.taus
-        return np.maximum(score, 0.0, out=score).sum(axis=-1)
 
 
 # The constraint types whose position terms and tau are read from their
@@ -729,17 +765,12 @@ def _closed_form(cs: ConstraintSet, terms: list, seq_len: int) -> tuple | None:
     return tuple(parts)
 
 
-def _tolerance(scaled: np.ndarray, offset: float) -> float:
-    """8 (L + 4) u A for a scaled (L, N) table; see _decode_search."""
-    return _TOL_ULPS * (scaled.shape[0] + 4) * (np.abs(scaled).max(axis=1).sum() + abs(offset))
-
-
 def _terms_for(cs: ConstraintSet | SearchTerms, seq_len: int, n: int) -> SearchTerms:
     """cs's SearchTerms for (L, N) tables; raises ValueError when cs is
     SearchTerms for another shape."""
     terms = cs if isinstance(cs, SearchTerms) else SearchTerms(cs, seq_len, n)
-    if terms.tables.shape[:2] != (seq_len, n):
-        raise ValueError(f"search terms are for {terms.tables.shape[:2]} tables, not {(seq_len, n)}")
+    if terms.shape != (seq_len, n):
+        raise ValueError(f"search terms are for {terms.shape} tables, not {(seq_len, n)}")
     return terms
 
 
@@ -775,81 +806,26 @@ def _decode_search(
     current key, and otherwise stops, so each result equals that of
     scoring its moves one by one.
 
-    On integer tables a state also stops, with no sweep to confirm it,
-    once it qualifies at a cost no qualifying pattern goes below:
-    sum_i min_v t[i, v] when its base qualifies, and otherwise that sum
-    plus min_j (min_{v != base_j} t[j, v] - min_v t[j, v]), as such a
-    pattern differs from the base somewhere.  Integer costs are exact,
-    so no strictly cheaper move exists.
-
-    Each sweep takes the moves of every state still moving at once, in
-    groups: a state's single moves, then one group per changed position
-    reverted.  A chunk of whole groups, at most SEARCH_CHUNK_ROWS * L
-    grid cells, is first bounded on (G, L, N) grids whose cell (g, i, v)
-    is group g's pattern with position i at token v (a cell at the token
-    held or at the reverted position is the current pattern or one of
-    its single moves, so it changes no state's least key):
-
-      - each constraint's score, phi of its PositionTerms table sum (the
-        group's L entries, plus the moved position's new entry less its
-        held one), all constraints at once on a stacked (L, N, m) table;
-      - each move's cost, updated the same way from the group's L
-        entries of the cost table; exact on integer tables.
-
-    A score or cost from float entries carries a tolerance tol =
-    8 (L + 4) u A, where u = 2^-53 and A = |scale| sum_i max_v
-    |table[i, v]| + |offset| (a cost table has scale 1, offset 0).  A
-    float sum of k terms, by any tree, is within (k - 1) u / (1 - (k -
-    1) u) times the terms' total magnitude of the exact sum (Higham,
-    Accuracy and Stability of Numerical Algorithms, section 4.2).  The
-    exact value, hard_scores (L terms summed by any tree, then phi) or
-    cost_of (L costs left to right), is thus within about (L + 2) u A of
-    phi at the exact sum.  The grid value adds L + 3 terms, each table
-    entry rounded once when scaled: the group's L entries, the offset,
-    and the moved position's new entry and held one, whose magnitudes
-    total at most 3 A; it is within about (3L + 9) u A.  The two together
-    stay below tol with room for rounding score +- tol.  Integer tables
-    with integer scale and offset give exact scores (no tolerance).
-    Score bounds then go through the very operations of
-    hard_violations_batch and of the excess total, all monotone, so they
-    bound each move's exact excess; a constraint without PositionTerms
-    has scores in (-inf, inf) and bounds no move.  When every
-    constraint's scores are exact, the two bounds are one value: the
-    move's exact excess, the value hard_violations_batch and the
-    excess total give.
-
-    A move is pruned when it cannot be its state's least key below the
-    current key:
-
-      1. its lowest possible excess is above the least of its state's
-         current excess and the highest possible excesses of its state's
-         moves in the chunk; or
-      2. its state qualifies, and its lowest possible cost is not below
-         the current cost.
-
-    Comparisons with a NaN bound fail, and such a move stays.  Only the
-    survivors get id rows, exact cost (the integer update, or cost_of on
-    float tables) and exact excess: the grid's when every score is
-    exact, and otherwise from one ConstraintSet.hard_violations_batch
-    call per chunk.  When a sweep fits in one chunk, one _first_min
-    picks each state's least (excess, cost, ids) key over the live
-    states' own patterns, put first, and the survivors; otherwise it
-    picks each chunk's winners first, and then once more over the own
-    patterns and those winners.  A state whose pick is its own pattern
-    stops.
+    Each sweep scores every move of every state still moving, in groups:
+    a state's single moves, then one group per changed position
+    reverted.  A group is its L * N patterns, one per position and token;
+    one at the token held, or at the reverted position, is the current
+    pattern or one of its single moves, so it changes no state's least
+    key.  One hard_violations_batch call gives every pattern's excess,
+    and cost_of its cost, summed left to right; one _first_min then picks
+    each state's least key over its own pattern, put first, and its
+    moves.  A state whose pick is its own pattern stops.
     """
     k_states, seq_len, n = tables.shape
     if max_sweeps is None:
         max_sweeps = seq_len + 8
-    terms = _terms_for(cs, seq_len, n)
-    cs = terms.cs
+    if isinstance(cs, SearchTerms):
+        cs = _terms_for(cs, seq_len, n).cs
     flat = tables.reshape(k_states * seq_len, n)
     positions = np.arange(seq_len)
     same = starts is bases
     starts = np.asarray(starts, dtype=np.int64)
     bases = starts if same else np.asarray(bases, dtype=np.int64)
-    # Integer tables give exact costs by update, with no cost_of.
-    exact = not np.issubdtype(tables.dtype, np.floating)
 
     def excess_of(cands):
         return cs.hard_violations_batch(cands).sum(axis=-1)
@@ -861,125 +837,45 @@ def _decode_search(
     # the start on a tie.
     everyone = np.arange(k_states)
     cur, cur_excess, cur_cost = starts.copy(), excess_of(starts), cost_of(starts, everyone)
-    base_excess = cur_excess
     if not same:
         both = np.concatenate((starts, bases))
         excess = np.concatenate((cur_excess, excess_of(bases)))
         cost = np.concatenate((cur_cost, cost_of(bases, everyone)))
-        base_excess = excess[k_states:]
         pick = _first_min(both, cost, excess, np.concatenate((everyone, everyone)))
         cur, cur_excess, cur_cost = both[pick], excess[pick], cost[pick]
-    if n == 1:  # no other token to move to
-        return cur, cur_excess
 
-    # Flat indices: entry (i, v) of an (L, N) table is i * N + v, and
-    # entry (k, i, v) of the (K, L, N) tables is k * L * N + i * N + v.
-    h = terms.tables.reshape(seq_len * n, -1)
-    entries = tables.ravel()
-    cost_tol = None if exact else _TOL_ULPS * (seq_len + 4) * np.abs(tables).max(axis=2).sum(axis=1)
+    # A group's pattern g * L * N + i * N + v has position i at token v.
     cells = seq_len * n
-    per_chunk = max(1, SEARCH_CHUNK_ROWS * seq_len // cells)
-    at_position = positions * n
+    at, to = np.divmod(np.arange(cells), n)
     live = everyone
-    if exact:  # a state qualifying at its floor has no cheaper move left
-        floor =_least_qualifying_cost(tables, bases, base_excess == 0.0)
-        live = np.flatnonzero((cur_excess != 0.0) | (cur_cost > floor))
-
-    def survivors(gs, gr, cost_cap):
-        """(candidate rows, their states, their exact costs and excesses)
-        of the moves of groups gs (states) with reverted positions gr (-1
-        for none) that survive the bounds; cost_cap[k] is the highest
-        cost state k can take, by the strictly-cheaper rule."""
-        # Each group's pattern before its move, its scaled table sums and
-        # its cost.
-        start_ids = cur[gs]
-        paired = np.flatnonzero(gr >= 0)
-        start_ids[paired, gr[paired]] = bases[gs[paired], gr[paired]]
-        held = start_ids + at_position
-        held_terms = h[held]
-        held_cost = entries.take((gs * cells)[:, None] + held)
-        # Grid cell (g, i, v): group g's pattern with position i at token
-        # v.  A cell at the token held, or at the reverted position, is
-        # the current pattern or one of its single moves: it can neither
-        # go below the current key nor hide a lesser move, so it stays.
-        score = terms.tables - held_terms[:, :, None]
-        score += (held_terms.sum(axis=1) + terms.offset)[:, None, None]
-        exc_lo, exc_hi = terms.excess_bounds(score)
-        cost = tables[gs] + held_cost.sum(axis=1)[:, None, None]
-        cost -= held_cost[:, :, None]
-        cost_lo = cost if exact else cost - cost_tol[gs][:, None, None]
-        # Per group, then per state: the least highest possible excess.
-        least_excess = exc_hi.reshape(gs.shape[0], cells).min(axis=1)
-        opens = _segment_starts(gs)
-        if not opens.all():
-            least_excess = np.minimum.reduceat(least_excess, np.flatnonzero(opens))[np.cumsum(opens) - 1]
-        least_excess = np.minimum(least_excess, cur_excess[gs])
-        # Comparisons that NaN bounds fail keep their moves.
-        prune = exc_lo > least_excess[:, None, None]
-        prune |= cost_lo > cost_cap[gs][:, None, None]
-        cell = np.flatnonzero(np.logical_not(prune, out=prune))
-        group, pos, tok = np.unravel_index(cell, exc_lo.shape)
-        cands = start_ids[group]
-        cands[np.arange(cell.shape[0]), pos] = tok
-        owner = gs[group]
-        cost = cost.ravel()[cell] if exact else cost_of(cands, owner)
-        # Exact scores leave one bound, the exact excess; no survivor
-        # leaves nothing to score.
-        excess = exc_lo.ravel()[cell] if terms.tol is None or cell.shape[0] == 0 else excess_of(cands)
-        return cands, owner, cost, excess
-
     for _ in range(max_sweeps):
         if live.shape[0] == 0:
             break
-        # Groups: each live state's single moves (revert -1), then one
-        # group per position it has changed, reverted to base.
         opts = np.ones((live.shape[0], seq_len + 1), dtype=bool)
         opts[:, 1:] = cur[live] != bases[live]
-        group_state, group_revert = np.nonzero(opts)
-        group_state = live[group_state]
-        group_revert -= 1
+        group, revert = np.nonzero(opts)
+        group = live[group]
+        revert -= 1
+        paired = np.flatnonzero(revert >= 0)
+        held = cur[group]
+        held[paired, revert[paired]] = bases[group[paired], revert[paired]]
+        cands = np.repeat(held, cells, axis=0)
+        cands[np.arange(cands.shape[0]), np.tile(at, group.shape[0])] = np.tile(to, group.shape[0])
+        owner = np.repeat(group, cells)
+        cost, excess = cost_of(cands, owner), excess_of(cands)
         # A qualifying state only takes strictly cheaper moves.
-        qualifies = cur_excess == 0.0
-        limit = np.where(qualifies, cur_cost, np.inf)
-        cost_cap = np.where(qualifies, np.nextafter(cur_cost, -np.inf), np.inf)
+        excess[(cur_excess[owner] == 0.0) & (cost >= cur_cost[owner])] = np.inf
         # Each live state's own pattern comes first, so a move wins only
         # at a strictly smaller key.
-        found = [(cur[live], cur_cost[live], cur_excess[live], live)]
-        chunked = group_state.shape[0] > per_chunk
-        for g in range(0, group_state.shape[0], per_chunk):
-            chunk = slice(g, g + per_chunk)
-            cands, owner, cost, excess = survivors(group_state[chunk], group_revert[chunk], cost_cap)
-            if cands.shape[0] == 0:
-                continue
-            excess[cost >= limit.take(owner)] = np.inf
-            if chunked:  # keep only each state's winner in this chunk
-                pick = _first_min(cands, cost, excess, owner)
-                cands, owner, cost, excess = cands[pick], owner[pick], cost[pick], excess[pick]
-            found.append((cands, cost, excess, owner))
-        cands, cost, excess, owner = (np.concatenate(parts) for parts in zip(*found))
+        cands, cost, excess, owner = (
+            np.concatenate(parts)
+            for parts in zip((cur[live], cur_cost[live], cur_excess[live], live), (cands, cost, excess, owner))
+        )
         pick = _first_min(cands, cost, excess, owner)
         pick = pick[pick >= live.shape[0]]
         live = owner[pick]
         cur[live], cur_cost[live], cur_excess[live] = cands[pick], cost[pick], excess[pick]
-        if exact:
-            live = live[(cur_excess[live] != 0.0) | (cur_cost[live] > floor[live])]
     return cur, cur_excess
-
-
-_INT64_MAX = np.iinfo(np.int64).max
-
-
-def _least_qualifying_cost(tables: np.ndarray, bases: np.ndarray, base_qualifies: np.ndarray) -> np.ndarray:
-    """(K,) least summed cost a qualifying pattern of each state can have
-    on integer (K, L, N) tables with N >= 2; see _decode_search."""
-    costs = tables.astype(np.int64)
-    least = costs.min(axis=2)
-    floor = least.sum(axis=1)
-    # With each base entry at the largest int64, the min over the other
-    # N - 1 tokens is the min over the row.
-    costs.reshape(-1)[np.arange(0, costs.size, tables.shape[2]) + bases.ravel()] = _INT64_MAX
-    step = (costs.min(axis=2) - least).min(axis=1)
-    return np.where(base_qualifies, floor, floor + step)
 
 
 def position_project(x_in: SeqDist, position: int, token: int) -> SeqDist:

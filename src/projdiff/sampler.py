@@ -30,8 +30,9 @@ A chain's state is its row of token ids.  On a projected step in alm
 mode one batched screen passes the chains the operator would leave
 unchanged.  The distinct states among the rest then go through one
 batched call of projection.project_ids, which works on the ids alone,
-with the search's term tables, which a run of a set of built-in
-constraints shares with the earlier runs that saw the same fields;
+with the set's projection tables (SearchTerms), which a run of a set of
+built-in constraints shares with the earlier runs that saw the same
+fields;
 a state it leaves infeasible goes on to alm_project's gradient loop
 from its one-hot rows.  The results fill the step's memo, keyed by the
 id row.  Chains are then handled in chain order: each takes its state's
@@ -216,9 +217,9 @@ class _Engine:
         self.kernel = NoiseKernel.for_vocab(cfg.kernel, self.vocab)
         self.schedule = Schedule(cfg.schedule, cfg.steps)
         self.rng = np.random.default_rng(cfg.rng_seed)
-        # The lattice search's term tables for the fields the constraints
-        # hold when the run starts, shared with earlier runs on the set
-        # that saw the same fields.
+        # The projection tables for the fields the constraints hold when
+        # the run starts, shared with earlier runs on the set that saw the
+        # same fields.
         self.terms = SearchTerms.of(cs, cfg.length, self.n) if cfg.projection_mode == "alm" else None
         # The exact denoiser's rows of each compatible set the run meets.
         self.sets = SetTable() if self.kernel.kind == "masked" else None

@@ -7,8 +7,8 @@ import copy
 import numpy as np
 import pytest
 
-from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
-from projdiff.core import Corpus, Sequence, Vocabulary
+from projdiff.constraints import Constraint, ConstraintSet, Forbidden, LinearScore, Position, TokenCount
+from projdiff.core import Corpus, Sequence, Vocabulary, as_rows
 
 
 def make_vocab(n_data: int, with_mask: bool = True) -> Vocabulary:
@@ -69,6 +69,27 @@ def make_constraint_set(rng, n, length):
             weights = rng.integers(0, 4, size=n) / 4.0  # ties and exact values
             out.append(LinearScore(weights=weights, tau=tau, name=f"linear{j}"))
     return ConstraintSet(tuple(out))
+
+
+class NoTerms(Constraint):
+    """A user constraint that every sequence meets, with no position
+    terms: a set holding it is projected by the plain lattice search, and
+    its verdicts and relaxed scores are those of the rest of the set."""
+
+    def __init__(self, name="no_terms"):
+        self.tau, self.name = 0.0, name
+
+    def check_fits(self, n, length):
+        pass
+
+    def hard_scores(self, ids):
+        return np.zeros(ids.shape[0])
+
+    def relaxed_score(self, dist):
+        return 0.0
+
+    def relaxed_grad(self, dist):
+        return np.zeros_like(as_rows(dist))
 
 
 def raise_taus(cs: ConstraintSet, delta: float) -> ConstraintSet:

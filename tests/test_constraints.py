@@ -21,7 +21,6 @@ from projdiff.constraints import (
 from projdiff.core import SeqDist, Sequence
 from projdiff.metrics import violation_count
 from projdiff.oracle import _feasible_patterns
-from projdiff.projection import _tolerance
 from projdiff.sampler import SampleConfig, _Engine
 
 from conftest import make_constraint_set, make_corpus, make_vocab, raise_taus
@@ -424,7 +423,7 @@ class TestPositionTerms:
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_linear_terms_within_the_search_tolerance(self, seed):
+    def test_linear_terms_within_rounding_of_hard_scores(self, seed):
         rng = np.random.default_rng(seed)
         n, length = int(rng.integers(1, 14)), int(rng.integers(1, 30))
         base = rng.choice(np.array([0.1, 0.2, 0.3, 0.7, 1e-3, 123.456]), size=n)
@@ -437,7 +436,12 @@ class TestPositionTerms:
         assert not terms.exact
         ids = rng.integers(0, n, size=(200, length))
         got, want = phi_of_table_sum(terms, ids), c.hard_scores(ids)
-        tol = _tolerance(terms.scale * terms.table, terms.offset)
+        # 8 (L + 4) u A, u the unit roundoff and A = |scale| sum_i max_v
+        # |table[i, v]| + |offset|: a float sum of L terms by any tree is
+        # within (L - 1) u A of the exact one (Higham, Accuracy and
+        # Stability of Numerical Algorithms, section 4.2).
+        scaled = terms.scale * terms.table
+        tol = 8.0 * 2.0**-53 * (length + 4) * (np.abs(scaled).max(axis=1).sum() + abs(terms.offset))
         assert np.all(np.abs(got - want) <= tol)
         # The tolerance is a few thousand ulps, not a loose fraction.
         assert tol <= 1e-12 * max(1.0, float(np.abs(weights).max()))

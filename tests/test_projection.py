@@ -6,10 +6,11 @@ import gc
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -26,12 +27,15 @@ from projdiff.constraints import (
 from projdiff.core import SeqDist, Sequence, decode, kl_divergence
 from projdiff.oracle import MAX_FLIP_SPACE, enumerate_fewest_flips, enumerate_novelty
 from projdiff.projection import (
+    DP_CHUNK_CELLS,
     AlmConfig,
     NoveltyDb,
     NoveltySaturationError,
     SearchTerms,
     _decode_search,
+    _fewest_flips,
     _first_min,
+    _FlipDP,
     _force_argmax_row,
     _NoveltyCursor,
     _row_flip_costs,
@@ -43,7 +47,7 @@ from projdiff.projection import (
     project_ids,
 )
 
-from conftest import make_constraint_set, make_corpus, make_vocab, raise_taus
+from conftest import NoTerms, make_constraint_set, make_corpus, make_vocab, raise_taus
 
 # The SLSQP reference solver clips bound violations internally and says
 # so; that chatter is not a property under test.
@@ -188,13 +192,17 @@ class TestAlmProject:
     def test_one_hot_falls_back_to_loop_when_search_stops_short(self):
         # From (1, 1, 1, 0) the search alone stops at (0, 0, 1, 0): three
         # zeros, but position 3 still wrong, and every single or paired
-        # move from there raises the excess.  The gradient loop and its
-        # closing search reach (0, 0, 0, 1).
+        # move from there raises the excess.  The dynamic program reaches
+        # (0, 0, 0, 1) with no outer iteration.  With NoTerms in the set
+        # only the search projects the state, and the gradient loop and
+        # its closing search reach (0, 0, 0, 1).
         cs = ConstraintSet([TokenCount(token=0, op="ge", k=3), Position(position=3, token=1)])
         rows = SeqDist.one_hot(Sequence((1, 1, 1, 0)), 2).rows
         base = (1, 1, 1, 0)
         assert search_one(rows, cs, base, base) == ((0, 0, 1, 0), 1.0)
         res = alm_project(SeqDist(rows), cs)
+        assert (decode(res.projected), res.feasible, res.outer_iters) == (Sequence((0, 0, 0, 1)), True, 0)
+        res = alm_project(SeqDist(rows), ConstraintSet(tuple(cs) + (NoTerms(),)))
         assert res.feasible
         assert decode(res.projected) == Sequence((0, 0, 0, 1))
         assert res.outer_iters > 0
@@ -312,7 +320,7 @@ class TestOneHotAgainstOracle:
 
     def test_fewest_flips(self):
         singles = set()
-        closed = 0
+        closed = programmed = 0
         for seed in range(600):
             rng = np.random.default_rng(seed)
             length = int(rng.integers(1, 7))
@@ -324,16 +332,22 @@ class TestOneHotAgainstOracle:
             except ValueError:
                 continue  # no pattern satisfies this draw
             res = alm_project(SeqDist(rows), cs)
-            if SearchTerms(cs, length, n).fewest_flips is not None:
+            terms = SearchTerms(cs, length, n)
+            if terms.fewest_flips is not None:
                 # The closed form's pick: the fewest flips, then the
                 # smallest ids.
                 closed += 1
                 assert decode(res.projected) == pattern, seed
             flips = int(np.count_nonzero(np.asarray(decode(res.projected).ids) != rows.argmax(axis=1)))
-            if len(cs) == 1:
-                singles.add(cs.names[0].rstrip("0"))
+            if sum(isinstance(c, LinearScore) for c in cs) <= 1:
+                # The closed form or the dynamic program projects every
+                # such set that some pattern satisfies, with no outer
+                # iteration.
+                programmed += terms.dp is not None
                 assert res.feasible, seed
                 assert res.outer_iters == 0, seed
+            if len(cs) == 1:
+                singles.add(cs.names[0].rstrip("0"))
                 # Each flip pools at 1/2 and then tilts by ARGMAX_EPS,
                 # adding about 2e-6 nats to its ln 2.
                 assert res.kl_moved == pytest.approx(best, rel=1e-5), seed
@@ -341,7 +355,7 @@ class TestOneHotAgainstOracle:
                 assert cs.satisfied(decode(res.projected)), seed
                 assert flips * math.log(2.0) == best, seed
         assert singles == {"linear", "count", "forbidden", "position"}
-        assert closed >= 100
+        assert closed >= 100 and programmed >= 100
 
     def test_lone_linear_score_takes_the_fewest_flips(self):
         # Float weights, and no pattern's mean within 1e-9 of tau, so that
@@ -959,11 +973,8 @@ class TestBatchedDecodeSearch:
     """The search of K states at once against the one-at-a-time reference,
     run state by state."""
 
-    @pytest.mark.parametrize("chunk_rows", [None, 40])
     @pytest.mark.parametrize("max_sweeps", [None, 1, 3])
-    def test_matches_reference_state_by_state(self, monkeypatch, max_sweeps, chunk_rows):
-        if chunk_rows is not None:  # a state's move groups then straddle chunks
-            monkeypatch.setattr(projection, "SEARCH_CHUNK_ROWS", chunk_rows)
+    def test_matches_reference_state_by_state(self, max_sweeps):
         rng = np.random.default_rng(30 + (max_sweeps or 0))
         stopped_apart = 0
         for _ in range(12):
@@ -978,13 +989,10 @@ class TestBatchedDecodeSearch:
             stopped_apart += len(set(moves)) > 1
         assert stopped_apart >= 3  # states of one stack stopped in different sweeps
 
-    @pytest.mark.parametrize("chunk_rows", [None, 40])
-    def test_integer_costs_match_one_hot_flip_costs(self, monkeypatch, chunk_rows):
-        # Integer tables, such as the 0/1 ones project_ids builds, take the
-        # exact integer path; from starts away from the base, most moves
-        # pair a flip with a revert.
-        if chunk_rows is not None:
-            monkeypatch.setattr(projection, "SEARCH_CHUNK_ROWS", chunk_rows)
+    def test_integer_costs_match_one_hot_flip_costs(self):
+        # Integer tables, such as the 0/1 ones project_ids builds, sum
+        # exactly; from starts away from the base, most moves pair a flip
+        # with a revert.
         rng = np.random.default_rng(12)
         for _ in range(60):
             k, seq_len, n = int(rng.integers(1, 17)), int(rng.integers(1, 9)), int(rng.integers(2, 9))
@@ -1006,12 +1014,12 @@ class TestBatchedDecodeSearch:
     def test_project_ids_ranks_one_hot_patterns_by_distance(self, delta):
         # On one-hot rows every flip costs ln 2, so ranking patterns by
         # their Hamming distance to the state picks what the flip-cost
-        # tables pick.
+        # tables pick.  NoTerms sends every set to the search.
         rng = np.random.default_rng(8)
         for _ in range(30):
             k, seq_len, n = int(rng.integers(1, 17)), int(rng.integers(1, 9)), int(rng.integers(2, 9))
             states = rng.integers(0, n, size=(k, seq_len))
-            cs = raise_taus(make_constraint_set(rng, n, seq_len), delta)
+            cs = ConstraintSet(tuple(raise_taus(make_constraint_set(rng, n, seq_len), delta)) + (NoTerms(),))
             ids, feasible = project_ids(states, n, cs)
             tables = np.stack([_row_flip_costs(np.eye(n)[s]) for s in states])
             want, residual = _decode_search(tables, cs, states, states)
@@ -1078,16 +1086,12 @@ class DistinctTokens(Constraint):
 
 
 class TestPrunedSweeps:
-    """Pruned sweeps against the one-at-a-time reference where pruning
-    could go wrong: float sums that tie or split by an ulp, and a
-    constraint whose moves cannot be bounded."""
+    """Sweeps against the one-at-a-time reference on float sums that tie
+    or split by an ulp, and on a constraint without position terms."""
 
-    @pytest.mark.parametrize("chunk_rows", [None, 40])
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_near_tied_linear_weights_match_reference(self, monkeypatch, chunk_rows, seed):
-        if chunk_rows is not None:
-            monkeypatch.setattr(projection, "SEARCH_CHUNK_ROWS", chunk_rows)
+    @settings(max_examples=60, deadline=None)
+    def test_near_tied_linear_weights_match_reference(self, seed):
         rng = np.random.default_rng(seed)
         k, seq_len, n = int(rng.integers(1, 9)), int(rng.integers(1, 8)), int(rng.integers(2, 7))
         cs = raise_taus(near_tie_set(rng, n, seq_len), float(rng.choice([0.0, 0.0, 1e-17, 0.05])))
@@ -1098,8 +1102,8 @@ class TestPrunedSweeps:
         for j, r in enumerate(rows):
             want = reference_decode_search(r, cs, starts[j], bases[j])
             assert (tuple(ids[j].tolist()), float(residual[j])) == want, j
-        # The integer path from the states themselves, as project_ids runs it.
-        got, feasible = project_ids(bases, n, cs)
+        # The 0/1 path from the states themselves, as project_ids runs it.
+        got, feasible = search_ids(bases, n, cs)
         tables = np.stack([_row_flip_costs(np.eye(n)[b]) for b in bases])
         want, want_residual = _decode_search(tables, cs, bases, bases)
         assert np.array_equal(got, want) and np.array_equal(feasible, want_residual == 0.0)
@@ -1107,10 +1111,7 @@ class TestPrunedSweeps:
             ref = reference_decode_search(np.eye(n)[b], cs, b, b)
             assert tuple(want[j].tolist()) == ref[0]
 
-    @pytest.mark.parametrize("chunk_rows", [None, 40])
-    def test_constraint_without_terms_matches_reference(self, monkeypatch, chunk_rows):
-        if chunk_rows is not None:
-            monkeypatch.setattr(projection, "SEARCH_CHUNK_ROWS", chunk_rows)
+    def test_constraint_without_terms_matches_reference(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
             k, seq_len, n = int(rng.integers(1, 9)), int(rng.integers(1, 7)), int(rng.integers(2, 7))
@@ -1128,6 +1129,17 @@ class TestPrunedSweeps:
             got, _ = project_ids(bases, n, cs)
             for j, b in enumerate(bases):
                 assert tuple(got[j].tolist()) == reference_decode_search(np.eye(n)[b], cs, b, b)[0]
+
+    def test_chunks_of_states_give_the_whole_stacks_result(self, monkeypatch):
+        # project_ids hands the search SEARCH_CHUNK_STATES states at a time.
+        monkeypatch.setattr(projection, "SEARCH_CHUNK_STATES", 7)
+        rng = np.random.default_rng(9)
+        states = rng.integers(0, 6, size=(40, 7))
+        cs = ConstraintSet((TokenCount(1, "eq", 2), LinearScore(rng.uniform(0, 1, 6), tau=0.4), NoTerms()))
+        ids, feasible = project_ids(states, 6, cs)
+        want, want_feasible = search_ids(states, 6, cs)
+        assert ids.tobytes() == want.tobytes() and feasible.tobytes() == want_feasible.tobytes()
+        assert (ids != states).any()
 
     def test_start_scored_once_when_it_is_the_base(self, monkeypatch):
         # project_ids passes its states as both starts and bases.
@@ -1167,37 +1179,13 @@ def exact_constraint_set(rng, n, length):
     return ConstraintSet(tuple(out))
 
 
-def spy_search_traffic(monkeypatch):
-    """A Counter of hard_violations_batch calls and rows and _first_min calls."""
-    traffic = collections.Counter()
-    real_batch, real_first_min = ConstraintSet.hard_violations_batch, projection._first_min
+class TestIntegerCostSearch:
+    """Searches on integer cost tables, which sum exactly, against the
+    one-at-a-time reference."""
 
-    def batch(self, ids):
-        traffic["batch_calls"] += 1
-        traffic["batch_rows"] += len(ids)
-        return real_batch(self, ids)
-
-    def first_min(*args):
-        traffic["first_min"] += 1
-        return real_first_min(*args)
-
-    monkeypatch.setattr(ConstraintSet, "hard_violations_batch", batch)
-    monkeypatch.setattr(projection, "_first_min", first_min)
-    return traffic
-
-
-class TestStopRuleAndExactExcess:
-    """Searches on integer cost tables, where a state stops once it
-    qualifies at the least cost any qualifying pattern can have, and on
-    exact constraint sets, whose moves take their excess from the bound
-    grids, against the one-at-a-time reference."""
-
-    @pytest.mark.parametrize("chunk_rows", [None, 40])
     @pytest.mark.parametrize("family", ["exact", "mixed"])
-    def test_integer_costs_match_reference(self, monkeypatch, chunk_rows, family):
-        if chunk_rows is not None:
-            monkeypatch.setattr(projection, "SEARCH_CHUNK_ROWS", chunk_rows)
-        rng = np.random.default_rng(50 + (chunk_rows or 0) + (family == "exact"))
+    def test_integer_costs_match_reference(self, family):
+        rng = np.random.default_rng(50 + (family == "exact"))
         make = exact_constraint_set if family == "exact" else make_constraint_set
         seen = collections.Counter()
         for _ in range(60):
@@ -1221,6 +1209,9 @@ class TestStopRuleAndExactExcess:
                 base = tuple(bases[j].tolist())
                 base_ok = reference_decode_search(np.eye(n)[bases[j]], cs, base, base, max_sweeps=0)[1] == 0.0
                 seen["base qualifies" if base_ok else "base fails"] += 1
+                # The least cost a qualifying pattern can have: a pattern
+                # that differs from a failing base somewhere pays its
+                # cheapest change.
                 table = costs[j].tolist()
                 floor = sum(min(row) for row in table)
                 if not base_ok:
@@ -1229,53 +1220,8 @@ class TestStopRuleAndExactExcess:
                 outcomes.add("infeasible" if residual[j] > 0.0 else "at floor" if cost == floor else "above floor")
             seen.update(outcomes)
             seen["mixed outcomes"] += int(len(outcomes) > 1)
-        # Every case met many times, the stop rule's (at floor) included.
+        # Every case met many times.
         assert len(seen) == 6 and min(seen.values()) >= 5, seen
-
-    def test_exact_sets_score_only_their_starts(self, monkeypatch):
-        # Every move's excess comes from the grid: the only exact scoring
-        # is of the starts (and of the bases, when they are apart).
-        rng = np.random.default_rng(8)
-        traffic = spy_search_traffic(monkeypatch)
-        for _ in range(40):
-            k, seq_len, n = int(rng.integers(1, 9)), int(rng.integers(2, 8)), int(rng.integers(2, 7))
-            cs = exact_constraint_set(rng, n, seq_len)
-            bases = rng.integers(0, n, size=(k, seq_len))
-            flips = (np.arange(n) != bases[:, :, None]).astype(np.int8)
-            ids, feasible = project_ids(bases, n, cs)
-            for j, b in enumerate(bases):
-                assert tuple(ids[j].tolist()) == reference_decode_search(np.eye(n)[b], cs, b, b)[0]
-            traffic.clear()
-            _decode_search(flips, cs, bases, bases)
-            assert traffic["batch_calls"] == 1 and traffic["batch_rows"] == k
-            starts = rng.integers(0, n, size=(k, seq_len))
-            traffic.clear()
-            _decode_search(flips, cs, starts, bases)
-            assert traffic["batch_calls"] == 2 and traffic["batch_rows"] == 2 * k
-
-    def test_one_flip_state_takes_one_sweep(self, monkeypatch):
-        # One occurrence too many: the sweep that flips it away reaches
-        # the least cost any qualifying pattern can have, one flip, and no
-        # second sweep confirms it.
-        traffic = spy_search_traffic(monkeypatch)
-        cs = ConstraintSet((TokenCount(token=2, op="le", k=1),))
-        state = np.array([[2, 0, 2, 1, 3]])
-        flips = (np.arange(5) != state[:, :, None]).astype(np.int8)
-        ids, residual = _decode_search(flips, cs, state, state)
-        assert ids.tolist() == [[0, 0, 2, 1, 3]] and residual.tolist() == [0.0]
-        assert traffic == {"batch_calls": 1, "batch_rows": 1, "first_min": 1}
-
-    def test_qualifying_base_at_least_cost_takes_no_sweep(self, monkeypatch):
-        # The base qualifies at cost 0, the least any pattern has, and the
-        # start does not: the pick between them is the only _first_min.
-        traffic = spy_search_traffic(monkeypatch)
-        cs = ConstraintSet((Position(1, 3), Forbidden(0)))
-        bases = np.array([[1, 3, 2], [2, 3, 1]])
-        starts = np.array([[0, 3, 2], [2, 1, 1]])
-        flips = (np.arange(4) != bases[:, :, None]).astype(np.int8)
-        ids, residual = _decode_search(flips, cs, starts, bases)
-        assert ids.tolist() == bases.tolist() and residual.tolist() == [0.0, 0.0]
-        assert traffic == {"batch_calls": 2, "batch_rows": 4, "first_min": 1}
 
     def test_search_terms_stand_in_for_their_set(self):
         rng = np.random.default_rng(4)
@@ -1432,22 +1378,22 @@ class TestFewestFlipsClosedForm:
             project_ids(states, 13, ConstraintSet(tuple(PROJECT_IDS_SETS[name])))
         assert calls == []
         # No state of one token can move, and one token 0 per position is
-        # four too many for Forbidden(0): every state takes the search.
+        # four too many for Forbidden(0): the dynamic program finds no
+        # pattern, and every state goes on to the search.
         ids, feasible = project_ids(np.zeros((2, 4), dtype=np.int64), 1, ConstraintSet((Forbidden(0),)))
         assert calls == [[[0, 0, 0, 0], [0, 0, 0, 0]]] and feasible.tolist() == [False, False]
-        # Every state of a LinearScore set takes the single-move descent,
-        # and the search sees only those it hands off: none, on float
-        # weights.
-        descended = []
-        real_descent = projection._linear_descent
+        # Every state of a LinearScore set takes the dynamic program, and
+        # the search sees none of them, on float weights.
+        programmed = []
+        real_pick = _FlipDP.pick
 
-        def descent(states, terms):
-            descended.append(states.tolist())
-            return real_descent(states, terms)
+        def pick(self, states):
+            programmed.append(states.tolist())
+            return real_pick(self, states)
 
-        monkeypatch.setattr(projection, "_linear_descent", descent)
+        monkeypatch.setattr(_FlipDP, "pick", pick)
         project_ids(states[:3], 13, ConstraintSet(tuple(PROJECT_IDS_SETS["linear0.5"])))
-        assert descended == [states[:3].tolist()] and calls[1:] == []
+        assert programmed == [states[:3].tolist()] and calls[1:] == []
 
     def test_smaller_new_tokens_from_the_left_then_larger_from_the_right(self):
         # At most two 2s in (2, 0, 2, 1, 2, 2): the 2s move to 0, smaller,
@@ -1463,105 +1409,143 @@ class TestFewestFlipsClosedForm:
         assert mixed.tolist() == [[0, 1, 1, 1]]
 
 
-def descent_weights(rng, kind, n):
-    """Weights of a LinearScore over n tokens: uniform floats, or tied
-    0/1, thirds or tenths."""
-    if kind == "float":
-        return rng.uniform(0.0, 1.0, size=n)
-    steps = {"0/1": 1, "thirds": 3, "tenths": 10}[kind]
-    return rng.integers(0, steps + 1, size=n) / steps
+def flip_dp(cs, length, n):
+    """cs's _FlipDP on (length, n) tables, built whether or not the set
+    has a closed form."""
+    return _FlipDP.of(cs, [c.position_terms(length, n) for c in cs], length, n)
 
 
-def spy_descent(monkeypatch):
-    """Patch _linear_descent and _decode_search to record the states each
-    is handed; returns the two lists."""
-    descended, searched = [], []
-    real_descent, real_search = projection._linear_descent, projection._decode_search
-
-    def descent(states, terms):
-        descended.append(states.tolist())
-        return real_descent(states, terms)
-
-    def search(tables, cs, starts, bases, *args):
-        searched.append(starts.tolist())
-        return real_search(tables, cs, starts, bases, *args)
-
-    monkeypatch.setattr(projection, "_linear_descent", descent)
-    monkeypatch.setattr(projection, "_decode_search", search)
-    return descended, searched
+def near_tau(cs, length, n):
+    """Whether some pattern's LinearScore mean lies within 1e-9 of tau,
+    where rounding may decide the verdict."""
+    patterns = np.array(list(itertools.product(range(n), repeat=length)))
+    return any(isinstance(c, LinearScore) and (np.abs(c.hard_scores(patterns) - c.tau) < 1e-9).any() for c in cs)
 
 
-class TestLinearDescent:
-    """project_ids takes a lone LinearScore by single moves, and hands the
-    states where the search's pair and sideways moves could win to the
-    search: the result is the search's, byte for byte."""
+class TestFlipDP:
+    """The dynamic program against enumeration and the closed form, and
+    the routes of project_ids around it."""
 
-    def test_matches_the_search(self):
-        rng = np.random.default_rng(27)
+    def test_matches_the_oracle(self):
+        # Random sets of 1-3 constraints of every family, at most one
+        # LinearScore, on enumerable spaces: the pick is
+        # enumerate_fewest_flips's, tie rule included, it is found
+        # whenever some pattern qualifies, and project_ids returns it.
         seen = collections.Counter()
-        for _ in range(400):
-            length, n, k = int(rng.integers(1, 11)), int(rng.integers(2, 14)), int(rng.integers(1, 13))
-            kind = str(rng.choice(["float", "0/1", "thirds", "tenths"]))
-            tau = float(rng.choice([0.0, 0.1, 0.25, 1 / 3, 0.5, rng.uniform(0.0, 1.0)]))
-            terms = SearchTerms(ConstraintSet((LinearScore(descent_weights(rng, kind, n), tau),)), length, n)
-            # Mostly one token, as at t = T.
-            one = int(rng.integers(0, n))
-            states = np.where(rng.random((k, length)) < rng.uniform(0.5, 1.0), one, rng.integers(0, n, (k, length)))
-            ids, feasible = project_ids(states, n, terms)
-            want, want_feasible = search_ids(states, n, terms)
-            assert ids.tobytes() == want.tobytes() and feasible.tobytes() == want_feasible.tobytes()
-            _, _, handed = projection._linear_descent(states, terms)
-            decided = np.setdiff1d(np.arange(k), handed)
-            moved = (ids[decided] != states[decided]).sum(axis=1)
-            if kind != "float":
-                seen["tied weights handed off"] += handed.shape[0]
-            seen["two or more flips"] += int((moved >= 2).sum())
-            seen["left infeasible"] += int((~feasible[decided]).sum())
-        # Tied weights meet hand-offs, and the descent alone decides
-        # states of several flips and states it leaves infeasible.
-        assert min(seen["tied weights handed off"], seen["two or more flips"], seen["left infeasible"]) >= 20, seen
+        for seed in range(800):
+            rng = np.random.default_rng(seed)
+            length = int(rng.integers(1, 7))
+            n = int(rng.integers(1, min(int(round(MAX_FLIP_SPACE ** (1 / length))), 8) + 1))
+            cs = make_constraint_set(rng, n, length)
+            if sum(isinstance(c, LinearScore) for c in cs) > 1 or near_tau(cs, length, n):
+                continue
+            states = rng.integers(0, n, size=(6, length))
+            ids, feasible = flip_dp(cs, length, n).pick(states)
+            got, got_feasible = project_ids(states, n, cs)
+            for state, pick, ok, by_route, route_ok in zip(states, ids, feasible, got, got_feasible):
+                try:
+                    pattern, cost = enumerate_fewest_flips(np.eye(n)[state], cs)
+                except ValueError:  # no pattern satisfies the set
+                    assert not ok and not route_ok, seed
+                    seen["no pattern"] += 1
+                    continue
+                assert ok and route_ok, seed
+                assert tuple(pick.tolist()) == tuple(by_route.tolist()) == pattern.ids, seed
+                seen["picked"] += 1
+                seen["two or more flips"] += round(cost / math.log(2.0)) >= 2
+                seen["with a LinearScore"] += any(isinstance(c, LinearScore) for c in cs)
+                seen["mixed families"] += len({type(c) for c in cs}) > 1
+        assert min(seen.values()) >= 100, seen
 
-    def test_tied_pair_move_is_handed_to_the_search(self, monkeypatch):
-        # The search takes a pair move to 2 1 4 4 0 0 4, whose mean is
-        # exactly 1/3; single flips alone would read a 2-flip pattern at
-        # 0.33333333333333337 and flip a third position.
-        descended, searched = spy_descent(monkeypatch)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["c01", "n2", "l1", "any"]),
+        st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_sets_match_fewest_flips(self, seed, shape, delta):
+        rng = np.random.default_rng(seed)
+        length, n = {
+            "c01": (10, 13),
+            "n2": (int(rng.integers(1, 9)), 2),
+            "l1": (1, int(rng.integers(1, 8))),
+            "any": (int(rng.integers(1, 9)), int(rng.integers(1, 8))),
+        }[shape]
+        cs = raise_taus(closed_form_set(rng, n, length), delta)
+        parts = SearchTerms(cs, length, n).fewest_flips
+        states = closed_form_states(rng, shape, n, length)
+        ids, feasible = flip_dp(cs, length, n).pick(states)
+        if parts is None:  # no pattern satisfies the set
+            assert not feasible.any()
+        else:
+            assert feasible.all() and ids.tobytes() == _fewest_flips(states, n, parts).tobytes()
+
+    @pytest.mark.parametrize(
+        "cs, route",
+        [
+            ([TokenCount(1, "ge", 2)], "closed form"),
+            ([TokenCount(1, "le", 2), Forbidden(3)], "program"),
+            ([Position(0, 2), Position(0, 1)], "program"),
+            ([LinearScore(np.full(4, 0.5), tau=0.25)], "program"),
+            ([LinearScore(np.full(4, 0.5), tau=0.25), TokenCount(1, "eq", 2), Position(2, 3)], "program"),
+            ([TokenCount(1, "ge", 6)], "program"),  # six in five positions: no pattern
+            ([LinearScore(np.full(4, 0.5), tau=np.inf), TokenCount(1, "eq", 2)], "search"),
+            ([LinearScore(np.full(4, 0.5), 0.25, "a"), LinearScore(np.full(4, 0.2), 0.25, "b")], "search"),
+            ([DistinctTokens(2)], "search"),
+            ([TokenCount(1, "le", 2), NoTerms()], "search"),
+        ],
+    )
+    def test_routes(self, cs, route):
+        terms = SearchTerms(ConstraintSet(tuple(cs)), 5, 4)
+        got = "closed form" if terms.fewest_flips is not None else "program" if terms.dp is not None else "search"
+        assert got == route
+
+    def test_pick_the_hard_check_refuses_goes_to_the_search(self, monkeypatch):
+        # The pattern 0 1 4 4 0 2 4 has mean 1/3 = tau in exact arithmetic,
+        # and the program's sums keep it, two flips from the state and the
+        # least in lex order.  hard_scores rounds its mean above tau, so
+        # project_ids hands the state to the search, which pairs moves to
+        # 2 1 4 4 0 0 4.  The second state's one flip, to mean 2/7, stands.
+        searched = []
+        real = projection._decode_search
+
+        def search(tables, cs, starts, bases, *args):
+            searched.append(starts.tolist())
+            return real(tables, cs, starts, bases, *args)
+
+        monkeypatch.setattr(projection, "_decode_search", search)
         cs = ConstraintSet((LinearScore(np.array([0.0, 1 / 3, 1.0, 1.0, 1 / 3]), tau=1 / 3),))
-        state = np.array([[2, 1, 4, 4, 3, 2, 4]])
+        state = np.array([[2, 1, 4, 4, 3, 2, 4], [2, 2, 2, 0, 0, 0, 0]])
+        picked, feasible = SearchTerms(cs, 7, 5).dp.pick(state)
+        assert picked[0].tolist() == [0, 1, 4, 4, 0, 2, 4] and feasible.all()
+        violations = cs.hard_violations_batch(picked)[:, 0]
+        assert violations[0] > 0.0 and violations[1] == 0.0
         ids, feasible = project_ids(state, 5, cs)
-        assert ids.tolist() == [[2, 1, 4, 4, 0, 0, 4]] and feasible.tolist() == [True]
-        assert descended == searched == [state.tolist()]
+        assert ids.tolist() == [[2, 1, 4, 4, 0, 0, 4], [0, 2, 2, 0, 0, 0, 0]] and feasible.all()
+        assert searched == [state[:1].tolist()]
 
-    def test_float_weights_make_no_search(self, monkeypatch):
-        descended, searched = spy_descent(monkeypatch)
-        states = c01_start_states(300)
-        for name in ("linear0.25", "linear0.5", "linear0.75"):
-            ids, feasible = project_ids(states, 13, ConstraintSet(tuple(PROJECT_IDS_SETS[name])))
-            assert feasible.all()
-        assert len(descended) == 3 and searched == []
-
-    def test_edge_cases(self, monkeypatch):
-        descended, searched = spy_descent(monkeypatch)
-        weights = np.array([0.5, 0.2, 0.9])
-        # No states.
-        ids, feasible = project_ids(np.zeros((0, 4), dtype=np.int64), 3, ConstraintSet((LinearScore(weights, 0.3),)))
-        assert ids.shape == (0, 4) and ids.dtype == np.int64 and feasible.shape == (0,) and feasible.dtype == bool
-        # One position: the least weight that holds.
-        ids, feasible = project_ids(np.array([[2], [0], [1]]), 3, ConstraintSet((LinearScore(weights, 0.6),)))
-        assert ids.tolist() == [[0], [0], [1]] and feasible.all()
-        # A start that holds keeps its ids.
-        state = np.array([[1, 0, 1, 2]])
-        ids, feasible = project_ids(state, 3, ConstraintSet((LinearScore(weights, 0.45),)))
-        assert ids.tolist() == state.tolist() and feasible.tolist() == [True]
-        # tau below the least weight: every position moves to it, and
-        # the state stays infeasible.
-        ids, feasible = project_ids(state, 3, ConstraintSet((LinearScore(weights, 0.1),)))
-        assert ids.tolist() == [[1, 1, 1, 1]] and feasible.tolist() == [False]
-        # One token: nothing can move.
-        for tau, holds in ((0.1, False), (0.6, True)):
-            ids, feasible = project_ids(np.zeros((2, 3), dtype=np.int64), 1, ConstraintSet((LinearScore([0.5], tau),)))
-            assert ids.tolist() == [[0] * 3] * 2 and feasible.tolist() == [holds] * 2
-        assert len(descended) == 6 and searched == []
+    def test_chunks_bound_memory(self):
+        # Three TokenCounts and a LinearScore on the 2,000 c01 states: the
+        # tables of all the states at once would take about 100 MB; the
+        # program takes them in chunks of at most DP_CHUNK_CELLS cells,
+        # and chunking changes no pick.
+        cs = ConstraintSet(
+            (TokenCount(0, "le", 2), TokenCount(1, "ge", 1), TokenCount(2, "eq", 1), LinearScore(C01_WEIGHTS, 0.5))
+        )
+        states = c01_start_states()
+        dp = SearchTerms(cs, 10, 13).dp
+        assert 1 < dp.chunk < states.shape[0] // 4
+        tracemalloc.start()
+        try:
+            ids, feasible = dp.pick(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feasible.all() and peak < 2 * 8 * DP_CHUNK_CELLS
+        for k in range(0, states.shape[0], 97):
+            one, ok = dp.pick(states[k : k + 1])
+            assert ok.all() and one.tobytes() == ids[k : k + 1].tobytes()
+        assert not cs.hard_violations_batch(ids).any()
 
 
 def planted_stack(rng):
@@ -1663,15 +1647,17 @@ PROJECT_IDS_SETS = {
 
 class TestProjectIdsDigest:
     """project_ids on 2,000 seeded c01-shaped states per constraint set of
-    the linear and token workloads, recorded before the sweep pruned its
-    moves: pins the search's tie-breaking beyond the sampler digests."""
+    the linear and token workloads: pins the tie-breaking beyond the
+    sampler digests.  The token sets' digests were recorded before the
+    sweep pruned its moves, and the closed form gives them still; the
+    linear sets' were recorded when the dynamic program took them."""
 
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("linear0.25", "9b88abe7801a7858dc09ec1e23b8559196e18414dc5e4777c246586ebe7a1333"),
-            ("linear0.5", "d5a529602f126807985f25a05f631f893971ed1a02f7b23df98d89620f655c07"),
-            ("linear0.75", "5b76de79f42c0629f174f00e753c6b0517c7b16aecd81c7fb394da375c8c95c8"),
+            ("linear0.25", "94ac5558d33c2ed44b7e307080f768aaa3fae62257ab78104c7ecb8dde9251c9"),
+            ("linear0.5", "664caddd53a8781697cb9449dccd3c9874b96d7bd84f01952348641d3bc82a45"),
+            ("linear0.75", "fe134e1e117a0a0c6d9a45ebb41c451c69a791798bbbbb7507cb960767c637b1"),
             ("count_le", "f52f7c8121c9dfd769ede95bade7b95b5fe387e93b2ba34b3ebe7cfd150d04c8"),
             ("count_eq", "3dcb16aa52b78fc6b4a78f02ff689396029fbb8d6c0fcc989d26a47c87f5d229"),
             ("position", "27a8218fb61997bc8ff837dbb0de6a635181fd9c3a92d664a49651e336fcb82e"),
@@ -1688,12 +1674,12 @@ class TestProjectIdsDigest:
 
 class TestAlmProjectDigest:
     """alm_project end to end on 300 seeded instances of Dirichlet, mixed
-    and one-hot rows, recorded before the flip-cost table was rebuilt
-    from _force_argmax_row: pins the gradient loop, the closing search
-    over the table and the pooled result. A short outer budget keeps the
-    infeasible instances cheap."""
+    and one-hot rows, recorded when the dynamic program took the one-hot
+    instances of sets with at most one LinearScore: pins the gradient
+    loop, the closing search over the table and the pooled result. A
+    short outer budget keeps the infeasible instances cheap."""
 
-    DIGEST = "57e2cd54ac9a1709a4f0bd0e697edfd346c8e1a4668a5cb45394630188f59714"
+    DIGEST = "eef7667319674110459de5323a3b2c676ad2c4f4ccba77cea75f94fe131cdf57"
 
     def test_seeded_instances_match_recorded_digest(self):
         rng = np.random.default_rng(2025)

@@ -26,7 +26,7 @@ from projdiff.sampler import (
     violation_contraction,
 )
 
-from conftest import compatible_sets, make_corpus, make_vocab
+from conftest import NoTerms, compatible_sets, make_corpus, make_vocab
 
 
 def simple_cs():
@@ -233,24 +233,26 @@ class TestDeterminism:
 
     def test_seeded_c01_samples_match_recorded_digest(self):
         """A fixed seed keeps giving the same samples.  The digest was
-        recorded before the lattice search and the constraint scores were
-        batched; a change to either that alters any pattern choice or
-        tie-break changes it."""
+        recorded when the dynamic program took mixed sets, whose picks
+        are the fewest flips and then the smallest ids; a change that
+        alters any pattern choice or tie-break changes it."""
         weights = np.random.default_rng(0).uniform(0.0, 1.0, size=13)
         cs = ConstraintSet([LinearScore(weights=weights, tau=0.25), TokenCount(token=1, op="eq", k=2)])
-        assert c01_digest(cs) == "6ce9cd0dec4297933c769cfd7e8685685501bf51290a23d5c0607a98ffa0e1ae"
+        assert c01_digest(cs) == "8a418906a5b90e21ec210db24a89a6f3eec3861fc1d73673290aaaa27ee01a6e"
 
     @pytest.mark.parametrize(
         "family, digest",
         [
-            ("linear", "883cddfef609958e22a28447952c6546f5a6811240192bfd4a6435bdcafbb4f8"),
+            ("linear", "1a3fcee11ab808302fea7fc589bfc2a964519857da32e88d86e8f8a6b387cb8b"),
             ("count", "2ab0373ed811ddc7f6bda17d6538e195dfa837412ca1e79673802b654a615b61"),
         ],
     )
     def test_seeded_single_constraint_samples_match_recorded_digest(self, family, digest):
-        """Single-constraint c01 sets, digests recorded while the ALM loop
-        still ran on every one-hot projection: deciding those projections
-        by the lattice search alone must not change a sample."""
+        """Single-constraint c01 sets.  The count digest was recorded while
+        the ALM loop still ran on every one-hot projection, and deciding
+        those projections by the closed form must not change a sample; the
+        linear digest was recorded when the dynamic program took a lone
+        LinearScore."""
         if family == "linear":
             c = LinearScore(weights=np.random.default_rng(0).uniform(0.0, 1.0, size=13), tau=0.5)
         else:
@@ -260,17 +262,19 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "kernel, family, digest",
         [
-            ("masked", "alm", "c7e3556fc3f31bfd1927062c5361fd7e1ddce509a003d0a3c11cbff1bfee9714"),
-            ("uniform", "alm", "c16842ac2bfb91b38fad0db94ef9de79e0d406d30b052efd43c9533aefbfc152"),
+            ("masked", "alm", "24d178cd4954542d1ae546b2d57baa09793f0658b4abc3cee97666fe409e5567"),
+            ("uniform", "alm", "ebea2c6b6055c3e1eb227e76786d348a01a5c90efce02c0cc66c172ab316455c"),
             ("masked", "positional", "fd548eaa32948e2b3c5d18fbc6156fc63c004f14807a2535a7a2e88bf29cf81e"),
         ],
     )
     def test_seeded_c01_trace_matches_recorded_digest(self, kernel, family, digest):
         """Samples and trace records (violations, KL moved, outer
-        iterations) of projected and unprojected steps, recorded while
-        every projected chain still went through its projector.  The
-        "positional" case projects its Position-only set in alm mode,
-        which gives the digest that set's own positional mode recorded."""
+        iterations) of projected and unprojected steps.  The "positional"
+        case, recorded while every projected chain still went through its
+        projector, projects its Position-only set in alm mode, which gives
+        the digest that set's own positional mode recorded; the "alm"
+        cases were recorded when the dynamic program took their mixed
+        set."""
         if family == "alm":
             weights = np.random.default_rng(0).uniform(0.0, 1.0, size=13)
             cs = ConstraintSet([LinearScore(weights=weights, tau=0.25), TokenCount(token=1, op="eq", k=2)])
@@ -286,8 +290,9 @@ class TestDeterminism:
         a step, an infeasible state among them.  Recorded while every
         failing chain still went through its projector: reusing a step's
         result for a repeated state, and redrawing in chain order, must
-        leave the rng stream as it was."""
-        cs = ConstraintSet([Position(6, 7, tau=0.5), TokenCount(token=9, op="ge", k=3), Position(1, 6)])
+        leave the rng stream as it was.  NoTerms sends every state to the
+        plain lattice search, which leaves some infeasible."""
+        cs = ConstraintSet([Position(6, 7, tau=0.5), TokenCount(token=9, op="ge", k=3), Position(1, 6), NoTerms()])
         failing, current = spy_failing_states(monkeypatch)
         infeasible, redraws = set(), [0]
         real_project, real_sample_rows = sampler_module.alm_project, backend.ops.sample_rows
@@ -711,8 +716,9 @@ class TestProjectionMemo:
         # first appearance, and a chain that redraws has its new state
         # projected on its own, right after the redraw, unless the step
         # has projected that state already.  The samples and records stay
-        # those of the recorded digest.
-        cs = ConstraintSet([Position(6, 7, tau=0.5), TokenCount(token=9, op="ge", k=3), Position(1, 6)])
+        # those of the recorded digest.  NoTerms sends every state to the
+        # plain lattice search, which leaves some infeasible.
+        cs = ConstraintSet([Position(6, 7, tau=0.5), TokenCount(token=9, op="ge", k=3), Position(1, 6), NoTerms()])
         events = []
         real_passes, real_redraw = sampler_module._Engine._passes, sampler_module._Engine._redraw
         real_ids = sampler_module.project_ids
@@ -813,25 +819,32 @@ class TestProjectionMemo:
 
 class TestSearchOnlyWhereNeeded:
     @pytest.mark.parametrize(
-        "constraints, descends",
+        "constraints, by_program",
         [
             ([TokenCount(token=0, op="le", k=2)], False),
             ([TokenCount(token=1, op="eq", k=2)], False),
             ([Position(0, 2), Position(5, 0)], False),
             ([Forbidden(3)], False),
             ([LinearScore(weights=np.random.default_rng(0).uniform(0.0, 1.0, size=13), tau=0.25)], True),
+            (
+                [
+                    LinearScore(weights=np.random.default_rng(0).uniform(0.0, 1.0, size=13), tau=0.25),
+                    TokenCount(token=1, op="eq", k=2),
+                ],
+                True,
+            ),
         ],
-        ids=["count_le", "count_eq", "position", "forbidden", "linear"],
+        ids=["count_le", "count_eq", "position", "forbidden", "linear", "mixed"],
     )
-    def test_token_sets_never_search(self, monkeypatch, constraints, descends):
+    def test_token_sets_never_search(self, monkeypatch, constraints, by_program):
         # The token workload's sets on the c01 shape take project_ids'
-        # closed form for every failing state; a LinearScore set with float
-        # weights takes the single-move descent for every one, which hands
-        # none of them to the search.
+        # closed form for every failing state; a LinearScore set, alone or
+        # mixed, takes the dynamic program for every one, and none of them
+        # goes on to the search.
         corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
-        calls, projected, descended = [0], [0], [0]
+        calls, projected, programmed = [0], [0], [0]
         real_search, real_ids = projection_module._decode_search, sampler_module.project_ids
-        real_descent = projection_module._linear_descent
+        real_pick = projection_module._FlipDP.pick
 
         def search(*args, **kwargs):
             calls[0] += 1
@@ -841,18 +854,18 @@ class TestSearchOnlyWhereNeeded:
             projected[0] += len(states)
             return real_ids(states, *args)
 
-        def descent(states, terms):
-            descended[0] += len(states)
-            return real_descent(states, terms)
+        def pick(self, states):
+            programmed[0] += len(states)
+            return real_pick(self, states)
 
         monkeypatch.setattr(projection_module, "_decode_search", search)
-        monkeypatch.setattr(projection_module, "_linear_descent", descent)
+        monkeypatch.setattr(projection_module._FlipDP, "pick", pick)
         monkeypatch.setattr(sampler_module, "project_ids", ids)
         config = SampleConfig(steps=16, length=10, num_samples=16, rng_seed=0, trace=False)
         seqs, _ = sample_constrained(corpus, ConstraintSet(constraints), config)
         assert projected[0] > 0
         assert calls[0] == 0
-        assert descended[0] == (projected[0] if descends else 0)
+        assert programmed[0] == (projected[0] if by_program else 0)
         assert all(ConstraintSet(constraints).satisfied(s) for s in seqs)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import projdiff
 
-from conftest import make_corpus, make_vocab
+from conftest import NoTerms, make_corpus, make_vocab
 
 TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
 
@@ -49,3 +49,16 @@ def test_traced_reverse_step_reaches_every_layer(kernel):
     for layer in ("denoiser", "noise", "rowops"):
         assert tracer.layers[layer].calls > 0, layer
     assert tracer.counters["states"] == chains * steps
+
+
+def test_traced_plain_search_set_reaches_the_search_layer():
+    # A set holding a constraint without position terms takes the plain
+    # lattice search, which the tracer times as its search layer.
+    corpus = make_corpus(make_vocab(4), length=5, n_entries=8, seed=11)
+    cs = projdiff.ConstraintSet((projdiff.TokenCount(token=0, op="le", k=1), NoTerms()))
+    config = projdiff.SampleConfig(steps=6, length=5, num_samples=16, rng_seed=0)
+    tracer = load_tracer().Tracer(projdiff)
+    with tracer:
+        seqs, _ = projdiff.sample_constrained(corpus, cs, config)
+    assert tracer.layers["search"].calls > 0
+    assert all(cs.satisfied(s) for s in seqs)
