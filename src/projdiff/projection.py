@@ -205,14 +205,13 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
     search.  When the iteration budget runs out the best iterate found
     (smallest worst-case decoded violation) is returned with
     feasible=False.  cs is the constraint set, or its SearchTerms for
-    x_in's shape, as project_ids takes it; given the set, an infeasible
-    input builds one SearchTerms, which both of the call's projections
-    use.
+    x_in's shape, as project_ids takes it; only one-hot rows read the
+    terms, so soft rows build none.
     """
     ops = backend.ops
-    terms = cs if isinstance(cs, SearchTerms) else None
-    if terms is not None:
-        cs = terms.cs
+    given = cs
+    if isinstance(cs, SearchTerms):
+        cs = _terms_for(cs, *x_in.rows.shape).cs
     x_rows = x_in.rows
     m = len(cs)
     lam = np.zeros(m)
@@ -222,14 +221,12 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
     hard = cs.hard_violations(Sequence(base))
     if float(hard.max()) <= 0.0:
         return AlmResult(projected=x_in, feasible=True, outer_iters=0, final_violation=hard, kl_moved=0.0)
-    if terms is None:
-        terms = SearchTerms(cs, *x_rows.shape)
 
     if _one_hot_mask(x_rows).all():
         # On one-hot rows the loop only hands its pattern to the closing
         # search; project_ids alone decides whenever it reaches a
         # qualifying pattern from the input's own.
-        ids, feasible = project_ids(np.asarray([base]), x_rows.shape[1], terms)
+        ids, feasible = project_ids(np.asarray([base]), x_rows.shape[1], given)
         if feasible[0]:
             return _pooled_result(x_rows, cs, tuple(ids[0].tolist()), True, 0)
 
@@ -282,7 +279,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
     # gated multiplier term cannot reach.  A feasible best iterate starts
     # the search at zero excess, so only an infeasible one gets past it.
     found, residual = _decode_search(
-        _row_flip_costs(x_rows)[None], terms, np.asarray([decode(best_rows).ids]), np.asarray([base])
+        _row_flip_costs(x_rows)[None], cs, np.asarray([decode(best_rows).ids]), np.asarray([base])
     )
     ids, residual = tuple(found[0].tolist()), float(residual[0])
     loop_excess = float(best_hard.sum())
@@ -318,45 +315,35 @@ def project_ids(states: np.ndarray, n: int, cs: ConstraintSet | SearchTerms) -> 
     (SearchTerms.dp), where hard_violations_batch confirms the pick.  Other
     sets (two LinearScores, a constraint without terms), and each state
     the program leaves infeasible (no pattern qualifies, or rounding ran
-    out its budget) or the check refuses, go through the plain lattice
-    search (_decode_search) from the state, which may stop short of the
-    fewest flips or of feasibility.  A state left infeasible needs
-    alm_project's gradient loop, which this function does not run.
+    out its budget) or whose pick the check refuses (a LinearScore mean
+    within rounding of tau), go through the plain lattice search
+    (_decode_search) from the state, which may stop short of the fewest
+    flips or of feasibility.  A state left infeasible needs alm_project's
+    gradient loop, which this function does not run.
     """
     states = np.asarray(states, dtype=np.int64)
     terms = _terms_for(cs, states.shape[1], n)
     if terms.fewest_flips is not None:
         return _fewest_flips(states, n, terms.fewest_flips), np.ones(states.shape[0], dtype=bool)
-    if terms.dp is None:
-        return _search_one_hot(states, n, terms)
-    ids, feasible = terms.dp.pick(states)
-    # The program sums the float table in its own order; the pick stands
-    # where the scores the sampler checks agree.
-    feasible[feasible] = (terms.cs.hard_violations_batch(ids[feasible]) <= 0.0).all(axis=1)
+    ids, feasible = states.copy(), np.zeros(states.shape[0], dtype=bool)
+    if terms.dp is not None:
+        ids, feasible = terms.dp.pick(states)
+        # The program sums the float table in its own order; the pick
+        # stands where the scores the sampler checks agree.
+        feasible[feasible] = (terms.cs.hard_violations_batch(ids[feasible]) <= 0.0).all(axis=1)
     rest = np.flatnonzero(~feasible)
     if rest.shape[0]:
-        ids[rest], feasible[rest] = _search_one_hot(states[rest], n, terms)
-    return ids, feasible
-
-
-# States per _decode_search call from project_ids: a sweep holds up to
-# (L + 1) L N candidate rows per state, so this caps its temporaries
-# however many states a batch holds.
-SEARCH_CHUNK_STATES = 64
-
-
-def _search_one_hot(states: np.ndarray, n: int, terms: SearchTerms) -> tuple[np.ndarray, np.ndarray]:
-    """_decode_search from each of a (K, L) stack of one-hot states, as
-    (ids, feasible)."""
-    ids = np.empty_like(states)
-    feasible = np.empty(states.shape[0], dtype=bool)
-    for lo in range(0, states.shape[0], SEARCH_CHUNK_STATES):
-        part = states[lo : lo + SEARCH_CHUNK_STATES]
+        part = states[rest]
         flips = (np.arange(n) != part[:, :, None]).astype(np.int8)
-        ids[lo : lo + part.shape[0]], residual = _decode_search(flips, terms, part, part)
-        feasible[lo : lo + part.shape[0]] = residual == 0.0
+        ids[rest], residual = _decode_search(flips, terms, part, part)
+        feasible[rest] = residual == 0.0
     return ids, feasible
 
+
+# Candidate ids per chunk of a _decode_search sweep: a group holds L N
+# candidates of L ids each, so this caps the sweep's temporaries whatever
+# L, N and the number of states are, unless one group alone is larger.
+SEARCH_CHUNK_CELLS = 2**20
 
 # Cells of a chunk of _FlipDP's tables: the suffix table and a step's
 # temporaries of all the chunk's states.  A set whose one state needs
@@ -377,7 +364,8 @@ class _FlipDP:
     after position i takes token v, and holds[p] says whether every exact
     constraint holds at p.  weights is the float constraint's (L, N) table
     (zero without one) and budget the largest sum of it at which that
-    constraint holds, (tau - offset) / scale (0 without one).
+    constraint holds, (tau - offset) / scale (0 without one), raised by
+    a bound on the rounding of both sums (see of).
 
     For each state, the suffix table holds, per position i, cell p and
     flip count r, the least weights sum over positions i.. of a completion
@@ -387,8 +375,11 @@ class _FlipDP:
     at each position, the smallest token whose rest still completes with
     the flips and the budget left, so the pick is the least pattern in
     lex order among those with the fewest flips.  Sums are rounded in the
-    program's own order, so a state whose budget runs out by rounding on
-    the way is left infeasible, and project_ids confirms every pick.
+    program's own order and hard_scores rounds in its own, so the raised
+    budget keeps every pattern hard_scores accepts, and project_ids
+    confirms every pick: only a pattern within rounding of tau can be
+    picked and then refused.  A state whose budget runs out by rounding
+    on the way through the forward pass is left infeasible.
 
     Tokens whose moves agree at every position form a group (for a
     TokenCount, its token and all the others); the backward pass steps
@@ -434,7 +425,14 @@ class _FlipDP:
             if t.absolute or not t.scale > 0:
                 return None
             weights = np.asarray(t.table, dtype=np.float64)
-            budget = (c.tau - t.offset) / t.scale
+            # The program's sum and hard_scores', of L terms each, lie within
+            # (L - 1) u A of the exact sum, u = 2^-53 and A = sum_i max_v
+            # |weights[i, v]| (Higham, Accuracy and Stability of Numerical
+            # Algorithms, 4.2); phi's and the budget's roundings add a few
+            # u (|tau| + |offset|) / scale.  8 (L + 4) u times both covers
+            # them with room to spare.
+            slack = float(np.abs(weights).max(axis=1).sum()) + (abs(c.tau) + abs(t.offset)) / t.scale
+            budget = (c.tau - t.offset) / t.scale + 8.0 * (seq_len + 4) * 2.0**-53 * slack
             if not np.isfinite(budget):  # inf, the sum of no completion, would pass
                 return None
         moves = np.zeros((seq_len, n, 1), dtype=np.intp)
@@ -669,7 +667,6 @@ class SearchTerms:
         self.fewest_flips = _closed_form(cs, terms, seq_len)
         self.dp = None if self.fewest_flips is not None else _FlipDP.of(cs, terms, seq_len, n)
 
-
     @classmethod
     def of(cls, cs: ConstraintSet, seq_len: int, n: int) -> SearchTerms:
         """cs's SearchTerms for (L, N) tables, kept on cs and reused while
@@ -811,10 +808,13 @@ def _decode_search(
     reverted.  A group is its L * N patterns, one per position and token;
     one at the token held, or at the reverted position, is the current
     pattern or one of its single moves, so it changes no state's least
-    key.  One hard_violations_batch call gives every pattern's excess,
-    and cost_of its cost, summed left to right; one _first_min then picks
-    each state's least key over its own pattern, put first, and its
-    moves.  A state whose pick is its own pattern stops.
+    key.  Groups go in chunks of at most SEARCH_CHUNK_CELLS candidate ids
+    (or one group): per chunk, one hard_violations_batch call gives every
+    pattern's excess, cost_of its cost, summed left to right, and
+    _first_min each state's least key.  A last _first_min picks each
+    state's least key over its own pattern, put first, and its chunks'
+    picks; a state whose pick is its own pattern stops.  The least key is
+    a total order up to equal patterns, so chunking changes no pick.
     """
     k_states, seq_len, n = tables.shape
     if max_sweeps is None:
@@ -847,30 +847,33 @@ def _decode_search(
     # A group's pattern g * L * N + i * N + v has position i at token v.
     cells = seq_len * n
     at, to = np.divmod(np.arange(cells), n)
+    per_chunk = max(1, SEARCH_CHUNK_CELLS // (cells * seq_len))
     live = everyone
     for _ in range(max_sweeps):
         if live.shape[0] == 0:
             break
         opts = np.ones((live.shape[0], seq_len + 1), dtype=bool)
         opts[:, 1:] = cur[live] != bases[live]
-        group, revert = np.nonzero(opts)
-        group = live[group]
-        revert -= 1
-        paired = np.flatnonzero(revert >= 0)
-        held = cur[group]
-        held[paired, revert[paired]] = bases[group[paired], revert[paired]]
-        cands = np.repeat(held, cells, axis=0)
-        cands[np.arange(cands.shape[0]), np.tile(at, group.shape[0])] = np.tile(to, group.shape[0])
-        owner = np.repeat(group, cells)
-        cost, excess = cost_of(cands, owner), excess_of(cands)
-        # A qualifying state only takes strictly cheaper moves.
-        excess[(cur_excess[owner] == 0.0) & (cost >= cur_cost[owner])] = np.inf
+        groups, reverts = np.nonzero(opts)
+        groups = live[groups]
+        reverts -= 1
         # Each live state's own pattern comes first, so a move wins only
         # at a strictly smaller key.
-        cands, cost, excess, owner = (
-            np.concatenate(parts)
-            for parts in zip((cur[live], cur_cost[live], cur_excess[live], live), (cands, cost, excess, owner))
-        )
+        best = [(cur[live], cur_cost[live], cur_excess[live], live)]
+        for lo in range(0, groups.shape[0], per_chunk):
+            group, revert = groups[lo : lo + per_chunk], reverts[lo : lo + per_chunk]
+            paired = np.flatnonzero(revert >= 0)
+            held = cur[group]
+            held[paired, revert[paired]] = bases[group[paired], revert[paired]]
+            cands = np.repeat(held, cells, axis=0)
+            cands[np.arange(cands.shape[0]), np.tile(at, group.shape[0])] = np.tile(to, group.shape[0])
+            owner = np.repeat(group, cells)
+            cost, excess = cost_of(cands, owner), excess_of(cands)
+            # A qualifying state only takes strictly cheaper moves.
+            excess[(cur_excess[owner] == 0.0) & (cost >= cur_cost[owner])] = np.inf
+            pick = _first_min(cands, cost, excess, owner)
+            best.append((cands[pick], cost[pick], excess[pick], owner[pick]))
+        cands, cost, excess, owner = (np.concatenate(parts) for parts in zip(*best))
         pick = _first_min(cands, cost, excess, owner)
         pick = pick[pick >= live.shape[0]]
         live = owner[pick]

@@ -264,9 +264,9 @@ class TestAlmProject:
         assert res.kl_moved <= best + 1e-2
 
     def test_search_terms_give_the_constraint_sets_result(self, monkeypatch):
-        # Given the set, an infeasible input builds one SearchTerms for
-        # both of its searches; given the terms, it builds none and
-        # returns the same result.
+        # Given the set, an infeasible one-hot input builds one
+        # SearchTerms, for project_ids, and soft rows build none; given the
+        # terms, no input builds any, and each returns the same result.
         built = [0]
         real_init = SearchTerms.__init__
 
@@ -285,7 +285,7 @@ class TestAlmProject:
             built[0] = 0
             want = alm_project(SeqDist(rows), cs, config)
             feasible_input = cs.satisfied(decode(SeqDist(rows)))
-            assert built[0] == (0 if feasible_input else 1)
+            assert built[0] == (0 if feasible_input or i % 2 == 0 else 1)
             terms = SearchTerms(cs, seq_len, n)
             built[0] = 0
             got = alm_project(SeqDist(rows), terms, config)
@@ -1130,16 +1130,24 @@ class TestPrunedSweeps:
             for j, b in enumerate(bases):
                 assert tuple(got[j].tolist()) == reference_decode_search(np.eye(n)[b], cs, b, b)[0]
 
-    def test_chunks_of_states_give_the_whole_stacks_result(self, monkeypatch):
-        # project_ids hands the search SEARCH_CHUNK_STATES states at a time.
-        monkeypatch.setattr(projection, "SEARCH_CHUNK_STATES", 7)
+    @pytest.mark.parametrize("cells", [1, 3 * 294, 50 * 294 + 293])
+    def test_chunks_of_groups_give_the_whole_sweeps_result(self, monkeypatch, cells):
+        # A sweep scores SEARCH_CHUNK_CELLS candidate ids at a time: here
+        # whole groups of 7 * 6 candidates of 7 ids, 294 ids each, or one
+        # group when a chunk is smaller than a group.
         rng = np.random.default_rng(9)
         states = rng.integers(0, 6, size=(40, 7))
         cs = ConstraintSet((TokenCount(1, "eq", 2), LinearScore(rng.uniform(0, 1, 6), tau=0.4), NoTerms()))
+        rows = [random_rows(rng, str(rng.choice(ROW_KINDS)), 7, 6) for _ in range(40)]
+        tables = np.stack([_row_flip_costs(r) for r in rows])
+        whole_ids, whole_feasible = project_ids(states, 6, cs)
+        whole = _decode_search(tables, cs, states, np.argmax(rows, axis=2))
+        monkeypatch.setattr(projection, "SEARCH_CHUNK_CELLS", cells)
         ids, feasible = project_ids(states, 6, cs)
-        want, want_feasible = search_ids(states, 6, cs)
-        assert ids.tobytes() == want.tobytes() and feasible.tobytes() == want_feasible.tobytes()
+        assert ids.tobytes() == whole_ids.tobytes() and feasible.tobytes() == whole_feasible.tobytes()
         assert (ids != states).any()
+        got = _decode_search(tables, cs, states, np.argmax(rows, axis=2))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, whole))
 
     def test_start_scored_once_when_it_is_the_base(self, monkeypatch):
         # project_ids passes its states as both starts and bases.
@@ -1455,6 +1463,52 @@ class TestFlipDP:
                 seen["two or more flips"] += round(cost / math.log(2.0)) >= 2
                 seen["with a LinearScore"] += any(isinstance(c, LinearScore) for c in cs)
                 seen["mixed families"] += len({type(c) for c in cs}) > 1
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("tau", [0.3, 0.6, 0.7])
+    def test_exact_fractions_match_the_oracle(self, tau):
+        # 0/1 weights cap the fraction of flagged tokens.  Their sums are
+        # exact, and hard_scores accepts the sum 10 tau, while tau / (1 /
+        # 10) rounds below it: the program keeps that sum all the same,
+        # and picks as the oracle does on every seventh state of L = 10,
+        # N = 2.
+        cs = ConstraintSet((LinearScore(np.array([0.0, 1.0]), tau),))
+        states = np.array(list(itertools.product(range(2), repeat=10)))[::7]
+        assert SearchTerms(cs, 10, 2).dp.budget >= 10 * tau
+        ids, feasible = SearchTerms(cs, 10, 2).dp.pick(states)
+        assert feasible.all()
+        assert not cs.hard_violations_batch(ids).any()
+        for state, pick in zip(states, ids):
+            pattern, _ = enumerate_fewest_flips(np.eye(2)[state], cs)
+            assert tuple(pick.tolist()) == pattern.ids
+
+    def test_quarter_weights_at_tau_match_the_oracle(self):
+        # Quarter weights sum exactly, and tau is the mean of some
+        # pattern, so patterns sit right at tau; with up to two count,
+        # forbidden or position constraints beside.  The pick is the
+        # oracle's, and found whenever some pattern qualifies.
+        seen = collections.Counter()
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            length = int(rng.integers(1, 7))
+            n = int(rng.integers(2, min(int(round(MAX_FLIP_SPACE ** (1 / length))), 6) + 1))
+            weights = rng.integers(0, 5, size=n) / 4.0
+            tau = float(weights.take(rng.integers(0, n, size=(1, length))).sum() / length)
+            others = [c for c in make_constraint_set(rng, n, length) if not isinstance(c, LinearScore)]
+            cs = ConstraintSet((LinearScore(weights, tau), *others[:2]))
+            states = rng.integers(0, n, size=(4, length))
+            ids, feasible = project_ids(states, n, cs)
+            for state, pick, ok in zip(states, ids, feasible):
+                try:
+                    pattern, _ = enumerate_fewest_flips(np.eye(n)[state], cs)
+                except ValueError:  # no pattern satisfies the set
+                    assert not ok, seed
+                    continue
+                assert ok and tuple(pick.tolist()) == pattern.ids, seed
+                seen["picked"] += 1
+                moved = bool((pick != state).any())
+                seen["moved to tau"] += moved and cs.constraints[0].hard_scores(pick[None])[0] == tau
+                seen["moved with others"] += moved and len(cs) > 1
         assert min(seen.values()) >= 100, seen
 
     @given(
