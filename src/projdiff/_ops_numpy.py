@@ -25,17 +25,13 @@ def row_softmax_vjp(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return y * (dy - inner)
 
 
-def relax_forward(y: np.ndarray, xi, temperature: float) -> np.ndarray:
-    """Tempered softmax of log-probabilities plus optional Gumbel noise.
+def relax_forward(y: np.ndarray, temperature: float) -> np.ndarray:
+    """Tempered softmax of log-probabilities.
 
-    phi = row_softmax((log max(y, floor) + xi) / temperature).  The floor
-    keeps zero coordinates finite; xi may be None for the deterministic
-    variant.
+    phi = row_softmax(log max(y, floor) / temperature).  The floor keeps
+    zero coordinates finite.
     """
-    logs = np.log(np.maximum(y, PROB_FLOOR))
-    if xi is not None:
-        logs = logs + xi
-    return row_softmax(logs / temperature)
+    return row_softmax(np.log(np.maximum(y, PROB_FLOOR)) / temperature)
 
 
 def relax_vjp(phi: np.ndarray, y: np.ndarray, temperature: float, dphi: np.ndarray) -> np.ndarray:

@@ -193,13 +193,14 @@ class SetTable:
 
 
 class ExactBayesDenoiser:
-    """Callable denoiser (xt, a_t, kernel) -> SeqDist over the exact corpus
-    posterior.
+    """The exact corpus posterior as the sampler's model, which calls its
+    posterior_loo_batch(ids, a_t, kernel, table=None) alone.
 
     When evidence is incompatible with every corpus entry the denoiser
     falls back to the prior per-position marginals instead of raising;
-    fallback_count records how often that happened.  A call is a one-row
-    posterior_batch.
+    fallback_count records how often that happened.  Calling the
+    denoiser on (xt, a_t, kernel) is a one-row helper: a posterior_batch
+    of xt's decode, returned as a SeqDist.
 
     The batch methods return (states, rows, inverse) for a (B, L) batch:
     (K, L) states, their (K, L, N) marginals, and the (B,) index with

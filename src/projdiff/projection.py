@@ -133,7 +133,6 @@ def alm_objective(
     cs: ConstraintSet,
     lam: np.ndarray,
     mu: np.ndarray,
-    xi: np.ndarray | None,
     temp: float,
 ) -> float:
     """Augmented-Lagrangian objective at logits z for anchor rows x_rows.
@@ -148,7 +147,7 @@ def alm_objective(
     _check_temperature(temp)
     ops = backend.ops
     y = ops.row_softmax(z)
-    phi = ops.relax_forward(y, xi, temp)
+    phi = ops.relax_forward(y, temp)
     val = ops.kl_rows(x_rows, y)
     for i, c in enumerate(cs):
         d = max(0.0, c.relaxed_score(phi) - c.tau)
@@ -162,7 +161,6 @@ def alm_gradient(
     cs: ConstraintSet,
     lam: np.ndarray,
     mu: np.ndarray,
-    xi: np.ndarray | None,
     temp: float,
 ) -> tuple[np.ndarray, bool]:
     """Gradient of alm_objective in logit coordinates.
@@ -175,7 +173,7 @@ def alm_gradient(
     _check_temperature(temp)
     ops = backend.ops
     y = ops.row_softmax(z)
-    phi = ops.relax_forward(y, xi, temp)
+    phi = ops.relax_forward(y, temp)
     scores = np.asarray([c.relaxed_score(phi) for c in cs])
     taus = np.asarray([c.tau for c in cs])
     active = scores > taus
@@ -243,7 +241,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
         z_before = z.copy()
         outer_any_active = False
         for _ in range(config.max_inner_iter):
-            dz, any_active = alm_gradient(z, x_rows, cs, lam, mu, None, RELAX_TEMPERATURE)
+            dz, any_active = alm_gradient(z, x_rows, cs, lam, mu, RELAX_TEMPERATURE)
             outer_any_active = outer_any_active or any_active
             z = z - config.eta * dz
         y = ops.row_softmax(z)
@@ -636,12 +634,18 @@ def _first_min(cands: np.ndarray, cost: np.ndarray, excess: np.ndarray, segment:
     """Per segment, the first row of cands at the least (excess, cost, ids) key.
 
     segment labels each row with its segment; the result holds one row
-    index per segment, in label order.  Each is the row
+    index per segment, in label order: the row
     np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0] picks on its
-    segment alone: one stable sort of all rows by segment, then key, so a
-    full tie keeps the segment's lowest index.
+    segment alone.  A stable sort by (segment, excess, cost) finds each
+    segment's least (excess, cost); only the rows tied with it are sorted
+    by their ids, stably, so a full tie keeps the segment's lowest index.
     """
-    order = np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess, segment))
+    order = np.lexsort((cost, excess, segment))
+    labels, excess, cost = segment[order], excess[order], cost[order]
+    starts = np.concatenate(([True], labels[1:] != labels[:-1]))
+    head = np.maximum.accumulate(np.where(starts, np.arange(order.shape[0]), 0))
+    tied = order[(excess == excess[head]) & (cost == cost[head])]
+    order = tied[np.lexsort(tuple(cands[tied, ::-1].T) + (segment[tied],))]
     labels = segment[order]
     return order[np.concatenate(([True], labels[1:] != labels[:-1]))]
 

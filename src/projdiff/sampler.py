@@ -6,6 +6,14 @@ t-1, and then, on scheduled steps, projects the new state so that its
 decode is feasible.  Chains are advanced in lockstep as a batch; all
 randomness comes from one generator stream so runs are reproducible.
 
+The model is any object with a posterior_loo_batch(ids, a_t, kernel,
+table=None) method that returns (states, rows, inverse) for a (B, L)
+batch of id rows: the (K, L) states of K blocks, their (K, L, N)
+leave-one-out denoised rows, and the (B,) block of each chain.  A model
+that shares no rows between chains returns ids itself, its (B, L, N)
+rows and arange(B), and ignores table.  ExactBayesDenoiser is such a
+model, and the default.
+
 The reverse step works per block of chains that share their denoised
 rows, and so their reverse mixture.  Under the uniform kernel a block is
 a distinct state.  Under the masked kernel it is a distinct set of
@@ -184,14 +192,19 @@ def sample_constrained(
 ) -> tuple[list[Sequence], list[TraceRecord]]:
     """Generate num_samples sequences; returns (sequences, trace records).
 
-    The denoiser defaults to the exact corpus posterior.  In novelty
-    mode the database defaults to one seeded with the corpus itself, and
-    the caller's database object is updated in place as sequences are
-    claimed.
+    The denoiser is the model: the exact corpus posterior by default, or
+    any object whose posterior_loo_batch(ids, a_t, kernel, table=None)
+    returns (states, rows, inverse) as the module docstring states.  One
+    without it raises TypeError, after validation and before any draw.  In
+    novelty mode the database defaults to one seeded with the corpus
+    itself, and the caller's database object is updated in place as
+    sequences are claimed.
     """
     _validate(corpus, cs, cfg, novelty_db)
     if denoiser is None:
         denoiser = ExactBayesDenoiser(corpus)
+    elif not callable(getattr(denoiser, "posterior_loo_batch", None)):
+        raise TypeError(f"denoiser {type(denoiser).__name__} has no posterior_loo_batch method")
     if cfg.projection_mode == "novelty" and novelty_db is None:
         novelty_db = NoveltyDb.from_corpus(corpus)
     engine = _Engine(corpus, cs, cfg, denoiser, novelty_db)
@@ -238,25 +251,10 @@ class _Engine:
         return seqs, traces
 
     def _denoise_states(self, ids: np.ndarray, a_t: float):
-        """(states, rows, inverse) for a (B, L) batch, as the exact
-        denoiser's batch methods give them: the (K, L) states of the K
-        blocks, their (K, L, N) denoised rows, and the (B,) block of each
-        chain.
-
-        The reverse step is exact when fed leave-one-out posteriors (under
-        the masked kernel, the full ones); generic denoisers supply the
-        plain estimate instead, one chain at a time, with one block per
-        chain: states is ids and inverse the identity.  The exact denoiser
-        builds each compatible set's rows once per run, into the run's
-        SetTable.
-        """
-        if isinstance(self.denoiser, ExactBayesDenoiser):
-            return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel, table=self.sets)
-        out = np.empty((ids.shape[0], ids.shape[1], self.n))
-        for i in range(ids.shape[0]):
-            state = SeqDist(backend.ops.one_hot_rows(ids[i], self.n))
-            out[i] = self.denoiser(state, a_t, self.kernel).rows
-        return ids, out, np.arange(ids.shape[0])
+        """The model's (states, rows, inverse) for a (B, L) batch; the run's
+        SetTable goes with the call, so the exact denoiser builds each
+        compatible set's rows once per run."""
+        return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel, table=self.sets)
 
     def _projects_at(self, t: int) -> bool:
         if self.cfg.projection_mode == "none":

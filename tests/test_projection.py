@@ -310,9 +310,9 @@ class TestAlmProject:
         x_rows = np.array([[0.9, 0.1], [0.6, 0.4]])
         z, lam, mu = np.log(x_rows), np.zeros(1), np.ones(1)
         with pytest.raises(ValueError, match="temperature must be positive"):
-            projection.alm_objective(z, x_rows, cs, lam, mu, None, temp)
+            projection.alm_objective(z, x_rows, cs, lam, mu, temp)
         with pytest.raises(ValueError, match="temperature must be positive"):
-            projection.alm_gradient(z, x_rows, cs, lam, mu, None, temp)
+            projection.alm_gradient(z, x_rows, cs, lam, mu, temp)
 
 
 class TestOneHotAgainstOracle:

@@ -458,14 +458,16 @@ class TestConstrainedFeasibility:
         mask = toy_corpus.vocab.mask_id
         exact = ExactBayesDenoiser(toy_corpus)
 
-        def denoiser(state, a_t, kernel):
-            rows = 0.8 * exact(state, a_t, kernel).rows
-            rows[:, mask] += 0.2
-            return SeqDist(rows)
+        class MaskHeavy:
+            def posterior_loo_batch(self, ids, a_t, kernel, table=None):
+                _, rows, inverse = exact.posterior_batch(ids, a_t, kernel)
+                rows = 0.8 * rows[inverse]
+                rows[:, :, mask] += 0.2
+                return ids, rows, np.arange(len(ids))
 
         cs = ConstraintSet([Position(1, 3)])
         seqs, traces = sample_constrained(
-            toy_corpus, cs, cfg(projection_mode=mode, num_samples=40, max_retries=50), denoiser=denoiser
+            toy_corpus, cs, cfg(projection_mode=mode, num_samples=40, max_retries=50), denoiser=MaskHeavy()
         )
         assert any(r.step == 1 and r.pre_violation == 0.0 and r.wall_time > 0.0 for r in traces)
         assert all(mask not in s.ids for s in seqs)
@@ -474,6 +476,63 @@ class TestConstrainedFeasibility:
         cs = ConstraintSet([Position(1, 3), Position(3, 0)])
         seqs, _ = sample_constrained(toy_corpus, cs, cfg(num_samples=25))
         assert all(s[1] == 3 and s[3] == 0 for s in seqs)
+
+
+class TestModelInterface:
+    """The sampler takes any model with posterior_loo_batch, and only that."""
+
+    @pytest.mark.parametrize("kind", ["function", "no-method", "not-callable"])
+    def test_denoiser_without_the_batch_method_is_refused(self, toy_corpus, monkeypatch, kind):
+        calls = []
+
+        def plain(state, a_t, kernel):
+            calls.append("posterior")
+
+        class CallOnly:
+            def __call__(self, state, a_t, kernel):
+                calls.append("posterior")
+
+            def posterior_batch(self, ids, a_t, kernel, table=None):
+                calls.append("posterior")
+
+        class NotCallable:
+            posterior_loo_batch = None
+
+        den = {"function": plain, "no-method": CallOnly(), "not-callable": NotCallable()}[kind]
+        # The engine owns the generator, so no engine means no draw.
+        monkeypatch.setattr(sampler_module, "_Engine", lambda *args: calls.append("engine"))
+        with pytest.raises(TypeError, match="posterior_loo_batch"):
+            sample_constrained(toy_corpus, simple_cs(), cfg(), denoiser=den)
+        with pytest.raises(TypeError, match="posterior_loo_batch"):
+            sample_unconstrained(toy_corpus, cfg(), denoiser=den)
+        # A bad constraint fails before the model is looked at.
+        with pytest.raises(ValueError, match="outside"):
+            sample_constrained(toy_corpus, ConstraintSet([Forbidden(99)]), cfg(), denoiser=den)
+        assert calls == []
+
+    @pytest.mark.parametrize("kernel", ["masked", "uniform"])
+    @pytest.mark.parametrize("mode", ["alm", "none"])
+    def test_a_model_of_its_own_samples_end_to_end(self, kernel, mode):
+        vocab = make_vocab(4, with_mask=(kernel == "masked"))
+        corpus = make_corpus(vocab, length=5, n_entries=8, seed=11)
+        prior = corpus.prior_marginals()
+        prior /= prior.sum(axis=1, keepdims=True)
+        batches = []
+
+        class PriorModel:
+            """The corpus prior's rows for every chain, one block per chain."""
+
+            def posterior_loo_batch(self, ids, a_t, kernel, table=None):
+                batches.append(len(ids))
+                return ids, np.repeat(prior[None], len(ids), axis=0), np.arange(len(ids))
+
+        cs = ConstraintSet([TokenCount(token=0, op="le", k=1), Forbidden(3)])
+        config = SampleConfig(steps=10, length=5, kernel=kernel, num_samples=40, rng_seed=3, projection_mode=mode)
+        seqs, _ = sample_constrained(corpus, cs if mode == "alm" else None, config, denoiser=PriorModel())
+        assert len(seqs) == 40 and batches == [40] * 10
+        assert all(0 <= v < 4 for s in seqs for v in s.ids)  # no MASK
+        if mode == "alm":
+            assert all(cs.satisfied(s) for s in seqs)
 
 
 class TestNoveltyMode:
@@ -981,7 +1040,15 @@ class TestPerStateDraw:
         corpus = make_corpus(vocab, length=3, n_entries=6, seed=5)
         n, length, mask = vocab.size, 3, vocab.mask_id
         exact = ExactBayesDenoiser(corpus)
-        den = ExactBayesDenoiser(corpus) if denoiser == "exact" else (lambda x, a, k: exact(x, a, k))
+
+        class PerChain:
+            """The full posterior of each chain, one block per chain."""
+
+            def posterior_loo_batch(self, ids, a_t, kernel, table=None):
+                _, rows, inverse = exact.posterior_batch(ids, a_t, kernel)
+                return ids, rows[inverse], np.arange(len(ids))
+
+        den = ExactBayesDenoiser(corpus) if denoiser == "exact" else PerChain()
         config = SampleConfig(steps=6, length=length, kernel=kernel, num_samples=b, rng_seed=9, projection_mode="none")
         engine = sampler_module._Engine(corpus, None, config, den, None)
         twin = np.random.default_rng(9)
