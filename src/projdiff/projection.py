@@ -11,8 +11,8 @@ Three operators cover the three constraint regimes:
                     token v"
   novelty_project   the cheapest decode not yet in a database, found in
                     whole-sequence cost order by a Lawler k-best search
-                    (_NoveltyCursor) that is resumed for each distinct
-                    input, then closed-form row edits to force it
+                    (_NoveltyCursor) started afresh on each call, then
+                    closed-form row edits to force it
 
 All three take a stack of probability rows x and return a nearby stack y
 whose decoded sequence is feasible, keeping KL(x || y) small.
@@ -36,8 +36,7 @@ whose decoded sequence is feasible, keeping KL(x || y) small.
                     a float table (a LinearScore); and by the plain
                     lattice search (_decode_search) for the other sets
                     and for the states the program cannot settle;
-                    pooled_rows turns a picked decode back into the
-                    minimum-KL rows
+                    flip_kl gives the KL of its picks from the ids alone
 
 The lattice search scores every move it considers exactly, by
 ConstraintSet.hard_violations_batch and the cost table.  The closed form
@@ -557,14 +556,9 @@ def _fewest_flips(states: np.ndarray, n: int, parts: tuple) -> np.ndarray:
     return ids
 
 
-def pooled_rows(x_rows: np.ndarray, ids) -> SeqDist:
-    """The minimum-KL rows of x_rows that decode to ids, row by row."""
-    return SeqDist.normalized(np.stack([_force_argmax_row(x_rows[i], ids[i]) for i in range(x_rows.shape[0])]))
-
-
 def _pooled_result(x_rows, cs, ids, feasible, outer) -> AlmResult:
-    """AlmResult for the minimum-KL rows of x_rows that decode to ids."""
-    projected = pooled_rows(x_rows, ids)
+    """AlmResult for the rows of x_rows pooled row by row to decode to ids."""
+    projected = SeqDist.normalized(np.stack([_force_argmax_row(row, v) for row, v in zip(x_rows, ids)]))
     return AlmResult(
         projected=projected,
         feasible=feasible,
@@ -609,6 +603,26 @@ def _force_argmax_row(row: np.ndarray, token: int, eps: float = ARGMAX_EPS) -> n
     out[order[:k]] = level - eps
     out[token] = level + k * eps
     return out
+
+
+# A decided flip's KL: -log of the mass pooling leaves on the old token.
+FLIP_KL = float(-np.log(_force_argmax_row(np.array([1.0, 0.0]), 1))[0])
+
+
+def flip_kl(states: np.ndarray, picks: np.ndarray, n: int) -> np.ndarray:
+    """(K,) KL from the one-hot rows of each (L,) id row of states to
+    those rows pooled (or forced) to decode to its row of picks.
+
+    FLIP_KL sits at the old token of each moved position in a zero
+    (K, L, N) array, and each state's L * N entries are summed in one
+    reduction, as kl_rows sums them; flips times FLIP_KL can differ in
+    the last bit.
+    """
+    k, length = states.shape
+    terms = np.zeros((k, length, n))
+    rows, cols = np.nonzero(states != picks)
+    terms[rows, cols, states[rows, cols]] = FLIP_KL
+    return terms.reshape(k, length * n).sum(axis=1)
 
 
 def _row_flip_costs(rows: np.ndarray) -> np.ndarray:
@@ -916,20 +930,18 @@ class NoveltyDb:
     so a novelty pick is never an unfinished decode the sampler would
     have to reject.  len() counts only the stored sequences.
 
-    The database also holds the novelty searches in cursors, one per
-    distinct input: novelty_project keys a _NoveltyCursor over its rows
-    by (shape, bytes), and novelty_project_ids keys a _ShellWalk over
-    its id row by (n, ids).  A search has passed only sequences the
-    database holds, and add is the database's only change, so the
-    database only grows and a search stays valid: its next pick is still
-    the cheapest absent decode.  Clearing cursors discards work, never
+    The database also keeps novelty_project_ids's searches in cursors,
+    one _ShellWalk per distinct id row, keyed by (n, ids).  A search has
+    passed only sequences the database holds, and add is the database's
+    only change, so a search stays valid: its next pick is still the
+    cheapest absent decode.  Clearing cursors discards work, never
     correctness.
     """
 
     def __init__(self, seqs=(), mask_id: int | None = None):
         self._seen: set[Sequence] = set(seqs)
         self.mask_id = mask_id
-        self.cursors: dict[tuple, _NoveltyCursor | Iterator[tuple]] = {}
+        self.cursors: dict[tuple, Iterator[tuple]] = {}
 
     def __contains__(self, seq: Sequence) -> bool:
         return seq in self._seen or (self.mask_id is not None and self.mask_id in seq.ids)
@@ -1055,26 +1067,26 @@ def novelty_project(x_in: SeqDist, db: NoveltyDb) -> SeqDist:
     Candidate cost is the argmax probability given up position by
     position, sum_i (max_v x[i, v] - x[i, sigma_i]), summed left to
     right; the minimum is found in whole-sequence cost order, breaking
-    ties toward the lexicographically smallest sequence.  The search is
-    resumed per distinct input: db keeps a cursor for these rows (see
-    NoveltyDb), built on the first call with them, so a later call with
-    equal rows goes on from where this one stopped and reuses the
-    cursor's gaps and decode.  The selected sequence is added to db;
-    rows that already decode to it pass through unchanged, and otherwise
-    only the positions whose decode moves are forced (forced_rows).
+    ties toward the lexicographically smallest sequence.  Each call
+    builds its own search (_NoveltyCursor) and keeps none in db.  The
+    selected sequence is added to db; rows that already decode to it
+    pass through unchanged, and otherwise only the positions whose
+    decode moves are forced, by _force_argmax_row; the rows are not
+    renormalised.
 
     Raises NoveltySaturationError when db covers all N^L sequences.
     """
     rows = x_in.rows
-    key = (rows.shape, rows.tobytes())
-    cursor = db.cursors.get(key)
-    if cursor is None:
-        cursor = db.cursors[key] = _NoveltyCursor(rows, db.mask_id)
+    cursor = _NoveltyCursor(rows, db.mask_id)
     selected = cursor.next_absent(db)
     db.add(selected)
     if cursor.decode == list(selected.ids):
         return x_in
-    return SeqDist(forced_rows(rows, cursor.decode, selected.ids))
+    out = rows.copy()
+    for i, (a, v) in enumerate(zip(cursor.decode, selected.ids)):
+        if a != v:
+            out[i] = _force_argmax_row(rows[i], v)
+    return SeqDist(out)
 
 
 def novelty_project_ids(state: np.ndarray, n: int, db: NoveltyDb) -> tuple[int, ...]:
@@ -1085,9 +1097,8 @@ def novelty_project_ids(state: np.ndarray, n: int, db: NoveltyDb) -> tuple[int, 
     state is an (L,) row of ids below n.  On its one-hot rows a decode's
     cost is its Hamming distance from state, so the claim is the first
     sequence of _ShellWalk(state) that db lacks.  The walk is kept in
-    db keyed by (n, ids), which never equals novelty_project's
-    (shape, bytes) key, so each distinct state resumes one walk however
-    many calls hand it in.
+    db.cursors keyed by (n, ids), so each distinct state resumes one
+    walk however many calls hand it in.
 
     Raises NoveltySaturationError when db covers all N^L sequences.
     """
@@ -1181,13 +1192,3 @@ class _ShellWalk:
                 if v > v0:
                     yield before + (v,) + after
 
-
-def forced_rows(rows: np.ndarray, decode: list, ids) -> np.ndarray:
-    """A copy of rows, whose argmax ids are decode, with each row where
-    ids differs from decode forced to decode to ids by _force_argmax_row;
-    not renormalised."""
-    out = rows.copy()
-    for i, (a, v) in enumerate(zip(decode, ids)):
-        if a != v:
-            out[i] = _force_argmax_row(rows[i], v)
-    return out

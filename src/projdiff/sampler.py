@@ -60,10 +60,12 @@ they hold at most one step's distinct states.
 When tracing, each step appends one TraceRecord per chain, in chain
 order.  The step scores the violations once, as arrays: one batched call
 before projection, and in alm mode one after it for the chains the
-screen failed; every other chain keeps its pre value.  The per-chain
+screen failed; every other chain keeps its pre value.  kl_moved comes
+from the ids, with no rows built: one projection.flip_kl call for the
+distinct failing states, one for the novelty claims.  The per-chain
 code only looks results up, claims novel sequences and redraws; in the
-novelty step tracing adds only each chain's pre value, read at its turn,
-its wall time and its kl.  An untraced run builds none of these arrays.
+novelty step tracing adds only each chain's pre value, read at its
+turn, and its wall time.  An untraced run builds none of these arrays.
 
 Projection scheduling: step t projects when t <= T - project_start and
 T - project_start - t is a multiple of project_every, and the final
@@ -92,10 +94,9 @@ from .projection import (  # noqa: F401
     NoveltyDb,
     SearchTerms,
     alm_project,
-    forced_rows,
+    flip_kl,
     novelty_project,
     novelty_project_ids,
-    pooled_rows,
     position_project,
     project_ids,
 )
@@ -250,12 +251,6 @@ class _Engine:
             offset += b
         return seqs, traces
 
-    def _denoise_states(self, ids: np.ndarray, a_t: float):
-        """The model's (states, rows, inverse) for a (B, L) batch; the run's
-        SetTable goes with the call, so the exact denoiser builds each
-        compatible set's rows once per run."""
-        return self.denoiser.posterior_loo_batch(ids, a_t, self.kernel, table=self.sets)
-
     def _projects_at(self, t: int) -> bool:
         if self.cfg.projection_mode == "none":
             return False
@@ -332,15 +327,14 @@ class _Engine:
 
         ids is the step's (B, L) batch itself, not a copy: the draw
         writes a new array, so ids keeps each chain's pre-draw ids for its
-        redraws.  mix holds
-        the (K * L, N) reverse mixture rows of the K blocks
-        _denoise_states gives, row k * L + j for position j of block k;
-        index is the (B,) block of each chain, or None when block i is
-        chain i.
+        redraws.  mix holds the (K * L, N) reverse mixture rows of the K
+        blocks the model gives (with the run's SetTable), row k * L + j
+        for position j of block k; index is the (B,) block of each chain,
+        or None when block i is chain i.
         """
         a_t = self.schedule.alpha(t)
         a_s = self.schedule.alpha(t - 1)
-        states, denoised, inverse = self._denoise_states(ids, a_t)
+        states, denoised, inverse = self.denoiser.posterior_loo_batch(ids, a_t, self.kernel, table=self.sets)
         mix = reverse_mixture_rows(self.kernel, denoised.reshape(-1, self.n), a_t, a_s, states.reshape(-1))
         return ids, mix, None if states is ids else inverse
 
@@ -388,8 +382,8 @@ class _Engine:
         leaves infeasible goes through alm_project from its one-hot rows,
         with the run's SearchTerms.
         A memo entry is (decode, feasible, outer, kl); kl, which only
-        trace records read, is computed only when tracing, from the same
-        pooled rows alm_project's result would hold.
+        trace records read, is computed only when tracing, by one flip_kl
+        call; alm_project's kl_moved replaces it where project_ids fails.
         """
         distinct: dict[bytes, np.ndarray] = {}
         for row in failing:
@@ -397,14 +391,12 @@ class _Engine:
         if not distinct:
             return
         ops = backend.ops
-        new_ids, feasible = project_ids(np.stack(list(distinct.values())), self.n, self.terms)
-        for (key, state), new, ok in zip(distinct.items(), new_ids, feasible.tolist()):
+        states = np.stack(list(distinct.values()))
+        new_ids, feasible = project_ids(states, self.n, self.terms)
+        kl = flip_kl(states, new_ids, self.n).tolist() if self.cfg.trace else [0.0] * len(states)
+        for key, state, new, ok, kl_moved in zip(distinct, states, new_ids, feasible.tolist(), kl):
             if ok:
-                kl = 0.0
-                if self.cfg.trace:
-                    x_rows = ops.one_hot_rows(state, self.n)
-                    kl = ops.kl_rows(x_rows, pooled_rows(x_rows, new.tolist()).rows)
-                memo[key] = (new, True, 0, kl)
+                memo[key] = (new, True, 0, kl_moved)
             else:
                 res = alm_project(SeqDist(ops.one_hot_rows(state, self.n)), self.terms, self.cfg.alm)
                 memo[key] = (ops.argmax_rows(res.projected.rows), res.feasible, res.outer_iters, res.kl_moved)
@@ -415,23 +407,23 @@ class _Engine:
         Each chain makes one novelty_project_ids call on its id row.  trace
         is None, or the step's (pre, kl, wall) to fill in: pre is the
         chain's membership in the database at its turn, after the claims
-        of the chains before it, and kl is computed from the one-hot rows
-        and the forced rows novelty_project would return for them.  The
-        database's walks are dropped once every chain has claimed.
+        of the chains before it, and wall the seconds of its claim; kl
+        comes from one flip_kl call once all have claimed, when the
+        database's walks are dropped.
         """
         n, db = self.n, self.db
-        ops = backend.ops
+        if trace:
+            pre, kl, wall = trace
         claims = []
         for ci, state in enumerate(ids):
             if trace:
-                pre, kl, wall = trace
                 pre[ci] = Sequence(tuple(state.tolist())) in db
                 start = time.perf_counter()
             claims.append(novelty_project_ids(state, n, db))
             if trace:
-                x_rows = ops.one_hot_rows(state, n)
-                kl[ci] = ops.kl_rows(x_rows, forced_rows(x_rows, state.tolist(), claims[ci]))
                 wall[ci] = time.perf_counter() - start
+        if trace:
+            kl[:] = flip_kl(ids, np.array(claims), n).tolist()
         # No chain's claim reads another chain's row, so all are written at once.
         ids[:] = claims
         db.cursors.clear()

@@ -41,6 +41,7 @@ from projdiff.projection import (
     _row_flip_costs,
     _ShellWalk,
     alm_project,
+    flip_kl,
     novelty_project,
     novelty_project_ids,
     position_project,
@@ -487,6 +488,17 @@ class TestNoveltyProject:
         with pytest.raises(NoveltySaturationError):
             novelty_project(SeqDist(np.full((2, 2), 0.5)), db)
 
+    def test_calls_on_fresh_rows_keep_no_search(self):
+        # Each call builds its own search, so a stream of fresh c02-shaped
+        # rows (6 tokens and MASK, L = 6) leaves the database's cursors
+        # empty however long it runs.
+        rng = np.random.default_rng(5)
+        db = NoveltyDb(mask_id=6)
+        for _ in range(2000):
+            novelty_project(SeqDist(rng.dirichlet(np.ones(7), size=6)), db)
+        assert db.cursors == {}
+        assert len(db) == 2000
+
 
 
 def claim_until_saturated(rows, db, before_call=lambda db: None):
@@ -521,8 +533,8 @@ def near_tie_rows(rng, length, n):
 
 
 class TestNoveltyResume:
-    """novelty_project resumes one search per distinct input; every pick
-    must still be the scan's, call after call on one database."""
+    """Every pick of novelty_project must be the scan's, call after call
+    on one database, with no search kept in it between calls."""
 
     @staticmethod
     def case_rows(case, rng, length, n):
@@ -547,7 +559,7 @@ class TestNoveltyResume:
         db = NoveltyDb([Sequence((0, 1, 2)), Sequence((2, 2, 0))], mask_id=mask_id)
         free = (n - 1 if mask else n) ** length - 2
         assert claim_until_saturated(rows, db) == free
-        assert len(db.cursors) == 1
+        assert db.cursors == {}
 
     def test_database_growing_between_calls(self):
         # Sequences added behind the cursor's back, among them the very
@@ -670,7 +682,7 @@ class TestNoveltyProjectIds:
         else:
             pytest.fail("the stream never saturated the database")
         assert len(by_ids) == len(by_rows)
-        assert len(by_ids.cursors) == len(by_rows.cursors) == len(used)
+        assert len(by_ids.cursors) == len(used) and by_rows.cursors == {}
 
     def test_dropped_walks_leave_no_garbage_cycles(self):
         # A walk's generators refer to it and not back, so clearing the
@@ -689,13 +701,14 @@ class TestNoveltyProjectIds:
             gc.enable()
 
     def test_ids_and_rows_keep_separate_cursors(self):
-        # One state handed to both entry points resumes two searches.
+        # One state handed to both entry points: the ids walk is kept,
+        # keyed by (n, ids), and the rows search is not.
         db = NoveltyDb()
         state = np.array([1, 0])
         first = novelty_project_ids(state, 2, db)
         second = decode(novelty_project(SeqDist(backend.ops.one_hot_rows(state, 2)), db))
         assert first == (1, 0) and second == Sequence((0, 0))
-        assert len(db.cursors) == 2
+        assert list(db.cursors) == [(2, (1, 0))]
 
     def test_out_of_range_ids_rejected(self):
         with pytest.raises(ValueError, match="state ids"):
@@ -777,6 +790,80 @@ class TestForceArgmaxRow:
         row = np.array([0.4, 0.4, 0.2])
         assert _force_argmax_row(row, 0) is row
         assert _force_argmax_row(row, 1) is not row
+
+
+def pooled_kl(state, pick, n):
+    """KL from the one-hot rows of state to those rows pooled row by row
+    to decode to pick, renormalised (what alm_project returns)."""
+    x = backend.ops.one_hot_rows(state, n)
+    pooled = SeqDist.normalized(np.stack([_force_argmax_row(x[i], pick[i]) for i in range(len(x))]))
+    return backend.ops.kl_rows(x, pooled.rows)
+
+
+def forced_kl(state, pick, n):
+    """KL from the one-hot rows of state to those rows with each moved
+    row forced to its pick, not renormalised (what novelty_project
+    returns)."""
+    x = backend.ops.one_hot_rows(state, n)
+    forced = x.copy()
+    for i, (a, v) in enumerate(zip(state.tolist(), pick.tolist())):
+        if a != v:
+            forced[i] = _force_argmax_row(x[i], v)
+    return backend.ops.kl_rows(x, forced)
+
+
+def moved_picks(rng, states, n, rate):
+    """states with each position moved to another token with probability
+    rate; rate 0 moves none."""
+    picks = states.copy()
+    moved = rng.random(states.shape) < rate
+    picks[moved] = (states[moved] + rng.integers(1, n, size=moved.sum())) % n
+    return picks
+
+
+class TestFlipKl:
+    """flip_kl equals kl_rows on the pooled and forced rows bit for bit."""
+
+    @pytest.mark.parametrize("length, n", [(1, 2), (3, 4), (5, 7), (12, 11), (40, 20), (7, 19), (33, 5)])
+    def test_equals_kl_of_pooled_and_forced_rows(self, length, n):
+        # Shapes with L * N below and above numpy's 8-wide unrolled and
+        # 128-wide pairwise summation blocks; the last id is MASK, held
+        # by some states and picked by some moves.
+        rng = np.random.default_rng(length * 100 + n)
+        states = rng.integers(0, n, size=(120, length))
+        states[rng.random(states.shape) < 0.2] = n - 1
+        picks = np.concatenate([moved_picks(rng, states[:100], n, rng.random()), states[100:]])
+        got = flip_kl(states, picks, n)
+        assert got.shape == (120,) and got.dtype == np.float64
+        for k in range(len(states)):
+            want_pooled = pooled_kl(states[k], picks[k], n)
+            want_forced = forced_kl(states[k], picks[k], n)
+            assert got[k].tobytes() == np.float64(want_pooled).tobytes() == np.float64(want_forced).tobytes(), k
+        # The states with no move cost exactly 0.0.
+        assert got[100:].tolist() == [0.0] * 20
+
+    def test_random_shapes_against_both_references(self):
+        rng = np.random.default_rng(33)
+        for _ in range(150):
+            length, n = int(rng.integers(1, 41)), int(rng.integers(2, 21))
+            states = rng.integers(0, n, size=(4, length))
+            picks = moved_picks(rng, states, n, rng.random())
+            got = flip_kl(states, picks, n).tolist()
+            assert got == [pooled_kl(s, p, n) for s, p in zip(states, picks)]
+            assert got == [forced_kl(s, p, n) for s, p in zip(states, picks)]
+
+    def test_one_flip_costs_flip_kl(self):
+        assert flip_kl(np.array([[0]]), np.array([[1]]), 2).tolist() == [projection.FLIP_KL]
+        assert projection.FLIP_KL == pooled_kl(np.array([0]), np.array([1]), 2)
+        assert flip_kl(np.zeros((0, 3), np.int64), np.zeros((0, 3), np.int64), 4).shape == (0,)
+
+    def test_batched_equals_one_state_calls(self):
+        rng = np.random.default_rng(8)
+        length, n = 30, 9
+        states = rng.integers(0, n, size=(64, length))
+        picks = moved_picks(rng, states, n, 0.3)
+        single = [flip_kl(states[k : k + 1], picks[k : k + 1], n)[0] for k in range(len(states))]
+        assert flip_kl(states, picks, n).tolist() == single
 
 
 def reference_flip_costs(rows):
