@@ -21,6 +21,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -37,7 +38,7 @@ from .constraints import (
     TokenCount,
     load_constraint_file,
 )
-from .core import Corpus, Sequence, SeqDist, Vocabulary, decode, read_sequences, write_sequences
+from .core import Corpus, Sequence, SeqDist, Vocabulary, check_counts, decode, read_sequences, write_sequences
 from .denoiser import ExactBayesDenoiser, exact_posterior
 from .noise import NoiseKernel
 from .oracle import enumerate_cheapest_pattern, enumerate_novelty, enumerate_posterior, grid_kl_project
@@ -48,7 +49,7 @@ from .projection import (
     novelty_project,
     position_project,
 )
-from .sampler import InfeasibleSampleError, SampleConfig, sample_constrained
+from .sampler import InfeasibleSampleError, SampleConfig, check_settings, sample_constrained
 
 TRACE_COLUMNS = (
     "sample",
@@ -77,6 +78,13 @@ def _load_json(path: str):
         raise CliError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"config {path} is not valid JSON: {exc}") from None
+
+
+def _section(raw: dict, name: str) -> dict:
+    value = raw.get(name, {})
+    if not isinstance(value, dict):
+        raise CliError(f"bad {name} settings: must be a JSON object, got {value!r}")
+    return value
 
 
 class Run:
@@ -114,8 +122,19 @@ class Run:
             if seed is not None:
                 sample_raw["rng_seed"] = seed
             self.cfg = SampleConfig(alm=alm, **sample_raw)
+            check_settings(self.corpus, self.cs, self.cfg)
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad sample/alm settings: {exc}") from None
+        kappa = _section(raw, "metrics").get("kappa", 1.0)
+        # Negated, so that NaN fails it too.
+        if isinstance(kappa, bool) or not isinstance(kappa, (int, float)) or not 0 <= kappa < math.inf:
+            raise CliError(f"bad metrics settings: kappa must be a nonnegative finite number, got {kappa!r}")
+        self.kappa = float(kappa)
+        self.cases = _section(raw, "oracle").get("cases", 50)
+        try:
+            check_counts(self, cases=1)
+        except ValueError as exc:
+            raise CliError(f"bad oracle settings: {exc}") from None
 
         out_dir = out if out is not None else raw.get("out_dir", ".")
         self.out_dir = out_dir if out is not None else _resolve(base, out_dir)
@@ -123,7 +142,6 @@ class Run:
             os.makedirs(self.out_dir, exist_ok=True)
         except OSError as exc:
             raise CliError(f"cannot create output dir {self.out_dir}: {exc}") from None
-        self.kappa = float(raw.get("metrics", {}).get("kappa", 1.0))
         self.seed = seed
 
     def path(self, name: str) -> str:
@@ -189,7 +207,7 @@ def cmd_sample(run: Run) -> int:
 
 
 def cmd_eval(run: Run) -> int:
-    samples_path = run.raw.get("eval", {}).get("samples")
+    samples_path = _section(run.raw, "eval").get("samples")
     if samples_path is None:
         samples_path = run.path("samples.txt")
     else:
@@ -310,9 +328,8 @@ def _check_novelty(run: Run, rng, cases: int) -> bool:
 
 
 def cmd_oracle_check(run: Run) -> int:
-    opts = run.raw.get("oracle", {})
-    cases = int(opts.get("cases", 50))
-    corrupt = bool(opts.get("corrupt_denoiser", False))
+    cases = run.cases
+    corrupt = bool(_section(run.raw, "oracle").get("corrupt_denoiser", False))
     seed = run.seed if run.seed is not None else run.cfg.rng_seed
     results: list[tuple[str, bool]] = []
     checks = (

@@ -340,10 +340,10 @@ class Schedule:
     kind: str
     num_steps: int
 
-    _KINDS = ("linear", "loglinear")
+    KINDS = ("linear", "loglinear")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
@@ -378,8 +378,8 @@ class Corpus:
         for seq, w in self.entries:
             if len(seq) != length:
                 raise ValueError("corpus sequences differ in length")
-            if w <= 0:
-                raise ValueError("corpus weight must be positive")
+            if not 0 < w < math.inf:  # negated, so that NaN fails it too
+                raise ValueError(f"corpus weight must be positive and finite, got {w!r}")
             for v in seq:
                 if v >= n:
                     raise ValueError(f"token id {v} out of vocabulary range")
@@ -387,6 +387,8 @@ class Corpus:
                     raise ValueError("MASK token appears in corpus data")
             merged[seq] = merged.get(seq, 0.0) + float(w)
         total = sum(merged.values())
+        if total == math.inf:
+            raise ValueError("corpus weights sum past the largest float")
         self.entries = [(s, w / total) for s, w in merged.items()]
         self._seq_array = np.stack([s.as_array() for s, _ in self.entries])
         self._weight_array = np.asarray([w for _, w in self.entries])

@@ -48,8 +48,10 @@ class NoiseKernel:
     kind: str
     ref: np.ndarray = field(repr=False)
 
+    KINDS = ("masked", "uniform")
+
     def __post_init__(self):
-        if self.kind not in ("masked", "uniform"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         ref = np.asarray(self.ref, dtype=np.float64)
         if ref.ndim != 1 or ref.shape[0] < 2:

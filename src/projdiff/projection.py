@@ -10,9 +10,9 @@ Three operators cover the three constraint regimes:
   position_project  closed-form KL projection for "position p decodes to
                     token v"
   novelty_project   the cheapest decode not yet in a database, found in
-                    whole-sequence cost order by a Lawler k-best search
-                    (_NoveltyCursor) started afresh on each call, then
-                    closed-form row edits to force it
+                    whole-sequence cost order by a best-first search over
+                    prefixes (_cheapest_decodes) started afresh on each
+                    call, then closed-form row edits to force it
 
 All three take a stack of probability rows x and return a nearby stack y
 whose decoded sequence is feasible, keeping KL(x || y) small.
@@ -80,8 +80,8 @@ class AlmConfig:
     max_outer_iter: int = 1000
 
     def __post_init__(self):
-        if not self.eta > 0:  # NaN fails these comparisons too
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < np.inf:  # NaN fails these comparisons too
+            raise ValueError("eta must be positive and finite")
         check_counts(self, max_inner_iter=1, max_outer_iter=1)
         if not 0 < self.mu_init <= MU_MAX:
             raise ValueError(f"need 0 < mu_init <= {MU_MAX}")
@@ -966,99 +966,46 @@ class NoveltyDb:
         return cls((s for s, _ in corpus.entries), mask_id=corpus.vocab.mask_id)
 
 
-class _NoveltyCursor:
-    """One input's decodes in (cost, lex) order, resumable across calls.
+def _cheapest_decodes(rows: np.ndarray, mask_id: int | None) -> Iterator[tuple]:
+    """Every decode of rows free of mask_id, in oracle.enumerate_novelty's
+    order: by cost, the gaps max_v x[i, v] - x[i, sigma_i] summed left to
+    right, then lex.
 
-    Built from the input's rows, it keeps what every call on them reads:
-    gaps, the flip cost max_v x[i, v] - x[i, u] of each position and
-    token as nested tuples, and decode, the rows' argmax ids.
-
-    Lawler's k-best partition (Management Science 18(7), 1972).  Each
-    position's tokens are ranked by (gap, id); the root decode takes
-    every position's first-ranked token.  A heap item
-    (cost, bound, seq, j, r) stands for seq and its subtree: seq[:j] is
-    fixed, position j holds its rank-r token or a later one, and every
-    later position is free.  Expanding it pushes, for each i >= j, seq
-    with position i moved to its next-ranked token (and every later
-    position at its first-ranked token, as seq already holds them),
-    with fixed prefix length i.  A child differs from its parent at one
-    position, by a token of larger (gap, id), so its cost, summed left
-    to right like oracle.enumerate_novelty's, is no smaller.
-
-    On an exact gap tie the child is also lexicographically larger, so
-    heap order is (cost, lex) order.  Rounding can still tie two sums
-    whose gaps differ by a few ulps, and then a descendant may be
-    lexicographically smaller at equal cost.  So a subtree whose free
-    positions hold such a near tie carries bound, a lower bound on its
-    descendants (its decode with zeros from the first near-tied
-    position on), and its decode is re-pushed as an expanded item
-    (j = -1) once its children are in the heap; elsewhere bound is seq
-    itself and the decode is final when popped.
+    A best-first search over prefixes.  A heap item (bound, prefix, cost)
+    stands for every decode that starts with the prefix: cost is the
+    prefix's, and bound adds each later position's least allowed gap to
+    it in order.  A rounded sum never falls when a term grows, and a
+    tuple sorts before its extensions, so no decode under an item sorts
+    before it; a whole decode is its own item, so the first one popped
+    comes before everything left in the heap.
     """
-
-    __slots__ = ("gaps", "decode", "orders", "tied_from", "heap")
-
-    def __init__(self, rows: np.ndarray, mask_id: int | None):
-        gaps = rows.max(axis=1, keepdims=True) - rows  # flip cost per position/token
-        length = gaps.shape[0]
-        self.gaps = tuple(map(tuple, gaps.tolist()))
-        self.decode = rows.argmax(axis=1).tolist()
-        ranked = np.argsort(gaps, axis=1, kind="stable").tolist()
-        # Every completion of a decode holding a banned MASK is in db already.
-        self.orders = tuple(tuple(v for v in row if v != mask_id) for row in ranked)
-        # A left-to-right sum of L nonnegative terms is off by at most
-        # about (L - 1) * 2^-53 times the exact sum (Higham, Accuracy and
-        # Stability of Numerical Algorithms, section 4.2), so two sums
-        # that differ in one term by more than tol, which covers that
-        # error on both with room to spare, round to different floats.
-        ascending = np.sort(gaps, axis=1)
-        tol = 8.0 * length * 2.0**-53 * float(ascending[:, -1].sum())
-        steps = ascending[:, 1:] - ascending[:, :-1]
-        near = ((steps > 0.0) & (steps <= tol)).any(axis=1).tolist()
-        tied_from = [length] * (length + 1)
-        for i in range(length - 1, -1, -1):
-            tied_from[i] = i if near[i] else tied_from[i + 1]
-        self.tied_from = tuple(tied_from)
-        self.heap: list[tuple] = []
-        if all(self.orders):
-            root = tuple(order[0] for order in self.orders)
-            cost = 0.0
-            for row, v in zip(self.gaps, root):
-                cost += row[v]
-            self.heap.append((cost, self._bound(root, 0), root, 0, 0))
-
-    def _bound(self, seq: tuple, i: int) -> tuple:
-        k = self.tied_from[i]
-        return seq if k == len(seq) else seq[:k] + (0,) * (len(seq) - k)
-
-    def next_absent(self, db: NoveltyDb) -> Sequence:
-        """Pop decodes until one is absent from db; raises
-        NoveltySaturationError once the heap is empty."""
-        heap, orders, gaps = self.heap, self.orders, self.gaps
-        length = len(orders)
-        while heap:
-            cost, bound, seq, j, r = heapq.heappop(heap)
-            if j >= 0:
-                prefix = 0.0
-                for i in range(j):
-                    prefix += gaps[i][seq[i]]
-                for i in range(j, length):
-                    k = r + 1 if i == j else 1
-                    if k < len(orders[i]):
-                        v = orders[i][k]
-                        child = seq[:i] + (v,) + seq[i + 1 :]
-                        child_cost = prefix + gaps[i][v]
-                        for p in range(i + 1, length):
-                            child_cost += gaps[p][seq[p]]
-                        heapq.heappush(heap, (child_cost, self._bound(child, i), child, i, k))
-                    prefix += gaps[i][seq[i]]
-                if bound is not seq:
-                    heapq.heappush(heap, (cost, seq, seq, -1, 0))
-                    continue
-            candidate = Sequence(seq)
-            if candidate not in db:
-                return candidate
-        raise NoveltySaturationError("database already contains every sequence")
+    gaps = (rows.max(axis=1, keepdims=True) - rows).tolist()
+    length = len(gaps)
+    tokens = [v for v in range(rows.shape[1]) if v != mask_id]
+    if not tokens:
+        return
+    least = [min(row[v] for v in tokens) for row in gaps]
+    # Adding a zero gap leaves a sum as it is, so each depth keeps only
+    # the nonzero least gaps after it.
+    later = [[m for m in least[i + 1 :] if m] for i in range(length)]
+    moves = [[(v, row[v]) for v in tokens] for row in gaps]
+    heap = [(0.0, (), 0.0)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        _, prefix, cost = pop(heap)
+        depth = len(prefix)
+        if depth == length:
+            yield prefix
+            continue
+        rest = later[depth]
+        for v, gap in moves[depth]:
+            child_cost = bound = cost + gap
+            if rest:
+                # Left to right, as the scan sums: not sum(), which
+                # compensates its rounding from Python 3.12.
+                for m in rest:
+                    bound += m
+            push(heap, (bound, prefix + (v,), child_cost))
 
 
 def novelty_project(x_in: SeqDist, db: NoveltyDb) -> SeqDist:
@@ -1067,23 +1014,28 @@ def novelty_project(x_in: SeqDist, db: NoveltyDb) -> SeqDist:
     Candidate cost is the argmax probability given up position by
     position, sum_i (max_v x[i, v] - x[i, sigma_i]), summed left to
     right; the minimum is found in whole-sequence cost order, breaking
-    ties toward the lexicographically smallest sequence.  Each call
-    builds its own search (_NoveltyCursor) and keeps none in db.  The
-    selected sequence is added to db; rows that already decode to it
-    pass through unchanged, and otherwise only the positions whose
-    decode moves are forced, by _force_argmax_row; the rows are not
+    ties toward the lexicographically smallest sequence, by a best-first
+    search over prefixes (_cheapest_decodes) built on each call and kept
+    nowhere.  The selected sequence is added to db; rows that already
+    decode to it pass through unchanged, and otherwise only the positions
+    whose decode moves are forced, by _force_argmax_row; the rows are not
     renormalised.
 
     Raises NoveltySaturationError when db covers all N^L sequences.
     """
     rows = x_in.rows
-    cursor = _NoveltyCursor(rows, db.mask_id)
-    selected = cursor.next_absent(db)
-    db.add(selected)
-    if cursor.decode == list(selected.ids):
+    # The search yields in-range tuples free of db's MASK, so no candidate
+    # needs Sequence's checks.
+    for seq in _cheapest_decodes(rows, db.mask_id):
+        if db.claim(Sequence.unchecked(seq)):
+            break
+    else:
+        raise NoveltySaturationError("database already contains every sequence")
+    decoded = rows.argmax(axis=1).tolist()
+    if decoded == list(seq):
         return x_in
     out = rows.copy()
-    for i, (a, v) in enumerate(zip(cursor.decode, selected.ids)):
+    for i, (a, v) in enumerate(zip(decoded, seq)):
         if a != v:
             out[i] = _force_argmax_row(rows[i], v)
     return SeqDist(out)
@@ -1121,8 +1073,8 @@ def novelty_project_ids(state: np.ndarray, n: int, db: NoveltyDb) -> tuple[int, 
 
 class _ShellWalk:
     """Every sequence over the n tokens but mask_id, in (Hamming distance
-    from ids, lex) order: _NoveltyCursor's order on the one-hot rows of
-    ids, whose gaps are 0.0 at each position's token and 1.0 elsewhere.
+    from ids, lex) order: _cheapest_decodes's order on the one-hot rows
+    of ids, whose gaps are 0.0 at each position's token and 1.0 elsewhere.
 
     Shell d holds the sequences at distance d.  A position holding MASK
     changes in every one of them, so with m such positions the shells

@@ -133,6 +133,10 @@ class SampleConfig:
         check_counts(
             self, steps=1, length=1, num_samples=0, rng_seed=0, project_every=1, project_start=0, max_retries=1
         )
+        if self.kernel not in NoiseKernel.KINDS:
+            raise ValueError(f"kernel must be one of {NoiseKernel.KINDS}")
+        if self.schedule not in Schedule.KINDS:
+            raise ValueError(f"schedule must be one of {Schedule.KINDS}")
         if self.projection_mode not in MODES:
             raise ValueError(f"projection_mode must be one of {MODES}")
         if self.infeasible_policy not in POLICIES:
@@ -168,16 +172,19 @@ class TraceRecord:
     wall_time: float
 
 
-def _validate(corpus: Corpus, cs: ConstraintSet | None, cfg: SampleConfig, db: NoveltyDb | None):
+def check_settings(corpus: Corpus, cs: ConstraintSet | None, cfg: SampleConfig, db: NoveltyDb | None = None):
+    """Raise ValueError unless cfg can run on corpus, cs and db."""
     if cfg.length != corpus.length:
         raise ValueError(f"config length {cfg.length} != corpus length {corpus.length}")
     if cfg.projection_mode == "alm" and cs is None:
         raise ValueError("projection_mode='alm' requires constraints")
     if cfg.projection_mode == "novelty" and cs is not None:
         raise ValueError("novelty mode does not take a constraint set")
+    mask_id = corpus.vocab.mask_id
+    if cfg.kernel == "masked" and mask_id is None:
+        raise ValueError("the masked kernel needs a vocabulary with a MASK token")
     # A database that bans the vocabulary's MASK never hands out a claim
     # holding it, so no claim needs checking before it is emitted.
-    mask_id = corpus.vocab.mask_id
     if cfg.projection_mode == "novelty" and cfg.kernel == "masked" and db is not None and db.mask_id != mask_id:
         raise ValueError(f"novelty database mask_id {db.mask_id} is not the vocabulary's MASK id {mask_id}")
     if cs is not None:
@@ -201,7 +208,7 @@ def sample_constrained(
     itself, and the caller's database object is updated in place as
     sequences are claimed.
     """
-    _validate(corpus, cs, cfg, novelty_db)
+    check_settings(corpus, cs, cfg, novelty_db)
     if denoiser is None:
         denoiser = ExactBayesDenoiser(corpus)
     elif not callable(getattr(denoiser, "posterior_loo_batch", None)):

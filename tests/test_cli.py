@@ -384,6 +384,50 @@ class TestUsageAndErrors:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out" / "samples.txt").exists()
 
+    @pytest.mark.parametrize(
+        "sample, extra",
+        [
+            ({"kernel": "gaussian"}, {}),
+            ({"schedule": "cosine"}, {}),
+            ({"length": 5}, {}),
+            ({}, {"constraints": None}),
+            ({"projection_mode": "novelty"}, {}),
+            ({}, {"vocab": "plain_vocab.txt"}),
+            ({}, {"metrics": {"kappa": "1.0"}}),
+            ({}, {"metrics": {"kappa": -1.0}}),
+            ({}, {"metrics": {"kappa": float("nan")}}),
+            ({}, {"oracle": {"cases": "30"}}),
+            ({}, {"oracle": {"cases": 2.5}}),
+            ({}, {"oracle": {"cases": 0}}),
+            ({}, {"metrics": 1.0}),
+            ({}, {"oracle": [30]}),
+        ],
+    )
+    def test_bad_setting_is_an_error_line_before_any_output(self, tmp_path, capsys, sample, extra):
+        # An unknown kernel or schedule, a length off the corpus's, a mode
+        # at odds with the constraint file, the masked kernel on a
+        # vocabulary without MASK, and bad metrics or oracle values.  Run
+        # in process, where an uncaught exception fails the test itself.
+        from projdiff import cli
+
+        (tmp_path / "plain_vocab.txt").write_text("a\nb\nc\nd\n")
+        cfg = make_workspace(tmp_path, sample=sample, extra=extra)
+        assert cli.main(["sample", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "samples.txt").exists()
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
+    def test_nan_corpus_weight_is_a_bad_corpus(self, tmp_path):
+        cfg = make_workspace(tmp_path)
+        (tmp_path / "corpus.txt").write_text(CORPUS.replace("\t2\n", "\tnan\n", 1))
+        proc = run_cli("sample", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: bad corpus/vocab")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out" / "samples.txt").exists()
+
     def test_nan_tau_is_a_bad_constraint_file(self, tmp_path):
         # Python's json reads and writes the bare constant NaN.
         cfg = make_workspace(tmp_path, constraints=[{**CONSTRAINTS[0], "tau": float("nan")}])

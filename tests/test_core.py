@@ -71,6 +71,19 @@ class TestSequence:
         assert s == Sequence((1, 0, 2))
         assert hash(s) == hash(Sequence((1, 0, 2)))
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
+    def test_weight_outside_positive_finite_rejected(self, weight):
+        v = Vocabulary(("a", "b"))
+        with pytest.raises(ValueError, match="positive and finite"):
+            Corpus(v, [(Sequence((0, 1)), 1.0), (Sequence((1, 1)), weight)])
+
+    def test_weights_summing_past_the_largest_float_rejected(self):
+        # Each weight is finite, but the total is not, and every weight
+        # would normalize to zero.
+        v = Vocabulary(("a", "b"))
+        with pytest.raises(ValueError, match="largest float"):
+            Corpus(v, [(Sequence((0, 1)), 1e308), (Sequence((1, 1)), 1e308)])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Sequence(())
@@ -287,6 +300,12 @@ class TestCorpus:
         v = Vocabulary(("a", "b"))
         with pytest.raises(ValueError):
             Corpus(v, [(Sequence((0,)), 1.0), (Sequence((0, 1)), 1.0)])
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
+    def test_weight_outside_positive_finite_rejected(self, weight):
+        v = Vocabulary(("a", "b"))
+        with pytest.raises(ValueError, match="positive and finite"):
+            Corpus(v, [(Sequence((0, 1)), 1.0), (Sequence((1, 1)), weight)])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,11 @@ Lagrangian solver, and novelty redirection."""
 import collections
 import gc
 import hashlib
+import heapq
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -32,12 +34,12 @@ from projdiff.projection import (
     NoveltyDb,
     NoveltySaturationError,
     SearchTerms,
+    _cheapest_decodes,
     _decode_search,
     _fewest_flips,
     _first_min,
     _FlipDP,
     _force_argmax_row,
-    _NoveltyCursor,
     _row_flip_costs,
     _ShellWalk,
     alm_project,
@@ -591,6 +593,57 @@ class TestNoveltyResume:
             assert claim_until_saturated(near_tie_rows(rng, 3, 3), db) == 27
 
 
+class TestCheapestDecodes:
+    """The rows search is a best-first search over prefixes whose bound
+    adds each later position's least allowed gap."""
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_absorbed_later_gap_keeps_scan_order(self, order):
+        # MASK (token 3) is the argmax of the first two rows, so every
+        # decode pays at least 1.7 there.  The last row's token 0 sits
+        # 2^-54 below its argmax, a gap that a sum above 1 (spacing 2^-52)
+        # absorbs: (a, b, 0) and (a, b, 1) then cost the same float, and
+        # the lex-smaller one, which takes the positive gap, comes first.
+        tiny = 2.0**-54
+        rows = np.array(
+            [
+                [0.05, 0.03, 0.02, 0.9],
+                [0.03, 0.05, 0.02, 0.9],
+                [0.375 - tiny, 0.375, 0.25, tiny],
+            ]
+        )
+        low = rows.max(axis=1) - rows[:, 0]
+        assert low[2] == tiny and (low[0] + low[1]) + tiny == low[0] + low[1]
+        rows = rows[list(order)]
+        db = NoveltyDb(mask_id=3)
+        assert claim_until_saturated(rows, db) == 27
+
+    def test_first_claim_expands_only_its_own_path(self, monkeypatch):
+        # With MASK the argmax at three positions, the least-gap bound of
+        # the cheapest prefix already counts their forced cost, so the
+        # first claim pops just its own prefixes: one per position, each
+        # pushing its N - 1 MASK-free children.
+        length, n, mask_id = 10, 13, 12
+        rng = np.random.default_rng(4)
+        rows = rng.dirichlet(np.ones(n), size=length)
+        rows[[1, 4, 8], mask_id] += 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        assert (rows.argmax(axis=1) == mask_id).sum() == 3
+        pushes = []
+
+        def heappush(heap, item):
+            pushes.append(item)
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(projection, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+        db = NoveltyDb(mask_id=mask_id)
+        out = novelty_project(SeqDist(rows), db)
+        assert len(pushes) == length * (n - 1) == 120
+        # With an empty database the claim takes each position's best
+        # token but MASK.
+        assert decode(out) == Sequence(tuple(rows[:, :mask_id].argmax(axis=1).tolist()))
+
+
 class TestNoveltyProjectIds:
     """novelty_project_ids is novelty_project on the one-hot rows of an id
     row, with its search walked over the ids alone."""
@@ -603,12 +656,7 @@ class TestNoveltyProjectIds:
             got = novelty_project_ids(state, n, by_ids)
         except NoveltySaturationError:
             got = None
-        try:
-            want = cursor.next_absent(by_rows)
-            by_rows.add(want)
-            want = want.ids
-        except NoveltySaturationError:
-            want = None
+        want = next((seq for seq in cursor if by_rows.claim(Sequence(seq))), None)
         return got, want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -622,7 +670,7 @@ class TestNoveltyProjectIds:
         for ids in itertools.product(range(n), repeat=length):
             state = np.array(ids)
             by_ids, by_rows = NoveltyDb(mask_id=mask_id), NoveltyDb(mask_id=mask_id)
-            cursor = _NoveltyCursor(backend.ops.one_hot_rows(state, n), mask_id)
+            cursor = _cheapest_decodes(backend.ops.one_hot_rows(state, n), mask_id)
             claims = []
             while True:
                 got, want = self.claim_both(state, n, by_ids, by_rows, cursor)
@@ -646,7 +694,7 @@ class TestNoveltyProjectIds:
             state[rng.random(length) < 0.2] = mask_id
             start = [Sequence(tuple(rng.integers(0, mask_id, size=length).tolist())) for _ in range(10)]
             by_ids, by_rows = NoveltyDb(start, mask_id=mask_id), NoveltyDb(start, mask_id=mask_id)
-            cursor = _NoveltyCursor(backend.ops.one_hot_rows(state, n), mask_id)
+            cursor = _cheapest_decodes(backend.ops.one_hot_rows(state, n), mask_id)
             for call in range(300):
                 if call % 7 == 0:  # a near neighbour another chain claimed
                     extra = state.copy()

@@ -134,8 +134,9 @@ class TestConfigValidation:
         for bad in (2 * MU_MAX, 0.0, float("nan")):
             with pytest.raises(ValueError, match="mu_init"):
                 AlmConfig(mu_init=bad)
-        with pytest.raises(ValueError, match="eta"):
-            AlmConfig(eta=float("nan"))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eta"):
+                AlmConfig(eta=bad)
 
     def test_alm_config_holds_only_the_settings_callers_change(self):
         names = [f.name for f in fields(AlmConfig)]
