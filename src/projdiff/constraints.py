@@ -27,10 +27,10 @@ other set whose constraints all have terms, at most one of them inexact
 the least sum of the inexact one's table.  A set holding a constraint
 without terms (the base class returns None), or two inexact ones, goes
 through the plain lattice search, which scores every move by
-hard_scores.  The tables are read when a sampling run starts, and a set
-made of the built-in types keeps them for its next run while every
-field holds its value, so a constraint changed between runs is read
-afresh by the next one.
+hard_scores.  Projection reads the tables when it projects, and a set
+made of the built-in types keeps them for its next projection while
+every field holds its value, so a constraint changed between two
+projections is read afresh by the second.
 The fields that index tables or count occurrences (token, k, position)
 must be integers.
 """

@@ -109,7 +109,7 @@ _CODE_LIMIT = 2**63
 # Smaller batches skip the search for repeated states: the denoiser
 # takes them as they are (under the masked kernel it still shares rows
 # between chains with equal compatible-entry sets, keyed by the sets'
-# packed words in the run's table), and Sequence.from_id_array shares
+# packed words in its own table), and Sequence.from_id_array shares
 # their equal rows through a dict.  On the c01 shape (16 chains, L=10)
 # about one state in eight repeats, and
 # finding the repeats took longer inside a sampling run (about 24 us per
@@ -440,6 +440,8 @@ class Corpus:
                         weight = float(tail)
                     except ValueError:
                         raise ValueError(f"{path}:{lineno}: bad weight {tail!r}") from None
+                    if not 0 < weight < math.inf:  # negated, so that NaN fails it too
+                        raise ValueError(f"{path}:{lineno}: corpus weight must be positive and finite, got {weight!r}")
                 else:
                     body = line
                 toks = body.split()

@@ -15,8 +15,8 @@ counting positions:
            likelihood is constant across compatible entries and the
            posterior just restricts the prior to them.  Observations
            with the same set of compatible entries, in whatever state
-           and at whatever signal level, share one posterior, and a
-           sampling run computes it once per set (SetTable).
+           and at whatever signal level, share one posterior, and the
+           exact denoiser computes it once per set (SetTable).
   uniform: q = a * 1[w_i = x_i] + (1 - a)/N, so the likelihood is
            proportional to (1 + a N / (1 - a)) ** #matches.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Corpus, SeqDist, Sequence, _distinct_rows, decode
+from .core import Corpus, SeqDist, Sequence, _distinct_rows
 from .noise import NoiseKernel
 
 
@@ -158,17 +158,17 @@ def _unpack(corpus: Corpus, words: np.ndarray) -> np.ndarray:
 
 class SetTable:
     """The masked kernel's denoised rows of every compatible-entry set
-    one sampling run has met, each built once.
+    one denoiser has met under one masked kernel, each built once.
 
     A set's rows are the prior restricted to its entries, whatever the
-    state or signal level, so a step builds only the sets new to the run
-    and reads the rest.  slots maps a set's key, its packed compatibility
-    words (a Python int for a corpus of up to 64 entries, else the words'
-    bytes), to its slot k: rows[k] holds the set's (L, N) rows and
-    empty[k] whether it has no entry, in which case they are the prior's.
-    Both buffers have room to grow.  A table serves one denoiser and
-    kernel for one run and is not carried to the next, so it holds at
-    most the run's distinct sets.
+    state or signal level, so a step builds only the sets new to the
+    table and reads the rest.  slots maps a set's key, its packed
+    compatibility words (a Python int for a corpus of up to 64 entries,
+    else the words' bytes), to its slot k: rows[k] holds the set's (L, N)
+    rows and empty[k] whether it has no entry, in which case they are the
+    prior's.  Both buffers have room to grow.  The table lives as long as
+    its denoiser, so it holds every distinct set the denoiser has met
+    under its kernel, across sampling runs.
     """
 
     def __init__(self):
@@ -194,13 +194,11 @@ class SetTable:
 
 class ExactBayesDenoiser:
     """The exact corpus posterior as the sampler's model, which calls its
-    posterior_loo_batch(ids, a_t, kernel, table=None) alone.
+    posterior_loo_batch(ids, a_t, kernel) alone.
 
     When evidence is incompatible with every corpus entry the denoiser
     falls back to the prior per-position marginals instead of raising;
-    fallback_count records how often that happened.  Calling the
-    denoiser on (xt, a_t, kernel) is a one-row helper: a posterior_batch
-    of xt's decode, returned as a SeqDist.
+    fallback_count records how often that happened.
 
     The batch methods return (states, rows, inverse) for a (B, L) batch:
     (K, L) states, their (K, L, N) marginals, and the (B,) index with
@@ -211,22 +209,23 @@ class ExactBayesDenoiser:
     prior restricted to the entries compatible with the state, so a
     block is a distinct set of compatible entries, and chains in
     different states can share it.  Its rows do not depend on the
-    signal level either: the batch methods take the run's SetTable as
-    table and build only the sets new to it, so a sampling run builds
-    each set once; with no table a call builds every set it holds.  A
-    batch of at least core._DEDUPE_MIN_ROWS rows first finds its
-    distinct states.  When no two chains share a block, states is the
-    batch itself and inverse the identity.  A block's rows are a
-    function of its state or set alone, so every chain gets the rows it
-    would get on its own, and fallback_count counts every chain, repeats
-    included.  Every method raises ValueError for a signal level outside
-    [0, 1].
+    signal level either: the denoiser keeps them in a SetTable of its
+    own per masked kernel, keyed by (N, MASK id) as _entry_matches keys
+    its bit table, and builds only the sets new to it, so each set is
+    built once for as long as the denoiser lives.  A batch of at least
+    core._DEDUPE_MIN_ROWS rows first finds its distinct states.  When no
+    two chains share a block, states is the batch itself and inverse
+    the identity.  A block's rows are a function of its state or set
+    alone, so every chain gets the rows it would get on its own, and
+    fallback_count counts every chain, repeats included.  Every method
+    raises ValueError for a signal level outside [0, 1].
     """
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
         self.fallback_count = 0
         self._prior_rows = None
+        self._tables: dict[tuple[int, int], SetTable] = {}
 
     def _prior(self) -> np.ndarray:
         if self._prior_rows is None:
@@ -234,20 +233,13 @@ class ExactBayesDenoiser:
             self._prior_rows = rows / rows.sum(axis=1, keepdims=True)
         return self._prior_rows
 
-    def __call__(self, xt: SeqDist, a_t: float, kernel: NoiseKernel) -> SeqDist:
-        _, rows, _ = self.posterior_batch(decode(xt).as_array()[None, :], a_t, kernel)
-        return SeqDist(rows[0])
-
-    def posterior_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel, table: SetTable | None = None):
+    def posterior_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel):
         """(states, rows, inverse) of the posterior marginals of a (B, L)
-        batch of decoded states; an incompatible state gets the prior's.
-        table, the run's SetTable, is read and extended under the masked
-        kernel, and ignored under the uniform one."""
+        batch of decoded states; an incompatible state gets the prior's."""
         states, inverse = _distinct_rows(ids)
         if kernel.kind == "masked":
             _check_batch(self.corpus, kernel, states, a_t)
-            table = SetTable() if table is None else table
-            states, rows, empty, inverse = self._set_blocks(states, inverse, kernel, table)
+            states, rows, empty, inverse = self._set_blocks(states, inverse, kernel)
         else:
             weights = _posterior_weights(self.corpus, kernel, states, a_t)
             rows, empty = _weighted_marginals(self.corpus, kernel.vocab_size, weights)
@@ -257,11 +249,13 @@ class ExactBayesDenoiser:
                 rows[empty] = self._prior()
         return states, rows, np.arange(len(states)) if inverse is None else inverse
 
-    def _set_blocks(self, states: np.ndarray, inverse: np.ndarray | None, kernel: NoiseKernel, table: SetTable):
+    def _set_blocks(self, states: np.ndarray, inverse: np.ndarray | None, kernel: NoiseKernel):
         """(states, rows, empty, inverse) of the masked kernel's blocks for
         (U, L) distinct states, whose chains take them by inverse (None
         for the identity): one block per distinct compatible set, its
-        rows gathered from table after the sets new to it are built."""
+        rows gathered from the kernel's table after the sets new to it
+        are built."""
+        table = self._tables.setdefault((kernel.vocab_size, kernel.mask_id), SetTable())
         words = _compatible_words(self.corpus, kernel, states)  # (U, W)
         if words.shape[1] == 1:
             keys = words[:, 0].tolist()
@@ -277,7 +271,8 @@ class ExactBayesDenoiser:
         if new or table.rows is None:
             weights = self.corpus.weights() * _unpack(self.corpus, words[new])
             rows, empty = _weighted_marginals(self.corpus, kernel.vocab_size, weights)
-            rows[empty] = self._prior()
+            if empty.any():  # the prior's rows are as wide as the vocabulary, not N
+                rows[empty] = self._prior()
             table.add([keys[u] for u in new], rows, empty)
         block = [slots[key] for key in seen]
         if len(seen) < len(keys):
@@ -287,7 +282,7 @@ class ExactBayesDenoiser:
             inverse = index if inverse is None else index.take(inverse)
         return states, table.rows.take(block, axis=0), table.empty.take(block), inverse
 
-    def posterior_loo_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel, table: SetTable | None = None):
+    def posterior_loo_batch(self, ids: np.ndarray, a_t: float, kernel: NoiseKernel):
         """(states, rows, inverse) of the leave-one-out posterior marginals.
 
         Entry (u, i) of rows is the posterior marginal of position i with
@@ -297,11 +292,10 @@ class ExactBayesDenoiser:
         conditional, whereas the full posterior would double count the
         current token.  Under the masked kernel a masked position
         contributes a constant factor, so there the leave-one-out and
-        full posteriors coincide and the full one is returned, with table
-        as posterior_batch takes it.
+        full posteriors coincide and the full one is returned.
         """
         if kernel.kind == "masked":
-            return self.posterior_batch(ids, a_t, kernel, table=table)
+            return self.posterior_batch(ids, a_t, kernel)
         if a_t >= 1.0:
             raise ValueError("leave-one-out posterior undefined at a_t = 1")
         states, inverse = _distinct_rows(ids)

@@ -41,7 +41,10 @@ whose decoded sequence is feasible, keeping KL(x || y) small.
 The lattice search scores every move it considers exactly, by
 ConstraintSet.hard_violations_batch and the cost table.  The closed form
 and the dynamic program read the constraints' per-position tables
-(Constraint.position_terms), which SearchTerms reads once per set.
+(Constraint.position_terms), which SearchTerms reads; project_ids gets
+them from SearchTerms.of on every call, which keeps a set's tables on the
+set from call to call while its built-in constraints keep their fields,
+and builds them afresh for a set holding a user-type constraint.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ def alm_gradient(
     return dz, bool(np.any(active))
 
 
-def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfig = AlmConfig()) -> AlmResult:
+def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig()) -> AlmResult:
     """Project rows x_in to a nearby stack whose decode satisfies cs.
 
     An already-feasible input is returned unchanged with zero outer
@@ -201,14 +204,10 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
     search (_decode_search) sums float flip costs, so it is the plain
     search.  When the iteration budget runs out the best iterate found
     (smallest worst-case decoded violation) is returned with
-    feasible=False.  cs is the constraint set, or its SearchTerms for
-    x_in's shape, as project_ids takes it; only one-hot rows read the
-    terms, so soft rows build none.
+    feasible=False.  Only one-hot rows go to project_ids, so soft rows
+    read no SearchTerms.
     """
     ops = backend.ops
-    given = cs
-    if isinstance(cs, SearchTerms):
-        cs = _terms_for(cs, *x_in.rows.shape).cs
     x_rows = x_in.rows
     m = len(cs)
     lam = np.zeros(m)
@@ -223,7 +222,7 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
         # On one-hot rows the loop only hands its pattern to the closing
         # search; project_ids alone decides whenever it reaches a
         # qualifying pattern from the input's own.
-        ids, feasible = project_ids(np.asarray([base]), x_rows.shape[1], given)
+        ids, feasible = project_ids(np.asarray([base]), x_rows.shape[1], cs)
         if feasible[0]:
             return _pooled_result(x_rows, cs, tuple(ids[0].tolist()), True, 0)
 
@@ -292,13 +291,12 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet | SearchTerms, config: AlmConfi
     )
 
 
-def project_ids(states: np.ndarray, n: int, cs: ConstraintSet | SearchTerms) -> tuple[np.ndarray, np.ndarray]:
+def project_ids(states: np.ndarray, n: int, cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     """Decode targets of a (K, L) stack of one-hot states, by their ids.
 
     Row k holds the ids of a state whose rows are one-hot over n tokens.
-    cs is the constraint set, or its SearchTerms for L and n, which a
-    caller that projects many stacks under unchanged constraints builds
-    once.
+    The set's tables for L and n come from SearchTerms.of, which keeps
+    those of a set of built-in constraints from call to call.
     Returns the (K, L) int64 ids picked for each state and the (K,) mask
     of the states made feasible (every violation 0); a feasible state
     keeps its own ids.  No probability rows are built: on one-hot rows
@@ -319,7 +317,7 @@ def project_ids(states: np.ndarray, n: int, cs: ConstraintSet | SearchTerms) -> 
     gradient loop, which this function does not run.
     """
     states = np.asarray(states, dtype=np.int64)
-    terms = _terms_for(cs, states.shape[1], n)
+    terms = SearchTerms.of(cs, states.shape[1], n)
     if terms.fewest_flips is not None:
         return _fewest_flips(states, n, terms.fewest_flips), np.ones(states.shape[0], dtype=bool)
     ids, feasible = states.copy(), np.zeros(states.shape[0], dtype=bool)
@@ -327,12 +325,12 @@ def project_ids(states: np.ndarray, n: int, cs: ConstraintSet | SearchTerms) -> 
         ids, feasible = terms.dp.pick(states)
         # The program sums the float table in its own order; the pick
         # stands where the scores the sampler checks agree.
-        feasible[feasible] = (terms.cs.hard_violations_batch(ids[feasible]) <= 0.0).all(axis=1)
+        feasible[feasible] = (cs.hard_violations_batch(ids[feasible]) <= 0.0).all(axis=1)
     rest = np.flatnonzero(~feasible)
     if rest.shape[0]:
         part = states[rest]
         flips = (np.arange(n) != part[:, :, None]).astype(np.int8)
-        ids[rest], residual = _decode_search(flips, terms, part, part)
+        ids[rest], residual = _decode_search(flips, cs, part, part)
         feasible[rest] = residual == 0.0
     return ids, feasible
 
@@ -668,19 +666,16 @@ class SearchTerms:
     """A constraint set's projection tables for length-long sequences over
     n tokens.
 
-    cs is the set and shape is (L, N).  fewest_flips holds _fewest_flips's
-    parts when the set has a closed form on one-hot states, and is None
-    otherwise (see _closed_form); dp is the set's _FlipDP when it has no
-    closed form and the program takes it, and None otherwise.  Every field
-    is read from the constraints' PositionTerms when the tables are built,
-    so it holds for as long as they are not changed: a sampling run takes
-    one from SearchTerms.of and hands it to project_ids in place of its
-    ConstraintSet.
+    fewest_flips holds _fewest_flips's parts when the set has a closed
+    form on one-hot states, and is None otherwise (see _closed_form); dp
+    is the set's _FlipDP when it has no closed form and the program takes
+    it, and None otherwise.  Every field is read from the constraints'
+    PositionTerms when the tables are built, so it holds for as long as
+    they are not changed: project_ids takes one from SearchTerms.of on
+    every call.
     """
 
     def __init__(self, cs: ConstraintSet, seq_len: int, n: int):
-        self.cs = cs
-        self.shape = (seq_len, n)
         terms = [c.position_terms(seq_len, n) for c in cs]
         self.fewest_flips = _closed_form(cs, terms, seq_len)
         self.dp = None if self.fewest_flips is not None else _FlipDP.of(cs, terms, seq_len, n)
@@ -780,18 +775,9 @@ def _closed_form(cs: ConstraintSet, terms: list, seq_len: int) -> tuple | None:
     return tuple(parts)
 
 
-def _terms_for(cs: ConstraintSet | SearchTerms, seq_len: int, n: int) -> SearchTerms:
-    """cs's SearchTerms for (L, N) tables; raises ValueError when cs is
-    SearchTerms for another shape."""
-    terms = cs if isinstance(cs, SearchTerms) else SearchTerms(cs, seq_len, n)
-    if terms.shape != (seq_len, n):
-        raise ValueError(f"search terms are for {terms.shape} tables, not {(seq_len, n)}")
-    return terms
-
-
 def _decode_search(
     tables: np.ndarray,
-    cs: ConstraintSet | SearchTerms,
+    cs: ConstraintSet,
     starts: np.ndarray,
     bases: np.ndarray,
     max_sweeps: int | None = None,
@@ -800,10 +786,9 @@ def _decode_search(
 
     tables[k, i, v] is state k's cost of decoding position i to token v
     (a flip-cost table, or, on one-hot rows, whether v differs from the
-    state's own token); cs is the constraint set, or its SearchTerms for
-    the tables' L and N; starts and bases are (K, L) id arrays.  Returns
-    the (K, L) int64 patterns reached and the (K,) total hard violation
-    left at each.
+    state's own token); cs is the constraint set; starts and bases are
+    (K, L) id arrays.  Returns the (K, L) int64 patterns reached and the
+    (K,) total hard violation left at each.
 
     Patterns are ordered by (total hard violation, summed per-row cost,
     the ids themselves): descent first repairs violations one flip per
@@ -837,8 +822,6 @@ def _decode_search(
     k_states, seq_len, n = tables.shape
     if max_sweeps is None:
         max_sweeps = seq_len + 8
-    if isinstance(cs, SearchTerms):
-        cs = _terms_for(cs, seq_len, n).cs
     flat = tables.reshape(k_states * seq_len, n)
     positions = np.arange(seq_len)
     same = starts is bases

@@ -6,13 +6,14 @@ t-1, and then, on scheduled steps, projects the new state so that its
 decode is feasible.  Chains are advanced in lockstep as a batch; all
 randomness comes from one generator stream so runs are reproducible.
 
-The model is any object with a posterior_loo_batch(ids, a_t, kernel,
-table=None) method that returns (states, rows, inverse) for a (B, L)
-batch of id rows: the (K, L) states of K blocks, their (K, L, N)
-leave-one-out denoised rows, and the (B,) block of each chain.  A model
-that shares no rows between chains returns ids itself, its (B, L, N)
-rows and arange(B), and ignores table.  ExactBayesDenoiser is such a
-model, and the default.
+The model is any object with a posterior_loo_batch(ids, a_t, kernel)
+method that returns (states, rows, inverse) for a (B, L) batch of id
+rows: the (K, L) states of K blocks, their (K, L, N) leave-one-out
+denoised rows, and the (B,) block of each chain.  A model that shares no
+rows between chains returns ids itself, its (B, L, N) rows and
+arange(B).  The default, ExactBayesDenoiser, shares rows as described
+below.  The sampler hands a model nothing but the batch, so any cache a
+model keeps is its own.
 
 The reverse step works per block of chains that share their denoised
 rows, and so their reverse mixture.  Under the uniform kernel a block is
@@ -21,8 +22,8 @@ compatible corpus entries, since the exact posterior is the prior
 restricted to that set: chains in different states share a block, and
 most chains of a constrained run match no entry and share the prior's.
 A set's denoised rows depend on neither the state nor the signal level,
-so the run keeps them in a SetTable of its own, and the exact denoiser
-builds each set's rows once per run, at the first step that meets it.
+so the exact denoiser keeps them and builds each set's rows once, at the
+first step of any run that meets it.
 The mixture is built once per block and step, and each chain inverts
 its own uniforms against its block of L CDF rows, only at the positions
 that can change.  Under the masked kernel those are the
@@ -37,10 +38,8 @@ used, so the stream does not depend on which chains share a block.
 A chain's state is its row of token ids.  On a projected step in alm
 mode one batched screen passes the chains the operator would leave
 unchanged.  The distinct states among the rest then go through one
-batched call of projection.project_ids, which works on the ids alone,
-with the set's projection tables (SearchTerms), which a run of a set of
-built-in constraints shares with the earlier runs that saw the same
-fields;
+batched call of projection.project_ids, which works on the ids alone
+and reads the set's projection tables itself;
 a state it leaves infeasible goes on to alm_project's gradient loop
 from its one-hot rows.  The results fill the step's memo, keyed by the
 id row.  Chains are then handled in chain order: each takes its state's
@@ -85,14 +84,13 @@ import numpy as np
 from . import backend
 from .constraints import ConstraintSet
 from .core import Corpus, Schedule, SeqDist, Sequence, check_counts
-from .denoiser import ExactBayesDenoiser, SetTable
+from .denoiser import ExactBayesDenoiser
 from .noise import NoiseKernel, reverse_mixture_rows
 # novelty_project and position_project are not called here:
 # perfbench/tracer.py patches them on this module.
 from .projection import (  # noqa: F401
     AlmConfig,
     NoveltyDb,
-    SearchTerms,
     alm_project,
     flip_kl,
     novelty_project,
@@ -201,9 +199,9 @@ def sample_constrained(
     """Generate num_samples sequences; returns (sequences, trace records).
 
     The denoiser is the model: the exact corpus posterior by default, or
-    any object whose posterior_loo_batch(ids, a_t, kernel, table=None)
-    returns (states, rows, inverse) as the module docstring states.  One
-    without it raises TypeError, after validation and before any draw.  In
+    any object whose posterior_loo_batch(ids, a_t, kernel) returns
+    (states, rows, inverse) as the module docstring states.  One without
+    it raises TypeError, after validation and before any draw.  In
     novelty mode the database defaults to one seeded with the corpus
     itself, and the caller's database object is updated in place as
     sequences are claimed.
@@ -238,12 +236,6 @@ class _Engine:
         self.kernel = NoiseKernel.for_vocab(cfg.kernel, self.vocab)
         self.schedule = Schedule(cfg.schedule, cfg.steps)
         self.rng = np.random.default_rng(cfg.rng_seed)
-        # The projection tables for the fields the constraints hold when
-        # the run starts, shared with earlier runs on the set that saw the
-        # same fields.
-        self.terms = SearchTerms.of(cs, cfg.length, self.n) if cfg.projection_mode == "alm" else None
-        # The exact denoiser's rows of each compatible set the run meets.
-        self.sets = SetTable() if self.kernel.kind == "masked" else None
 
     def run(self) -> tuple[list[Sequence], list[TraceRecord]]:
         seqs: list[Sequence] = []
@@ -335,13 +327,13 @@ class _Engine:
         ids is the step's (B, L) batch itself, not a copy: the draw
         writes a new array, so ids keeps each chain's pre-draw ids for its
         redraws.  mix holds the (K * L, N) reverse mixture rows of the K
-        blocks the model gives (with the run's SetTable), row k * L + j
-        for position j of block k; index is the (B,) block of each chain,
-        or None when block i is chain i.
+        blocks the model gives, row k * L + j for position j of block k;
+        index is the (B,) block of each chain, or None when block i is
+        chain i.
         """
         a_t = self.schedule.alpha(t)
         a_s = self.schedule.alpha(t - 1)
-        states, denoised, inverse = self.denoiser.posterior_loo_batch(ids, a_t, self.kernel, table=self.sets)
+        states, denoised, inverse = self.denoiser.posterior_loo_batch(ids, a_t, self.kernel)
         mix = reverse_mixture_rows(self.kernel, denoised.reshape(-1, self.n), a_t, a_s, states.reshape(-1))
         return ids, mix, None if states is ids else inverse
 
@@ -386,8 +378,7 @@ class _Engine:
         """Project the distinct id rows of failing into memo (alm mode).
 
         One project_ids call decides every distinct state; each state it
-        leaves infeasible goes through alm_project from its one-hot rows,
-        with the run's SearchTerms.
+        leaves infeasible goes through alm_project from its one-hot rows.
         A memo entry is (decode, feasible, outer, kl); kl, which only
         trace records read, is computed only when tracing, by one flip_kl
         call; alm_project's kl_moved replaces it where project_ids fails.
@@ -399,13 +390,13 @@ class _Engine:
             return
         ops = backend.ops
         states = np.stack(list(distinct.values()))
-        new_ids, feasible = project_ids(states, self.n, self.terms)
+        new_ids, feasible = project_ids(states, self.n, self.cs)
         kl = flip_kl(states, new_ids, self.n).tolist() if self.cfg.trace else [0.0] * len(states)
         for key, state, new, ok, kl_moved in zip(distinct, states, new_ids, feasible.tolist(), kl):
             if ok:
                 memo[key] = (new, True, 0, kl_moved)
             else:
-                res = alm_project(SeqDist(ops.one_hot_rows(state, self.n)), self.terms, self.cfg.alm)
+                res = alm_project(SeqDist(ops.one_hot_rows(state, self.n)), self.cs, self.cfg.alm)
                 memo[key] = (ops.argmax_rows(res.projected.rows), res.feasible, res.outer_iters, res.kl_moved)
 
     def _claim_novel(self, ids: np.ndarray, trace: tuple | None) -> None:

@@ -330,6 +330,14 @@ class TestCorpus:
         with pytest.raises(ValueError, match="bad weight"):
             Corpus.from_file(path, make_vocab(2))
 
+    @pytest.mark.parametrize("tail", ["nan", "0", "-1", "inf"])
+    def test_refused_weight_reported_with_line(self, tmp_path, tail):
+        # A weight that parses but that Corpus refuses names its line too.
+        path = tmp_path / "corpus.txt"
+        path.write_text(f"a b\t{tail}\nb a\t1\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: corpus weight must be positive and finite"):
+            Corpus.from_file(path, make_vocab(2))
+
 
 def test_sequence_file_round_trip(tmp_path):
     vocab = make_vocab(3)

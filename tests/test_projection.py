@@ -266,10 +266,10 @@ class TestAlmProject:
         assert cs.satisfied(decode(res.projected))
         assert res.kl_moved <= best + 1e-2
 
-    def test_search_terms_give_the_constraint_sets_result(self, monkeypatch):
-        # Given the set, an infeasible one-hot input builds one
-        # SearchTerms, for project_ids, and soft rows build none; given the
-        # terms, no input builds any, and each returns the same result.
+    def test_search_terms_kept_on_the_set(self, monkeypatch):
+        # An infeasible one-hot input builds the set's SearchTerms once,
+        # for project_ids, and soft rows build none; the set keeps them,
+        # so a second call builds none, and both return the same result.
         built = [0]
         real_init = SearchTerms.__init__
 
@@ -289,21 +289,14 @@ class TestAlmProject:
             want = alm_project(SeqDist(rows), cs, config)
             feasible_input = cs.satisfied(decode(SeqDist(rows)))
             assert built[0] == (0 if feasible_input or i % 2 == 0 else 1)
-            terms = SearchTerms(cs, seq_len, n)
             built[0] = 0
-            got = alm_project(SeqDist(rows), terms, config)
+            got = alm_project(SeqDist(rows), cs, config)
             assert built[0] == 0
             assert np.array_equal(got.projected.rows, want.projected.rows)
             assert (got.feasible, got.outer_iters, got.kl_moved) == (want.feasible, want.outer_iters, want.kl_moved)
             assert np.array_equal(got.final_violation, want.final_violation)
             loops += want.outer_iters > 0
         assert loops > 0
-
-    def test_search_terms_for_another_shape_rejected(self):
-        cs = ConstraintSet([TokenCount(token=0, op="le", k=1)])
-        rows = SeqDist.one_hot(Sequence((0, 0, 0)), 2).rows
-        with pytest.raises(ValueError, match="search terms"):
-            alm_project(SeqDist(rows), SearchTerms(cs, 4, 2))
 
     @pytest.mark.parametrize("temp", [0.0, -0.5, float("nan")], ids=["zero", "negative", "nan"])
     def test_objective_and_gradient_reject_bad_temperature(self, temp):
@@ -1366,15 +1359,29 @@ class TestIntegerCostSearch:
         # Every case met many times.
         assert len(seen) == 6 and min(seen.values()) >= 5, seen
 
-    def test_search_terms_stand_in_for_their_set(self):
+    def test_kept_search_terms_give_a_fresh_sets_result(self, monkeypatch):
+        # project_ids keeps the set's SearchTerms on the set: a second
+        # call at one length reads them, a call at another length builds
+        # its own, and each gives the result of an equal set seen afresh.
         rng = np.random.default_rng(4)
-        states = rng.integers(0, 6, size=(20, 7))
-        cs = ConstraintSet((TokenCount(1, "eq", 2), Position(3, 0), LinearScore(rng.uniform(0, 1, 6), tau=0.4)))
-        got = project_ids(states, 6, SearchTerms(cs, 7, 6))
-        want = project_ids(states, 6, cs)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        with pytest.raises(ValueError, match="search terms"):
-            project_ids(states, 6, SearchTerms(cs, 8, 6))
+        weights = rng.uniform(0, 1, 6)
+        built, real_init = [], SearchTerms.__init__
+
+        def init(self, cs, *shape):
+            built.append((cs, shape))
+            real_init(self, cs, *shape)
+
+        def make():
+            return ConstraintSet((TokenCount(1, "eq", 2), Position(3, 0), LinearScore(weights.copy(), tau=0.4)))
+
+        monkeypatch.setattr(SearchTerms, "__init__", init)
+        cs = make()
+        for length in (7, 7, 8):
+            states = rng.integers(0, 6, size=(20, length))
+            got = project_ids(states, 6, cs)
+            want = project_ids(states, 6, make())
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert [shape for owner, shape in built if owner is cs] == [(7, 6), (8, 6)]
 
 
 class TableCount(Constraint):
@@ -1455,7 +1462,7 @@ class TestFewestFlipsClosedForm:
         cs = raise_taus(closed_form_set(rng, n, length), delta)
         terms = SearchTerms(cs, length, n)
         states = closed_form_states(rng, shape, n, length)
-        ids, feasible = project_ids(states, n, terms)
+        ids, feasible = project_ids(states, n, cs)
         want, want_feasible = search_ids(states, n, cs)
         assert np.array_equal(ids, want) and np.array_equal(feasible, want_feasible)
         assert ids.dtype == np.int64 and feasible.dtype == bool
@@ -1472,7 +1479,7 @@ class TestFewestFlipsClosedForm:
             cs = raise_taus(closed_form_set(rng, n, length), float(rng.choice([0.0, 0.5])))
             terms = SearchTerms(cs, length, n)
             states = closed_form_states(rng, str(rng.choice(["c01", "any"])), n, length)
-            ids, feasible = project_ids(states, n, terms)
+            ids, feasible = project_ids(states, n, cs)
             want, want_feasible = search_ids(states, n, cs)
             assert np.array_equal(ids, want) and np.array_equal(feasible, want_feasible)
             if terms.fewest_flips is None:

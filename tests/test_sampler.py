@@ -13,9 +13,9 @@ from projdiff import denoiser as denoiser_module
 from projdiff import projection as projection_module
 from projdiff import sampler as sampler_module
 from projdiff.constraints import ConstraintSet, Forbidden, LinearScore, Position, TokenCount
-from projdiff.core import Corpus, SeqDist, Sequence, Vocabulary
+from projdiff.core import Corpus, Sequence, Vocabulary
 from projdiff.denoiser import ExactBayesDenoiser
-from projdiff.noise import reverse_mixture_rows
+from projdiff.noise import NoiseKernel, reverse_mixture_rows
 from projdiff.oracle import enumerate_novelty
 from projdiff.projection import MU_MAX, AlmConfig, NoveltyDb, SearchTerms
 from projdiff.sampler import (
@@ -460,7 +460,7 @@ class TestConstrainedFeasibility:
         exact = ExactBayesDenoiser(toy_corpus)
 
         class MaskHeavy:
-            def posterior_loo_batch(self, ids, a_t, kernel, table=None):
+            def posterior_loo_batch(self, ids, a_t, kernel):
                 _, rows, inverse = exact.posterior_batch(ids, a_t, kernel)
                 rows = 0.8 * rows[inverse]
                 rows[:, :, mask] += 0.2
@@ -493,7 +493,7 @@ class TestModelInterface:
             def __call__(self, state, a_t, kernel):
                 calls.append("posterior")
 
-            def posterior_batch(self, ids, a_t, kernel, table=None):
+            def posterior_batch(self, ids, a_t, kernel):
                 calls.append("posterior")
 
         class NotCallable:
@@ -523,7 +523,7 @@ class TestModelInterface:
         class PriorModel:
             """The corpus prior's rows for every chain, one block per chain."""
 
-            def posterior_loo_batch(self, ids, a_t, kernel, table=None):
+            def posterior_loo_batch(self, ids, a_t, kernel):
                 batches.append(len(ids))
                 return ids, np.repeat(prior[None], len(ids), axis=0), np.arange(len(ids))
 
@@ -746,10 +746,11 @@ class TestProjectionMemo:
         assert sorted(projected) == sorted({(t, row) for t, rows in failing.items() for row in rows})
         assert set(calls.values()) == {1}
 
-    def test_alm_fallbacks_use_the_runs_search_terms(self, monkeypatch):
+    def test_alm_fallbacks_read_the_sets_search_terms(self, monkeypatch):
         # No c01 state holds eleven zeros in ten positions, so project_ids
         # leaves every failing state infeasible and each goes on to
-        # alm_project, which takes the run's SearchTerms and builds none.
+        # alm_project, whose project_ids call reads the SearchTerms kept
+        # on the set and builds none.
         corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
         cs = ConstraintSet([TokenCount(token=0, op="ge", k=11)])
         built, calls = [0], [0]
@@ -929,46 +930,53 @@ class TestSearchOnlyWhereNeeded:
         assert all(ConstraintSet(constraints).satisfied(s) for s in seqs)
 
 
-class TestSearchTermsPerRun:
+class TestSearchTermsPerSet:
     @staticmethod
     def spy_terms(monkeypatch):
-        """(built, passed): every SearchTerms built, and the terms each
-        project_ids call of the sampler is handed, as runs make them."""
-        built, passed = [], []
-        real_init, real_ids = SearchTerms.__init__, sampler_module.project_ids
+        """(built, read, calls): every SearchTerms built, as (terms, set);
+        the terms each SearchTerms.of call returns; and the number of
+        project_ids calls, the sampler's and alm_project's."""
+        built, read, calls = [], [], [0]
+        real_init, real_of, real_ids = SearchTerms.__init__, SearchTerms.of.__func__, projection_module.project_ids
 
-        def init(self, *args):
-            built.append(self)
-            real_init(self, *args)
+        def init(self, cs, *shape):
+            built.append((self, cs))
+            real_init(self, cs, *shape)
 
-        def spy(states, n, search):
-            passed.append(search)
-            return real_ids(states, n, search)
+        def of(cls, *args):
+            read.append(real_of(cls, *args))
+            return read[-1]
+
+        def spy(*args):
+            calls[0] += 1
+            return real_ids(*args)
 
         monkeypatch.setattr(SearchTerms, "__init__", init)
+        monkeypatch.setattr(SearchTerms, "of", classmethod(of))
+        monkeypatch.setattr(projection_module, "project_ids", spy)
         monkeypatch.setattr(sampler_module, "project_ids", spy)
-        return built, passed
+        return built, read, calls
 
     def test_built_once_per_field_values(self, monkeypatch):
-        # Every project_ids call of a run gets the SearchTerms built from
-        # its constraint set; runs on one set share them until a field
-        # of a constraint changes, and a set of equal constraints builds
-        # its own.
+        # Every project_ids call reads the SearchTerms of its constraint
+        # set; calls on one set, over runs, share them until a field of a
+        # constraint changes, and a set of equal constraints builds its
+        # own.
         corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
         count = TokenCount(token=1, op="le", k=1)
         cs = ConstraintSet([count, Position(2, 4), Forbidden(3)])
-        built, passed = self.spy_terms(monkeypatch)
+        built, read, calls = self.spy_terms(monkeypatch)
         config = SampleConfig(steps=16, length=10, num_samples=16, rng_seed=0, trace=False)
         for _ in range(2):
             sample_constrained(corpus, cs, config)
-        assert len(built) == 1 and built[0].cs is cs
-        assert len(passed) > 4 and {id(p) for p in passed} == {id(built[0])}
+        assert len(built) == 1 and built[0][1] is cs
+        assert len(read) == calls[0] > 4 and {id(p) for p in read} == {id(built[0][0])}
         count.k = 2
         sample_constrained(corpus, cs, config)
-        assert len(built) == 2 and passed[-1] is built[1]
+        assert len(built) == 2 and read[-1] is built[1][0]
         count.k = 1
         sample_constrained(corpus, cs, config)
-        assert len(built) == 3 and passed[-1] is built[2]
+        assert len(built) == 3 and read[-1] is built[2][0]
         equal = ConstraintSet([TokenCount(token=1, op="le", k=1), Position(2, 4), Forbidden(3)])
         sample_constrained(corpus, equal, config)
         assert len(built) == 4
@@ -980,7 +988,7 @@ class TestSearchTermsPerRun:
         corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
         weights = np.linspace(0.0, 1.0, 13)
         cs = ConstraintSet((LinearScore(weights=weights.copy(), tau=0.5),))
-        built, _ = self.spy_terms(monkeypatch)
+        built, _, _ = self.spy_terms(monkeypatch)
         config = SampleConfig(steps=16, length=10, num_samples=16, rng_seed=0, trace=False)
         first, _ = sample_constrained(corpus, cs, config)
         assert sample_constrained(corpus, cs, config)[0] == first and len(built) == 1
@@ -991,19 +999,21 @@ class TestSearchTermsPerRun:
         edited[:6] = 1.0
         assert second == sample_constrained(corpus, ConstraintSet((LinearScore(weights=edited, tau=0.5),)), config)[0]
 
-    def test_user_constraint_built_every_run(self, monkeypatch):
+    def test_user_constraint_built_every_call(self, monkeypatch):
         # A constraint of a type not built in may read more than its
-        # fields, so a set holding one builds its terms on every run.
+        # fields, so a set holding one builds its terms on every
+        # project_ids call.
         class UserCount(TokenCount):
             pass
 
         corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
         cs = ConstraintSet((UserCount(token=1, op="le", k=1), Position(2, 4)))
-        built, _ = self.spy_terms(monkeypatch)
+        built, read, calls = self.spy_terms(monkeypatch)
         config = SampleConfig(steps=8, length=10, num_samples=8, rng_seed=0, trace=False)
         for _ in range(2):
             sample_constrained(corpus, cs, config)
-        assert len(built) == 2
+        assert len(built) == len(read) == calls[0] > 2
+        assert [terms for terms, _ in built] == read
 
     def test_second_run_honours_changed_tau(self):
         # Constraints are mutable: a tau changed between two runs that
@@ -1045,7 +1055,7 @@ class TestPerStateDraw:
         class PerChain:
             """The full posterior of each chain, one block per chain."""
 
-            def posterior_loo_batch(self, ids, a_t, kernel, table=None):
+            def posterior_loo_batch(self, ids, a_t, kernel):
                 _, rows, inverse = exact.posterior_batch(ids, a_t, kernel)
                 return ids, rows[inverse], np.arange(len(ids))
 
@@ -1058,7 +1068,7 @@ class TestPerStateDraw:
         for t in (6, 3, 1):
             a_t, a_s = engine.schedule.alpha(t), engine.schedule.alpha(t - 1)
             if denoiser == "generic":
-                marg = np.stack([exact(SeqDist(np.eye(n)[row]), a_t, engine.kernel).rows for row in ids])
+                marg = np.stack([exact.posterior_batch(row[None], a_t, engine.kernel)[1][0] for row in ids])
             else:
                 batch = exact.posterior_loo_batch if kernel == "uniform" else exact.posterior_batch
                 _, block_marg, index = batch(ids, a_t, engine.kernel)
@@ -1132,7 +1142,7 @@ def mask_first_corpus(n_data, length, n_entries, seed):
 
 class TestPerSetStep:
     """Under the masked kernel the step is built once per distinct set of
-    compatible entries, whose rows the run's one SetTable carries from
+    compatible entries, whose rows the denoiser's SetTable carries from
     step to step; it must give every chain the mixture rows, draws,
     redraws and fallbacks of the step rebuilt once per distinct state at
     every step."""
@@ -1199,25 +1209,30 @@ class TestPerSetStep:
         assert shared > 0 and fallbacks > 0
         # The table holds every set the run met, once, and later steps
         # read sets earlier steps built.
-        assert len(engine.sets.slots) == len(met) < blocks_met
+        assert len(engine.denoiser._tables[(n, mask)].slots) == len(met) < blocks_met
 
     @pytest.mark.parametrize("case", ["c01-16", "no-match-300", "m100-40"])
     @pytest.mark.parametrize("mode", ["none", "alm"])
     def test_run_matches_table_rebuilt_every_step(self, monkeypatch, case, mode):
         # A whole run, redraws included, gives the samples, trace records
-        # and fallbacks of a run whose denoiser drops the run's table and
-        # builds every set at every step.  In alm mode a stand-in
-        # projector keeps each state and calls it infeasible when it holds
-        # MASK and its ids sum to an odd number, so many projected chains
-        # redraw from their blocks' rows, without the cost of real
+        # and fallbacks of a run whose model is a fresh exact denoiser at
+        # every step, which builds every set at every step.  In alm mode a
+        # stand-in projector keeps each state and calls it infeasible when
+        # it holds MASK and its ids sum to an odd number, so many projected
+        # chains redraw from their blocks' rows, without the cost of real
         # projections.
         build, b, _ = self.CASES[case]
         corpus = build()
         mask = corpus.vocab.mask_id
 
-        class RebuiltEveryStep(ExactBayesDenoiser):
-            def posterior_batch(self, ids, a_t, kernel, table=None):
-                return super().posterior_batch(ids, a_t, kernel)
+        class RebuiltEveryStep:
+            fallback_count = 0
+
+            def posterior_loo_batch(self, ids, a_t, kernel):
+                fresh = ExactBayesDenoiser(corpus)
+                out = fresh.posterior_loo_batch(ids, a_t, kernel)
+                self.fallback_count += fresh.fallback_count
+                return out
 
         def project_states(engine, failing, memo):
             for row in failing:
@@ -1234,52 +1249,117 @@ class TestPerSetStep:
         cs = ConstraintSet((Position(0, 0),)) if mode == "alm" else None
         config = SampleConfig(steps=8, length=corpus.length, num_samples=b, rng_seed=2, projection_mode=mode, max_retries=50)
         runs = []
-        for den in (ExactBayesDenoiser(corpus), RebuiltEveryStep(corpus)):
+        for den in (ExactBayesDenoiser(corpus), RebuiltEveryStep()):
             seqs, traces = sample_constrained(corpus, cs, config, denoiser=den)
             runs.append((seqs, trace_digest(seqs, traces), den.fallback_count))
         assert runs[0] == runs[1] and runs[0][2] > 0
         assert (redraws[0] > 0) == (mode == "alm")
 
 
-class TestSetTablePerRun:
-    """Under the masked kernel a sampling run builds each compatible
-    set's rows once, into a table of its own: the next run, on the same
-    denoiser, builds them again."""
+def spy_built_sets(monkeypatch):
+    """Every compatible set whose rows the exact denoiser builds, named by
+    its weight row, the prior on its entries, in order."""
+    built = []
+    real = denoiser_module._weighted_marginals
 
-    @pytest.mark.parametrize(
-        "entries, mode",
-        [(16, "none"), (16, "alm"), (100, "none")],
+    def spy(corpus, n, weights):
+        built.extend(row.tobytes() for row in weights)
+        return real(corpus, n, weights)
+
+    monkeypatch.setattr(denoiser_module, "_weighted_marginals", spy)
+    return built
+
+
+class TestSetTableKept:
+    """Under the masked kernel the exact denoiser builds each compatible
+    set's rows once for as long as it lives, keyed by the kernel's
+    (N, MASK id): a later run on the same denoiser builds none of the
+    sets an earlier one met, and gives a fresh denoiser's output."""
+
+    CORPORA = {
+        "one-word": lambda: make_corpus(make_vocab(12), length=10, n_entries=16, seed=11),
+        "two-word": lambda: make_corpus(make_vocab(3), length=6, n_entries=100, seed=3),
+    }
+    RUNS = pytest.mark.parametrize(
+        "corpus_name, mode",
+        [("one-word", "none"), ("one-word", "alm"), ("two-word", "none")],
         ids=["one-word", "one-word-alm", "two-word"],
     )
-    def test_each_set_built_once_per_run(self, monkeypatch, entries, mode):
-        if entries == 16:
-            corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
-        else:
-            corpus = make_corpus(make_vocab(3), length=6, n_entries=100, seed=3)
-        built, met = [], [0]
-        real = denoiser_module._weighted_marginals
 
-        def spy(corpus, n, weights):
-            # A set's weight row, the prior on its entries, names it.
-            built[-1].extend(row.tobytes() for row in weights)
-            return real(corpus, n, weights)
+    @staticmethod
+    def run(corpus, mode, den, seed=0):
+        cs = ConstraintSet((TokenCount(token=1, op="le", k=1), Forbidden(3))) if mode == "alm" else None
+        config = SampleConfig(steps=16, length=corpus.length, num_samples=300, rng_seed=seed, projection_mode=mode)
+        return sample_constrained(corpus, cs, config, denoiser=den)
+
+    @RUNS
+    def test_second_run_builds_no_set(self, monkeypatch, corpus_name, mode):
+        corpus = self.CORPORA[corpus_name]()
+        built, met = spy_built_sets(monkeypatch), [0]
 
         class Counting(ExactBayesDenoiser):
-            def posterior_batch(self, ids, a_t, kernel, table=None):
-                out = super().posterior_batch(ids, a_t, kernel, table=table)
+            def posterior_batch(self, ids, a_t, kernel):
+                out = super().posterior_batch(ids, a_t, kernel)
                 met[0] += len(out[0])
                 return out
 
-        monkeypatch.setattr(denoiser_module, "_weighted_marginals", spy)
-        cs = ConstraintSet((TokenCount(token=1, op="le", k=1), Forbidden(3))) if mode == "alm" else None
-        config = SampleConfig(steps=16, length=corpus.length, num_samples=300, rng_seed=0, projection_mode=mode)
         den = Counting(corpus)
-        for _ in range(2):
-            built.append([])
-            sample_constrained(corpus, cs, config, denoiser=den)
-        first, second = built
-        assert len(first) == len(set(first)) and second == first
-        assert len(first) + len(second) < met[0]
+        self.run(corpus, mode, den)
+        first = list(built)
+        self.run(corpus, mode, den)
+        # The first run builds each set once, though its steps meet many
+        # blocks; the second builds none.
+        assert len(first) == len(set(first)) and built == first
+        assert len(first) < met[0] / 2
+
+    @RUNS
+    def test_warm_denoiser_matches_cold(self, corpus_name, mode):
+        # A denoiser warmed by a run of another seed gives a fresh one's
+        # samples, trace records and fallbacks.
+        corpus = self.CORPORA[corpus_name]()
+        warm, cold = ExactBayesDenoiser(corpus), ExactBayesDenoiser(corpus)
+        self.run(corpus, mode, warm, seed=1)
+        before = warm.fallback_count
+        outputs = []
+        for den in (warm, cold):
+            seqs, traces = self.run(corpus, mode, den)
+            outputs.append((seqs, trace_digest(seqs, traces)))
+        assert outputs[0] == outputs[1]
+        assert warm.fallback_count - before == cold.fallback_count > 0
+
+    def test_another_masked_kernel_reads_none_of_the_rows(self, monkeypatch):
+        # A kernel with another MASK id, or another N, builds every set it
+        # meets, the full set the first kernel built too, and gives a
+        # fresh denoiser's rows; the first kernel's rows are kept.
+        corpus = make_corpus(make_vocab(3), length=4, n_entries=6, seed=5)
+        n = corpus.vocab.size
+        first = NoiseKernel.masked(corpus.vocab)
+        mask = corpus.vocab.mask_id
+        # MASK moved to token 0; one token more, with MASK where it was.
+        others = [NoiseKernel("masked", np.eye(n)[0]), NoiseKernel("masked", np.eye(n + 1)[mask])]
+
+        def batch(kernel):
+            """Each entry with its first two positions masked, and the
+            all-MASK state, whose set is every entry."""
+            ids = corpus.sequences().copy()
+            ids[:, :2] = kernel.mask_id
+            return np.vstack([ids, np.full((1, corpus.length), kernel.mask_id)])
+
+        den = ExactBayesDenoiser(corpus)
+        built = spy_built_sets(monkeypatch)
+        den.posterior_batch(batch(first), 0.5, first)
+        full = corpus.weights().tobytes()
+        assert full in built
+        for kernel in others:
+            built.clear()
+            _, rows, inverse = den.posterior_batch(batch(kernel), 0.5, kernel)
+            fresh_built = len(built)
+            _, want, want_inverse = ExactBayesDenoiser(corpus).posterior_batch(batch(kernel), 0.5, kernel)
+            assert built[:fresh_built] == built[fresh_built:] and full in built
+            assert np.array_equal(rows[inverse], want[want_inverse])
+        built.clear()
+        den.posterior_batch(batch(first), 0.5, first)
+        assert built == []
 
 
 class TestDistributionRecovery:
