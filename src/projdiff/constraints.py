@@ -26,11 +26,12 @@ other set whose constraints all have terms, at most one of them inexact
 (projection._FlipDP) that tracks each exact constraint's table sum and
 the least sum of the inexact one's table.  A set holding a constraint
 without terms (the base class returns None), or two inexact ones, goes
-through the plain lattice search, which scores every move by
-hard_scores.  Projection reads the tables when it projects, and a set
-made of the built-in types keeps them for its next projection while
-every field holds its value, so a constraint changed between two
-projections is read afresh by the second.
+through an exact best-first search (projection._decode_search), which
+accepts a pattern by hard_scores and bounds its search by the tables of
+the constraints that have them.  Projection reads the tables when it
+projects, and a set made of the built-in types keeps them for its next
+projection while every field holds its value, so a constraint changed
+between two projections is read afresh by the second.
 The fields that index tables or count occurrences (token, k, position)
 must be integers.
 """
@@ -76,11 +77,11 @@ class PositionTerms:
 class Constraint:
     """Interface; see module docstring for the score convention.
 
-    A subclass must define hard_scores (and, for projection on soft
-    rows, relaxed_score and relaxed_grad).  It may define position_terms
+    A subclass must define hard_scores (and, for alm_project's gradient
+    loop, relaxed_score and relaxed_grad).  It may define position_terms
     when its hard score has that form; projection then finds a one-hot
-    state's pattern with the fewest flips from the table, where the
-    plain lattice search may stop short of it.
+    state's pattern with the fewest flips from the table, and bounds its
+    search by it in a set that needs the search.
     """
 
     name: str
@@ -96,7 +97,8 @@ class Constraint:
     def position_terms(self, length: int, n: int) -> PositionTerms | None:
         """The hard score's per-position form on length-long sequences
         over n tokens, or None when it has none (a set holding it is
-        then projected by the plain lattice search)."""
+        then projected by the best-first search, which scores its
+        patterns by hard_scores alone)."""
         return None
 
     def relaxed_score(self, dist) -> float:

@@ -34,13 +34,17 @@ class IncompatibleEvidenceError(ValueError):
 
 
 def _check_batch(corpus: Corpus, kernel: NoiseKernel, ids: np.ndarray, a_t: float) -> None:
-    """Raise ValueError unless a_t lies in [0, 1] and ids is a (B, L)
-    batch of ids in [0, N); every posterior path checks here."""
+    """Raise ValueError unless a_t lies in [0, 1], ids is a (B, L) batch
+    of ids in [0, N), and a masked kernel's N is the corpus vocabulary's
+    size; every posterior path checks here."""
     if not 0.0 <= a_t <= 1.0:
         raise ValueError(f"signal level {a_t} outside [0, 1]")
     if ids.shape[1] != corpus.length:
         raise ValueError("observed length differs from corpus length")
     n = kernel.vocab_size
+    # A state no entry matches takes the prior's vocabulary-wide rows.
+    if kernel.kind == "masked" and n != corpus.vocab.size:
+        raise ValueError(f"masked kernel has {n} tokens, the corpus vocabulary {corpus.vocab.size}")
     # The masked kernel's table is indexed by the ids.
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"token ids must lie in [0, {n})")

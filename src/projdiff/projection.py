@@ -2,11 +2,13 @@
 
 Three operators cover the three constraint regimes:
 
-  alm_project       KL projection for any constraint mix: on one-hot rows
-                    the pick of project_ids, else an iterative
+  alm_project       KL projection for any constraint mix: the cheapest
+                    qualifying argmax pattern, by project_ids on one-hot
+                    rows and by the best-first search (_decode_search)
+                    over exact flip costs on other rows, with the rows
+                    pooled to decode to it; an iterative
                     augmented-Lagrangian solve over the differentiable
-                    constraint surrogates, closed by a lattice search over
-                    argmax patterns
+                    constraint surrogates only when neither finds one
   position_project  closed-form KL projection for "position p decodes to
                     token v"
   novelty_project   the cheapest decode not yet in a database, found in
@@ -33,25 +35,33 @@ whose decoded sequence is feasible, keeping KL(x || y) small.
                     of their own; by an exact dynamic program over
                     positions (_FlipDP) for every other set whose
                     constraints all have position terms, at most one with
-                    a float table (a LinearScore); and by the plain
-                    lattice search (_decode_search) for the other sets
-                    and for the states the program cannot settle;
-                    flip_kl gives the KL of its picks from the ids alone
+                    a float table (a LinearScore); and by an exact
+                    best-first search over prefixes (_decode_search) for
+                    the other sets and for the states the program cannot
+                    settle; flip_kl gives the KL of its picks from the
+                    ids alone
 
-The lattice search scores every move it considers exactly, by
-ConstraintSet.hard_violations_batch and the cost table.  The closed form
-and the dynamic program read the constraints' per-position tables
-(Constraint.position_terms), which SearchTerms reads; project_ids gets
-them from SearchTerms.of on every call, which keeps a set's tables on the
-set from call to call while its built-in constraints keep their fields,
-and builds them afresh for a set holding a user-type constraint.
+The best-first search accepts a pattern by
+ConstraintSet.hard_violations_batch, and bounds its keys and drops
+prefixes by the dynamic program's suffix tables, so it takes any set, up
+to SEARCH_EXPANSIONS expansions per state; _cheapest_decodes shares its
+heap loop (_best_first).  The closed form, the dynamic program and the
+search's bounds read the constraints' per-position tables
+(Constraint.position_terms), which SearchTerms reads; project_ids and
+alm_project get them from SearchTerms.of on every call, which keeps a
+set's tables on the set from call to call while its built-in constraints
+keep their fields, and builds them afresh for a set holding a user-type
+constraint.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,9 +119,9 @@ class AlmResult:
 Z_INIT_FLOOR = 1e-3
 
 # Outer iterations tolerated without any change in the decoded pattern
-# before the loop defers to the closing lattice search.  Slow marches
-# toward a flip change the decode well within this window (a full
-# one-hot flip under default multipliers takes about 18 rounds).
+# before the loop stops.  Slow marches toward a flip change the decode
+# well within this window (a full one-hot flip under default multipliers
+# takes about 18 rounds).
 STALL_PATIENCE = 30
 
 # The penalty weight mu grows by MU_GROWTH per outer iteration left
@@ -195,17 +205,18 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
     """Project rows x_in to a nearby stack whose decode satisfies cs.
 
     An already-feasible input is returned unchanged with zero outer
-    iterations.  An input of one-hot rows (the sampler's states) is
-    decided by project_ids from its own pattern, also with zero outer
-    iterations: the fewest flips, by the closed form or the dynamic
-    program where the set has one.  The gradient loop runs only when
-    project_ids leaves a violation (no pattern satisfies the set, or the
-    plain search stopped short), and on soft rows; its closing lattice
-    search (_decode_search) sums float flip costs, so it is the plain
-    search.  When the iteration budget runs out the best iterate found
-    (smallest worst-case decoded violation) is returned with
-    feasible=False.  Only one-hot rows go to project_ids, so soft rows
-    read no SearchTerms.
+    iterations.  Otherwise the cheapest pattern cs accepts is picked with
+    zero outer iterations, and the rows are pooled row by row to decode
+    to it: on one-hot rows (the sampler's states) by project_ids, the
+    fewest flips and then the smallest ids; on other rows by
+    _decode_search over the exact flip costs (_row_flip_costs), the
+    least summed cost and then the smallest ids.  Both read the set's
+    SearchTerms.  Only when they find no pattern (none is accepted, or
+    the search ran out of expansions) does the augmented-Lagrangian
+    gradient loop run; a decoded iterate it makes feasible is pooled in
+    the same way, and when the iteration budget runs out the best
+    iterate found (smallest worst-case decoded violation) is returned
+    with feasible=False.
     """
     ops = backend.ops
     x_rows = x_in.rows
@@ -218,13 +229,14 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
     if float(hard.max()) <= 0.0:
         return AlmResult(projected=x_in, feasible=True, outer_iters=0, final_violation=hard, kl_moved=0.0)
 
+    states = np.asarray([base])
     if _one_hot_mask(x_rows).all():
-        # On one-hot rows the loop only hands its pattern to the closing
-        # search; project_ids alone decides whenever it reaches a
-        # qualifying pattern from the input's own.
-        ids, feasible = project_ids(np.asarray([base]), x_rows.shape[1], cs)
-        if feasible[0]:
-            return _pooled_result(x_rows, cs, tuple(ids[0].tolist()), True, 0)
+        ids, feasible = project_ids(states, x_rows.shape[1], cs)
+    else:
+        terms = SearchTerms.of(cs, *x_rows.shape)
+        ids, feasible = _decode_search(cs, terms, states, _row_flip_costs(x_rows)[None])
+    if feasible[0]:
+        return _pooled_result(x_rows, cs, tuple(ids[0].tolist()), True, 0)
 
     z = np.log(np.maximum(x_rows, Z_INIT_FLOOR))
     y = ops.row_softmax(z)
@@ -260,27 +272,15 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
                 stalled += 1
                 if stalled >= STALL_PATIENCE:
                     # The decoded pattern has not moved for many outer
-                    # rounds; hand the pattern choice to the lattice
-                    # search below rather than grind out the budget.
+                    # rounds; stop rather than grind out the budget.
                     break
             else:
                 stalled = 0
                 prev_decode = dec.ids
 
-    # The loop's job is to pick which argmax pattern to decode to; for a
-    # fixed pattern the minimum-KL rows have a closed form (per-row
-    # pooling).  A short lattice search around the iterate's pattern then
-    # lands on the cheapest nearby qualifying pattern instead of wherever
-    # the penalty dynamics overshot, and can also repair patterns the
-    # gated multiplier term cannot reach.  A feasible best iterate starts
-    # the search at zero excess, so only an infeasible one gets past it.
-    found, residual = _decode_search(
-        _row_flip_costs(x_rows)[None], cs, np.asarray([decode(best_rows).ids]), np.asarray([base])
-    )
-    ids, residual = tuple(found[0].tolist()), float(residual[0])
-    loop_excess = float(best_hard.sum())
-    if residual == 0.0 or residual < loop_excess:
-        return _pooled_result(x_rows, cs, ids, residual == 0.0, outer)
+    if float(best_hard.max()) <= 0.0:
+        # For a fixed pattern the minimum-KL rows pool row by row.
+        return _pooled_result(x_rows, cs, decode(best_rows).ids, True, outer)
     projected = SeqDist.normalized(best_rows)
     return AlmResult(
         projected=projected,
@@ -299,9 +299,10 @@ def project_ids(states: np.ndarray, n: int, cs: ConstraintSet) -> tuple[np.ndarr
     those of a set of built-in constraints from call to call.
     Returns the (K, L) int64 ids picked for each state and the (K,) mask
     of the states made feasible (every violation 0); a feasible state
-    keeps its own ids.  No probability rows are built: on one-hot rows
-    every flip costs ln 2, so a pattern's KL cost is its number of flips,
-    its Hamming distance to the state.
+    keeps its own ids, and so does a state left infeasible.  No
+    probability rows are built: on one-hot rows every flip costs ln 2,
+    so a pattern's KL cost is its number of flips, its Hamming distance
+    to the state.
 
     The pick is the qualifying pattern with the fewest flips, then the
     smallest ids, as oracle.enumerate_fewest_flips picks it: by the closed
@@ -309,12 +310,11 @@ def project_ids(states: np.ndarray, n: int, cs: ConstraintSet) -> tuple[np.ndarr
     else by the dynamic program (_FlipDP) when it takes the set
     (SearchTerms.dp), where hard_violations_batch confirms the pick.  Other
     sets (two LinearScores, a constraint without terms), and each state
-    the program leaves infeasible (no pattern qualifies, or rounding ran
-    out its budget) or whose pick the check refuses (a LinearScore mean
-    within rounding of tau), go through the plain lattice search
-    (_decode_search) from the state, which may stop short of the fewest
-    flips or of feasibility.  A state left infeasible needs alm_project's
-    gradient loop, which this function does not run.
+    the program leaves infeasible or whose pick the check refuses (a
+    LinearScore mean within rounding of tau), go through the best-first
+    search (_decode_search), which makes the same pick.  A state is left
+    infeasible when no pattern qualifies, or when the search runs out of
+    expansions.
     """
     states = np.asarray(states, dtype=np.int64)
     terms = SearchTerms.of(cs, states.shape[1], n)
@@ -328,21 +328,17 @@ def project_ids(states: np.ndarray, n: int, cs: ConstraintSet) -> tuple[np.ndarr
         feasible[feasible] = (cs.hard_violations_batch(ids[feasible]) <= 0.0).all(axis=1)
     rest = np.flatnonzero(~feasible)
     if rest.shape[0]:
-        part = states[rest]
-        flips = (np.arange(n) != part[:, :, None]).astype(np.int8)
-        ids[rest], residual = _decode_search(flips, cs, part, part)
-        feasible[rest] = residual == 0.0
+        ids[rest], feasible[rest] = _decode_search(cs, terms, states[rest])
     return ids, feasible
 
 
-# Candidate ids per chunk of a _decode_search sweep: a group holds L N
-# candidates of L ids each, so this caps the sweep's temporaries whatever
-# L, N and the number of states are, unless one group alone is larger.
-SEARCH_CHUNK_CELLS = 2**20
+# Prefixes _decode_search may expand for one state before it reports the
+# state infeasible.
+SEARCH_EXPANSIONS = 2**14
 
 # Cells of a chunk of _FlipDP's tables: the suffix table and a step's
 # temporaries of all the chunk's states.  A set whose one state needs
-# more takes the plain search.
+# more has no program.
 DP_CHUNK_CELLS = 2**20
 
 
@@ -375,6 +371,7 @@ class _FlipDP:
     confirms every pick: only a pattern within rounding of tau can be
     picked and then refused.  A state whose budget runs out by rounding
     on the way through the forward pass is left infeasible.
+    _decode_search reads the suffix table to bound its search.
 
     Tokens whose moves agree at every position form a group (for a
     TokenCount, its token and all the others); the backward pass steps
@@ -466,13 +463,15 @@ class _FlipDP:
             ids[part], feasible[part] = self._pick(states[part])
         return ids, feasible
 
-    def _pick(self, states):
+    def suffix(self, states: np.ndarray) -> np.ndarray:
+        """The backward pass: the (K, L + 1, cells, L + 2) suffix table of
+        a (K, L) stack of states, at most chunk of them.  Entry [k, i, p,
+        r + 1] is the least weights sum of positions i.. from cell p with
+        exactly r flips from state k; column 0 is inf, so that a flip
+        with none left reads inf."""
         k_states, seq_len = states.shape
         cells, width = self.last.shape
         positions = np.arange(seq_len)
-        # suffix[k, i, p, r + 1]: the least weights sum of positions i..
-        # from cell p with exactly r flips; column 0 is inf, so that a
-        # flip with none left reads inf.
         suffix = np.empty((k_states, seq_len + 1, cells, width))
         suffix[:, seq_len] = self.last
         suffix[:, :seq_len, :, 0] = np.inf
@@ -482,6 +481,11 @@ class _FlipDP:
             after = suffix[:, i + 1].take(self.group_moves[i], axis=1)
             least = after[..., 1:] + stay[:, i]
             np.minimum(least, after[..., :-1] + flip[:, i], out=least).min(axis=1, out=suffix[:, i, :, 1:])
+        return suffix
+
+    def _pick(self, states):
+        k_states, seq_len = states.shape
+        suffix = self.suffix(states)
         ok = suffix[:, 0, 0, 1:] <= self.budget
         feasible = ok.any(axis=1)
         need = ok.argmax(axis=1)
@@ -523,17 +527,12 @@ def _fewest_flips(states: np.ndarray, n: int, parts: tuple) -> np.ndarray:
     the others, right to left.  As [lo, hi] is reachable, there are
     always d such positions.
 
-    This is also what _decode_search reaches.  Its first key is the summed
-    excess, which is convex in each S, zero exactly on [lo, hi] and
-    strictly monotone off it, so while a constraint is off its interval
-    every sweep takes a single flip that moves its S one step closer:
-    a flip that moves no S, or a pair move (a revert and a flip), does
-    not lower the excess as much.  Those flips all cost one, and the
-    least ids among them change the leftmost movable position whose new
-    token is smaller than its held one, else the rightmost.  On the
-    interval's edge every strictly cheaper move reverts a flip and
-    leaves it, so the state stops at d flips, the fewest any qualifying
-    pattern needs.
+    A flip moves S by at most one, so no qualifying pattern has fewer
+    than d flips, and one with d moves each flipped position one step
+    toward the interval; the least token of its row that does so gives
+    the smallest ids.  Among such patterns the least in lex order moves
+    the leftmost positions whose new token is smaller than the held one,
+    and of the rest the rightmost, whose new token is larger.
     """
     k_states, seq_len = states.shape
     ids = states
@@ -642,26 +641,6 @@ def _row_flip_costs(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _first_min(cands: np.ndarray, cost: np.ndarray, excess: np.ndarray, segment: np.ndarray) -> np.ndarray:
-    """Per segment, the first row of cands at the least (excess, cost, ids) key.
-
-    segment labels each row with its segment; the result holds one row
-    index per segment, in label order: the row
-    np.lexsort(tuple(cands[:, ::-1].T) + (cost, excess))[0] picks on its
-    segment alone.  A stable sort by (segment, excess, cost) finds each
-    segment's least (excess, cost); only the rows tied with it are sorted
-    by their ids, stably, so a full tie keeps the segment's lowest index.
-    """
-    order = np.lexsort((cost, excess, segment))
-    labels, excess, cost = segment[order], excess[order], cost[order]
-    starts = np.concatenate(([True], labels[1:] != labels[:-1]))
-    head = np.maximum.accumulate(np.where(starts, np.arange(order.shape[0]), 0))
-    tied = order[(excess == excess[head]) & (cost == cost[head])]
-    order = tied[np.lexsort(tuple(cands[tied, ::-1].T) + (segment[tied],))]
-    labels = segment[order]
-    return order[np.concatenate(([True], labels[1:] != labels[:-1]))]
-
-
 class SearchTerms:
     """A constraint set's projection tables for length-long sequences over
     n tokens.
@@ -669,16 +648,31 @@ class SearchTerms:
     fewest_flips holds _fewest_flips's parts when the set has a closed
     form on one-hot states, and is None otherwise (see _closed_form); dp
     is the set's _FlipDP when it has no closed form and the program takes
-    it, and None otherwise.  Every field is read from the constraints'
-    PositionTerms when the tables are built, so it holds for as long as
-    they are not changed: project_ids takes one from SearchTerms.of on
+    it, and None otherwise.  bounds holds the programs that bound
+    _decode_search, built on first use: one program for all the
+    constraints with position terms when _FlipDP takes them together,
+    else one for each such constraint it takes alone.  Every field is read from the constraints' PositionTerms when
+    the tables are built, so it holds for as long as they are not
+    changed: project_ids and alm_project take one from SearchTerms.of on
     every call.
     """
 
     def __init__(self, cs: ConstraintSet, seq_len: int, n: int):
         terms = [c.position_terms(seq_len, n) for c in cs]
+        self.shape = (seq_len, n)
         self.fewest_flips = _closed_form(cs, terms, seq_len)
         self.dp = None if self.fewest_flips is not None else _FlipDP.of(cs, terms, seq_len, n)
+        self._with_terms = [(c, t) for c, t in zip(cs, terms) if t is not None]
+
+    @cached_property
+    def bounds(self) -> list[_FlipDP]:
+        if not self._with_terms:
+            return []
+        together = _FlipDP.of(*zip(*self._with_terms), *self.shape)
+        if together is not None:
+            return [together]
+        alone = (_FlipDP.of([c], [t], *self.shape) for c, t in self._with_terms)
+        return [dp for dp in alone if dp is not None]
 
     @classmethod
     def of(cls, cs: ConstraintSet, seq_len: int, n: int) -> SearchTerms:
@@ -776,110 +770,127 @@ def _closed_form(cs: ConstraintSet, terms: list, seq_len: int) -> tuple | None:
 
 
 def _decode_search(
-    tables: np.ndarray,
-    cs: ConstraintSet,
-    starts: np.ndarray,
-    bases: np.ndarray,
-    max_sweeps: int | None = None,
+    cs: ConstraintSet, terms: SearchTerms, bases: np.ndarray, costs: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Steepest descent over argmax patterns near each of K start patterns.
+    """For each state, the first pattern in (cost, lex) order that cs accepts.
 
-    tables[k, i, v] is state k's cost of decoding position i to token v
-    (a flip-cost table, or, on one-hot rows, whether v differs from the
-    state's own token); cs is the constraint set; starts and bases are
-    (K, L) id arrays.  Returns the (K, L) int64 patterns reached and the
-    (K,) total hard violation left at each.
+    bases is a (K, L) stack of id rows.  Without costs each row is a
+    one-hot state, and a pattern costs its flips, the positions where it
+    differs from the state.  With costs, a (K, L, N) table, each row is
+    the decode of soft rows, and a pattern sigma of state k costs
+    costs[k, i, sigma_i] summed left to right.  terms is cs's SearchTerms
+    for (L, N).  Returns the (K, L) int64 patterns and the (K,) mask of
+    the states for which one was found; a state without one keeps its
+    row.  A pattern is accepted when hard_violations_batch finds no
+    violation in it.
 
-    Patterns are ordered by (total hard violation, summed per-row cost,
-    the ids themselves): descent first repairs violations one flip per
-    sweep, then minimizes cost among qualifying patterns, those whose
-    every score is at most its tau (total violation 0); the ids
-    component keeps ties deterministic.  Violations are totalled
-    rather than maxed so that multi-constraint repairs always have a
-    downhill flip available.  Moves are single-position changes plus
-    pairs that revert one already-changed position back to the base
-    while changing another, which lets a misplaced flip migrate to a
-    cheaper row.  Each state starts from the better of its start and
-    base patterns, the start on a tie (scored once when starts is
-    bases).  A qualifying state only takes strictly cheaper moves.  Each
-    state moves to the least key among its moves if that is below its
-    current key, and otherwise stops, so each result equals that of
-    scoring its moves one by one.
-
-    Each sweep scores every move of every state still moving, in groups:
-    a state's single moves, then one group per changed position
-    reverted.  A group is its L * N patterns, one per position and token;
-    one at the token held, or at the reverted position, is the current
-    pattern or one of its single moves, so it changes no state's least
-    key.  Groups go in chunks of at most SEARCH_CHUNK_CELLS candidate ids
-    (or one group): per chunk, one hard_violations_batch call gives every
-    pattern's excess, cost_of its cost, summed left to right, and
-    _first_min each state's least key.  A last _first_min picks each
-    state's least key over its own pattern, put first, and its chunks'
-    picks; a state whose pick is its own pattern stops.  The least key is
-    a total order up to equal patterns, so chunking changes no pick.
+    Each state takes a best-first search over prefixes (_best_first).
+    For each program of terms.bounds, the suffix table of the state's
+    row gives the fewest flips r with which the rest of a pattern can
+    take the prefix's cell of the program to one that holds, within the
+    budget the prefix's weights leave (the program's rounding allowance
+    included).  A prefix for which some program has no such r has no
+    accepted completion and is dropped.  Without costs a prefix's key is
+    the larger of its parent's key and its flips plus the largest r; with
+    costs it is the prefix's cost plus each later position's least cost,
+    added left to right.  A key never exceeds the cost of a completion
+    nor falls below its parent's, and a whole pattern's key is its cost,
+    so whole patterns come out in (cost, lex) order, and the first one
+    accepted is the pick.  A state whose root is dropped makes no
+    expansion; one that makes SEARCH_EXPANSIONS of them without an
+    accepted pattern is reported without one.
     """
-    k_states, seq_len, n = tables.shape
-    if max_sweeps is None:
-        max_sweeps = seq_len + 8
-    flat = tables.reshape(k_states * seq_len, n)
-    positions = np.arange(seq_len)
-    same = starts is bases
-    starts = np.asarray(starts, dtype=np.int64)
-    bases = starts if same else np.asarray(bases, dtype=np.int64)
+    k_states, seq_len = bases.shape
+    one_hot = costs is None
+    if one_hot:
+        costs = (np.arange(terms.shape[1]) != bases[:, :, None]).astype(np.int64)
+    bounds = terms.bounds
+    tables = [(dp.moves.tolist(), dp.weights.tolist(), dp.budget) for dp in bounds]
+    ids, found = bases.copy(), np.zeros(k_states, dtype=bool)
+    chunk = min([dp.chunk for dp in bounds] + [max(k_states, 1)])
+    for lo in range(0, k_states, chunk):
+        # Per program, entry [k, i, p, r] is minus the least weights sum
+        # of positions i.. from cell p with at most r flips; it grows with
+        # r, so bisect_left finds the fewest flips within a budget.
+        reach = [-np.minimum.accumulate(dp.suffix(bases[lo : lo + chunk])[..., 1:], axis=3) for dp in bounds]
+        for k in range(lo, min(lo + chunk, k_states)):
+            programs = [(*tab, r[k - lo].tolist()) for tab, r in zip(tables, reach)]
+            pattern = _first_accepted(cs, costs[k].tolist(), programs, one_hot)
+            if pattern is not None:
+                ids[k], found[k] = pattern, True
+    return ids, found
 
-    def excess_of(cands):
-        return cs.hard_violations_batch(cands).sum(axis=-1)
 
-    def cost_of(cands, owner):
-        return np.cumsum(flat[(owner * seq_len)[:, None] + positions, cands], axis=1)[:, -1]
+def _first_accepted(cs: ConstraintSet, table: list, programs: list, one_hot: bool) -> tuple | None:
+    """_decode_search's pick for one state, or None: table is its (L, N)
+    costs, and programs holds (moves, weights, budget, reach) per program
+    of the bounds, as lists, with the state's reach."""
+    seq_len = len(table)
+    least = [min(row) for row in table]
+    # Adding a zero cost leaves a sum as it is, so each depth keeps only
+    # the nonzero least costs after it.
+    later = [[m for m in least[i + 1 :] if m] for i in range(seq_len)]
 
-    # Each state starts from the least key of its start and its base,
-    # the start on a tie.
-    everyone = np.arange(k_states)
-    cur, cur_excess, cur_cost = starts.copy(), excess_of(starts), cost_of(starts, everyone)
-    if not same:
-        both = np.concatenate((starts, bases))
-        excess = np.concatenate((cur_excess, excess_of(bases)))
-        cost = np.concatenate((cur_cost, cost_of(bases, everyone)))
-        pick = _first_min(both, cost, excess, np.concatenate((everyone, everyone)))
-        cur, cur_excess, cur_cost = both[pick], excess[pick], cost[pick]
+    def expand(item):
+        key, prefix, cost, cells, lefts = item
+        i = len(prefix)
+        # Each program's tables at position i, with the prefix's cell and budget.
+        here = [(p[0][i], p[1][i], p[3][i + 1], cell, left) for p, cell, left in zip(programs, cells, lefts)]
+        for v, step in enumerate(table[i]):
+            child_cells, child_lefts, need = [], [], 0
+            for moves, weights, reach, cell, left in here:
+                cell = moves[v][cell]
+                left -= weights[v]
+                r = bisect_left(reach[cell], -left)
+                if r > seq_len:  # no completion holds
+                    break
+                if r > need:
+                    need = r
+                child_cells.append(cell)
+                child_lefts.append(left)
+            else:
+                child_cost = child_key = cost + step
+                if one_hot:
+                    child_key = max(key, child_cost + need)
+                else:
+                    for m in later[i]:  # left to right, as the scan sums
+                        child_key += m
+                yield child_key, prefix + (v,), child_cost, tuple(child_cells), tuple(child_lefts)
 
-    # A group's pattern g * L * N + i * N + v has position i at token v.
-    cells = seq_len * n
-    at, to = np.divmod(np.arange(cells), n)
-    per_chunk = max(1, SEARCH_CHUNK_CELLS // (cells * seq_len))
-    live = everyone
-    for _ in range(max_sweeps):
-        if live.shape[0] == 0:
-            break
-        opts = np.ones((live.shape[0], seq_len + 1), dtype=bool)
-        opts[:, 1:] = cur[live] != bases[live]
-        groups, reverts = np.nonzero(opts)
-        groups = live[groups]
-        reverts -= 1
-        # Each live state's own pattern comes first, so a move wins only
-        # at a strictly smaller key.
-        best = [(cur[live], cur_cost[live], cur_excess[live], live)]
-        for lo in range(0, groups.shape[0], per_chunk):
-            group, revert = groups[lo : lo + per_chunk], reverts[lo : lo + per_chunk]
-            paired = np.flatnonzero(revert >= 0)
-            held = cur[group]
-            held[paired, revert[paired]] = bases[group[paired], revert[paired]]
-            cands = np.repeat(held, cells, axis=0)
-            cands[np.arange(cands.shape[0]), np.tile(at, group.shape[0])] = np.tile(to, group.shape[0])
-            owner = np.repeat(group, cells)
-            cost, excess = cost_of(cands, owner), excess_of(cands)
-            # A qualifying state only takes strictly cheaper moves.
-            excess[(cur_excess[owner] == 0.0) & (cost >= cur_cost[owner])] = np.inf
-            pick = _first_min(cands, cost, excess, owner)
-            best.append((cands[pick], cost[pick], excess[pick], owner[pick]))
-        cands, cost, excess, owner = (np.concatenate(parts) for parts in zip(*best))
-        pick = _first_min(cands, cost, excess, owner)
-        pick = pick[pick >= live.shape[0]]
-        live = owner[pick]
-        cur[live], cur_cost[live], cur_excess[live] = cands[pick], cost[pick], excess[pick]
-    return cur, cur_excess
+    budgets = tuple(budget for _, _, budget, _ in programs)
+    need = max([bisect_left(p[3][0][0], -budget) for p, budget in zip(programs, budgets)], default=0)
+    if need > seq_len:
+        return None
+    root = (need if one_hot else 0, (), 0, (0,) * len(programs), budgets)
+    for pattern in _best_first(root, expand, seq_len, SEARCH_EXPANSIONS):
+        if (cs.hard_violations_batch(np.asarray([pattern])) <= 0.0).all():
+            return pattern
+    return None
+
+
+def _best_first(root: tuple, expand, length: int, budget: float = math.inf) -> Iterator[tuple]:
+    """The whole prefixes under root, in the order of their heap items.
+
+    An item is (key, prefix, ...) and stands for every sequence of the
+    given length that starts with prefix; expand(item) gives its
+    children, each one token longer.  When no child's key is below its
+    parent's, no key exceeds the cost of a whole prefix under it, and a
+    whole prefix's key is its cost, they come out in (cost, lex) order:
+    a tuple sorts before its extensions, so nothing left in the heap
+    sorts before a whole prefix popped.  Stops after budget expansions.
+    """
+    heap = [root]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        item = pop(heap)
+        if len(item[1]) == length:
+            yield item[1]
+        elif budget > 0:
+            budget -= 1
+            for child in expand(item):
+                push(heap, child)
+        else:
+            return
 
 
 def position_project(x_in: SeqDist, position: int, token: int) -> SeqDist:
@@ -954,13 +965,12 @@ def _cheapest_decodes(rows: np.ndarray, mask_id: int | None) -> Iterator[tuple]:
     order: by cost, the gaps max_v x[i, v] - x[i, sigma_i] summed left to
     right, then lex.
 
-    A best-first search over prefixes.  A heap item (bound, prefix, cost)
-    stands for every decode that starts with the prefix: cost is the
-    prefix's, and bound adds each later position's least allowed gap to
-    it in order.  A rounded sum never falls when a term grows, and a
-    tuple sorts before its extensions, so no decode under an item sorts
-    before it; a whole decode is its own item, so the first one popped
-    comes before everything left in the heap.
+    A best-first search over prefixes (_best_first).  A heap item
+    (bound, prefix, cost) stands for every decode that starts with the
+    prefix: cost is the prefix's, and bound adds each later position's
+    least allowed gap to it in order.  A rounded sum never falls when a
+    term grows, so no bound exceeds the cost of a decode under it or
+    falls below its parent's, and a whole decode's bound is its cost.
     """
     gaps = (rows.max(axis=1, keepdims=True) - rows).tolist()
     length = len(gaps)
@@ -972,23 +982,19 @@ def _cheapest_decodes(rows: np.ndarray, mask_id: int | None) -> Iterator[tuple]:
     # the nonzero least gaps after it.
     later = [[m for m in least[i + 1 :] if m] for i in range(length)]
     moves = [[(v, row[v]) for v in tokens] for row in gaps]
-    heap = [(0.0, (), 0.0)]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        _, prefix, cost = pop(heap)
+
+    def expand(item):
+        _, prefix, cost = item
         depth = len(prefix)
-        if depth == length:
-            yield prefix
-            continue
-        rest = later[depth]
         for v, gap in moves[depth]:
             child_cost = bound = cost + gap
-            if rest:
-                # Left to right, as the scan sums: not sum(), which
-                # compensates its rounding from Python 3.12.
-                for m in rest:
-                    bound += m
-            push(heap, (bound, prefix + (v,), child_cost))
+            # Left to right, as the scan sums: not sum(), which
+            # compensates its rounding from Python 3.12.
+            for m in later[depth]:
+                bound += m
+            yield bound, prefix + (v,), child_cost
+
+    yield from _best_first((0.0, (), 0.0), expand, length)
 
 
 def novelty_project(x_in: SeqDist, db: NoveltyDb) -> SeqDist:

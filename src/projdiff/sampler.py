@@ -38,14 +38,14 @@ used, so the stream does not depend on which chains share a block.
 A chain's state is its row of token ids.  On a projected step in alm
 mode one batched screen passes the chains the operator would leave
 unchanged.  The distinct states among the rest then go through one
-batched call of projection.project_ids, which works on the ids alone
-and reads the set's projection tables itself;
-a state it leaves infeasible goes on to alm_project's gradient loop
-from its one-hot rows.  The results fill the step's memo, keyed by the
-id row.  Chains are then handled in chain order: each takes its state's
-result, and a chain whose result is infeasible, or holds MASK at t = 1,
-redraws at its own turn and has its new state projected on its own, so
-the rng stream does not depend on the batching.
+batched call of projection.project_ids, which works on the ids alone,
+reads the set's projection tables itself and picks exactly; a state it
+leaves infeasible keeps its ids.  The results fill the step's memo,
+keyed by the id row.  Chains are then handled in chain order: each
+takes its state's result, and a chain whose result is infeasible, or
+holds MASK at t = 1, redraws at its own turn and has its new state
+projected on its own, so the rng stream does not depend on the
+batching.
 
 The novelty step is one loop over the chains, in chain order: each
 chain claims a sequence with one projection.novelty_project_ids call,
@@ -83,21 +83,13 @@ import numpy as np
 
 from . import backend
 from .constraints import ConstraintSet
-from .core import Corpus, Schedule, SeqDist, Sequence, check_counts
+from .core import Corpus, Schedule, Sequence, check_counts
 from .denoiser import ExactBayesDenoiser
 from .noise import NoiseKernel, reverse_mixture_rows
-# novelty_project and position_project are not called here:
-# perfbench/tracer.py patches them on this module.
-from .projection import (  # noqa: F401
-    AlmConfig,
-    NoveltyDb,
-    alm_project,
-    flip_kl,
-    novelty_project,
-    novelty_project_ids,
-    position_project,
-    project_ids,
-)
+from .projection import AlmConfig, NoveltyDb, flip_kl, novelty_project_ids, project_ids
+
+# Not called here: perfbench/tracer.py patches them on this module.
+from .projection import alm_project, novelty_project, position_project  # noqa: F401
 
 CHUNK_SIZE = 16384
 
@@ -157,7 +149,8 @@ class TraceRecord:
     projecting the chain, retries included, and 0.0 for a chain the step
     did not project.  In alm mode a chain whose state the step's batched
     projection (or an earlier chain's retry) already projected spends it
-    on a memo lookup, not a projector call.
+    on a memo lookup, not a projector call.  outer_iters is 0: no step
+    runs alm_project's gradient loop.
     """
 
     sample_index: int
@@ -298,7 +291,7 @@ class _Engine:
                 # Novelty reads each chain's membership at its own turn,
                 # after the claims of the chains before it.
                 pre = np.zeros(b) if projected and novelty else self._violations(ids)
-                kl, outer, wall = [0.0] * b, [0] * b, [0.0] * b
+                kl, wall = [0.0] * b, [0.0] * b
             if projected and novelty:
                 self._claim_novel(ids, (pre, kl, wall) if cfg.trace else None)
             elif projected:
@@ -311,13 +304,14 @@ class _Engine:
                         self._project_chain(ci, offset + ci, t, ids, step, memo)
                     else:
                         start = time.perf_counter()
-                        kl[ci], outer[ci] = self._project_chain(ci, offset + ci, t, ids, step, memo)
+                        kl[ci] = self._project_chain(ci, offset + ci, t, ids, step, memo)
                         wall[ci] = time.perf_counter() - start
             if cfg.trace:
                 post = np.zeros(b) if projected and novelty else pre.copy()
                 if projected and not novelty and failed.any():
                     post[failed] = self._violations(ids[failed])
-                columns = zip(pre.tolist(), post.tolist(), kl, outer, wall)
+                # No step runs a gradient loop: outer_iters is 0.
+                columns = zip(pre.tolist(), post.tolist(), kl, [0] * b, wall)
                 traces.extend(TraceRecord(offset + ci, t, projected, *rec) for ci, rec in enumerate(columns))
         return ids
 
@@ -377,27 +371,19 @@ class _Engine:
     def _project_states(self, failing: np.ndarray, memo: dict) -> None:
         """Project the distinct id rows of failing into memo (alm mode).
 
-        One project_ids call decides every distinct state; each state it
-        leaves infeasible goes through alm_project from its one-hot rows.
-        A memo entry is (decode, feasible, outer, kl); kl, which only
-        trace records read, is computed only when tracing, by one flip_kl
-        call; alm_project's kl_moved replaces it where project_ids fails.
+        One project_ids call decides every distinct state.  A memo entry
+        is (decode, feasible, kl); kl, which only trace records read, is
+        computed only when tracing, by one flip_kl call.
         """
         distinct: dict[bytes, np.ndarray] = {}
         for row in failing:
             distinct.setdefault(row.tobytes(), row)
         if not distinct:
             return
-        ops = backend.ops
         states = np.stack(list(distinct.values()))
         new_ids, feasible = project_ids(states, self.n, self.cs)
         kl = flip_kl(states, new_ids, self.n).tolist() if self.cfg.trace else [0.0] * len(states)
-        for key, state, new, ok, kl_moved in zip(distinct, states, new_ids, feasible.tolist(), kl):
-            if ok:
-                memo[key] = (new, True, 0, kl_moved)
-            else:
-                res = alm_project(SeqDist(ops.one_hot_rows(state, self.n)), self.cs, self.cfg.alm)
-                memo[key] = (ops.argmax_rows(res.projected.rows), res.feasible, res.outer_iters, res.kl_moved)
+        memo.update(zip(distinct, zip(new_ids, feasible.tolist(), kl)))
 
     def _claim_novel(self, ids: np.ndarray, trace: tuple | None) -> None:
         """Replace each chain's ids by the sequence it claims, in chain order.
@@ -426,9 +412,9 @@ class _Engine:
         ids[:] = claims
         db.cursors.clear()
 
-    def _project_chain(self, ci, sample_index, t, ids, step, memo) -> tuple[float, int]:
+    def _project_chain(self, ci, sample_index, t, ids, step, memo) -> float:
         """Project chain ci's ids in place (alm mode); returns its
-        (kl_moved, outer_iters).
+        kl_moved.
 
         The result is a function of the state alone and is read from memo;
         a state the step's batch did not hold (a retry's redraw) is
@@ -442,7 +428,7 @@ class _Engine:
             key = ids[ci].tobytes()
             if key not in memo:
                 self._project_states(ids[ci][None], memo)
-            new_dec, ok, outer, kl_moved = memo[key]
+            new_dec, ok, kl_moved = memo[key]
             # An emitted sequence must not contain the mask token; inside
             # the chain a mask decode just re-opens that position.
             if ok and self.kernel.kind == "masked" and t == 1 and self.kernel.mask_id in new_dec:
@@ -459,7 +445,7 @@ class _Engine:
             # Re-draw this chain's transition and try again.
             ids[ci] = self._redraw(ci, step)
         ids[ci] = new_dec
-        return kl_moved, outer
+        return kl_moved
 
 
 def violation_contraction(traces: list[TraceRecord], tol: float = 1e-12) -> float:

@@ -73,8 +73,9 @@ def make_constraint_set(rng, n, length):
 
 class NoTerms(Constraint):
     """A user constraint that every sequence meets, with no position
-    terms: a set holding it is projected by the plain lattice search, and
-    its verdicts and relaxed scores are those of the rest of the set."""
+    terms: a set holding it is projected by the best-first search, bounded
+    by the tables of the rest of the set, and its verdicts and relaxed
+    scores are those of the rest of the set."""
 
     def __init__(self, name="no_terms"):
         self.tau, self.name = 0.0, name

@@ -111,6 +111,21 @@ class TestExactBayesDenoiser:
             with pytest.raises(ValueError, match="token ids"):
                 exact_posterior(tiny_corpus, kernel, Sequence(state), 0.5)
 
+    @pytest.mark.parametrize("state", [(4, 4, 4, 4), (0, 3, 3, 3)], ids=["no entry", "compatible"])
+    def test_masked_kernel_over_another_vocabulary_size_raises(self, state):
+        # A 5-token masked kernel, MASK at id 3, on a 4-token vocabulary:
+        # the state no entry matches took numpy's shape error from the
+        # prior's 4-wide rows, and a compatible one came back 5 wide.
+        corpus = make_corpus(make_vocab(3), length=4, n_entries=6, seed=5)
+        kernel = NoiseKernel("masked", np.eye(5)[3])
+        den = ExactBayesDenoiser(corpus)
+        state = np.array([state])
+        for method in (den.posterior_batch, den.posterior_loo_batch):
+            with pytest.raises(ValueError, match="masked kernel has 5 tokens, the corpus vocabulary 4"):
+                method(state, 0.5, kernel)
+        with pytest.raises(ValueError, match="masked kernel has 5 tokens, the corpus vocabulary 4"):
+            exact_posterior(corpus, kernel, Sequence(tuple(state[0].tolist())), 0.5)
+
     def test_fallback_to_prior_on_incompatible(self, tiny_corpus):
         kernel = NoiseKernel.masked(tiny_corpus.vocab)
         den = ExactBayesDenoiser(tiny_corpus)

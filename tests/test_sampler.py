@@ -86,9 +86,15 @@ def spy_failing_states(monkeypatch):
     return failing, current
 
 
-def state_bytes(x_in):
-    """The id row bytes of a one-hot projector input."""
-    return x_in.rows.argmax(axis=1).astype(np.int64).tobytes()
+def retries_set():
+    """A c01 set: a LinearScore under which data tokens weigh 0.25-1 and
+    MASK 0.1, so that the cheapest picks of some states hold MASK; at
+    most five MASKs, which the mostly-MASK states of the first steps,
+    often shared between chains, fail; and NoTerms, which sends every
+    state to the best-first search."""
+    weights = np.random.default_rng(0).uniform(0.25, 1.0, size=13)
+    weights[12] = 0.1
+    return ConstraintSet([LinearScore(weights=weights, tau=0.6), TokenCount(token=12, op="le", k=5), NoTerms()])
 
 
 def id_bytes(ids):
@@ -286,35 +292,28 @@ class TestDeterminism:
         assert c01_trace_digest(cs, kernel=kernel, **kw) == digest
 
     def test_seeded_c01_trace_with_retries_matches_recorded_digest(self, monkeypatch):
-        """Samples and trace records of a uniform-kernel c01 run whose
-        chains redraw after infeasible projections and share states within
-        a step, an infeasible state among them.  Recorded while every
-        failing chain still went through its projector: reusing a step's
-        result for a repeated state, and redrawing in chain order, must
-        leave the rng stream as it was.  NoTerms sends every state to the
-        plain lattice search, which leaves some infeasible."""
-        cs = ConstraintSet([Position(6, 7, tau=0.5), TokenCount(token=9, op="ge", k=3), Position(1, 6), NoTerms()])
+        """Samples and trace records of a masked-kernel c01 run whose
+        chains share failing states within a step and redraw at t = 1,
+        where a pick holding MASK is refused.  Reusing a step's result for
+        a repeated state, and redrawing in chain order, must leave the rng
+        stream as it was."""
         failing, current = spy_failing_states(monkeypatch)
-        infeasible, redraws = set(), [0]
-        real_project, real_sample_rows = sampler_module.alm_project, backend.ops.sample_rows
+        redrawn = []
+        real_redraw = sampler_module._Engine._redraw
 
-        def project(x_in, *args, **kwargs):
-            res = real_project(x_in, *args, **kwargs)
-            if not res.feasible:
-                infeasible.add((current[0], state_bytes(x_in)))
-            return res
+        def redraw(self, ci, step):
+            redrawn.append(current[0])
+            return real_redraw(self, ci, step)
 
-        def sample_rows(rows, u, index=None):
-            if rows.shape[0] == 10:  # one chain's rows; batch draws hold 8 * 10
-                redraws[0] += 1
-            return real_sample_rows(rows, u, index)
-
-        monkeypatch.setattr(sampler_module, "alm_project", project)
-        monkeypatch.setattr(backend.ops, "sample_rows", sample_rows)
-        digest = c01_trace_digest(cs, kernel="uniform", rng_seed=22)
-        assert redraws[0] > 0
-        assert any(failing[t].count(row) > 1 for t, row in infeasible)
-        assert digest == "a75fb256bd42d608ed3463afa50c4d1a193e51e15cd4a7af62e94849e53018e8"
+        monkeypatch.setattr(sampler_module._Engine, "_redraw", redraw)
+        cs = retries_set()
+        digest = c01_trace_digest(cs, rng_seed=15)
+        assert redrawn and set(redrawn) == {1}
+        assert any(rows.count(row) > 1 for rows in failing.values() for row in rows)
+        assert digest == "d272f59179b04d5c65117047782b646de7c593b8e4e58417f0881f300edc13cd"
+        # Without NoTerms the dynamic program takes the set, and picks as
+        # the search does.
+        assert c01_trace_digest(ConstraintSet(cs.constraints[:2]), rng_seed=15) == digest
 
     @pytest.mark.parametrize(
         "kernel, fallbacks, digest",
@@ -706,9 +705,10 @@ class TestInfeasiblePolicies:
         if policy == "continue":
             # No chain-step passes the screen and none redraws, so each
             # distinct (step, id row) pair is projected once, and, being
-            # infeasible, goes on to the gradient loop.
+            # infeasible, keeps its ids: no step runs the gradient loop.
             assert sum(len(rows) for rows in failing.values()) == 16 * 4
-            assert len(inputs) == len(fallbacks) == sum(len(set(rows)) for rows in failing.values())
+            assert len(inputs) == sum(len(set(rows)) for rows in failing.values())
+            assert fallbacks == []
         else:
             assert 0 < len(inputs) < 16 * 4  # the screen passes feasible chains
         for ids in inputs:
@@ -746,11 +746,11 @@ class TestProjectionMemo:
         assert sorted(projected) == sorted({(t, row) for t, rows in failing.items() for row in rows})
         assert set(calls.values()) == {1}
 
-    def test_alm_fallbacks_read_the_sets_search_terms(self, monkeypatch):
+    def test_infeasible_states_read_the_sets_search_terms(self, monkeypatch):
         # No c01 state holds eleven zeros in ten positions, so project_ids
-        # leaves every failing state infeasible and each goes on to
-        # alm_project, whose project_ids call reads the SearchTerms kept
-        # on the set and builds none.
+        # leaves every failing state infeasible.  No state goes on to
+        # alm_project, and every project_ids call after the first reads
+        # the SearchTerms kept on the set and builds none.
         corpus = make_corpus(make_vocab(12), length=10, n_entries=16, seed=11)
         cs = ConstraintSet([TokenCount(token=0, op="ge", k=11)])
         built, calls = [0], [0]
@@ -767,19 +767,18 @@ class TestProjectionMemo:
         monkeypatch.setattr(SearchTerms, "__init__", init)
         monkeypatch.setattr(sampler_module, "alm_project", project)
         config = SampleConfig(steps=16, length=10, num_samples=4, rng_seed=0, infeasible_policy="continue")
-        sample_constrained(corpus, cs, config)
-        assert calls[0] > 0
+        seqs, _ = sample_constrained(corpus, cs, config)
+        assert not any(cs.satisfied(s) for s in seqs)
+        assert calls[0] == 0
         assert built[0] == 1
 
     def test_batched_projection_then_chain_order_retries(self, monkeypatch):
-        # The uniform-kernel c01 run with retries: each projected step
+        # The masked-kernel c01 run with retries: each projected step
         # makes one call for its distinct failing states, in order of
         # first appearance, and a chain that redraws has its new state
         # projected on its own, right after the redraw, unless the step
         # has projected that state already.  The samples and records stay
-        # those of the recorded digest.  NoTerms sends every state to the
-        # plain lattice search, which leaves some infeasible.
-        cs = ConstraintSet([Position(6, 7, tau=0.5), TokenCount(token=9, op="ge", k=3), Position(1, 6), NoTerms()])
+        # those of the recorded digest.
         events = []
         real_passes, real_redraw = sampler_module._Engine._passes, sampler_module._Engine._redraw
         real_ids = sampler_module.project_ids
@@ -801,8 +800,8 @@ class TestProjectionMemo:
         monkeypatch.setattr(sampler_module._Engine, "_passes", passes)
         monkeypatch.setattr(sampler_module._Engine, "_redraw", redraw)
         monkeypatch.setattr(sampler_module, "project_ids", project)
-        digest = c01_trace_digest(cs, kernel="uniform", rng_seed=22)
-        assert digest == "a75fb256bd42d608ed3463afa50c4d1a193e51e15cd4a7af62e94849e53018e8"
+        digest = c01_trace_digest(retries_set(), rng_seed=15)
+        assert digest == "d272f59179b04d5c65117047782b646de7c593b8e4e58417f0881f300edc13cd"
 
         expected, seen, redraws, reused = [], set(), 0, 0
         for kind, rows in events:
@@ -935,7 +934,7 @@ class TestSearchTermsPerSet:
     def spy_terms(monkeypatch):
         """(built, read, calls): every SearchTerms built, as (terms, set);
         the terms each SearchTerms.of call returns; and the number of
-        project_ids calls, the sampler's and alm_project's."""
+        project_ids calls."""
         built, read, calls = [], [], [0]
         real_init, real_of, real_ids = SearchTerms.__init__, SearchTerms.of.__func__, projection_module.project_ids
 
@@ -1236,7 +1235,7 @@ class TestPerSetStep:
 
         def project_states(engine, failing, memo):
             for row in failing:
-                memo[row.tobytes()] = (row.copy(), mask not in row or int(row.sum()) % 2 == 0, 0, 0.0)
+                memo[row.tobytes()] = (row.copy(), mask not in row or int(row.sum()) % 2 == 0, 0.0)
 
         redraws, real_redraw = [0], sampler_module._Engine._redraw
 
@@ -1328,15 +1327,15 @@ class TestSetTableKept:
         assert warm.fallback_count - before == cold.fallback_count > 0
 
     def test_another_masked_kernel_reads_none_of_the_rows(self, monkeypatch):
-        # A kernel with another MASK id, or another N, builds every set it
-        # meets, the full set the first kernel built too, and gives a
-        # fresh denoiser's rows; the first kernel's rows are kept.
+        # A kernel with another MASK id builds every set it meets, the
+        # full set the first kernel built too, and gives a fresh
+        # denoiser's rows; the first kernel's rows are kept.  A kernel
+        # over another N is refused.
         corpus = make_corpus(make_vocab(3), length=4, n_entries=6, seed=5)
         n = corpus.vocab.size
         first = NoiseKernel.masked(corpus.vocab)
         mask = corpus.vocab.mask_id
-        # MASK moved to token 0; one token more, with MASK where it was.
-        others = [NoiseKernel("masked", np.eye(n)[0]), NoiseKernel("masked", np.eye(n + 1)[mask])]
+        others = [NoiseKernel("masked", np.eye(n)[0])]  # MASK moved to token 0
 
         def batch(kernel):
             """Each entry with its first two positions masked, and the
@@ -1360,6 +1359,8 @@ class TestSetTableKept:
         built.clear()
         den.posterior_batch(batch(first), 0.5, first)
         assert built == []
+        with pytest.raises(ValueError, match="masked kernel has 5 tokens, the corpus vocabulary 4"):
+            den.posterior_batch(batch(first), 0.5, NoiseKernel("masked", np.eye(n + 1)[mask]))
 
 
 class TestDistributionRecovery:

@@ -52,8 +52,9 @@ def test_traced_reverse_step_reaches_every_layer(kernel):
 
 
 def test_traced_plain_search_set_reaches_the_search_layer():
-    # A set holding a constraint without position terms takes the plain
-    # lattice search, which the tracer times as its search layer.
+    # A set holding a constraint without position terms takes the
+    # best-first search, _decode_search, which the tracer times as its
+    # search layer.
     corpus = make_corpus(make_vocab(4), length=5, n_entries=8, seed=11)
     cs = projdiff.ConstraintSet((projdiff.TokenCount(token=0, op="le", k=1), NoTerms()))
     config = projdiff.SampleConfig(steps=6, length=5, num_samples=16, rng_seed=0)

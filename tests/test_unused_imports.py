@@ -11,9 +11,11 @@ import pytest
 
 PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "projdiff")
 
-# perfbench/tracer.py patches sampler.position_project and
-# sampler.novelty_project by name; sampler itself never calls them.
-ALLOWED = {("sampler", "position_project"), ("sampler", "novelty_project")}
+# perfbench/tracer.py patches sampler.position_project,
+# sampler.novelty_project and sampler.alm_project by name; sampler itself
+# never calls them (project_ids picks exactly, so no step falls back to
+# alm_project's gradient loop).
+ALLOWED = {("sampler", "position_project"), ("sampler", "novelty_project"), ("sampler", "alm_project")}
 
 
 def unused_imports(source: str) -> list[str]:
