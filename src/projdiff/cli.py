@@ -6,7 +6,7 @@ Four subcommands share one JSON config file:
                 trace.csv, metrics.json
   oracle-check  compare the fast paths against brute-force oracles;
                 print a pass/fail table
-  ablate        sweep solver/scheduling parameters; write ablation.csv
+  ablate        sweep projection scheduling parameters; write ablation.csv
   eval          recompute metrics.json for an existing samples file
 
 Exit codes: 0 success, 1 usage/parse/I-O error, 2 feasibility failure.
@@ -42,13 +42,7 @@ from .core import Corpus, Sequence, SeqDist, Vocabulary, check_counts, decode, r
 from .denoiser import ExactBayesDenoiser, exact_posterior
 from .noise import NoiseKernel
 from .oracle import enumerate_cheapest_pattern, enumerate_novelty, enumerate_posterior, grid_kl_project
-from .projection import (
-    AlmConfig,
-    NoveltyDb,
-    alm_project,
-    novelty_project,
-    position_project,
-)
+from .projection import NoveltyDb, alm_project, novelty_project, position_project
 from .sampler import InfeasibleSampleError, SampleConfig, check_settings, sample_constrained
 
 TRACE_COLUMNS = (
@@ -115,13 +109,16 @@ class Run:
             except (ValueError, KeyError) as exc:
                 raise CliError(f"bad constraint file: {exc}") from None
 
+        if "alm" in raw:
+            # The projection picks its pattern exactly and runs no solver
+            # that could read these settings.
+            raise CliError("bad sample/alm settings: the alm section is not read; remove it")
         try:
-            alm = AlmConfig(**raw.get("alm", {}))
             sample_raw = dict(raw.get("sample", {}))
             sample_raw.setdefault("length", self.corpus.length)
             if seed is not None:
                 sample_raw["rng_seed"] = seed
-            self.cfg = SampleConfig(alm=alm, **sample_raw)
+            self.cfg = SampleConfig(**sample_raw)
             check_settings(self.corpus, self.cs, self.cfg)
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad sample/alm settings: {exc}") from None
@@ -293,7 +290,7 @@ def _check_projection(run: Run, rng, cases: int) -> bool:
         except ValueError:  # no feasible pattern
             continue
         done += 1
-        res = alm_project(SeqDist(rows), cs, AlmConfig())
+        res = alm_project(SeqDist(rows), cs)
         if not res.feasible:
             print(f"  projection: solver infeasible on a feasible instance ({list(cs)[0].name})")
             return False
@@ -347,15 +344,14 @@ def cmd_oracle_check(run: Run) -> int:
     return 0 if all(ok for _, ok in results) else 1
 
 
-ABLATE_ALM_PARAMS = ("eta", "mu_init", "max_inner_iter")
-ABLATE_SAMPLE_PARAMS = ("project_every", "project_start")
+ABLATE_PARAMS = ("project_every", "project_start")
 
 
 def cmd_ablate(run: Run) -> int:
     grid_raw = run.raw.get("ablate", {})
     if not isinstance(grid_raw, dict):
         raise CliError("ablate grid must be a JSON object")
-    names = [k for k in grid_raw if k in ABLATE_ALM_PARAMS + ABLATE_SAMPLE_PARAMS]
+    names = [k for k in grid_raw if k in ABLATE_PARAMS]
     unknown = [k for k in grid_raw if k not in names]
     if unknown:
         raise CliError(f"unknown ablate parameter(s): {', '.join(sorted(unknown))}")
@@ -370,13 +366,7 @@ def cmd_ablate(run: Run) -> int:
     for combo in itertools.product(*(grid_raw[k] for k in names)):
         params = dict(zip(names, combo))
         try:
-            alm = replace(run.cfg.alm, **{k: v for k, v in params.items() if k in ABLATE_ALM_PARAMS})
-            cfg = replace(
-                run.cfg,
-                alm=alm,
-                trace=False,
-                **{k: v for k, v in params.items() if k in ABLATE_SAMPLE_PARAMS},
-            )
+            cfg = replace(run.cfg, trace=False, **params)
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad ablation cell {params}: {exc}") from None
         cells.append((params, cfg))

@@ -77,8 +77,8 @@ class PositionTerms:
 class Constraint:
     """Interface; see module docstring for the score convention.
 
-    A subclass must define hard_scores (and, for alm_project's gradient
-    loop, relaxed_score and relaxed_grad).  It may define position_terms
+    A subclass must define hard_scores (and, for alm_gradient's relaxed
+    penalties, relaxed_score and relaxed_grad).  It may define position_terms
     when its hard score has that form; projection then finds a one-hot
     state's pattern with the fewest flips from the table, and bounds its
     search by it in a set that needs the search.

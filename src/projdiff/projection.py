@@ -6,15 +6,16 @@ Three operators cover the three constraint regimes:
                     qualifying argmax pattern, by project_ids on one-hot
                     rows and by the best-first search (_decode_search)
                     over exact flip costs on other rows, with the rows
-                    pooled to decode to it; an iterative
-                    augmented-Lagrangian solve over the differentiable
-                    constraint surrogates only when neither finds one
+                    pooled to decode to it; an input for which neither
+                    finds a pattern comes back as it is, reported
+                    infeasible
   position_project  closed-form KL projection for "position p decodes to
                     token v"
   novelty_project   the cheapest decode not yet in a database, found in
-                    whole-sequence cost order by a best-first search over
-                    prefixes (_cheapest_decodes) started afresh on each
-                    call, then closed-form row edits to force it
+                    whole-sequence cost order by the same best-first
+                    search over prefixes (_cheapest_patterns), run with
+                    no bounds and started afresh on each call, then
+                    closed-form row edits to force it
 
 All three take a stack of probability rows x and return a nearby stack y
 whose decoded sequence is feasible, keeping KL(x || y) small.
@@ -41,12 +42,14 @@ whose decoded sequence is feasible, keeping KL(x || y) small.
                     settle; flip_kl gives the KL of its picks from the
                     ids alone
 
-The best-first search accepts a pattern by
-ConstraintSet.hard_violations_batch, and bounds its keys and drops
+_cheapest_patterns yields one state's patterns in (cost, lex) order from
+its cost table, dropping the prefixes its bounds rule out; its heap loop
+is _best_first.  _decode_search keeps the first pattern
+ConstraintSet.hard_violations_batch accepts, bounding keys and dropping
 prefixes by the dynamic program's suffix tables, so it takes any set, up
-to SEARCH_EXPANSIONS expansions per state; _cheapest_decodes shares its
-heap loop (_best_first).  The closed form, the dynamic program and the
-search's bounds read the constraints' per-position tables
+to SEARCH_EXPANSIONS expansions per state; novelty_project keeps the
+first one its database claims.  The closed form, the dynamic program and
+the search's bounds read the constraints' per-position tables
 (Constraint.position_terms), which SearchTerms reads; project_ids and
 alm_project get them from SearchTerms.of on every call, which keeps a
 set's tables on the set from call to call while its built-in constraints
@@ -72,19 +75,17 @@ from .core import Corpus, SeqDist, Sequence, check_counts, decode
 
 @dataclass(frozen=True)
 class AlmConfig:
-    """Augmented-Lagrangian solver settings.
+    """Settings of an augmented-Lagrangian solve of the KL projection.
 
-    The objective on candidate rows y is
+    The solve's objective on candidate rows y is alm_objective,
 
         KL(x || y) + sum_i lam_i * d_i + (mu_i / 2) * d_i^2
 
-    where d_i = max(0, g_i(phi(y)) - tau_i) uses the relaxed constraint
-    scores on phi, the noiseless relaxation at RELAX_TEMPERATURE.  lam
-    starts at zero and mu at mu_init.  Inner iterations take eta-sized
-    gradient steps in logit coordinates; outer iterations raise lam by
-    mu * d (measured on the decoded iterate) and scale mu by MU_GROWTH up
-    to MU_MAX.  The loop stops once every decoded violation is 0, that
-    is, every constraint's score is at most its tau.
+    with d_i = max(0, g_i(phi(y)) - tau_i) on the relaxed constraint
+    scores, mu starting at mu_init and eta-sized gradient steps
+    (alm_gradient) in logit coordinates.  alm_project picks its pattern
+    exactly and runs no such solve, so nothing reads these values; they
+    are still checked, so a SampleConfig holding them stays valid.
     """
 
     mu_init: float = 1.0
@@ -102,7 +103,8 @@ class AlmConfig:
 
 @dataclass
 class AlmResult:
-    """Outcome of one augmented-Lagrangian projection."""
+    """Outcome of one projection by alm_project; outer_iters is always 0,
+    as no iterative solve runs."""
 
     projected: SeqDist
     feasible: bool
@@ -111,25 +113,8 @@ class AlmResult:
     kl_moved: float
 
 
-# Logit-coordinate starting point.  A one-hot input has no exact logit
-# preimage, and seeding its zero coordinates at the relaxation floor
-# (1e-12) leaves the constraint gradient too saturated to ever move
-# them; 1e-3 keeps the start within ~(N-1)e-3 nats of the input while
-# preserving usable curvature.
-Z_INIT_FLOOR = 1e-3
-
-# Outer iterations tolerated without any change in the decoded pattern
-# before the loop stops.  Slow marches toward a flip change the decode
-# well within this window (a full one-hot flip under default multipliers
-# takes about 18 rounds).
-STALL_PATIENCE = 30
-
-# The penalty weight mu grows by MU_GROWTH per outer iteration left
-# infeasible, up to MU_MAX; the penalties score the noiseless relaxation
-# at RELAX_TEMPERATURE.
-MU_GROWTH = 2.0
+# The largest penalty weight AlmConfig takes as mu_init.
 MU_MAX = 1000.0
-RELAX_TEMPERATURE = 0.5
 
 
 def _check_temperature(temp: float) -> None:
@@ -151,7 +136,7 @@ def alm_objective(
 
     Value is KL(x || softmax(z)) plus, per constraint, lam * d plus
     (mu / 2) * d^2 with d = max(0, relaxed_score(phi) - tau) evaluated
-    on the relaxed rows phi.  The solver itself only ever consumes the
+    on the relaxed rows phi.  A gradient solve would only consume the
     gradient; this scalar exists so the gradient can be checked against
     finite differences of an independently coded value.  Raises
     ValueError unless temp is positive.
@@ -179,8 +164,8 @@ def alm_gradient(
 
     Returns (dz, any_active) where any_active reports whether any
     penalty term had a relaxed score above its tau at z.  This is the
-    exact inner-loop step direction used by alm_project.  Raises
-    ValueError unless temp is positive.
+    step direction of a gradient solve of alm_objective; alm_project
+    runs none.  Raises ValueError unless temp is positive.
     """
     _check_temperature(temp)
     ops = backend.ops
@@ -204,26 +189,22 @@ def alm_gradient(
 def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig()) -> AlmResult:
     """Project rows x_in to a nearby stack whose decode satisfies cs.
 
-    An already-feasible input is returned unchanged with zero outer
-    iterations.  Otherwise the cheapest pattern cs accepts is picked with
-    zero outer iterations, and the rows are pooled row by row to decode
-    to it: on one-hot rows (the sampler's states) by project_ids, the
-    fewest flips and then the smallest ids; on other rows by
-    _decode_search over the exact flip costs (_row_flip_costs), the
-    least summed cost and then the smallest ids.  Both read the set's
-    SearchTerms.  Only when they find no pattern (none is accepted, or
-    the search ran out of expansions) does the augmented-Lagrangian
-    gradient loop run; a decoded iterate it makes feasible is pooled in
-    the same way, and when the iteration budget runs out the best
-    iterate found (smallest worst-case decoded violation) is returned
-    with feasible=False.
+    Raises ValueError, naming the constraint, unless every constraint of
+    cs fits the rows' length and vocabulary (ConstraintSet.check_fits).
+    An already-feasible input is returned unchanged.  Otherwise the
+    cheapest pattern cs accepts is picked, and the rows are pooled row
+    by row to decode to it: on one-hot rows (the sampler's states) by
+    project_ids, the fewest flips and then the smallest ids; on other
+    rows by _decode_search over the exact flip costs (_row_flip_costs),
+    the least summed cost and then the smallest ids.  Both read the
+    set's SearchTerms.  When they find no pattern (none is accepted, or
+    the search ran out of expansions) the input is returned as it is,
+    with feasible=False and kl_moved 0.0, as project_ids leaves such a
+    state its ids.  config is not read (see AlmConfig); outer_iters is
+    always 0.
     """
-    ops = backend.ops
     x_rows = x_in.rows
-    m = len(cs)
-    lam = np.zeros(m)
-    mu = np.full(m, config.mu_init, dtype=np.float64)
-
+    cs.check_fits(x_rows.shape[1], x_rows.shape[0])
     base = decode(x_rows).ids
     hard = cs.hard_violations(Sequence(base))
     if float(hard.max()) <= 0.0:
@@ -235,59 +216,16 @@ def alm_project(x_in: SeqDist, cs: ConstraintSet, config: AlmConfig = AlmConfig(
     else:
         terms = SearchTerms.of(cs, *x_rows.shape)
         ids, feasible = _decode_search(cs, terms, states, _row_flip_costs(x_rows)[None])
-    if feasible[0]:
-        return _pooled_result(x_rows, cs, tuple(ids[0].tolist()), True, 0)
-
-    z = np.log(np.maximum(x_rows, Z_INIT_FLOOR))
-    y = ops.row_softmax(z)
-    hard = cs.hard_violations(decode(y))
-    best_rows, best_hard = y, hard
-    outer = 0
-    stalled = 0
-    prev_decode = decode(y).ids
-
-    while float(hard.max()) > 0.0 and outer < config.max_outer_iter:
-        outer += 1
-        z_before = z.copy()
-        outer_any_active = False
-        for _ in range(config.max_inner_iter):
-            dz, any_active = alm_gradient(z, x_rows, cs, lam, mu, RELAX_TEMPERATURE)
-            outer_any_active = outer_any_active or any_active
-            z = z - config.eta * dz
-        y = ops.row_softmax(z)
-        dec = decode(y)
-        hard = cs.hard_violations(dec)
-        if float(hard.max()) < float(best_hard.max()):
-            best_rows, best_hard = y, hard
-        if float(hard.max()) > 0.0:
-            lam = lam + mu * hard
-            mu = np.minimum(mu * MU_GROWTH, MU_MAX)
-            if not outer_any_active or np.array_equal(z, z_before):
-                # The relaxed scores sat at or below their thresholds for
-                # the whole outer iteration while the decoded check still
-                # fails: the multiplier term is gated off by max(0, .), so
-                # raising lam or mu cannot move the iterate.  Stop early.
-                break
-            if dec.ids == prev_decode:
-                stalled += 1
-                if stalled >= STALL_PATIENCE:
-                    # The decoded pattern has not moved for many outer
-                    # rounds; stop rather than grind out the budget.
-                    break
-            else:
-                stalled = 0
-                prev_decode = dec.ids
-
-    if float(best_hard.max()) <= 0.0:
-        # For a fixed pattern the minimum-KL rows pool row by row.
-        return _pooled_result(x_rows, cs, decode(best_rows).ids, True, outer)
-    projected = SeqDist.normalized(best_rows)
+    if not feasible[0]:
+        return AlmResult(projected=x_in, feasible=False, outer_iters=0, final_violation=hard, kl_moved=0.0)
+    pick = tuple(ids[0].tolist())
+    projected = SeqDist.normalized(np.stack([_force_argmax_row(row, v) for row, v in zip(x_rows, pick)]))
     return AlmResult(
         projected=projected,
-        feasible=False,
-        outer_iters=outer,
-        final_violation=best_hard,
-        kl_moved=ops.kl_rows(x_rows, projected.rows),
+        feasible=True,
+        outer_iters=0,
+        final_violation=cs.hard_violations(Sequence(pick)),
+        kl_moved=backend.ops.kl_rows(x_rows, projected.rows),
     )
 
 
@@ -553,18 +491,6 @@ def _fewest_flips(states: np.ndarray, n: int, parts: tuple) -> np.ndarray:
     return ids
 
 
-def _pooled_result(x_rows, cs, ids, feasible, outer) -> AlmResult:
-    """AlmResult for the rows of x_rows pooled row by row to decode to ids."""
-    projected = SeqDist.normalized(np.stack([_force_argmax_row(row, v) for row, v in zip(x_rows, ids)]))
-    return AlmResult(
-        projected=projected,
-        feasible=feasible,
-        outer_iters=outer,
-        final_violation=cs.hard_violations(Sequence(ids)),
-        kl_moved=backend.ops.kl_rows(x_rows, projected.rows),
-    )
-
-
 def _one_hot_mask(rows: np.ndarray) -> np.ndarray:
     """Which rows hold exactly one nonzero entry, equal to 1.0."""
     return (np.count_nonzero(rows, axis=1) == 1) & (rows.max(axis=1) == 1.0)
@@ -784,21 +710,14 @@ def _decode_search(
     row.  A pattern is accepted when hard_violations_batch finds no
     violation in it.
 
-    Each state takes a best-first search over prefixes (_best_first).
-    For each program of terms.bounds, the suffix table of the state's
+    Each state's patterns come from _cheapest_patterns, bounded by the
+    programs of terms.bounds: for each, the suffix table of the state's
     row gives the fewest flips r with which the rest of a pattern can
-    take the prefix's cell of the program to one that holds, within the
+    take a prefix's cell of the program to one that holds, within the
     budget the prefix's weights leave (the program's rounding allowance
-    included).  A prefix for which some program has no such r has no
-    accepted completion and is dropped.  Without costs a prefix's key is
-    the larger of its parent's key and its flips plus the largest r; with
-    costs it is the prefix's cost plus each later position's least cost,
-    added left to right.  A key never exceeds the cost of a completion
-    nor falls below its parent's, and a whole pattern's key is its cost,
-    so whole patterns come out in (cost, lex) order, and the first one
-    accepted is the pick.  A state whose root is dropped makes no
-    expansion; one that makes SEARCH_EXPANSIONS of them without an
-    accepted pattern is reported without one.
+    included).  A state whose root is dropped makes no expansion; one
+    that makes SEARCH_EXPANSIONS of them without an accepted pattern is
+    reported without one.
     """
     k_states, seq_len = bases.shape
     one_hot = costs is None
@@ -815,17 +734,37 @@ def _decode_search(
         reach = [-np.minimum.accumulate(dp.suffix(bases[lo : lo + chunk])[..., 1:], axis=3) for dp in bounds]
         for k in range(lo, min(lo + chunk, k_states)):
             programs = [(*tab, r[k - lo].tolist()) for tab, r in zip(tables, reach)]
-            pattern = _first_accepted(cs, costs[k].tolist(), programs, one_hot)
-            if pattern is not None:
-                ids[k], found[k] = pattern, True
+            for pattern in _cheapest_patterns(costs[k].tolist(), programs, one_hot, SEARCH_EXPANSIONS):
+                if (cs.hard_violations_batch(np.asarray([pattern])) <= 0.0).all():
+                    ids[k], found[k] = pattern, True
+                    break
     return ids, found
 
 
-def _first_accepted(cs: ConstraintSet, table: list, programs: list, one_hot: bool) -> tuple | None:
-    """_decode_search's pick for one state, or None: table is its (L, N)
-    costs, and programs holds (moves, weights, budget, reach) per program
-    of the bounds, as lists, with the state's reach."""
+def _cheapest_patterns(table: list, programs: list, one_hot: bool, expansions: float = math.inf) -> Iterator[tuple]:
+    """One state's patterns of finite cost that no program rules out, in
+    (cost, lex) order.
+
+    table is the state's (L, N) costs, a pattern sigma costing
+    table[i][sigma_i] summed left to right; with one_hot each cost is a
+    flip count.  programs holds (moves, weights, budget, reach) per
+    bounding program, as lists, with the state's reach (see
+    _decode_search).  A best-first search over prefixes (_best_first),
+    which stops after the given number of expansions.  A heap item (key,
+    prefix, cost, cells, lefts) stands for every pattern that starts with
+    prefix, and holds its cost and each program's cell and budget left.
+    A prefix for which some program has no completion is dropped.  With
+    one_hot a prefix's key is the larger of its parent's key and its
+    flips plus the most flips a program needs for the rest; else it is
+    the prefix's cost plus each later position's least cost, added left
+    to right.  A rounded sum never falls when a term grows, so a key
+    never exceeds the cost of a pattern under it nor falls below its
+    parent's, and a whole pattern's key is its cost: whole patterns come
+    out in (cost, lex) order.
+    """
     seq_len = len(table)
+    # Each position's tokens of finite cost, with their costs.
+    moves = [[(v, step) for v, step in enumerate(row) if step < math.inf] for row in table]
     least = [min(row) for row in table]
     # Adding a zero cost leaves a sum as it is, so each depth keeps only
     # the nonzero least costs after it.
@@ -836,10 +775,10 @@ def _first_accepted(cs: ConstraintSet, table: list, programs: list, one_hot: boo
         i = len(prefix)
         # Each program's tables at position i, with the prefix's cell and budget.
         here = [(p[0][i], p[1][i], p[3][i + 1], cell, left) for p, cell, left in zip(programs, cells, lefts)]
-        for v, step in enumerate(table[i]):
+        for v, step in moves[i]:
             child_cells, child_lefts, need = [], [], 0
-            for moves, weights, reach, cell, left in here:
-                cell = moves[v][cell]
+            for program_moves, weights, reach, cell, left in here:
+                cell = program_moves[v][cell]
                 left -= weights[v]
                 r = bisect_left(reach[cell], -left)
                 if r > seq_len:  # no completion holds
@@ -853,19 +792,18 @@ def _first_accepted(cs: ConstraintSet, table: list, programs: list, one_hot: boo
                 if one_hot:
                     child_key = max(key, child_cost + need)
                 else:
-                    for m in later[i]:  # left to right, as the scan sums
+                    # Left to right, as the scan sums: not sum(), which
+                    # compensates its rounding from Python 3.12.
+                    for m in later[i]:
                         child_key += m
                 yield child_key, prefix + (v,), child_cost, tuple(child_cells), tuple(child_lefts)
 
     budgets = tuple(budget for _, _, budget, _ in programs)
     need = max([bisect_left(p[3][0][0], -budget) for p, budget in zip(programs, budgets)], default=0)
     if need > seq_len:
-        return None
+        return
     root = (need if one_hot else 0, (), 0, (0,) * len(programs), budgets)
-    for pattern in _best_first(root, expand, seq_len, SEARCH_EXPANSIONS):
-        if (cs.hard_violations_batch(np.asarray([pattern])) <= 0.0).all():
-            return pattern
-    return None
+    yield from _best_first(root, expand, seq_len, expansions)
 
 
 def _best_first(root: tuple, expand, length: int, budget: float = math.inf) -> Iterator[tuple]:
@@ -960,52 +898,16 @@ class NoveltyDb:
         return cls((s for s, _ in corpus.entries), mask_id=corpus.vocab.mask_id)
 
 
-def _cheapest_decodes(rows: np.ndarray, mask_id: int | None) -> Iterator[tuple]:
-    """Every decode of rows free of mask_id, in oracle.enumerate_novelty's
-    order: by cost, the gaps max_v x[i, v] - x[i, sigma_i] summed left to
-    right, then lex.
-
-    A best-first search over prefixes (_best_first).  A heap item
-    (bound, prefix, cost) stands for every decode that starts with the
-    prefix: cost is the prefix's, and bound adds each later position's
-    least allowed gap to it in order.  A rounded sum never falls when a
-    term grows, so no bound exceeds the cost of a decode under it or
-    falls below its parent's, and a whole decode's bound is its cost.
-    """
-    gaps = (rows.max(axis=1, keepdims=True) - rows).tolist()
-    length = len(gaps)
-    tokens = [v for v in range(rows.shape[1]) if v != mask_id]
-    if not tokens:
-        return
-    least = [min(row[v] for v in tokens) for row in gaps]
-    # Adding a zero gap leaves a sum as it is, so each depth keeps only
-    # the nonzero least gaps after it.
-    later = [[m for m in least[i + 1 :] if m] for i in range(length)]
-    moves = [[(v, row[v]) for v in tokens] for row in gaps]
-
-    def expand(item):
-        _, prefix, cost = item
-        depth = len(prefix)
-        for v, gap in moves[depth]:
-            child_cost = bound = cost + gap
-            # Left to right, as the scan sums: not sum(), which
-            # compensates its rounding from Python 3.12.
-            for m in later[depth]:
-                bound += m
-            yield bound, prefix + (v,), child_cost
-
-    yield from _best_first((0.0, (), 0.0), expand, length)
-
-
 def novelty_project(x_in: SeqDist, db: NoveltyDb) -> SeqDist:
     """Force the decode to the cheapest sequence absent from db.
 
     Candidate cost is the argmax probability given up position by
     position, sum_i (max_v x[i, v] - x[i, sigma_i]), summed left to
     right; the minimum is found in whole-sequence cost order, breaking
-    ties toward the lexicographically smallest sequence, by a best-first
-    search over prefixes (_cheapest_decodes) built on each call and kept
-    nowhere.  The selected sequence is added to db; rows that already
+    ties toward the lexicographically smallest sequence, by the
+    best-first search over prefixes (_cheapest_patterns) on the gaps,
+    with no bounds and MASK's gaps infinite, started on each call and
+    kept nowhere; the first decode db claims is the pick.  The selected sequence is added to db; rows that already
     decode to it pass through unchanged, and otherwise only the positions
     whose decode moves are forced, by _force_argmax_row; the rows are not
     renormalised.
@@ -1013,9 +915,12 @@ def novelty_project(x_in: SeqDist, db: NoveltyDb) -> SeqDist:
     Raises NoveltySaturationError when db covers all N^L sequences.
     """
     rows = x_in.rows
-    # The search yields in-range tuples free of db's MASK, so no candidate
-    # needs Sequence's checks.
-    for seq in _cheapest_decodes(rows, db.mask_id):
+    gaps = rows.max(axis=1, keepdims=True) - rows
+    # A decode holding db's MASK costs inf, so the search never yields
+    # it; it yields in-range tuples, so no candidate needs Sequence's
+    # checks.
+    gaps[:, np.arange(rows.shape[1]) == db.mask_id] = math.inf
+    for seq in _cheapest_patterns(gaps.tolist(), [], False):
         if db.claim(Sequence.unchecked(seq)):
             break
     else:
@@ -1062,7 +967,7 @@ def novelty_project_ids(state: np.ndarray, n: int, db: NoveltyDb) -> tuple[int, 
 
 class _ShellWalk:
     """Every sequence over the n tokens but mask_id, in (Hamming distance
-    from ids, lex) order: _cheapest_decodes's order on the one-hot rows
+    from ids, lex) order: novelty_project's order on the one-hot rows
     of ids, whose gaps are 0.0 at each position's token and 1.0 elsewhere.
 
     Shell d holds the sequences at distance d.  A position holding MASK

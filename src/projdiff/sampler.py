@@ -103,7 +103,8 @@ class InfeasibleSampleError(RuntimeError):
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Settings for one sampling run."""
+    """Settings for one sampling run.  alm is checked but not read (see
+    AlmConfig)."""
 
     steps: int
     length: int
@@ -135,6 +136,11 @@ class SampleConfig:
             raise ValueError("need 1 <= project_every <= steps")
         if self.project_start >= self.steps:
             raise ValueError("need 0 <= project_start < steps")
+        # A string such as "false" is truthy, and would run traced.
+        if not isinstance(self.trace, (bool, np.bool_)):
+            raise ValueError(f"trace must be true or false, got {self.trace!r}")
+        if not isinstance(self.alm, AlmConfig):
+            raise ValueError(f"alm must be an AlmConfig, got {self.alm!r}")
 
 
 @dataclass
@@ -150,7 +156,7 @@ class TraceRecord:
     did not project.  In alm mode a chain whose state the step's batched
     projection (or an earlier chain's retry) already projected spends it
     on a memo lookup, not a projector call.  outer_iters is 0: no step
-    runs alm_project's gradient loop.
+    runs an iterative solve.
     """
 
     sample_index: int
@@ -264,8 +270,9 @@ class _Engine:
         return self.cs.hard_violations_batch(ids).max(axis=1)
 
     def _passes(self, ids: np.ndarray, t: int) -> np.ndarray:
-        """Which chains of ids alm_project would return unchanged at step t;
-        at t = 1 the masked kernel passes no chain holding MASK."""
+        """Which chains of ids are feasible as they stand at step t, so
+        that project_ids would leave them their ids; at t = 1 the masked
+        kernel passes no chain holding MASK."""
         passed = self._violations(ids) <= 0.0
         if self.kernel.kind == "masked" and t == 1:
             passed &= ~np.any(ids == self.kernel.mask_id, axis=1)

@@ -69,7 +69,6 @@ def make_workspace(tmp_path, constraints=CONSTRAINTS, sample=None, extra=None):
         "constraints": "constraints.json",
         "out_dir": "out",
         "sample": sample_cfg,
-        "alm": {"max_outer_iter": 12},
         "oracle": {"cases": 8},
     }
     if extra:
@@ -256,15 +255,15 @@ class TestAblate:
     def test_grid_rows(self, tmp_path):
         cfg = make_workspace(
             tmp_path,
-            extra={"ablate": {"eta": [0.2, 0.4], "project_every": [1, 2]}},
+            extra={"ablate": {"project_start": [0, 3], "project_every": [1, 2]}},
         )
         proc = run_cli("ablate", "--config", str(cfg))
         assert proc.returncode == 0, proc.stderr
         with open(tmp_path / "out" / "ablation.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
-        combos = {(row["eta"], row["project_every"]) for row in rows}
-        assert combos == {("0.2", "1"), ("0.2", "2"), ("0.4", "1"), ("0.4", "2")}
+        combos = {(row["project_start"], row["project_every"]) for row in rows}
+        assert combos == {("0", "1"), ("0", "2"), ("3", "1"), ("3", "2")}
         assert all(row["violation_rate"] == "0.0" for row in rows)
         assert all(float(row["runtime_s"]) >= 0.0 for row in rows)
 
@@ -274,8 +273,18 @@ class TestAblate:
         assert proc.returncode == 1
         assert "bogus" in proc.stderr
 
+    @pytest.mark.parametrize("name", ["eta", "mu_init", "max_inner_iter"])
+    def test_solver_setting_is_an_unknown_parameter(self, tmp_path, name):
+        # No projection reads the solver settings, so a grid naming one
+        # would write rows that differ in nothing.
+        cfg = make_workspace(tmp_path, extra={"ablate": {name: [1], "project_every": [1]}})
+        proc = run_cli("ablate", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: unknown ablate parameter(s): {name}")
+        assert not (tmp_path / "out" / "ablation.csv").exists()
+
     def test_empty_grid(self, tmp_path):
-        cfg = make_workspace(tmp_path, extra={"ablate": {"eta": []}})
+        cfg = make_workspace(tmp_path, extra={"ablate": {"project_start": []}})
         proc = run_cli("ablate", "--config", str(cfg))
         assert proc.returncode == 1
         assert "empty" in proc.stderr
@@ -283,11 +292,11 @@ class TestAblate:
     @pytest.mark.parametrize(
         "grid, named",
         [
-            (["eta"], "JSON object"),
-            ({"eta": 0.2}, "eta"),
-            ({"eta": [0.2, 0]}, "'eta': 0"),
+            (["project_start"], "JSON object"),
+            ({"project_start": 0}, "project_start"),
+            ({"project_start": [0, -1]}, "'project_start': -1"),
             ({"project_every": [1, "x"]}, "'project_every': 'x'"),
-            ({"max_inner_iter": [1.5]}, "'max_inner_iter': 1.5"),
+            ({"project_start": [1.5]}, "'project_start': 1.5"),
         ],
     )
     def test_malformed_grid_fails_before_sampling(self, tmp_path, grid, named):
@@ -367,6 +376,9 @@ class TestUsageAndErrors:
     @pytest.mark.parametrize(
         "removed",
         [
+            {},
+            {"max_outer_iter": 12},
+            {"eta": 0.2, "mu_init": 1.0, "max_inner_iter": 10},
             {"mu_max": 1000.0},
             {"alpha_scale": 2.0},
             {"lambda_init": 0.0},
@@ -375,9 +387,10 @@ class TestUsageAndErrors:
         ],
     )
     def test_removed_alm_setting_is_an_error_line(self, tmp_path, removed):
-        # These are constants of the solver now, not settings; a slack is
-        # written as each constraint's tau.
-        cfg = make_workspace(tmp_path, extra={"alm": {"max_outer_iter": 12, **removed}})
+        # The projection picks exactly and runs no solver, so any alm
+        # section, even an empty one, is an error; a slack is written as
+        # each constraint's tau.
+        cfg = make_workspace(tmp_path, extra={"alm": removed})
         proc = run_cli("sample", "--config", str(cfg))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: bad sample/alm settings")
@@ -401,13 +414,17 @@ class TestUsageAndErrors:
             ({}, {"oracle": {"cases": 0}}),
             ({}, {"metrics": 1.0}),
             ({}, {"oracle": [30]}),
+            ({"trace": "false"}, {}),
+            ({"alm": {"eta": 0.2}}, {}),
         ],
     )
     def test_bad_setting_is_an_error_line_before_any_output(self, tmp_path, capsys, sample, extra):
         # An unknown kernel or schedule, a length off the corpus's, a mode
         # at odds with the constraint file, the masked kernel on a
-        # vocabulary without MASK, and bad metrics or oracle values.  Run
-        # in process, where an uncaught exception fails the test itself.
+        # vocabulary without MASK, bad metrics or oracle values, a trace
+        # that is not a bool ("false" is truthy) and solver settings
+        # under sample.  Run in process, where an uncaught exception
+        # fails the test itself.
         from projdiff import cli
 
         (tmp_path / "plain_vocab.txt").write_text("a\nb\nc\nd\n")

@@ -34,7 +34,7 @@ from projdiff.projection import (
     NoveltyDb,
     NoveltySaturationError,
     SearchTerms,
-    _cheapest_decodes,
+    _cheapest_patterns,
     _decode_search,
     _fewest_flips,
     _FlipDP,
@@ -209,6 +209,19 @@ class TestAlmProject:
         assert not res.feasible
         assert res.final_violation.max() > 0
 
+    def test_set_that_does_not_fit_the_rows_raises_naming_the_constraint(self):
+        # A token outside the rows' vocabulary, and weights for more or
+        # fewer tokens than the rows hold: check_fits' error, not one
+        # from numpy, and never a verdict.
+        cases = [
+            (TokenCount(7, "ge", 1, name="count7"), (2, 3)),
+            (LinearScore(np.full(3, 0.5), 0.5, "three_weights"), (3, 2)),
+            (LinearScore(np.full(2, 0.5), 0.5, "two_weights"), (2, 3)),
+        ]
+        for c, shape in cases:
+            with pytest.raises(ValueError, match=f"^{c.name}: "):
+                alm_project(SeqDist(np.full(shape, 1.0 / shape[1])), ConstraintSet([c]))
+
     def test_tau_slack_accepts_near_feasible(self):
         cs = ConstraintSet([TokenCount(token=0, op="le", k=0, tau=1.0)])
         rows = SeqDist.one_hot(Sequence((0, 1)), 2).rows
@@ -262,7 +275,8 @@ class TestAlmProject:
         # An infeasible input builds the set's SearchTerms once, for
         # project_ids on one-hot rows and for the search on soft rows; the
         # set keeps them, so a second call builds none, and both return
-        # the same result.
+        # the same result, with no outer iteration, on inputs made
+        # feasible and on those no pattern satisfies.
         built = [0]
         real_init = SearchTerms.__init__
 
@@ -273,7 +287,7 @@ class TestAlmProject:
         monkeypatch.setattr(SearchTerms, "__init__", init)
         rng = np.random.default_rng(77)
         config = AlmConfig(max_outer_iter=8)
-        loops = 0
+        seen = collections.Counter()
         for i in range(60):
             seq_len, n = int(rng.integers(1, 6)), int(rng.integers(2, 6))
             rows = random_rows(rng, ("dirichlet", "one_hot")[i % 2], seq_len, n)
@@ -288,8 +302,9 @@ class TestAlmProject:
             assert np.array_equal(got.projected.rows, want.projected.rows)
             assert (got.feasible, got.outer_iters, got.kl_moved) == (want.feasible, want.outer_iters, want.kl_moved)
             assert np.array_equal(got.final_violation, want.final_violation)
-            loops += want.outer_iters > 0
-        assert loops > 0
+            assert want.outer_iters == 0
+            seen["feasible input" if feasible_input else "projected" if want.feasible else "infeasible"] += 1
+        assert min(seen.values()) >= 5 and len(seen) == 3, seen
 
     @pytest.mark.parametrize("temp", [0.0, -0.5, float("nan")], ids=["zero", "negative", "nan"])
     def test_objective_and_gradient_reject_bad_temperature(self, temp):
@@ -626,6 +641,16 @@ class TestNoveltyProjectIds:
     row, with its search walked over the ids alone."""
 
     @staticmethod
+    def rows_cursor(state, n, mask_id):
+        """novelty_project's search over the one-hot rows of state, whose
+        gaps are 0.0 at each position's token, 1.0 elsewhere and inf at
+        MASK."""
+        rows = backend.ops.one_hot_rows(state, n)
+        gaps = rows.max(axis=1, keepdims=True) - rows
+        gaps[:, np.arange(n) == mask_id] = math.inf
+        return _cheapest_patterns(gaps.tolist(), [], False)
+
+    @staticmethod
     def claim_both(state, n, by_ids, by_rows, cursor):
         """One claim on each side: the shell walk through novelty_project_ids
         and the rows cursor, or None for a side that saturated."""
@@ -647,7 +672,7 @@ class TestNoveltyProjectIds:
         for ids in itertools.product(range(n), repeat=length):
             state = np.array(ids)
             by_ids, by_rows = NoveltyDb(mask_id=mask_id), NoveltyDb(mask_id=mask_id)
-            cursor = _cheapest_decodes(backend.ops.one_hot_rows(state, n), mask_id)
+            cursor = self.rows_cursor(state, n, mask_id)
             claims = []
             while True:
                 got, want = self.claim_both(state, n, by_ids, by_rows, cursor)
@@ -671,7 +696,7 @@ class TestNoveltyProjectIds:
             state[rng.random(length) < 0.2] = mask_id
             start = [Sequence(tuple(rng.integers(0, mask_id, size=length).tolist())) for _ in range(10)]
             by_ids, by_rows = NoveltyDb(start, mask_id=mask_id), NoveltyDb(start, mask_id=mask_id)
-            cursor = _cheapest_decodes(backend.ops.one_hot_rows(state, n), mask_id)
+            cursor = self.rows_cursor(state, n, mask_id)
             for call in range(300):
                 if call % 7 == 0:  # a near neighbour another chain claimed
                     extra = state.copy()
@@ -1037,8 +1062,8 @@ def assert_oracle_picks(states, n, cs, ids, feasible):
 
 
 class TestBestFirstLoop:
-    """_best_first, the heap loop of _decode_search and _cheapest_decodes,
-    on items keyed by the summed costs of a table."""
+    """_best_first, the heap loop of _cheapest_patterns, on items keyed by
+    the summed costs of a table."""
 
     def test_whole_prefixes_in_cost_then_lex_order(self):
         rng = np.random.default_rng(5)
@@ -1156,8 +1181,8 @@ class TestBestFirstSearch:
     def test_alm_project_pools_one_hot_rows_to_the_search_pick(self, delta):
         # On one-hot rows under a set only the search takes, alm_project
         # pools each row to project_ids' pick with no outer iteration,
-        # moving flip_kl; a state no pattern satisfies runs the gradient
-        # loop and stays infeasible.
+        # moving flip_kl; a state no pattern satisfies comes back as it
+        # is, infeasible.
         rng = np.random.default_rng(8)
         seen = collections.Counter()
         for _ in range(60):
@@ -1167,13 +1192,14 @@ class TestBestFirstSearch:
             states = rng.integers(0, n, size=(3, length))
             ids, feasible = project_ids(states, n, cs)
             for state, pick, ok in zip(states, ids, feasible):
-                res = alm_project(SeqDist(np.eye(n)[state]), cs, AlmConfig(max_outer_iter=5))
-                assert res.feasible == ok
+                rows = np.eye(n)[state]
+                res = alm_project(SeqDist(rows), cs, AlmConfig(max_outer_iter=5))
+                assert res.feasible == ok and res.outer_iters == 0
                 if ok:
-                    assert decode(res.projected).ids == tuple(pick.tolist()) and res.outer_iters == 0
+                    assert decode(res.projected).ids == tuple(pick.tolist())
                     assert res.kl_moved == pytest.approx(flip_kl(state[None], pick[None], n)[0], abs=1e-12)
                 else:
-                    assert res.outer_iters > 0
+                    assert np.array_equal(res.projected.rows, rows) and res.kl_moved == 0.0
                 seen["moved" if (pick != state).any() else "feasible as it was" if ok else "no pattern"] += 1
         assert min(seen.values()) >= 3, seen
 
@@ -1250,7 +1276,8 @@ class TestBestFirstSearch:
     def test_budget_run_out_reported_infeasible(self, monkeypatch):
         # A search whose pick needs more expansions than the budget
         # leaves its state as it was, reported infeasible; alm_project
-        # then runs the gradient loop, on one-hot rows and on soft ones.
+        # then returns its input as it is, on one-hot rows and on soft
+        # ones.
         cs = ConstraintSet([Position(6, 7), TokenCount(9, "ge", 3), NoTerms()])
         states = c01_start_states(5)
         want = project_ids(states, 13, cs)
@@ -1262,7 +1289,8 @@ class TestBestFirstSearch:
         config = AlmConfig(max_outer_iter=3)
         for x in (rows, 0.9 * rows + 0.1 / 13):
             res = alm_project(SeqDist(x), cs, config)
-            assert res.outer_iters > 0 and not res.feasible
+            assert (res.feasible, res.outer_iters, res.kl_moved) == (False, 0, 0.0)
+            assert np.array_equal(res.projected.rows, x)
         monkeypatch.setattr(projection, "SEARCH_EXPANSIONS", 10)
         assert all(np.array_equal(a, b) for a, b in zip(project_ids(states, 13, cs), want))
 
@@ -1842,18 +1870,18 @@ class TestProjectIdsDigest:
 
 class TestAlmProjectDigest:
     """alm_project end to end on 300 seeded instances of Dirichlet, mixed
-    and one-hot rows, recorded when the best-first search first picked
-    every instance some pattern satisfies: pins the search's picks, the
-    gradient loop on the instances no pattern satisfies, and the pooled
-    result.  A short outer budget keeps those instances cheap."""
+    and one-hot rows: pins the search's picks and the pooled result, and
+    that an instance no pattern satisfies comes back as it is.  Recorded
+    when the gradient loop was removed; every instance some pattern
+    satisfies kept the ids, verdict and kl_moved of the digest before."""
 
-    DIGEST = "81f179dc2775a2c472f44fc33c0e13252467f930fba89ac765d7529f1e5adcad"
+    DIGEST = "c6d156b525655eec597521da56032ad92b64e52b35f4462415adcc7c220ae54b"
 
     def test_seeded_instances_match_recorded_digest(self):
         rng = np.random.default_rng(2025)
         config = AlmConfig(max_outer_iter=8)
         h = hashlib.sha256()
-        loops = collections.Counter()
+        infeasible = collections.Counter()
         for i in range(300):
             kind = ("dirichlet", "mixed", "one_hot")[i % 3]
             seq_len, n = int(rng.integers(1, 6)), int(rng.integers(2, 6))
@@ -1862,11 +1890,14 @@ class TestAlmProjectDigest:
             res = alm_project(SeqDist(rows), cs, config)
             ids = tuple(int(v) for v in np.argmax(res.projected.rows, axis=1))
             h.update(repr((ids, res.feasible, res.outer_iters, repr(res.kl_moved))).encode())
-            if res.outer_iters > 0:
-                # The loop runs only where no pattern satisfies the set.
+            assert res.outer_iters == 0
+            if not res.feasible:
+                # Only where no pattern satisfies the set, with the input
+                # returned as it is.
                 with pytest.raises(ValueError, match="no pattern satisfies"):
                     enumerate_cheapest_pattern(rows, cs)
-                loops[kind] += 1
+                assert np.array_equal(res.projected.rows, rows) and res.kl_moved == 0.0
+                infeasible[kind] += 1
         # measured 48 dirichlet, 45 mixed and 43 one-hot instances
-        assert min(loops[kind] for kind in ("dirichlet", "mixed", "one_hot")) >= 20, loops
+        assert min(infeasible[kind] for kind in ("dirichlet", "mixed", "one_hot")) >= 20, infeasible
         assert h.hexdigest() == self.DIGEST

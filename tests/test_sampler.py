@@ -151,6 +151,15 @@ class TestConfigValidation:
             with pytest.raises(TypeError):
                 AlmConfig(**{removed: 0.0})
 
+    @pytest.mark.parametrize(
+        "field, value", [("trace", "false"), ("trace", None), ("trace", 2), ("alm", {"eta": 0.2})]
+    )
+    def test_trace_and_alm_types_checked(self, field, value):
+        # "false" is truthy, so a config's string would run traced.
+        with pytest.raises(ValueError, match=field):
+            cfg(**{field: value})
+        assert cfg(trace=False).trace is False and cfg(trace=np.True_).trace
+
     def test_length_must_match_corpus(self, toy_corpus):
         with pytest.raises(ValueError):
             sample_constrained(toy_corpus, simple_cs(), cfg(length=4))

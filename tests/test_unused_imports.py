@@ -13,8 +13,8 @@ PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__fil
 
 # perfbench/tracer.py patches sampler.position_project,
 # sampler.novelty_project and sampler.alm_project by name; sampler itself
-# never calls them (project_ids picks exactly, so no step falls back to
-# alm_project's gradient loop).
+# never calls them: it projects token ids by project_ids and
+# novelty_project_ids, and builds no rows.
 ALLOWED = {("sampler", "position_project"), ("sampler", "novelty_project"), ("sampler", "alm_project")}
 
 
